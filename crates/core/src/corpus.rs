@@ -25,13 +25,18 @@
 //!    edge list) → the selected parent forest and tie-variant count.
 //!
 //! The same four tiers double as the **incremental invalidation**
-//! layer: [`CorpusCache::export_entries`] serializes every entry in
-//! full (not just its verification image) and
-//! [`CorpusCache::import_entry`] restores one, so the supervisor can
-//! persist the cache across processes as per-function sub-artifacts
-//! (see `rock-supervisor`'s `incr` module). Because both paths share
-//! one keyspace, the in-memory corpus tier and the on-disk incremental
-//! tier never double-store: a preloaded entry *is* the corpus entry.
+//! layer: the supervisor persists the cache across processes as
+//! per-function sub-artifacts (see `rock-supervisor`'s `incr` module).
+//! Every entry carries a *persisted* mark. [`CorpusCache::import_entry`]
+//! restores an entry from disk already marked;
+//! [`CorpusCache::claim_unpersisted`] marks every unmarked entry under
+//! its shard lock and serializes it in full (not just its verification
+//! image), so a flush writes only what was added since the last one and
+//! two concurrent flushes never claim the same entry;
+//! [`CorpusCache::unclaim`] clears the mark again when a write fails.
+//! Because all paths share one keyspace, the in-memory corpus tier and
+//! the on-disk incremental tier never double-store: a preloaded entry
+//! *is* the corpus entry.
 //!
 //! Every tier stores a compact verification image (a content
 //! fingerprint of the entry) plus an FNV-1a checksum, verified on each
@@ -81,12 +86,16 @@ fn shard_of(key: u128) -> usize {
 struct Entry {
     bytes: Vec<u8>,
     checksum: u64,
+    /// Whether the incremental store holds the entry this blob belongs
+    /// to: imported by a preload, or claimed by a flush. Read and written
+    /// under the shard lock, never on the lookup path.
+    persisted: bool,
 }
 
 impl Entry {
-    fn new(bytes: Vec<u8>) -> Entry {
+    fn new(bytes: Vec<u8>, persisted: bool) -> Entry {
         let checksum = fnv1a(&bytes);
-        Entry { bytes, checksum }
+        Entry { bytes, checksum, persisted }
     }
 
     fn verified(&self) -> Option<&[u8]> {
@@ -176,9 +185,12 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
     /// to `cap - 1` live entries beforehand when `cap` is non-zero.
     /// Eviction is invisible to correctness — a future lookup simply
     /// misses and recomputes — so bounding the cache can only change
-    /// hit rates, never output bits.
+    /// hit rates, never output bits. An occupied key keeps its value
+    /// (first write wins) but takes on an imported value's persisted
+    /// mark: the store holds the same content-addressed entry.
     fn insert_bounded(&mut self, key: K, value: V, cap: usize, counters: &Counters) {
-        if self.map.contains_key(&key) {
+        if let Some(existing) = self.map.get_mut(&key) {
+            existing.image_mut().persisted |= value.image().persisted;
             return;
         }
         if cap > 0 {
@@ -194,6 +206,13 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
         counters.bytes_stored.fetch_add(value.image().bytes.len() as u64, Ordering::Relaxed);
         self.order.push_back(key);
         self.map.insert(key, value);
+    }
+
+    /// Clears `key`'s persisted mark, if the key is still present.
+    fn unclaim(&mut self, key: &K) {
+        if let Some(value) = self.map.get_mut(key) {
+            value.image_mut().persisted = false;
+        }
     }
 }
 
@@ -379,10 +398,13 @@ impl CorpusCache {
 
     /// Stores a freshly computed family lifting under its [`lift_key`].
     pub fn store_lifting(&self, key: u128, parent: &[Option<usize>], tie_variants: u64) {
-        let entry = Entry::new(encode_lifting(parent, tie_variants));
+        self.lifting_store(key, encode_lifting(parent, tie_variants), false);
+    }
+
+    fn lifting_store(&self, key: u128, bytes: Vec<u8>, persisted: bool) {
         let shard = &self.liftings[shard_of(key)];
         let mut s = shard.lock().expect("corpus shard poisoned");
-        s.insert_bounded(key, entry, self.shard_cap, &self.counters);
+        s.insert_bounded(key, Entry::new(bytes, persisted), self.shard_cap, &self.counters);
     }
 
     /// The execution-tier view for one analysis configuration: a
@@ -419,8 +441,8 @@ impl CorpusCache {
         }
     }
 
-    fn exec_store(&self, key: u128, exec: Arc<CachedExec>) {
-        let entry = Entry::new(exec_fp(&exec).to_le_bytes().to_vec());
+    fn exec_store(&self, key: u128, exec: Arc<CachedExec>, persisted: bool) {
+        let entry = Entry::new(exec_fp(&exec).to_le_bytes().to_vec(), persisted);
         let shard = &self.execs[shard_of(key)];
         let mut s = shard.lock().expect("corpus shard poisoned");
         s.insert_bounded(key, ExecSlot::Exec { entry, exec }, self.shard_cap, &self.counters);
@@ -456,8 +478,8 @@ impl CorpusCache {
         }
     }
 
-    fn ctor_store(&self, key: u128, ctors: &CachedCtors) {
-        let entry = Entry::new(encode_ctors(ctors));
+    fn ctor_store(&self, key: u128, ctors: &CachedCtors, persisted: bool) {
+        let entry = Entry::new(encode_ctors(ctors), persisted);
         let shard = &self.execs[shard_of(key)];
         let mut s = shard.lock().expect("corpus shard poisoned");
         s.insert_bounded(key, ExecSlot::Ctors(entry), self.shard_cap, &self.counters);
@@ -496,12 +518,23 @@ impl CorpusCache {
     /// 16-byte pool fingerprint) — enough for the checksum discipline
     /// to detect bit rot without re-hashing a serialized pool per hit.
     pub fn store_model(&self, key: ModelKey, model: Arc<Slm<Event>>) {
+        self.model_store(key, model, false);
+    }
+
+    fn model_store(&self, key: ModelKey, model: Arc<Slm<Event>>, persisted: bool) {
         let mut bytes = vec![CORPUS_FORMAT];
         bytes.extend_from_slice(&key.to_le_bytes());
-        let entry = Entry::new(bytes);
+        let entry = Entry::new(bytes, persisted);
         let shard = &self.models[shard_of(key)];
         let mut s = shard.lock().expect("corpus shard poisoned");
         s.insert_bounded(key, ModelEntry { entry, model }, self.shard_cap, &self.counters);
+    }
+
+    fn distance_store(&self, key: DistanceKey, d: f64, persisted: bool) {
+        let shard = &self.distances[shard_of(key.1 ^ key.2.rotate_left(64))];
+        let mut s = shard.lock().expect("corpus shard poisoned");
+        let entry = Entry::new(d.to_le_bytes().to_vec(), persisted);
+        s.insert_bounded(key, entry, self.shard_cap, &self.counters);
     }
 
     /// Deterministically corrupts every stored byte image (all tiers)
@@ -536,49 +569,104 @@ impl CorpusCache {
         touched
     }
 
-    /// Serializes every verified entry in full (not just its
-    /// verification image) for persistence, in a deterministic order:
-    /// tier by tier, shard index ascending, key ascending within each
-    /// shard. Entries that fail their checksum are silently skipped —
-    /// they would be dropped on the next lookup anyway.
+    /// Serializes every verified, persisted entry in full (not just its
+    /// verification image): what the incremental store holds, for
+    /// rebuilding a lost snapshot pack. Order and encoding are those of
+    /// [`CorpusCache::claim_unpersisted`].
+    pub fn export_entries(&self) -> Vec<(SubTier, u128, Vec<u8>)> {
+        self.encode_entries(|entry| entry.persisted)
+    }
+
+    /// Claims every entry not yet persisted: marks it persisted under
+    /// its shard lock and serializes it in full, so each entry is handed
+    /// to exactly one flush however many run at once. Returns the
+    /// claimed entries and the number of entries found already
+    /// persisted. A caller whose write of a claimed entry fails hands it
+    /// back with [`CorpusCache::unclaim`]. Only unpersisted entries are
+    /// verified and encoded, so a claim costs what was added.
     ///
+    /// Order is deterministic: tier by tier, shard index ascending, key
+    /// ascending within each shard. Entries that fail their checksum
+    /// are skipped — they would be dropped on the next lookup anyway.
     /// Exec-tier payloads lead with a sub-tag byte (`0` = execution,
     /// `1` = ctor recognition) because both kinds share the tier's
     /// keyspace. Distance entries are re-keyed by
     /// [`distance_disk_key`], which folds the full `(metric, from, to)`
     /// triple into one `u128` — the triple itself travels in the
     /// payload so an import can verify the key before trusting it.
-    pub fn export_entries(&self) -> Vec<(SubTier, u128, Vec<u8>)> {
+    pub fn claim_unpersisted(&self) -> (Vec<(SubTier, u128, Vec<u8>)>, u64) {
+        let mut unchanged = 0;
+        let claimed = self.encode_entries(|entry| {
+            if entry.persisted {
+                unchanged += 1;
+                return false;
+            }
+            entry.persisted = true;
+            true
+        });
+        (claimed, unchanged)
+    }
+
+    /// Hands back an entry [`CorpusCache::claim_unpersisted`] returned
+    /// (its write failed), so the next claim includes it again. The
+    /// payload locates distance entries, whose disk key is a fold of
+    /// their in-memory key. An entry evicted meanwhile is simply gone.
+    pub fn unclaim(&self, tier: SubTier, key: u128, payload: &[u8]) {
+        const POISONED: &str = "corpus shard poisoned";
+        match tier {
+            SubTier::Exec => self.execs[shard_of(key)].lock().expect(POISONED).unclaim(&key),
+            SubTier::Model => self.models[shard_of(key)].lock().expect(POISONED).unclaim(&key),
+            SubTier::Distance => {
+                let Some((metric, from, to, _)) = decode_distance(payload) else { return };
+                let shard = &self.distances[shard_of(from ^ to.rotate_left(64))];
+                shard.lock().expect(POISONED).unclaim(&(metric, from, to));
+            }
+            SubTier::Lifting => self.liftings[shard_of(key)].lock().expect(POISONED).unclaim(&key),
+        }
+    }
+
+    /// Serializes, in the order [`CorpusCache::claim_unpersisted`]
+    /// documents, every entry whose image `pick` accepts and that then
+    /// verifies (`pick` may update the image's persisted mark).
+    fn encode_entries(
+        &self,
+        mut pick: impl FnMut(&mut Entry) -> bool,
+    ) -> Vec<(SubTier, u128, Vec<u8>)> {
         let mut out = Vec::new();
         for shard in &self.execs {
-            for (&key, slot) in &shard.lock().expect("corpus shard poisoned").map {
-                match slot {
-                    ExecSlot::Exec { entry, exec } => {
-                        if entry.verified().is_some() {
-                            let mut bytes = vec![EXEC_SUBTAG_EXEC];
-                            bytes.extend_from_slice(&encode_exec(exec));
-                            out.push((SubTier::Exec, key, bytes));
-                        }
+            for (&key, slot) in &mut shard.lock().expect("corpus shard poisoned").map {
+                if !pick(slot.image_mut()) || slot.image().verified().is_none() {
+                    continue;
+                }
+                let bytes = match slot {
+                    ExecSlot::Exec { exec, .. } => {
+                        let mut bytes = vec![EXEC_SUBTAG_EXEC];
+                        bytes.extend_from_slice(&encode_exec(exec));
+                        bytes
                     }
                     ExecSlot::Ctors(entry) => {
-                        if let Some(body) = entry.verified() {
-                            let mut bytes = vec![EXEC_SUBTAG_CTORS];
-                            bytes.extend_from_slice(body);
-                            out.push((SubTier::Exec, key, bytes));
-                        }
+                        let mut bytes = vec![EXEC_SUBTAG_CTORS];
+                        bytes.extend_from_slice(&entry.bytes);
+                        bytes
                     }
-                }
+                };
+                out.push((SubTier::Exec, key, bytes));
             }
         }
         for shard in &self.models {
-            for (&key, me) in &shard.lock().expect("corpus shard poisoned").map {
-                if me.entry.verified().is_some() {
+            for (&key, me) in &mut shard.lock().expect("corpus shard poisoned").map {
+                if pick(&mut me.entry) && me.entry.verified().is_some() {
                     out.push((SubTier::Model, key, encode_model(&me.model)));
                 }
             }
         }
         for shard in &self.distances {
-            for (&(metric, from, to), entry) in &shard.lock().expect("corpus shard poisoned").map {
+            for (&(metric, from, to), entry) in
+                &mut shard.lock().expect("corpus shard poisoned").map
+            {
+                if !pick(entry) {
+                    continue;
+                }
                 let Some(bits) = entry.verified().and_then(|b| {
                     let raw: [u8; 8] = b.try_into().ok()?;
                     Some(u64::from_le_bytes(raw))
@@ -590,9 +678,9 @@ impl CorpusCache {
             }
         }
         for shard in &self.liftings {
-            for (&key, entry) in &shard.lock().expect("corpus shard poisoned").map {
-                if let Some(body) = entry.verified() {
-                    out.push((SubTier::Lifting, key, body.to_vec()));
+            for (&key, entry) in &mut shard.lock().expect("corpus shard poisoned").map {
+                if pick(entry) && entry.verified().is_some() {
+                    out.push((SubTier::Lifting, key, entry.bytes.clone()));
                 }
             }
         }
@@ -615,14 +703,14 @@ impl CorpusCache {
                 match subtag {
                     EXEC_SUBTAG_EXEC => match decode_exec(body) {
                         Some(exec) => {
-                            self.exec_store(key, Arc::new(exec));
+                            self.exec_store(key, Arc::new(exec), true);
                             true
                         }
                         None => false,
                     },
                     EXEC_SUBTAG_CTORS => match decode_ctors(body) {
                         Some(ctors) => {
-                            self.ctor_store(key, &ctors);
+                            self.ctor_store(key, &ctors, true);
                             true
                         }
                         None => false,
@@ -632,24 +720,21 @@ impl CorpusCache {
             }
             SubTier::Model => match decode_model(key, bytes) {
                 Some(model) => {
-                    self.store_model(key, Arc::new(model));
+                    self.model_store(key, Arc::new(model), true);
                     true
                 }
                 None => false,
             },
             SubTier::Distance => match decode_distance(bytes) {
                 Some((metric, from, to, d)) if distance_disk_key(metric, from, to) == key => {
-                    self.store_distance(metric, &from, &to, d);
+                    self.distance_store((metric, from, to), d, true);
                     true
                 }
                 _ => false,
             },
             SubTier::Lifting => match decode_lifting(bytes) {
                 Some(_) => {
-                    let entry = Entry::new(bytes.to_vec());
-                    let shard = &self.liftings[shard_of(key)];
-                    let mut s = shard.lock().expect("corpus shard poisoned");
-                    s.insert_bounded(key, entry, self.shard_cap, &self.counters);
+                    self.lifting_store(key, bytes.to_vec(), true);
                     true
                 }
                 None => false,
@@ -734,10 +819,7 @@ impl GlobalDistanceStore<ModelKey> for CorpusCache {
     }
 
     fn store_distance(&self, metric: Metric, from: &ModelKey, to: &ModelKey, d: f64) {
-        let key = (metric, *from, *to);
-        let shard = &self.distances[shard_of(*from ^ to.rotate_left(64))];
-        let mut s = shard.lock().expect("corpus shard poisoned");
-        s.insert_bounded(key, Entry::new(d.to_le_bytes().to_vec()), self.shard_cap, &self.counters);
+        self.distance_store((metric, *from, *to), d, false);
     }
 }
 
@@ -760,7 +842,7 @@ impl ExecCache for CorpusExecCache<'_> {
     }
 
     fn store(&self, key: Label, exec: Arc<CachedExec>) {
-        self.cache.exec_store(self.salt ^ key.as_u128(), exec);
+        self.cache.exec_store(self.salt ^ key.as_u128(), exec, false);
     }
 
     fn load_ctors(&self, key: Label) -> Option<CachedCtors> {
@@ -768,7 +850,7 @@ impl ExecCache for CorpusExecCache<'_> {
     }
 
     fn store_ctors(&self, key: Label, ctors: &CachedCtors) {
-        self.cache.ctor_store(self.salt ^ key.as_u128() ^ CTOR_TAG, ctors);
+        self.cache.ctor_store(self.salt ^ key.as_u128() ^ CTOR_TAG, ctors, false);
     }
 }
 
@@ -1524,6 +1606,48 @@ mod tests {
         }
         assert_eq!(a.stats().evicted, b.stats().evicted);
         assert!(a.stats().evicted > 0, "40 inserts over a 16-entry tier must evict");
+    }
+
+    #[test]
+    fn claims_hand_each_entry_out_once() {
+        let cache = CorpusCache::new();
+        let view = cache.exec_cache(&AnalysisConfig::default());
+        view.store(Label { lo: 1, hi: 2 }, Arc::new(sample_exec()));
+        view.store_ctors(Label { lo: 3, hi: 4 }, &CachedCtors::default());
+        let pool: Vec<Arc<[Event]>> = vec![vec![Event::C(0), Event::Ret].into()];
+        let mut model = Slm::new(2);
+        model.train(&pool[0]);
+        model.finalize();
+        cache.store_model(pool_key(2, &pool), Arc::new(model));
+        cache.store_distance(Metric::KlDivergence, &5, &6, 0.5);
+        cache.store_lifting(7, &[None, Some(0)], 1);
+
+        let (claimed, unchanged) = cache.claim_unpersisted();
+        assert_eq!((claimed.len(), unchanged), (5, 0));
+        assert_eq!(cache.export_entries(), claimed, "a claim marks its entries persisted");
+        let (again, unchanged) = cache.claim_unpersisted();
+        assert!(again.is_empty(), "a claimed entry is handed out once");
+        assert_eq!(unchanged, 5);
+
+        // A failed write hands the entry back, in every tier.
+        for (tier, key, payload) in &claimed {
+            cache.unclaim(*tier, *key, payload);
+        }
+        assert_eq!(cache.claim_unpersisted(), (claimed.clone(), 0));
+
+        // Imported entries arrive persisted; a live store of the same
+        // key keeps the mark, and an import marks a live entry.
+        let warm = CorpusCache::new();
+        for (tier, key, payload) in &claimed {
+            assert!(warm.import_entry(*tier, *key, payload));
+        }
+        warm.store_distance(Metric::KlDivergence, &5, &6, 0.5);
+        assert_eq!(warm.claim_unpersisted(), (Vec::new(), 5));
+        let live = CorpusCache::new();
+        live.store_lifting(7, &[None, Some(0)], 1);
+        let lifting = claimed.iter().find(|(t, ..)| *t == SubTier::Lifting).expect("lifting");
+        assert!(live.import_entry(lifting.0, lifting.1, &lifting.2));
+        assert_eq!(live.claim_unpersisted(), (Vec::new(), 1));
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub struct IncrStats {
     pub preloaded: u64,
     /// Sub-artifacts newly written to disk at flush.
     pub flushed: u64,
-    /// Sub-artifacts already on disk and skipped at flush.
+    /// Corpus entries a flush found already persisted (preloaded, or
+    /// written by an earlier flush) and skipped.
     pub unchanged: u64,
     /// Sub-artifacts rejected at preload (bad frame, failed checksum,
     /// or a payload that does not reproduce its own key) — each one

@@ -363,10 +363,12 @@ impl Inner {
             sup = sup.with_tracer(Arc::clone(tracer)).with_trace_level(self.cfg.trace_level);
         }
         let result = sup.run_job(&job.name, &job.image);
-        // Persist the job's new sub-artifacts immediately (write-only-
-        // new, so repeat flushes are cheap): a crashed daemon then loses
-        // at most the in-flight job's work, and a restarted one preloads
-        // everything every earlier tenant computed.
+        // Persist the job's new sub-artifacts immediately. The flush
+        // claims only entries no earlier flush persisted and appends
+        // them to the snapshot pack as one segment, so it costs what
+        // this job added: a crashed daemon then loses at most the
+        // in-flight job's work, and a restarted one preloads everything
+        // every earlier tenant computed.
         if self.cfg.options.incremental {
             let delta = sup.flush_incremental();
             self.incr.lock().expect("serve incr stats poisoned").add(&delta);

@@ -51,7 +51,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rock_analysis::{Analysis, CtorMap, Event, IncidentKind, TypeTracelets};
 use rock_binary::Addr;
@@ -216,6 +216,19 @@ struct StatsCell {
     retry_backoff_ms: AtomicU64,
 }
 
+/// The snapshot-pack bytes a store last verified at preload or last
+/// wrote (`None`: no verified pack), shared by every clone of the
+/// store. Holding its lock serialises pack writes — and with them whole
+/// flushes — across the daemon's workers (see [`crate::incr`]).
+#[derive(Default)]
+struct PackCell(Mutex<Option<Vec<u8>>>);
+
+impl fmt::Debug for PackCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("PackCell")
+    }
+}
+
 /// Which counter lane a retried operation charges.
 #[derive(Clone, Copy)]
 pub(crate) enum OpClass {
@@ -242,6 +255,7 @@ pub struct ArtifactStore {
     sleep_backoff: bool,
     retry: RetryPolicy,
     stats: Arc<StatsCell>,
+    pack: Arc<PackCell>,
 }
 
 impl ArtifactStore {
@@ -271,6 +285,7 @@ impl ArtifactStore {
             // short (recorded, not slept) backoff curve.
             retry: RetryPolicy::new(3).with_backoff(10, 160),
             stats: Arc::new(StatsCell::default()),
+            pack: Arc::default(),
         };
         store.with_retry_op(OpClass::Write, || store.vfs.create_dir_all(&store.root))?;
         // Safe here: nothing can be mid-commit while the store is still
@@ -292,6 +307,7 @@ impl ArtifactStore {
             sleep_backoff: false,
             retry: RetryPolicy::new(3).with_backoff(10, 160),
             stats: Arc::new(StatsCell::default()),
+            pack: Arc::default(),
         };
         if !store.vfs.is_dir(&store.root) {
             return Err(io::Error::new(
@@ -359,6 +375,12 @@ impl ArtifactStore {
     /// layer so sub-artifact traffic sees the same faults as artifacts.
     pub(crate) fn vfs(&self) -> &Arc<dyn Vfs> {
         &self.vfs
+    }
+
+    /// The snapshot-pack bytes this store last verified or wrote, locked
+    /// for the caller's whole preload or flush.
+    pub(crate) fn pack(&self) -> MutexGuard<'_, Option<Vec<u8>>> {
+        self.pack.0.lock().expect("snapshot pack lock poisoned")
     }
 
     fn artifact_path(&self, key: u64, stage: StageId) -> PathBuf {

@@ -59,12 +59,29 @@
 //! degradation, never stale reuse. `rock store scrub` quarantines such
 //! files individually without touching their tier siblings.
 //!
-//! Writes are write-only-new (first-write-wins, like the in-memory
-//! corpus tiers) through a temp file + atomic rename; in `durable`
-//! mode files are fsynced before rename and each tier directory after
-//! its batch. All traffic shares the store's [`crate::vfs::Vfs`] seam,
-//! retry policy, and fault accounting, so chaos tests exercise this
-//! layer with the same storage faults as the artifact layer.
+//! A flush costs what was added since the last one, not what the store
+//! holds. Every corpus entry carries a persisted mark (preloaded
+//! entries arrive marked); [`flush_subartifacts`] claims the unmarked
+//! ones ([`rock_core::CorpusCache::claim_unpersisted`]), writes one
+//! loose file per claim through a temp file + atomic rename, hands a
+//! failed write back, and appends the frames it committed to the pack
+//! as one segment. It lists no directory and reads nothing. Within a
+//! process first-write-wins therefore holds by construction: a claimed
+//! entry goes to exactly one flush, and a writer that does reach an
+//! existing file (a second process, or a corpus that never preloaded
+//! the store) writes the same content-addressed frame through tmp +
+//! rename. In `durable` mode files are fsynced before rename and each
+//! tier directory after its batch. All traffic shares the store's
+//! [`crate::vfs::Vfs`] seam, retry policy, and fault accounting, so
+//! chaos tests exercise this layer with the same storage faults as the
+//! artifact layer.
+//!
+//! The pack bytes a store last verified at preload, or last wrote, stay
+//! in the store's shared state; a flush appends to them and rewrites the
+//! file whole (tmp + rename), and the same lock serialises flushes
+//! across the daemon's workers. A store that holds no verified pack —
+//! none on disk, a damaged one, an older format, or one that does not
+//! mirror the loose files — rebuilds it whole at its next flush.
 //!
 //! The warm ≡ cold invariant holds end to end: preloaded entries only
 //! ever short-circuit work whose outputs are bit-identical to
@@ -75,7 +92,6 @@
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rock_core::{CorpusCache, IncrStats, SubTier};
 
@@ -88,16 +104,18 @@ pub const SUB_MAGIC: &[u8; 8] = b"ROCKSUB\x01";
 
 /// The 8-byte snapshot-pack magic; the trailing byte is the format
 /// version. Bumps make existing packs unreadable, which merely drops
-/// preload back to loose files until the next flush rewrites the pack.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ROCKSPK\x01";
+/// preload back to loose files until the next flush rebuilds the pack
+/// whole. v2: the body is a sequence of self-checksummed segments, so a
+/// flush appends one instead of re-encoding every entry.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ROCKSPK\x02";
 
 /// Filename of the read-optimized snapshot pack, directly under
 /// `<root>/sub/`. The pack bundles every framed sub-artifact into one
 /// file so a warm preload costs one read instead of one per artifact —
 /// on the patch-and-rerun critical path, thousands of tiny loose-file
 /// opens are the dominant cost. The loose files stay the source of
-/// truth (scrub granularity, first-write-wins); the pack is purely an
-/// accelerator and is rebuilt by any flush that wrote something.
+/// truth (scrub granularity); the pack is purely an accelerator, and
+/// every flush that commits something appends a segment to it.
 pub const SNAPSHOT_NAME: &str = "snapshot.pack";
 
 /// The filename of one sub-artifact: 32 lowercase hex digits + `.sub`.
@@ -165,58 +183,77 @@ pub fn decode_sub(bytes: &[u8]) -> Result<(SubTier, u128, Vec<u8>), String> {
     Ok((tier, key, body[payload_start..].to_vec()))
 }
 
-/// Bundles already-framed sub-artifacts into one snapshot pack:
+/// Bundles already-framed sub-artifacts into a one-segment snapshot
+/// pack:
 ///
 /// ```text
-/// magic "ROCKSPK\x01" | entry count u64
-/// | count × (frame len u64 | encode_sub frame)
-/// | FNV-1a checksum u64 (over everything before it)
+/// magic "ROCKSPK\x02" | segment | segment | ...   (at least one)
+/// segment = frame count u64 | count × (frame len u64 | encode_sub frame)
+///           | FNV-1a checksum u64 (over the segment's bytes before it)
 /// ```
 ///
-/// Each embedded frame keeps its own checksum, so a pack entry is
-/// exactly as trustworthy as the loose file it mirrors.
+/// A flush appends its frames as one more segment. Each embedded frame
+/// keeps its own checksum, so a pack entry is exactly as trustworthy as
+/// the loose file it mirrors.
 pub fn encode_snapshot(frames: &[Vec<u8>]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.len(frames.len());
-    for frame in frames {
-        w.blob(frame);
-    }
-    let body = w.into_bytes();
-    let mut buf = Vec::with_capacity(SNAPSHOT_MAGIC.len() + body.len() + 8);
-    buf.extend_from_slice(SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&body);
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
+    let mut pack = SNAPSHOT_MAGIC.to_vec();
+    append_segment(&mut pack, frames);
+    pack
 }
 
-/// Decodes a snapshot pack into its (tier, key, payload) entries.
-/// Whole-file checksum, magic, entry framing, and each embedded
-/// sub-artifact frame are all verified; any damage rejects the whole
-/// pack (callers fall back to loose files — the pack is never the only
-/// copy).
+/// Appends `frames` to a pack as one self-checksummed segment.
+fn append_segment(pack: &mut Vec<u8>, frames: &[Vec<u8>]) {
+    let start = pack.len();
+    pack.extend_from_slice(&(frames.len() as u64).to_le_bytes());
+    for frame in frames {
+        pack.extend_from_slice(&(frame.len() as u64).to_le_bytes());
+        pack.extend_from_slice(frame);
+    }
+    let checksum = fnv1a(&pack[start..]);
+    pack.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// Decodes a snapshot pack into its (tier, key, payload) entries, in
+/// pack order. Magic, every segment's checksum and framing, and each
+/// embedded sub-artifact frame are all verified; any damage — in any
+/// segment — rejects the whole pack (callers fall back to loose files;
+/// the pack is never the only copy).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<(SubTier, u128, Vec<u8>)>, String> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 8 + 8 {
         return Err("pack shorter than the fixed frame".into());
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != checksum {
-        return Err("pack checksum mismatch".into());
-    }
-    if &body[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+    if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err("bad pack magic or unsupported format version".into());
     }
-    let mut r = Reader::new(&body[SNAPSHOT_MAGIC.len()..]);
-    let fail = |e: crate::wire::WireError| e.to_string();
-    let count = r.len("entry count").map_err(fail)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let frame = r.blob("pack entry").map_err(fail)?;
-        entries.push(decode_sub(&frame)?);
-    }
-    if !r.is_at_end() {
-        return Err("trailing bytes after the last pack entry".into());
+    let truncated = || "pack truncated inside a segment".to_string();
+    let word = |at: usize| {
+        let b = bytes.get(at..at + 8).ok_or_else(truncated)?;
+        Ok::<u64, String>(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    };
+    // Each segment's frames are located in place and decoded only after
+    // the segment's checksum holds.
+    let mut entries = Vec::new();
+    let mut pos = SNAPSHOT_MAGIC.len();
+    while pos < bytes.len() {
+        let start = pos;
+        let count = word(pos)?;
+        pos += 8;
+        let mut frames = Vec::new();
+        for _ in 0..count {
+            let len = usize::try_from(word(pos)?).map_err(|_| truncated())?;
+            pos += 8;
+            frames.push(
+                pos.checked_add(len).and_then(|end| bytes.get(pos..end)).ok_or_else(truncated)?,
+            );
+            pos += len;
+        }
+        if fnv1a(&bytes[start..pos]) != word(pos)? {
+            return Err("pack segment checksum mismatch".into());
+        }
+        pos += 8;
+        for frame in frames {
+            entries.push(decode_sub(frame)?);
+        }
     }
     Ok(entries)
 }
@@ -244,14 +281,22 @@ pub fn verify_sub_bytes(
     Ok(())
 }
 
-/// Restores every trusted sub-artifact on disk into `corpus`.
+/// Restores every trusted sub-artifact on disk into `corpus`, marked
+/// persisted so no later flush rewrites it.
 ///
 /// Untrusted files (bad frame, tier/key mismatch, payload that fails
 /// the importer's content validation) are skipped and counted — they
 /// recompute, and the next flush or scrub deals with them. Call before
 /// running jobs; preloading is cheap relative to one reconstruction
 /// and makes every unchanged function/type/pair/family a cache hit.
+///
+/// The store keeps the pack's bytes for later flushes to append to
+/// only when the pack mirrors the tier listing exactly (each listed
+/// entry once, nothing else); otherwise it holds no verified pack, and
+/// the next flush rebuilds one whole.
 pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrStats {
+    let mut held = store.pack();
+    *held = None;
     let mut stats = IncrStats::default();
     // Gather the per-tier listings up front (one readdir per tier):
     // the listings are the index of what the store currently trusts.
@@ -296,6 +341,7 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
     match store.with_retry_op(OpClass::Read, || store.vfs().read(&snap_path)) {
         Ok(bytes) => match decode_snapshot(&bytes) {
             Ok(entries) => {
+                let exact = entries.len() == listed.len();
                 for (tier, key, payload) in entries {
                     let id = (tier.tag(), key);
                     if listed.contains(&id)
@@ -306,6 +352,11 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
                         served.insert(id);
                     }
                 }
+                // Later flushes append to this pack only if it holds
+                // every listed entry once and nothing else.
+                if exact && served.len() == listed.len() {
+                    *held = Some(bytes);
+                }
             }
             Err(_) => stats.corrupt_skipped += 1, // scrub quarantines it
         },
@@ -313,10 +364,9 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
         Err(_) => stats.io_errors += 1,
     }
     work.retain(|(t, _, k)| !served.contains(&(t.tag(), *k)));
-    let preload_one =
-        |(tier, file, key): &(SubTier, PathBuf, u128), local: &mut IncrStats| match store
-            .with_retry_op(OpClass::Read, || store.vfs().read(file))
-        {
+    let preload_one = |(tier, file, key): &(SubTier, PathBuf, u128)| {
+        let mut local = IncrStats::default();
+        match store.with_retry_op(OpClass::Read, || store.vfs().read(file)) {
             Ok(bytes) => match decode_sub(&bytes) {
                 Ok((t, k, payload)) if t == *tier && k == *key => {
                     if corpus.import_entry(t, k, &payload) {
@@ -328,151 +378,153 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
                 _ => local.corrupt_skipped += 1,
             },
             Err(_) => local.io_errors += 1,
-        };
-    stats.add(&for_each_parallel(&work, preload_one));
+        }
+        local
+    };
+    for local in par_map(&work, preload_one) {
+        stats.add(&local);
+    }
     stats
 }
 
-/// Runs `f` over `work` on a small thread pool, summing the per-thread
-/// [`IncrStats`]. Falls back to the calling thread for small batches,
-/// where spawn overhead would dominate.
-fn for_each_parallel<T, F>(work: &[T], f: F) -> IncrStats
+/// Maps `f` over `work` on a small thread pool, keeping input order.
+/// Falls back to the calling thread for small batches, where spawn
+/// overhead would dominate.
+fn par_map<T, R, F>(work: &[T], f: F) -> Vec<R>
 where
     T: Sync,
-    F: Fn(&T, &mut IncrStats) + Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
 {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-    let mut stats = IncrStats::default();
     if threads <= 1 || work.len() < 64 {
-        for item in work {
-            f(item, &mut stats);
-        }
-        return stats;
+        return work.iter().map(f).collect();
     }
-    let next = AtomicUsize::new(0);
+    let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = IncrStats::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = work.get(i) else { break };
-                        f(item, &mut local);
-                    }
-                    local
-                })
-            })
+        let handles: Vec<_> = work
+            .chunks(work.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
             .collect();
-        for handle in handles {
-            stats.add(&handle.join().expect("preload worker panicked"));
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("sub-artifact worker panicked"))
+            .collect()
+    })
+}
+
+/// Persists what `corpus` added since its last flush (or preload): one
+/// framed file per claimed sub-artifact (temp file + atomic rename;
+/// fsyncs in `durable` mode), then one pack segment holding the frames
+/// it committed.
+///
+/// Entries already persisted are counted as `unchanged` and never
+/// touched, so once the store holds a verified pack, a flush after a
+/// run that computed nothing new makes no storage call at all. A failed
+/// write hands its entry back to the corpus for the next flush. A store
+/// holding no verified pack rebuilds it whole from every persisted
+/// entry. Flushes of one store run one at a time.
+pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrStats {
+    let mut pack = store.pack();
+    let (claimed, unchanged) = corpus.claim_unpersisted();
+    let mut stats = IncrStats { unchanged, ..IncrStats::default() };
+    let committed = write_claimed(store, corpus, &claimed, &mut stats);
+    let bytes = match pack.as_mut() {
+        Some(_) if committed.is_empty() => return stats,
+        Some(bytes) => {
+            append_segment(bytes, &committed);
+            bytes
         }
+        None => {
+            // No verified pack to append to: rebuild it whole from
+            // everything persisted. A corpus that held nothing
+            // persisted before this flush committed exactly `committed`.
+            let frames = if unchanged == 0 {
+                committed
+            } else {
+                corpus.export_entries().iter().map(|(t, k, p)| encode_sub(*t, *k, p)).collect()
+            };
+            if frames.is_empty() {
+                return stats;
+            }
+            pack.insert(encode_snapshot(&frames))
+        }
+    };
+    // A failed pack write keeps the bytes: the next flush that commits
+    // something rewrites the file with them.
+    let sub_root = store.sub_dir();
+    let tmp = sub_root.join(format!(".{SNAPSHOT_NAME}.tmp"));
+    let dst = sub_root.join(SNAPSHOT_NAME);
+    let result = store.with_retry_op(OpClass::Write, || {
+        store.vfs().write(&tmp, bytes)?;
+        if store.durable() {
+            store.vfs().sync_file(&tmp)?;
+        }
+        store.vfs().rename(&tmp, &dst)
     });
+    match result {
+        Ok(()) if store.durable() && store.vfs().sync_dir(&sub_root).is_err() => {
+            stats.io_errors += 1;
+        }
+        Ok(()) => {}
+        Err(_) => {
+            stats.io_errors += 1;
+            let _ = store.vfs().remove_file(&tmp);
+        }
+    }
     stats
 }
 
-/// Writes every corpus entry not yet on disk to the store, one framed
-/// file per sub-artifact (temp file + atomic rename; fsyncs in
-/// `durable` mode).
-///
-/// Entries whose file already exists are never rewritten
-/// (first-write-wins, matching the in-memory tiers), so a flush after
-/// a warm run touches only the genuinely new work.
-pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrStats {
-    let mut stats = IncrStats::default();
-    let entries = corpus.export_entries();
-    for tier in SubTier::ALL {
-        let tier_entries: Vec<_> = entries.iter().filter(|(t, _, _)| *t == tier).collect();
-        if tier_entries.is_empty() {
-            continue;
-        }
+/// Writes each claimed entry to its loose file, fanned across threads
+/// (distinct keys mean distinct tmp and destination paths, so the
+/// writes commute). Hands every failed entry back to `corpus` and
+/// returns the committed frames in claim order.
+fn write_claimed(
+    store: &ArtifactStore,
+    corpus: &CorpusCache,
+    claimed: &[(SubTier, u128, Vec<u8>)],
+    stats: &mut IncrStats,
+) -> Vec<Vec<u8>> {
+    let tiers: Vec<SubTier> =
+        SubTier::ALL.into_iter().filter(|&t| claimed.iter().any(|(c, ..)| *c == t)).collect();
+    for &tier in &tiers {
         let dir = store.sub_tier_dir(tier);
         if store.with_retry_op(OpClass::Write, || store.vfs().create_dir_all(&dir)).is_err() {
             stats.io_errors += 1;
-            continue;
-        }
-        let existing: HashSet<String> = store
-            .vfs()
-            .list(&dir)
-            .map(|files| files.iter().map(|f| file_name(f)).collect())
-            .unwrap_or_default();
-        let mut fresh: Vec<(u128, &Vec<u8>)> = Vec::new();
-        for (_, key, payload) in tier_entries {
-            if existing.contains(&sub_file_name(*key)) {
-                stats.unchanged += 1;
-            } else {
-                fresh.push((*key, payload));
-            }
-        }
-        // Distinct keys mean distinct tmp and destination paths, so the
-        // writes commute; fan them out like the preload reads.
-        let flush_one = |(key, payload): &(u128, &Vec<u8>), local: &mut IncrStats| {
-            let name = sub_file_name(*key);
-            let bytes = encode_sub(tier, *key, payload);
-            let tmp = dir.join(format!(".{name}.tmp"));
-            let dst = dir.join(&name);
-            let result = store.with_retry_op(OpClass::Write, || {
-                store.vfs().write(&tmp, &bytes)?;
-                if store.durable() {
-                    store.vfs().sync_file(&tmp)?;
-                }
-                store.vfs().rename(&tmp, &dst)
-            });
-            match result {
-                Ok(()) => local.flushed += 1,
-                Err(_) => {
-                    local.io_errors += 1;
-                    let _ = store.vfs().remove_file(&tmp);
-                }
-            }
-        };
-        let tier_stats = for_each_parallel(&fresh, flush_one);
-        let wrote = tier_stats.flushed > 0;
-        stats.add(&tier_stats);
-        if wrote && store.durable() && store.vfs().sync_dir(&dir).is_err() {
-            stats.io_errors += 1;
         }
     }
-    // Rebuild the read-optimized snapshot pack whenever the loose set
-    // moved (or the pack is missing — e.g. a prior pack write failed),
-    // from everything the corpus currently holds. The in-memory corpus
-    // is a superset of what this flush wrote, so the pack mirrors the
-    // loose files it accelerates; preload's listing gate keeps any
-    // momentary divergence harmless.
-    if !entries.is_empty() {
-        let sub_root = store.sub_dir();
-        let have_pack = store
-            .vfs()
-            .list(&sub_root)
-            .map(|fs| fs.iter().any(|f| file_name(f) == SNAPSHOT_NAME))
-            .unwrap_or(false);
-        if stats.flushed > 0 || !have_pack {
-            let frames: Vec<Vec<u8>> =
-                entries.iter().map(|(t, k, p)| encode_sub(*t, *k, p)).collect();
-            let bytes = encode_snapshot(&frames);
-            let tmp = sub_root.join(format!(".{SNAPSHOT_NAME}.tmp"));
-            let dst = sub_root.join(SNAPSHOT_NAME);
-            let result = store.with_retry_op(OpClass::Write, || {
-                store.vfs().create_dir_all(&sub_root)?;
-                store.vfs().write(&tmp, &bytes)?;
-                if store.durable() {
-                    store.vfs().sync_file(&tmp)?;
-                }
-                store.vfs().rename(&tmp, &dst)
-            });
-            match result {
-                Ok(()) if store.durable() && store.vfs().sync_dir(&sub_root).is_err() => {
-                    stats.io_errors += 1;
-                }
-                Ok(()) => {}
-                Err(_) => {
-                    stats.io_errors += 1;
-                    let _ = store.vfs().remove_file(&tmp);
-                }
+    let write_one = |(tier, key, payload): &(SubTier, u128, Vec<u8>)| {
+        let frame = encode_sub(*tier, *key, payload);
+        let name = sub_file_name(*key);
+        let dir = store.sub_tier_dir(*tier);
+        let tmp = dir.join(format!(".{name}.tmp"));
+        let result = store.with_retry_op(OpClass::Write, || {
+            store.vfs().write(&tmp, &frame)?;
+            if store.durable() {
+                store.vfs().sync_file(&tmp)?;
+            }
+            store.vfs().rename(&tmp, &dir.join(&name))
+        });
+        if result.is_ok() {
+            return Some(frame);
+        }
+        let _ = store.vfs().remove_file(&tmp);
+        corpus.unclaim(*tier, *key, payload);
+        None
+    };
+    let results = par_map(claimed, write_one);
+    if store.durable() {
+        for &tier in &tiers {
+            let wrote = claimed.iter().zip(&results).any(|((t, ..), r)| *t == tier && r.is_some());
+            if wrote && store.vfs().sync_dir(&store.sub_tier_dir(tier)).is_err() {
+                stats.io_errors += 1;
             }
         }
     }
-    stats
+    let committed: Vec<Vec<u8>> = results.into_iter().flatten().collect();
+    stats.flushed += committed.len() as u64;
+    stats.io_errors += (claimed.len() - committed.len()) as u64;
+    committed
 }
 
 fn file_name(path: &Path) -> String {
@@ -565,6 +617,36 @@ mod tests {
         assert!(decode_snapshot(&[]).is_err());
         // A sub-artifact frame is not a pack.
         assert!(decode_snapshot(&encode_sub(SubTier::Exec, 1, b"x")).is_err());
+    }
+
+    #[test]
+    fn appended_segments_decode_in_order_and_damage_rejects_the_pack() {
+        let mut pack = encode_snapshot(&[encode_sub(SubTier::Exec, 1, b"a")]);
+        let first = pack.len();
+        append_segment(&mut pack, &[]);
+        append_segment(
+            &mut pack,
+            &[encode_sub(SubTier::Model, 2, b"b"), encode_sub(SubTier::Lifting, 3, b"")],
+        );
+        let entries = decode_snapshot(&pack).expect("segments decode");
+        assert_eq!(
+            entries,
+            vec![
+                (SubTier::Exec, 1, b"a".to_vec()),
+                (SubTier::Model, 2, b"b".to_vec()),
+                (SubTier::Lifting, 3, Vec::new()),
+            ]
+        );
+        // Damage in a later segment rejects the whole pack, and so does
+        // a torn final segment.
+        for i in first..pack.len() {
+            let mut bad = pack.clone();
+            bad[i] ^= 0x01;
+            assert!(decode_snapshot(&bad).is_err(), "flip at byte {i} must be caught");
+        }
+        assert!(decode_snapshot(&pack[..pack.len() - 3]).is_err());
+        // The magic alone carries no segment.
+        assert!(decode_snapshot(SNAPSHOT_MAGIC).is_err());
     }
 
     #[test]

@@ -749,17 +749,25 @@ impl Supervisor {
 
     /// Restores persisted sub-artifacts into the attached corpus cache
     /// (no-op without one). Idempotent; call before running jobs.
+    /// Traced as `supervisor.preload`.
     pub fn preload_incremental(&self) -> IncrStats {
+        let ctx = self.trace_ctx();
+        let _span = ctx.span(names::SUPERVISOR_PRELOAD, 0);
         match &self.corpus {
             Some(corpus) => crate::incr::preload_subartifacts(&self.store, corpus),
             None => IncrStats::default(),
         }
     }
 
-    /// Writes the attached corpus cache's new sub-artifacts to the
-    /// store (no-op without one). Idempotent; already-persisted entries
-    /// count as `unchanged`.
+    /// Writes the sub-artifacts the attached corpus cache added since
+    /// its last preload or flush to the store, and appends them to the
+    /// snapshot pack as one segment (no-op without a cache). It costs
+    /// what was added, not what the store holds: entries already
+    /// persisted count as `unchanged` and are not touched. Traced as
+    /// `supervisor.flush`.
     pub fn flush_incremental(&self) -> IncrStats {
+        let ctx = self.trace_ctx();
+        let _span = ctx.span(names::SUPERVISOR_FLUSH, 0);
         match &self.corpus {
             Some(corpus) => crate::incr::flush_subartifacts(&self.store, corpus),
             None => IncrStats::default(),

@@ -146,6 +146,8 @@ mod tests {
             names::STAGE_ANALYSIS,
             names::STAGE_REPARTITION,
             names::SUPERVISOR_JOB,
+            names::SUPERVISOR_PRELOAD,
+            names::SUPERVISOR_FLUSH,
             names::SERVE_CONNECTION,
             names::SERVE_REQUEST,
         ] {

@@ -44,6 +44,12 @@ pub const SUPERVISOR_ATTEMPT: &str = "supervisor.attempt";
 pub const SUPERVISOR_CHECKPOINT: &str = "supervisor.checkpoint";
 /// Restoring the checkpointed prefix; subject = stages restored.
 pub const SUPERVISOR_RESTORE: &str = "supervisor.restore";
+/// Preloading persisted sub-artifacts into the corpus cache (outside
+/// any job); subject = 0.
+pub const SUPERVISOR_PRELOAD: &str = "supervisor.preload";
+/// Flushing the corpus cache's new sub-artifacts to the store (outside
+/// any job); subject = 0.
+pub const SUPERVISOR_FLUSH: &str = "supervisor.flush";
 
 /// One daemon connection, accept to close; subject = connection id.
 pub const SERVE_CONNECTION: &str = "serve.connection";
@@ -157,7 +163,7 @@ pub const CORPUS_LIFTING_MISS: &str = "corpus.lifting_miss";
 pub const INCR_PRELOADED: &str = "incr.preloaded";
 /// Sub-artifacts newly written to disk at flush.
 pub const INCR_FLUSHED: &str = "incr.flushed";
-/// Sub-artifacts already on disk and skipped at flush.
+/// Sub-artifacts found already persisted and skipped at flush.
 pub const INCR_UNCHANGED: &str = "incr.unchanged";
 /// Sub-artifacts rejected at preload (recomputed instead).
 pub const INCR_CORRUPT_SKIPPED: &str = "incr.corrupt_skipped";
