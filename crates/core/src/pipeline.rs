@@ -403,11 +403,11 @@ pub(crate) struct ChildEdges {
 pub(crate) fn child_candidate_edges(
     index: &BTreeMap<Addr, usize>,
     child: Addr,
-    candidates: impl Fn(Addr) -> Vec<Addr>,
+    candidates: &[Addr],
     mut distance: impl FnMut(Addr, Addr) -> Option<f64>,
 ) -> ChildEdges {
     let mut edges = ChildEdges::default();
-    for parent in candidates(child) {
+    for &parent in candidates {
         if !index.contains_key(&parent) {
             eprintln!(
                 "rock: skipping foreign parent candidate {parent} for {child} \
@@ -732,19 +732,13 @@ mod tests {
         let mut graph = DiGraph::new(family.len());
         let mut skipped = 0;
         for &child in &family {
-            let edges = child_candidate_edges(
-                &index,
-                child,
-                |c| {
-                    if c == Addr::new(0x2000) {
-                        // One legitimate candidate and one from outside.
-                        vec![Addr::new(0x1000), foreign]
-                    } else {
-                        vec![]
-                    }
-                },
-                |_, _| Some(1.0),
-            );
+            let candidates = if child == Addr::new(0x2000) {
+                // One legitimate candidate and one from outside.
+                vec![Addr::new(0x1000), foreign]
+            } else {
+                vec![]
+            };
+            let edges = child_candidate_edges(&index, child, &candidates, |_, _| Some(1.0));
             skipped += edges.foreign;
             assert!(edges.unmodeled.is_empty());
             if child == Addr::new(0x2000) {

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rock_analysis::{
@@ -28,7 +28,7 @@ use rock_analysis::{
 use rock_binary::Addr;
 use rock_graph::{min_spanning_forest, DiGraph, Forest};
 use rock_loader::{LoadIssue, LoadedBinary};
-use rock_slm::{ModelKey, Slm};
+use rock_slm::{ChildTarget, FamilyScorer, Metric, ModelKey, Slm};
 use rock_structural::{analyze, Structural};
 use rock_trace::{names, MetricsRegistry};
 
@@ -583,6 +583,12 @@ impl<'a> StagedRun<'a> {
     /// a binary with few families still fans out across all workers.
     /// The graphs are then assembled serially in family order, which
     /// replays the exact edge-insertion order of the serial loop.
+    ///
+    /// Under KL, a child with at least two in-family candidates scores
+    /// its cache and corpus misses as one batch ([`ChildTarget`]) over
+    /// its family's [`FamilyScorer`], built on the family's first such
+    /// miss; every other pair runs the per-pair kernel. Both give the
+    /// same bits, so the choice changes only the cost.
     fn run_distances(&mut self) {
         self.ensure_structural();
         let stage = Instant::now();
@@ -600,29 +606,49 @@ impl<'a> StagedRun<'a> {
             .enumerate()
             .flat_map(|(fi, f)| f.iter().map(move |&child| (fi, child)))
             .collect();
+        let scorers: Vec<OnceLock<FamilyScorer<'_, Event>>> =
+            families.iter().map(|_| OnceLock::new()).collect();
         let scored = crate::par::par_map_catch(config.parallelism, &children, |&(fi, child)| {
             let mut spans = ctx.local();
             let token = spans.enter(names::DISTANCES_CHILD, child.value());
             self.inject(Stage::Distances, child.value());
-            let edges = child_candidate_edges(
-                &indices[fi],
-                child,
-                |c| structural.possible_parents().of(c),
-                |parent, child| {
-                    let pair = spans.enter(names::DISTANCES_PAIR, parent.value());
-                    let d = match (models.get(&parent), models.get(&child)) {
-                        (Some(pm), Some(cm)) => Some(rock.cache().distance_via(
-                            config.metric,
-                            (&model_keys[&parent], &**pm),
-                            (&model_keys[&child], &**cm),
-                            rock.global_distances(),
-                        )),
-                        _ => None,
-                    };
-                    spans.exit(pair);
-                    d
-                },
-            );
+            let index = &indices[fi];
+            let candidates = structural.possible_parents().of(child);
+            let batched = config.metric == Metric::KlDivergence
+                && candidates.iter().filter(|p| index.contains_key(p)).count() >= 2;
+            let mut target: Option<ChildTarget<'_, '_, Event>> = None;
+            let edges = child_candidate_edges(index, child, &candidates, |parent, child| {
+                let pair = spans.enter(names::DISTANCES_PAIR, parent.value());
+                let d = match (models.get(&parent), models.get(&child)) {
+                    (Some(_), Some(_)) if batched => Some(rock.cache().distance_with(
+                        config.metric,
+                        &model_keys[&parent],
+                        &model_keys[&child],
+                        rock.global_distances(),
+                        || {
+                            let scorer = scorers[fi].get_or_init(|| {
+                                let members: Vec<Option<&Slm<Event>>> = families[fi]
+                                    .iter()
+                                    .map(|a| models.get(a).map(|m| &**m))
+                                    .collect();
+                                FamilyScorer::new(&members)
+                            });
+                            target
+                                .get_or_insert_with(|| scorer.target(index[&child]))
+                                .kl_from(index[&parent])
+                        },
+                    )),
+                    (Some(pm), Some(cm)) => Some(rock.cache().distance_via(
+                        config.metric,
+                        (&model_keys[&parent], &**pm),
+                        (&model_keys[&child], &**cm),
+                        rock.global_distances(),
+                    )),
+                    _ => None,
+                };
+                spans.exit(pair);
+                d
+            });
             spans.exit(token);
             (edges, spans)
         });

@@ -29,6 +29,11 @@
 //! back. The local hit/miss counters deliberately count a global-store
 //! answer as a *miss* (it was not answered locally), which keeps a run's
 //! metrics byte-identical whether the global store is cold or warm.
+//! [`DistanceCache::distance_with`] runs the same two layers and counts
+//! around a computation the caller supplies: the distance stage passes
+//! its batched family kernel ([`crate::ChildTarget::kl_from`]), which
+//! takes the union alphabet size from family bitsets and so adds no
+//! alphabet-memo entry.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -154,14 +159,34 @@ impl<K: Ord + Clone + Hash> DistanceCache<K> {
         to: (&K, &Slm<S>),
         global: Option<&dyn GlobalDistanceStore<K>>,
     ) -> f64 {
-        let key = (metric, from.0.clone(), to.0.clone());
+        self.distance_with(metric, from.0, to.0, global, || {
+            metric.distance_with_alphabet(from.1, to.1, self.union_len(from, to))
+        })
+    }
+
+    /// [`DistanceCache::distance_via`] around a computation the caller
+    /// supplies: the memo, the `global` lookup, the publication and the
+    /// hit/miss counts are the same, and `compute` runs only when neither
+    /// layer holds `(metric, from, to)`. It must return exactly what
+    /// `metric.distance` returns for the two models the keys name — the
+    /// distance stage passes a batched kernel
+    /// ([`crate::ChildTarget::kl_from`]) here.
+    pub fn distance_with(
+        &self,
+        metric: Metric,
+        from: &K,
+        to: &K,
+        global: Option<&dyn GlobalDistanceStore<K>>,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let key = (metric, from.clone(), to.clone());
         let shard = &self.shards[Self::shard_of(&key)];
         if let Some(d) = shard.lock().expect("cache shard poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return *d;
         }
         if let Some(g) = global {
-            if let Some(d) = g.load_distance(metric, from.0, to.0) {
+            if let Some(d) = g.load_distance(metric, from, to) {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 shard.lock().expect("cache shard poisoned").entry(key).or_insert(d);
                 return d;
@@ -169,12 +194,11 @@ impl<K: Ord + Clone + Hash> DistanceCache<K> {
         }
         // Compute outside the lock: divergences are expensive and pairs
         // are unique within one pass, so duplicated work is negligible.
-        let n = self.union_len(from, to);
-        let d = metric.distance_with_alphabet(from.1, to.1, n);
+        let d = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
         shard.lock().expect("cache shard poisoned").entry(key).or_insert(d);
         if let Some(g) = global {
-            g.store_distance(metric, from.0, to.0, d);
+            g.store_distance(metric, from, to, d);
         }
         d
     }
@@ -335,6 +359,32 @@ mod tests {
         warm.distance_via(Metric::KlDivergence, (&1, &a), (&2, &b), Some(&global));
         assert_eq!((warm.hits(), warm.misses()), (1, 1));
         assert_eq!(global.loads.load(Ordering::Relaxed), loads_before);
+    }
+
+    #[test]
+    fn supplied_computation_runs_only_on_a_miss_in_both_layers() {
+        let a = model(&[&["x", "y", "x"]]);
+        let b = model(&[&["y", "z"]]);
+        let want = kl_divergence(&a, &b);
+        let cache: DistanceCache<u32> = DistanceCache::new();
+        let mut calls = 0;
+        for _ in 0..2 {
+            let d = cache.distance_with(Metric::KlDivergence, &1, &2, None, || {
+                calls += 1;
+                want
+            });
+            assert_eq!(d.to_bits(), want.to_bits());
+        }
+        assert_eq!(calls, 1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // The caller-supplied form memoizes no alphabet size, and a
+        // per-pair query of the same key is a hit.
+        assert_eq!(cache.alphabet_entries(), 0);
+        assert_eq!(
+            cache.distance(Metric::KlDivergence, (&1, &a), (&2, &b)).to_bits(),
+            want.to_bits()
+        );
+        assert_eq!(cache.hits(), 2);
     }
 
     #[test]

@@ -11,7 +11,14 @@
 //! alphabet-size-dependent order-(-1) base case — and reused across all
 //! O(n²) pairs; the cross side reuses the *other* model's table whenever
 //! the word also appears in its training set, and falls back to one-pass
-//! cursor scoring otherwise.
+//! cursor scoring for every other word.
+//!
+//! These are the per-pair kernels: each call scores one pair from
+//! scratch. The distance stage scores a child's candidate parents as one
+//! batch instead ([`crate::FamilyScorer`]), which reuses the child's word
+//! scores across parents and gives the same bits; the kernels here stay
+//! its test oracle and serve every other caller (single-candidate
+//! children, the JS metrics, repartitioning, `k_most_likely_parents`).
 
 use crate::arena::Cursor;
 use crate::model::{EvalTable, Index};

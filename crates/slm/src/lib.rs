@@ -47,6 +47,7 @@
 mod arena;
 mod cache;
 mod divergence;
+mod family;
 mod intern;
 mod model;
 pub mod reference;
@@ -57,5 +58,6 @@ pub use divergence::{
     js_divergence_with_alphabet, kl_divergence, kl_divergence_over, kl_divergence_over_set,
     kl_divergence_with_alphabet, perplexity, union_alphabet_len, word_set, Metric, WordSet,
 };
+pub use family::{ChildTarget, FamilyScorer};
 pub use intern::SymbolTable;
 pub use model::{Slm, Symbol};

@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use rock_slm::reference::ReferenceSlm;
-use rock_slm::{js_distance, js_divergence, kl_divergence, union_alphabet_len, Metric, Slm};
+use rock_slm::{
+    js_distance, js_divergence, kl_divergence, union_alphabet_len, FamilyScorer, Metric, Slm,
+};
 
 fn arb_seq() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..6, 1..20)
@@ -201,6 +203,47 @@ proptest! {
         let js = 0.5 * (ref_canonical_klm(&a, &ra, &rb, n) + ref_canonical_klm(&b, &rb, &ra, n));
         prop_assert_eq!(js_divergence(&a, &b).to_bits(), js.to_bits());
         prop_assert_eq!(js_distance(&a, &b).to_bits(), js.max(0.0).sqrt().to_bits());
+    }
+
+    /// Oracle equivalence for the batched kernel: over a family of 4–8
+    /// members trained on shifted sub-alphabets (so parents hold words
+    /// with symbols the child never saw), plus a duplicate model, an
+    /// untrained one, one trained on an empty word and a member without
+    /// a model, every ordered pair's `ChildTarget::kl_from` equals
+    /// `kl_divergence` to exact f64 bits — in either parent order, so a
+    /// word memoized for one parent is reused for another.
+    #[test]
+    fn batched_family_kl_matches_per_pair_bits(
+        depth in 0usize..4,
+        pools in prop::collection::vec((0u8..4, arb_training()), 1..6),
+    ) {
+        let mut models: Vec<Slm<u8>> = pools
+            .iter()
+            .map(|(shift, seqs)| {
+                let shifted: Vec<Vec<u8>> =
+                    seqs.iter().map(|s| s.iter().map(|x| x + shift).collect()).collect();
+                trained(depth, &shifted)
+            })
+            .collect();
+        models.push(models[0].clone());
+        models.push(Slm::new(depth));
+        let mut empty = Slm::new(depth);
+        empty.train(&[]);
+        models.push(empty);
+        let mut members: Vec<Option<&Slm<u8>>> = models.iter().map(Some).collect();
+        members.insert(1, None);
+        let family = FamilyScorer::new(&members);
+        for (c, child) in members.iter().enumerate() {
+            let Some(child) = child else { continue };
+            let mut target = family.target(c);
+            let order: Vec<usize> = (0..members.len()).chain((0..members.len()).rev()).collect();
+            for p in order {
+                let Some(parent) = members[p] else { continue };
+                let want = kl_divergence(parent, child);
+                let got = target.kl_from(p);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} -> {}: {} vs {}", p, c, got, want);
+            }
+        }
     }
 
     /// Interner-id stability regression: training order must not affect
