@@ -15,20 +15,17 @@
 //! Warm runs are asserted bit-identical to cold runs at `Serial`,
 //! `Threads(2)` and `Threads(8)` before any number is reported. Set
 //! `ROCK_BENCH_SMOKE=1` for the CI subset, which also *enforces* the
-//! hit-rate and speedup floors.
+//! hit-rate and speedup floors and writes its summary under
+//! `target/bench-smoke/`.
 
-use std::fs;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rock_bench::{smoke, write_record};
 use rock_core::suite::corpus_member;
 use rock_core::{CorpusCache, CorpusStats, Parallelism, Reconstruction, Rock, RockConfig};
 use rock_loader::LoadedBinary;
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 fn config(par: Parallelism) -> RockConfig {
     RockConfig::paper().with_parallelism(par).with_canonical_calls()
@@ -211,9 +208,8 @@ fn emit_bench_json(_c: &mut Criterion) {
         fifty = shape_json("overlap_50", &overlap50),
         high = shape_json("overlap_high", &high),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_corpus.json");
-    fs::write(path, &json).expect("write BENCH_corpus.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_record("BENCH_corpus.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 
     if smoke() {
         // The CI floors: dedup must stay worth having.

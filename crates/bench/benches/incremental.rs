@@ -19,7 +19,8 @@
 //! and `Threads(8)` before any number is reported. The timed warm-delta
 //! region includes the preload itself — it is the cost a patched rerun
 //! actually pays. Set `ROCK_BENCH_SMOKE=1` for the CI subset, which
-//! also *enforces* the speedup and reuse floors.
+//! also *enforces* the speedup and reuse floors and writes its summary
+//! under `target/bench-smoke/`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -27,14 +28,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rock_bench::{smoke, write_record};
 use rock_core::suite::{self, DeltaEdit, DeltaSpec};
 use rock_core::{CorpusCache, CorpusStats, Parallelism, Reconstruction, Rock, RockConfig};
 use rock_loader::LoadedBinary;
 use rock_supervisor::{flush_subartifacts, preload_subartifacts, ArtifactStore};
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 /// Position-independent function keys require canonical calls.
 fn config(par: Parallelism) -> RockConfig {
@@ -289,9 +287,8 @@ fn emit_bench_json(_c: &mut Criterion) {
          \"identity_pinned_at\": [\"serial\", \"threads8\"],\n{body}\n}}\n",
         mode = if smoke() { "smoke" } else { "full" },
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
-    fs::write(path, &json).expect("write BENCH_incremental.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_record("BENCH_incremental.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 
     if smoke() {
         // The CI floors: a one-line patch must rerun ≥ 3× faster than

@@ -8,14 +8,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rock_bench::{smoke, write_record};
 use rock_core::suite::{benchmark, stress_program};
 use rock_core::{Parallelism, Rock, RockConfig, TraceLevel};
 use rock_loader::LoadedBinary;
 use rock_trace::Tracer;
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("rock_reconstruct");
@@ -54,8 +51,8 @@ fn bench_parallelism(c: &mut Criterion) {
     for (label, parallelism) in
         [("serial", Parallelism::Serial), ("threads-4", Parallelism::Threads(4))]
     {
-        // A fresh Rock per measured call keeps the distance cache cold,
-        // so both variants do the full quadratic work every iteration.
+        // Without a corpus a run reuses nothing, so both variants do the
+        // full quadratic work every iteration.
         let config = RockConfig::paper().with_parallelism(parallelism);
         group.bench_with_input(BenchmarkId::from_parameter(label), &loaded, |b, loaded| {
             b.iter(|| Rock::new(config).reconstruct(std::hint::black_box(loaded)));
@@ -73,29 +70,6 @@ fn bench_parallelism(c: &mut Criterion) {
     }
 }
 
-/// The distance cache's wall-clock contribution: the same binary
-/// reconstructed with a cold cache every iteration vs. a cache warmed by
-/// one prior pass (the repeated-pass shape of ablation sweeps and
-/// `k_most_likely_parents` queries). Warm passes skip every divergence.
-fn bench_distance_cache(c: &mut Criterion) {
-    let bench = stress_program(3, 3, 3);
-    let compiled = bench.compile().expect("stress program compiles");
-    let loaded = LoadedBinary::load(compiled.stripped_image()).expect("loads");
-    let config = RockConfig::paper();
-
-    let mut group = c.benchmark_group("rock_reconstruct_stress_3_3_3_cache");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("cold"), &loaded, |b, loaded| {
-        b.iter(|| Rock::new(config).reconstruct(std::hint::black_box(loaded)));
-    });
-    let warm = Rock::new(config);
-    warm.reconstruct(&loaded); // warm the shared cache once
-    group.bench_with_input(BenchmarkId::from_parameter("warm"), &loaded, |b, loaded| {
-        b.iter(|| warm.reconstruct(std::hint::black_box(loaded)));
-    });
-    group.finish();
-}
-
 /// Tracer overhead guard: the same reconstruction with the tracer
 /// detached vs. attached at each [`TraceLevel`]. The detached path is a
 /// structural no-op (no clock reads, no span buffers, no locks — proven
@@ -103,7 +77,8 @@ fn bench_distance_cache(c: &mut Criterion) {
 /// here must match the plain groups above; the per-level variants bound
 /// the cost of span capture from stage-only up to full per-item
 /// granularity. Medians land in `BENCH_trace.json` at the workspace
-/// root; under `ROCK_BENCH_SMOKE=1` the run doubles as a CI guard that
+/// root; under `ROCK_BENCH_SMOKE=1` they land in `target/bench-smoke/`
+/// instead, and the run doubles as a CI guard that
 /// fails if `sampled` (the production default) costs more than 10%.
 fn bench_trace_overhead(c: &mut Criterion) {
     let bench = stress_program(3, 3, 3);
@@ -209,9 +184,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
          \"levels\": {{\n{rows}  }},\n  \
          \"metrics_doc_bytes\": {metrics_bytes}\n}}\n",
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    std::fs::write(path, &json).expect("write BENCH_trace.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_record("BENCH_trace.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 
     // CI smoke guard: the production default must stay cheap. The full
     // re-record targets <5%; the smoke bound is looser because smoke runs
@@ -224,11 +198,5 @@ fn bench_trace_overhead(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_pipeline,
-    bench_parallelism,
-    bench_distance_cache,
-    bench_trace_overhead
-);
+criterion_group!(benches, bench_pipeline, bench_parallelism, bench_trace_overhead);
 criterion_main!(benches);

@@ -4,13 +4,15 @@
 //! `stress_program(3, 3, 3)` tracelets, with a machine-readable
 //! `BENCH_slm.json` summary written at the workspace root.
 //!
-//! Set `ROCK_BENCH_SMOKE=1` to run a tiny subset (CI smoke).
+//! Set `ROCK_BENCH_SMOKE=1` to run a tiny subset (CI smoke); its summary
+//! goes to `target/bench-smoke/` instead.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rock_analysis::{extract_tracelets, AnalysisConfig, Event};
+use rock_bench::{smoke, write_record};
 use rock_core::suite::stress_program;
 use rock_core::{Parallelism, Rock, RockConfig};
 use rock_loader::LoadedBinary;
@@ -22,10 +24,6 @@ use rock_slm::{kl_divergence, Slm};
 /// runs). The JSON report cites this so the arena speedup is explicit;
 /// on a different host the ratio is only indicative.
 const PR1_DISTANCE_STAGE_MS: f64 = 1.33;
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 /// Deterministic pseudo-random tracelet corpus over a small alphabet.
 fn corpus(sequences: usize, len: usize, salt: u64) -> Vec<Vec<u8>> {
@@ -287,9 +285,8 @@ fn emit_bench_json(_c: &mut Criterion) {
         misses = t.cache_misses,
         models = arena.len(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_slm.json");
-    std::fs::write(path, &json).expect("write BENCH_slm.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_record("BENCH_slm.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 }
 
 criterion_group!(

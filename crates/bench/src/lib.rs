@@ -17,6 +17,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
+
 use rock_core::suite::Benchmark;
 use rock_core::{evaluate, Evaluation, Rock, RockConfig};
 use rock_loader::LoadedBinary;
@@ -28,25 +30,34 @@ use rock_loader::LoadedBinary;
 /// Panics if the benchmark fails to compile or load (suite programs never
 /// should).
 pub fn run_benchmark(bench: &Benchmark, config: RockConfig) -> Evaluation {
-    run_benchmark_with(bench, &Rock::new(config))
+    let compiled = bench.compile().expect("suite benchmarks compile");
+    let loaded = LoadedBinary::load(compiled.stripped_image()).expect("compiled images load");
+    let recon = Rock::new(config).reconstruct(&loaded);
+    evaluate(&compiled, &recon)
 }
 
-/// Like [`run_benchmark`], with a caller-supplied reconstructor.
-///
-/// Lets ablation sweeps pass a [`Rock`] built via
-/// [`Rock::with_shared_cache`] so repeated passes over the same benchmark
-/// (e.g. one per metric) reuse every already-computed pair divergence
-/// instead of recomputing the full distance matrix.
+/// Whether `ROCK_BENCH_SMOKE` is set: bench targets then run their small
+/// CI subset and enforce their CI floors.
+pub fn smoke() -> bool {
+    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
+}
+
+/// Writes a bench target's `BENCH_*.json` record and returns its path:
+/// the workspace root for full runs, `target/bench-smoke/` for
+/// [`smoke`] runs, so a smoke run never overwrites the committed record.
 ///
 /// # Panics
 ///
-/// Panics if the benchmark fails to compile or load (suite programs never
-/// should).
-pub fn run_benchmark_with(bench: &Benchmark, rock: &Rock) -> Evaluation {
-    let compiled = bench.compile().expect("suite benchmarks compile");
-    let loaded = LoadedBinary::load(compiled.stripped_image()).expect("compiled images load");
-    let recon = rock.reconstruct(&loaded);
-    evaluate(&compiled, &recon)
+/// Panics if the record cannot be written.
+pub fn write_record(file: &str, json: &str) -> PathBuf {
+    let mut path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    if smoke() {
+        path.push("target/bench-smoke");
+        std::fs::create_dir_all(&path).expect("create target/bench-smoke");
+    }
+    path.push(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
 }
 
 #[cfg(test)]
@@ -59,18 +70,5 @@ mod tests {
         let eval = run_benchmark(&suite::streams_example(), RockConfig::paper());
         assert_eq!(eval.with_slm.avg_missing, 0.0);
         assert_eq!(eval.with_slm.avg_added, 0.0);
-    }
-
-    #[test]
-    fn shared_cache_carries_across_passes() {
-        let bench = suite::streams_example();
-        let rock = Rock::new(RockConfig::paper());
-        let first = run_benchmark_with(&bench, &rock);
-        let warm = rock.cache().misses();
-        assert!(warm > 0, "first pass must populate the cache");
-        let second = run_benchmark_with(&bench, &rock);
-        assert_eq!(rock.cache().misses(), warm, "second pass must be all hits");
-        assert_eq!(first.with_slm.avg_missing, second.with_slm.avg_missing);
-        assert_eq!(first.with_slm.avg_added, second.with_slm.avg_added);
     }
 }

@@ -18,8 +18,9 @@
 //!    multiset, [`pool_key`]) → the trained SLM, shared by `Arc` so a
 //!    hit reuses the finalized evaluation tables, not just the counts.
 //! 3. **Distances** — `(metric, from-model key, to-model key)` → the
-//!    divergence bits, the corpus-wide layer behind each run's local
-//!    [`rock_slm::DistanceCache`].
+//!    divergence bits. This is the only distance cache: every pipeline
+//!    call site asks [`CorpusCache::distance_with`] when a corpus is
+//!    attached, and computes directly when none is.
 //! 4. **Liftings** — family lifting key ([`lift_key`]: lifting config +
 //!    the family's member model keys in family order + its weighted
 //!    edge list) → the selected parent forest and tie-variant count.
@@ -55,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use rock_analysis::canon::{CachedCtors, CachedExec, ExecCache, Label};
 use rock_analysis::{AnalysisConfig, CachedSub, Event};
 use rock_binary::Addr;
-use rock_slm::{GlobalDistanceStore, Metric, ModelKey, Slm};
+use rock_slm::{Metric, Slm};
 
 use crate::faultplan::FaultPlan;
 
@@ -299,6 +300,11 @@ struct Counters {
 /// evaluation order (KL divergence is not symmetric).
 type DistanceKey = (Metric, ModelKey, ModelKey);
 
+/// The distance-tier shard of a key (the metric does not pick the shard).
+fn distance_shard((_, from, to): DistanceKey) -> usize {
+    shard_of(from ^ to.rotate_left(64))
+}
+
 /// The shared cross-job content cache. See the module docs.
 ///
 /// One instance is shared (via `Arc`) by every job of a corpus run;
@@ -530,8 +536,60 @@ impl CorpusCache {
         s.insert_bounded(key, ModelEntry { entry, model }, self.shard_cap, &self.counters);
     }
 
+    /// The distance from the model keyed `from` to the one keyed `to`
+    /// under `metric`: answered from the distance tier when it holds a
+    /// verified entry, otherwise computed by `compute` and published.
+    /// `compute` runs only on a miss (outside the shard lock) and must
+    /// return exactly what `metric` gives for the two keyed models — the
+    /// distance stage passes its batched family kernel here. Every call
+    /// counts one `distance_hits` or `distance_misses`; a corrupt entry
+    /// is dropped, counted, and recomputed.
+    pub fn distance_with(
+        &self,
+        metric: Metric,
+        from: ModelKey,
+        to: ModelKey,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let key = (metric, from, to);
+        if let Some(d) = self.distance_load(key) {
+            return d;
+        }
+        let d = compute();
+        self.distance_store(key, d, false);
+        d
+    }
+
+    fn distance_load(&self, key: DistanceKey) -> Option<f64> {
+        let shard = &self.distances[distance_shard(key)];
+        let mut s = shard.lock().expect("corpus shard poisoned");
+        match s.map.get(&key) {
+            None => {
+                self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Some(entry) => match entry.verified().and_then(|b| {
+                let bits: [u8; 8] = b.try_into().ok()?;
+                Some(f64::from_le_bytes(bits))
+            }) {
+                Some(d) => {
+                    self.counters.distance_hits.fetch_add(1, Ordering::Relaxed);
+                    Some(d)
+                }
+                None => {
+                    let freed = entry.bytes.len() as u64;
+                    s.map.remove(&key);
+                    self.counters.bytes_stored.fetch_sub(freed, Ordering::Relaxed);
+                    self.counters.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            },
+        }
+    }
+
     fn distance_store(&self, key: DistanceKey, d: f64, persisted: bool) {
-        let shard = &self.distances[shard_of(key.1 ^ key.2.rotate_left(64))];
+        let shard = &self.distances[distance_shard(key)];
         let mut s = shard.lock().expect("corpus shard poisoned");
         let entry = Entry::new(d.to_le_bytes().to_vec(), persisted);
         s.insert_bounded(key, entry, self.shard_cap, &self.counters);
@@ -618,8 +676,8 @@ impl CorpusCache {
             SubTier::Model => self.models[shard_of(key)].lock().expect(POISONED).unclaim(&key),
             SubTier::Distance => {
                 let Some((metric, from, to, _)) = decode_distance(payload) else { return };
-                let shard = &self.distances[shard_of(from ^ to.rotate_left(64))];
-                shard.lock().expect(POISONED).unclaim(&(metric, from, to));
+                let key = (metric, from, to);
+                self.distances[distance_shard(key)].lock().expect(POISONED).unclaim(&key);
             }
             SubTier::Lifting => self.liftings[shard_of(key)].lock().expect(POISONED).unclaim(&key),
         }
@@ -788,41 +846,6 @@ impl SubTier {
     }
 }
 
-impl GlobalDistanceStore<ModelKey> for CorpusCache {
-    fn load_distance(&self, metric: Metric, from: &ModelKey, to: &ModelKey) -> Option<f64> {
-        let key = (metric, *from, *to);
-        let shard = &self.distances[shard_of(*from ^ to.rotate_left(64))];
-        let mut s = shard.lock().expect("corpus shard poisoned");
-        match s.map.get(&key) {
-            None => {
-                self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Some(entry) => match entry.verified().and_then(|b| {
-                let bits: [u8; 8] = b.try_into().ok()?;
-                Some(f64::from_le_bytes(bits))
-            }) {
-                Some(d) => {
-                    self.counters.distance_hits.fetch_add(1, Ordering::Relaxed);
-                    Some(d)
-                }
-                None => {
-                    let freed = entry.bytes.len() as u64;
-                    s.map.remove(&key);
-                    self.counters.bytes_stored.fetch_sub(freed, Ordering::Relaxed);
-                    self.counters.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            },
-        }
-    }
-
-    fn store_distance(&self, metric: Metric, from: &ModelKey, to: &ModelKey, d: f64) {
-        self.distance_store((metric, *from, *to), d, false);
-    }
-}
-
 /// The execution-tier adapter handed to the behavioral analysis: keys
 /// are `salt ⊕ function label`, where the salt fingerprints every
 /// analysis knob that can change an execution result (`max_paths`,
@@ -871,6 +894,12 @@ fn exec_salt(config: &AnalysisConfig) -> u128 {
     w.u64(config.tracelet_len as u64);
     key_of_bytes(&w.bytes)
 }
+
+/// The pipeline's model key: a 128-bit content hash of a model's training
+/// input ([`pool_key`]). Equal keys imply bit-equal trained models, which
+/// is what makes sharing models and distances across runs — and across
+/// *binaries* — sound.
+pub type ModelKey = u128;
 
 /// The content key of one SLM training input: model depth plus the
 /// tracelet **multiset** — exactly the state a trained [`Slm`] is a
@@ -1555,21 +1584,21 @@ mod tests {
         let cache = CorpusCache::bounded(SHARDS);
         let d = 1.5_f64;
         for k in 0..64u128 {
-            cache.store_distance(Metric::KlDivergence, &k, &(k + 1), d + k as f64);
+            cache.distance_with(Metric::KlDivergence, k, k + 1, || d + k as f64);
         }
         let (_, _, dist_len) = cache.lens();
         assert!(dist_len <= SHARDS, "live entries bounded by cap ({dist_len} > {SHARDS})");
         let s = cache.stats();
         assert_eq!(s.evicted, 64 - dist_len as u64, "every displaced entry is counted");
         // The newest entry in its shard survives and verifies clean.
-        let got = cache.load_distance(Metric::KlDivergence, &63, &64);
+        let got = cache.distance_load((Metric::KlDivergence, 63, 64));
         assert_eq!(got.map(f64::to_bits), Some((d + 63.0).to_bits()));
-        // Evicted keys simply miss — the caller recomputes and may
-        // re-store, which evicts again rather than growing the shard.
+        // Evicted keys simply miss — the caller recomputes and
+        // re-stores, which evicts again rather than growing the shard.
         let victim = (0..64u128)
-            .find(|k| cache.load_distance(Metric::KlDivergence, k, &(k + 1)).is_none())
+            .find(|&k| cache.distance_load((Metric::KlDivergence, k, k + 1)).is_none())
             .expect("some key was evicted");
-        cache.store_distance(Metric::KlDivergence, &victim, &(victim + 1), 9.0);
+        assert_eq!(cache.distance_with(Metric::KlDivergence, victim, victim + 1, || 9.0), 9.0);
         let (_, _, after) = cache.lens();
         assert!(after <= SHARDS, "re-store under pressure must not grow the shard");
         // bytes_stored reflects live entries only: 8 bytes per distance.
@@ -1577,7 +1606,7 @@ mod tests {
         // An unbounded cache never evicts.
         let unbounded = CorpusCache::new();
         for k in 0..64u128 {
-            unbounded.store_distance(Metric::KlDivergence, &k, &(k + 1), d);
+            unbounded.distance_with(Metric::KlDivergence, k, k + 1, || d);
         }
         assert_eq!(unbounded.stats().evicted, 0);
         assert_eq!(unbounded.lens().2, 64);
@@ -1619,7 +1648,7 @@ mod tests {
         model.train(&pool[0]);
         model.finalize();
         cache.store_model(pool_key(2, &pool), Arc::new(model));
-        cache.store_distance(Metric::KlDivergence, &5, &6, 0.5);
+        cache.distance_with(Metric::KlDivergence, 5, 6, || 0.5);
         cache.store_lifting(7, &[None, Some(0)], 1);
 
         let (claimed, unchanged) = cache.claim_unpersisted();
@@ -1641,7 +1670,7 @@ mod tests {
         for (tier, key, payload) in &claimed {
             assert!(warm.import_entry(*tier, *key, payload));
         }
-        warm.store_distance(Metric::KlDivergence, &5, &6, 0.5);
+        warm.distance_store((Metric::KlDivergence, 5, 6), 0.5, false);
         assert_eq!(warm.claim_unpersisted(), (Vec::new(), 5));
         let live = CorpusCache::new();
         live.store_lifting(7, &[None, Some(0)], 1);
@@ -1650,20 +1679,78 @@ mod tests {
         assert_eq!(live.claim_unpersisted(), (Vec::new(), 1));
     }
 
+    fn slm(seqs: &[&[&'static str]]) -> Slm<&'static str> {
+        let mut m = Slm::new(2);
+        for s in seqs {
+            m.train(s);
+        }
+        m
+    }
+
     #[test]
-    fn distance_tier_stores_exact_bits() {
+    fn distance_with_computes_only_on_a_miss() {
         let cache = CorpusCache::new();
-        let (ka, kb): (ModelKey, ModelKey) = (1, 2);
-        assert_eq!(cache.load_distance(Metric::KlDivergence, &ka, &kb), None);
         let d = 0.1234567890123_f64;
-        cache.store_distance(Metric::KlDivergence, &ka, &kb, d);
-        let got = cache.load_distance(Metric::KlDivergence, &ka, &kb).unwrap();
-        assert_eq!(got.to_bits(), d.to_bits());
-        // Directional: the reverse pair is its own entry.
-        assert_eq!(cache.load_distance(Metric::KlDivergence, &kb, &ka), None);
-        // Other metrics are their own entries too.
-        assert_eq!(cache.load_distance(Metric::JsDivergence, &ka, &kb), None);
+        let mut calls = 0;
+        for _ in 0..3 {
+            let got = cache.distance_with(Metric::KlDivergence, 1, 2, || {
+                calls += 1;
+                d
+            });
+            assert_eq!(got.to_bits(), d.to_bits(), "hits return the stored bits");
+        }
+        assert_eq!(calls, 1);
         let s = cache.stats();
-        assert_eq!((s.distance_hits, s.distance_misses), (1, 3));
+        assert_eq!((s.distance_hits, s.distance_misses), (2, 1));
+        // A corrupt entry is dropped and recomputed, never returned.
+        cache.corrupt_all(&FaultPlan::seeded(3, 0), 3);
+        assert_eq!(cache.distance_with(Metric::KlDivergence, 1, 2, || d + 1.0), d + 1.0);
+        let s = cache.stats();
+        assert_eq!((s.distance_hits, s.distance_misses, s.corrupt_dropped), (2, 2, 1));
+    }
+
+    #[test]
+    fn distance_keys_are_per_metric_and_direction() {
+        let a = slm(&[&["x", "x", "x"]]);
+        let b = slm(&[&["x", "y", "z"]]);
+        let cache = CorpusCache::new();
+        for metric in Metric::ALL {
+            for (from, to, fm, tm) in [(1, 2, &a, &b), (2, 1, &b, &a)] {
+                let d = cache.distance_with(metric, from, to, || metric.distance(fm, tm));
+                assert_eq!(d.to_bits(), metric.distance(fm, tm).to_bits());
+            }
+        }
+        assert_eq!(cache.lens().2, 6, "three metrics times two directions");
+        let s = cache.stats();
+        assert_eq!((s.distance_hits, s.distance_misses), (0, 6));
+        // Each stored entry answers only its own key.
+        let kl_ab = cache.distance_with(Metric::KlDivergence, 1, 2, || unreachable!());
+        assert_eq!(kl_ab.to_bits(), rock_slm::kl_divergence(&a, &b).to_bits());
+        assert_ne!(kl_ab, rock_slm::kl_divergence(&b, &a), "KL is not symmetric here");
+    }
+
+    #[test]
+    fn concurrent_distance_callers_get_bit_equal_values() {
+        let a = slm(&[&["x", "y", "x", "z"]]);
+        let b = slm(&[&["y", "z", "y"]]);
+        let want = rock_slm::kl_divergence(&a, &b).to_bits();
+        let cache = CorpusCache::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for i in 0..50u128 {
+                        let d =
+                            cache.distance_with(Metric::KlDivergence, i % 5, 10 + i % 7, || {
+                                rock_slm::kl_divergence(&a, &b)
+                            });
+                        assert_eq!(d.to_bits(), want);
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.lens().2, 5 * 7);
+        let s = cache.stats();
+        assert_eq!(s.distance_hits + s.distance_misses, 200);
+        assert!(s.distance_misses >= 35, "every distinct key missed at least once");
     }
 }

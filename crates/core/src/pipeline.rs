@@ -8,11 +8,11 @@ use rock_analysis::{Analysis, Event, IncidentKind};
 use rock_binary::Addr;
 use rock_graph::Forest;
 use rock_loader::{LoadIssue, LoadedBinary};
-use rock_slm::{DistanceCache, GlobalDistanceStore, Metric, ModelKey, Slm};
+use rock_slm::{Metric, Slm};
 use rock_structural::Structural;
 use rock_trace::{names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
 
-use crate::corpus::CorpusCache;
+use crate::corpus::{CorpusCache, ModelKey};
 use crate::diagnostics::{Coverage, FaultKind, Severity, Stage, StageError, Subject};
 use crate::faultplan::FaultPlan;
 use crate::par::{par_map, Parallelism};
@@ -21,23 +21,21 @@ use crate::{RockConfig, StageTimings};
 /// The Rock reconstructor.
 ///
 /// Construct one with a [`RockConfig`] and call [`Rock::reconstruct`] on a
-/// loaded (stripped) binary. Every reconstructor owns a shared
-/// [`DistanceCache`]; [`Rock::with_shared_cache`] lets several
-/// reconstructors (e.g. an ablation sweep over metrics) reuse one cache so
-/// each `(metric, parent, child)` divergence is computed exactly once.
-/// Cache keys are **content hashes** of each type's tracelet pool
-/// ([`crate::corpus::pool_key`]), so equal keys imply equal training
-/// inputs and the cache is safe to share across runs — and, with
-/// [`RockConfig::canonical_calls`], across different binaries.
+/// loaded (stripped) binary. A reconstructor keeps nothing between runs:
+/// every run computes its own distances.
 ///
-/// [`Rock::with_corpus_cache`] additionally attaches a fleet-wide
-/// [`CorpusCache`]: symbolic executions, trained models, and distances
-/// are then published to (and answered from) the shared store, so a
-/// batch over overlapping binaries trains every distinct pool once.
+/// [`Rock::with_corpus_cache`] attaches a fleet-wide [`CorpusCache`], the
+/// one place work is reused: symbolic executions, trained models,
+/// distances and liftings are then published to (and answered from) the
+/// shared store, so a batch over overlapping binaries — or repeated runs
+/// over one binary — trains and scores every distinct pool once. Keys are
+/// **content hashes** of each type's tracelet pool
+/// ([`crate::corpus::pool_key`]), so equal keys imply equal training
+/// inputs, and with [`RockConfig::canonical_calls`] they hold across
+/// different binaries.
 #[derive(Clone, Debug, Default)]
 pub struct Rock {
     config: RockConfig,
-    cache: Arc<DistanceCache<ModelKey>>,
     corpus: Option<Arc<CorpusCache>>,
     fault: Option<Arc<FaultPlan>>,
     tracer: Option<Arc<Tracer>>,
@@ -72,15 +70,14 @@ pub struct Reconstruction {
     /// The metric the distances were computed under.
     metric: Metric,
     /// The trained per-type models, kept so post-hoc queries
-    /// ([`Reconstruction::k_most_likely_parents`]) can fill cache misses.
+    /// ([`Reconstruction::k_most_likely_parents`]) can score pairs the
+    /// distance stage did not.
     /// Shared (`Arc`) because corpus runs alias one model across every
     /// type — in one binary or many — whose pool hashes identically.
     models: BTreeMap<Addr, Arc<Slm<Event>>>,
     /// Content key of every type's tracelet pool (trained or not);
-    /// [`DistanceCache`] and [`CorpusCache`] lookups key on these.
+    /// [`CorpusCache`] lookups key on these.
     model_keys: BTreeMap<Addr, ModelKey>,
-    /// The distance cache shared with (and warmed by) the pipeline run.
-    cache: Arc<DistanceCache<ModelKey>>,
     /// The fleet-wide corpus cache, when the run had one attached.
     corpus: Option<Arc<CorpusCache>>,
 }
@@ -110,13 +107,14 @@ impl Reconstruction {
     /// (single-inheritance types keep their one arborescence parent).
     pub fn mi_parents(&self) -> BTreeMap<Addr, Vec<Addr>> {
         let counts = self.structural.vptr_store_counts();
-        let mut out = BTreeMap::new();
-        for family in self.structural.families() {
-            for &child in family {
-                let k = counts.get(&child).copied().unwrap_or(1).max(1);
-                let parents = self.k_most_likely_parents(k).remove(&child).unwrap_or_default();
-                out.insert(child, parents);
-            }
+        let k_of = |child: &Addr| counts.get(child).copied().unwrap_or(1).max(1);
+        // One ranking at the largest `k`: each child's list is a prefix of
+        // its ranking, so truncating to its own `k` gives what a ranking at
+        // that `k` would.
+        let max_k = self.structural.families().iter().flatten().map(k_of).max().unwrap_or(1);
+        let mut out = self.k_most_likely_parents(max_k);
+        for (child, parents) in &mut out {
+            parents.truncate(k_of(child));
         }
         out
     }
@@ -129,8 +127,8 @@ impl Reconstruction {
     /// The arborescence-chosen parent always ranks first; further slots
     /// are filled by ascending behavioral distance among the surviving
     /// structural candidates. Distances not computed during lifting are
-    /// filled through the run's shared [`DistanceCache`], so repeated
-    /// queries never recompute a divergence.
+    /// computed here, through the corpus distance tier when the run had
+    /// a corpus attached.
     pub fn k_most_likely_parents(&self, k: usize) -> BTreeMap<Addr, Vec<Addr>> {
         let mut out = BTreeMap::new();
         for family in self.structural.families() {
@@ -155,8 +153,8 @@ impl Reconstruction {
     }
 
     /// The behavioral distance of a candidate edge: answered from the
-    /// lifting pass when available, otherwise computed through the shared
-    /// cache; `f64::MAX` if either endpoint has no model.
+    /// lifting pass when available, otherwise computed (through the
+    /// corpus, if any); `f64::MAX` if either endpoint has no model.
     fn distance_of(&self, parent: Addr, child: Addr) -> f64 {
         if let Some(d) = self.distances.get(&(parent, child)) {
             return *d;
@@ -168,8 +166,9 @@ impl Reconstruction {
         else {
             return f64::MAX;
         };
-        let global = self.corpus.as_deref().map(|c| c as &dyn GlobalDistanceStore<ModelKey>);
-        self.cache.distance_via(self.metric, (kp, &**pm), (kc, &**cm), global)
+        distance_through(self.corpus.as_deref(), self.metric, *kp, *kc, || {
+            self.metric.distance(pm, cm)
+        })
     }
 }
 
@@ -181,23 +180,9 @@ impl fmt::Display for Reconstruction {
 }
 
 impl Rock {
-    /// Creates a reconstructor with its own (empty) distance cache.
+    /// Creates a reconstructor with no corpus attached.
     pub fn new(config: RockConfig) -> Self {
-        Rock::with_shared_cache(config, Arc::new(DistanceCache::new()))
-    }
-
-    /// Creates a reconstructor that shares `cache` with other passes
-    /// (ablation sweeps, repeated reconstructions). Content keys make
-    /// sharing sound across binaries too: equal keys imply equal pools.
-    pub fn with_shared_cache(config: RockConfig, cache: Arc<DistanceCache<ModelKey>>) -> Self {
-        Rock {
-            config,
-            cache,
-            corpus: None,
-            fault: None,
-            tracer: None,
-            trace_level: TraceLevel::default(),
-        }
+        Rock { config, ..Rock::default() }
     }
 
     /// Attaches a fleet-wide [`CorpusCache`]: subsequent runs answer
@@ -246,19 +231,9 @@ impl Rock {
         &self.config
     }
 
-    /// The distance cache this reconstructor reads and warms.
-    pub fn cache(&self) -> &Arc<DistanceCache<ModelKey>> {
-        &self.cache
-    }
-
     /// The attached corpus cache, if any.
     pub fn corpus_cache(&self) -> Option<&Arc<CorpusCache>> {
         self.corpus.as_ref()
-    }
-
-    /// The corpus cache viewed as the distance tier's global store.
-    pub(crate) fn global_distances(&self) -> Option<&dyn GlobalDistanceStore<ModelKey>> {
-        self.corpus.as_deref().map(|c| c as &dyn GlobalDistanceStore<ModelKey>)
     }
 
     /// Runs the full pipeline on a loaded binary.
@@ -330,7 +305,6 @@ pub(crate) fn assemble_reconstruction(
     metric: Metric,
     models: BTreeMap<Addr, Arc<Slm<Event>>>,
     model_keys: BTreeMap<Addr, ModelKey>,
-    cache: Arc<DistanceCache<ModelKey>>,
     corpus: Option<Arc<CorpusCache>>,
 ) -> Reconstruction {
     Reconstruction {
@@ -345,8 +319,24 @@ pub(crate) fn assemble_reconstruction(
         metric,
         models,
         model_keys,
-        cache,
         corpus,
+    }
+}
+
+/// The distance from the model keyed `from` to the one keyed `to`: through
+/// the corpus distance tier when one is attached ([`CorpusCache::distance_with`]
+/// runs `compute` only on a miss), by `compute` directly when none is.
+/// `compute` must return what `metric` gives for the two keyed models.
+pub(crate) fn distance_through(
+    corpus: Option<&CorpusCache>,
+    metric: Metric,
+    from: ModelKey,
+    to: ModelKey,
+    compute: impl FnOnce() -> f64,
+) -> f64 {
+    match corpus {
+        Some(c) => c.distance_with(metric, from, to, compute),
+        None => compute(),
     }
 }
 
@@ -437,8 +427,9 @@ pub(crate) fn child_candidate_edges(
 /// independent of scan order: first every root's best candidate is scored
 /// against a **snapshot** of the hierarchy, then the proposals are applied
 /// serially by [`apply_adoptions`], which re-checks ancestry against the
-/// *current* hierarchy before each insert. Returns the number of
-/// adoptions applied.
+/// *current* hierarchy before each insert. Every `(from, to)` key pair
+/// the scan asked a distance for is appended to `asked`, in root order.
+/// Returns the number of adoptions applied.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn repartition(
     hierarchy: &mut Forest<Addr>,
@@ -448,8 +439,8 @@ pub(crate) fn repartition(
     model_keys: &BTreeMap<Addr, ModelKey>,
     loaded: &LoadedBinary,
     metric: Metric,
-    cache: &DistanceCache<ModelKey>,
-    global: Option<&dyn GlobalDistanceStore<ModelKey>>,
+    corpus: Option<&CorpusCache>,
+    asked: &mut Vec<(ModelKey, ModelKey)>,
     par: Parallelism,
     ctx: TraceCtx<'_>,
 ) -> usize {
@@ -480,13 +471,14 @@ pub(crate) fn repartition(
     let scanned = par_map(par, &roots, |&root| {
         let mut spans = ctx.local();
         let token = spans.enter(names::REPARTITION_ROOT, root.value());
+        let mut keys = Vec::new();
         let proposal = scan_root(
-            root, hierarchy, &family_of, models, model_keys, loaded, metric, cache, global,
+            root, hierarchy, &family_of, models, model_keys, loaded, metric, corpus, &mut keys,
         );
         spans.exit(token);
         // Cross-family edges had no structural support, so require only
         // that they stay within 2x the worst accepted edge.
-        (proposal.filter(|&(d, _)| d <= 2.0 * threshold), spans)
+        (proposal.filter(|&(d, _)| d <= 2.0 * threshold), keys, spans)
     });
 
     // Phase 2: collect worker spans in input order (merged under one
@@ -494,10 +486,11 @@ pub(crate) fn repartition(
     // per-root one), then apply serially with the ancestry re-check.
     let mut proposals = Vec::new();
     let mut buffers = Vec::new();
-    for (&root, (proposal, spans)) in roots.iter().zip(scanned) {
+    for (&root, (proposal, keys, spans)) in roots.iter().zip(scanned) {
         if !spans.is_empty() {
             buffers.push(spans);
         }
+        asked.extend(keys);
         if let Some((d, parent)) = proposal {
             proposals.push((root, parent, d));
         }
@@ -508,6 +501,7 @@ pub(crate) fn repartition(
 
 /// Scores one hierarchy root against every cross-family candidate,
 /// returning the best `(distance, parent)` if any survives the filters.
+/// Appends every `(from, to)` key pair it asks a distance for to `asked`.
 #[allow(clippy::too_many_arguments)]
 fn scan_root(
     root: Addr,
@@ -517,13 +511,13 @@ fn scan_root(
     model_keys: &BTreeMap<Addr, ModelKey>,
     loaded: &LoadedBinary,
     metric: Metric,
-    cache: &DistanceCache<ModelKey>,
-    global: Option<&dyn GlobalDistanceStore<ModelKey>>,
+    corpus: Option<&CorpusCache>,
+    asked: &mut Vec<(ModelKey, ModelKey)>,
 ) -> Option<(f64, Addr)> {
     let root_vt = loaded.vtable_at(root)?;
     // A root whose training faulted has no model to compare with.
     let root_model = models.get(&root)?;
-    let root_key = model_keys.get(&root)?;
+    let root_key = *model_keys.get(&root)?;
     let root_family = family_of.get(&root);
     let mut best: Option<(f64, Addr)> = None;
     for cand in loaded.vtables() {
@@ -542,24 +536,19 @@ fn scan_root(
         let Some(cand_model) = models.get(&cand.addr()) else {
             continue; // unmodeled candidate: nothing to score
         };
-        let Some(cand_key) = model_keys.get(&cand.addr()) else {
+        let Some(&cand_key) = model_keys.get(&cand.addr()) else {
             continue;
         };
-        let d = cache.distance_via(
-            metric,
-            (cand_key, &**cand_model),
-            (root_key, &**root_model),
-            global,
-        );
+        let d = distance_through(corpus, metric, cand_key, root_key, || {
+            metric.distance(cand_model, root_model)
+        });
         // Parenthood is asymmetric (§4.2.1): the candidate's behavior
         // should be *contained* in the root's, so encoding parent
         // with child must be cheaper than the reverse.
-        let d_rev = cache.distance_via(
-            metric,
-            (root_key, &**root_model),
-            (cand_key, &**cand_model),
-            global,
-        );
+        let d_rev = distance_through(corpus, metric, root_key, cand_key, || {
+            metric.distance(root_model, cand_model)
+        });
+        asked.extend([(cand_key, root_key), (root_key, cand_key)]);
         if d >= d_rev {
             continue;
         }
@@ -703,21 +692,37 @@ mod tests {
         assert!(t.threads >= 1);
         assert!(t.total >= t.analysis);
         assert_eq!(t.foreign_candidates, 0);
-        // Every lifted edge came through the cache exactly once.
+        // Every lifted edge asked for its own distinct key pair.
         assert_eq!(t.cache_misses as usize, recon.distances.len());
+        assert_eq!(t.cache_hits, 0);
     }
 
     #[test]
     fn shared_cache_is_reused_across_runs() {
         let (loaded, _) = streams_optimized();
-        let rock = Rock::new(RockConfig::paper());
+        let corpus = Arc::new(CorpusCache::new());
+        let rock = Rock::new(RockConfig::paper()).with_corpus_cache(Arc::clone(&corpus));
         let first = rock.reconstruct(&loaded);
+        let warm = corpus.stats();
+        assert!(warm.distance_misses > 0, "the first run computes and publishes");
+        // The second run through the shared corpus computes no distance
+        // and gets the same bits.
         let second = rock.reconstruct(&loaded);
-        assert!(first.timings.cache_misses > 0);
-        // The second pass finds every pair already cached.
-        assert_eq!(second.timings.cache_misses, 0);
-        assert_eq!(second.timings.cache_hits, first.timings.cache_misses);
-        assert_eq!(first.distances, second.distances);
+        let delta = corpus.stats().since(&warm);
+        assert_eq!(delta.distance_misses, 0);
+        assert!(delta.distance_hits > 0);
+        assert_eq!(first.distances.len(), second.distances.len());
+        for (k, d) in &first.distances {
+            assert_eq!(d.to_bits(), second.distances[k].to_bits(), "distance bits for {k:?}");
+        }
+        assert_eq!(first.metrics.to_json(), second.metrics.to_json());
+        // Without a corpus a reused reconstructor keeps nothing: the
+        // second run recomputes and reports the first run's metrics.
+        let plain = Rock::new(RockConfig::paper());
+        let first = plain.reconstruct(&loaded);
+        let second = plain.reconstruct(&loaded);
+        assert!(second.timings.cache_misses > 0);
+        assert_eq!(first.metrics.to_json(), second.metrics.to_json());
     }
 
     /// Regression: a possible-parent candidate outside the family's member

@@ -28,16 +28,17 @@ use rock_analysis::{
 use rock_binary::Addr;
 use rock_graph::{min_spanning_forest, DiGraph, Forest};
 use rock_loader::{LoadIssue, LoadedBinary};
-use rock_slm::{ChildTarget, FamilyScorer, Metric, ModelKey, Slm};
+use rock_slm::{ChildTarget, FamilyScorer, Metric, Slm};
 use rock_structural::{analyze, Structural};
 use rock_trace::{names, MetricsRegistry};
 
-use crate::corpus::pool_key;
+use crate::corpus::{pool_key, ModelKey};
 use crate::diagnostics::{
     Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject,
 };
 use crate::pipeline::{
-    assemble_reconstruction, child_candidate_edges, incident_error, load_issue_error, Rock,
+    assemble_reconstruction, child_candidate_edges, distance_through, incident_error,
+    load_issue_error, Rock,
 };
 use crate::{Reconstruction, StageTimings};
 
@@ -133,8 +134,10 @@ pub struct StagedRun<'a> {
     metrics: MetricsRegistry,
     sink: DiagnosticSink,
     coverage: Coverage,
-    cache_hits0: u64,
-    cache_misses0: u64,
+    /// Every `(from, to)` model key pair a live stage asked a distance
+    /// for, one entry per ask: the distance stage's scored pairs, then
+    /// repartition's. Restored stages add nothing.
+    asked: Vec<(ModelKey, ModelKey)>,
     analysis: Option<Analysis>,
     structural: Option<Structural>,
     models: Option<BTreeMap<Addr, Arc<Slm<Event>>>>,
@@ -174,8 +177,7 @@ impl Rock {
             metrics: MetricsRegistry::new(),
             sink,
             coverage,
-            cache_hits0: self.cache().hits(),
-            cache_misses0: self.cache().misses(),
+            asked: Vec::new(),
             analysis: None,
             structural: None,
             models: None,
@@ -585,10 +587,11 @@ impl<'a> StagedRun<'a> {
     /// replays the exact edge-insertion order of the serial loop.
     ///
     /// Under KL, a child with at least two in-family candidates scores
-    /// its cache and corpus misses as one batch ([`ChildTarget`]) over
-    /// its family's [`FamilyScorer`], built on the family's first such
-    /// miss; every other pair runs the per-pair kernel. Both give the
-    /// same bits, so the choice changes only the cost.
+    /// its corpus misses (every pair, with no corpus attached) as one
+    /// batch ([`ChildTarget`]) over its family's [`FamilyScorer`], built
+    /// on the family's first such miss; every other pair runs the
+    /// per-pair kernel. Both give the same bits, so the choice changes
+    /// only the cost.
     fn run_distances(&mut self) {
         self.ensure_structural();
         let stage = Instant::now();
@@ -597,6 +600,7 @@ impl<'a> StagedRun<'a> {
         let models = self.models.as_ref().expect("distances follow training");
         let model_keys = &self.model_keys;
         let config = rock.config();
+        let corpus = rock.corpus_cache().map(|c| &**c);
         let ctx = rock.trace_ctx();
         let families = structural.families();
         let indices: Vec<BTreeMap<Addr, usize>> =
@@ -617,15 +621,17 @@ impl<'a> StagedRun<'a> {
             let batched = config.metric == Metric::KlDivergence
                 && candidates.iter().filter(|p| index.contains_key(p)).count() >= 2;
             let mut target: Option<ChildTarget<'_, '_, Event>> = None;
+            let mut asked = Vec::new();
             let edges = child_candidate_edges(index, child, &candidates, |parent, child| {
                 let pair = spans.enter(names::DISTANCES_PAIR, parent.value());
                 let d = match (models.get(&parent), models.get(&child)) {
-                    (Some(_), Some(_)) if batched => Some(rock.cache().distance_with(
-                        config.metric,
-                        &model_keys[&parent],
-                        &model_keys[&child],
-                        rock.global_distances(),
-                        || {
+                    (Some(pm), Some(cm)) => {
+                        let (from, to) = (model_keys[&parent], model_keys[&child]);
+                        asked.push((from, to));
+                        Some(distance_through(corpus, config.metric, from, to, || {
+                            if !batched {
+                                return config.metric.distance(pm, cm);
+                            }
                             let scorer = scorers[fi].get_or_init(|| {
                                 let members: Vec<Option<&Slm<Event>>> = families[fi]
                                     .iter()
@@ -636,31 +642,26 @@ impl<'a> StagedRun<'a> {
                             target
                                 .get_or_insert_with(|| scorer.target(index[&child]))
                                 .kl_from(index[&parent])
-                        },
-                    )),
-                    (Some(pm), Some(cm)) => Some(rock.cache().distance_via(
-                        config.metric,
-                        (&model_keys[&parent], &**pm),
-                        (&model_keys[&child], &**cm),
-                        rock.global_distances(),
-                    )),
+                        }))
+                    }
                     _ => None,
                 };
                 spans.exit(pair);
                 d
             });
             spans.exit(token);
-            (edges, spans)
+            (edges, asked, spans)
         });
         let mut distances = BTreeMap::new();
         let mut graphs: Vec<DiGraph> = families.iter().map(|f| DiGraph::new(f.len())).collect();
         let mut buffers = Vec::new();
         for (&(fi, child), outcome) in children.iter().zip(scored) {
             let edges = match outcome {
-                Ok((edges, spans)) => {
+                Ok((edges, asked, spans)) => {
                     if !spans.is_empty() {
                         buffers.push(spans);
                     }
+                    self.asked.extend(asked);
                     edges
                 }
                 Err(msg) => {
@@ -965,8 +966,8 @@ impl<'a> StagedRun<'a> {
                 &self.model_keys,
                 self.loaded,
                 config.metric,
-                rock.cache(),
-                rock.global_distances(),
+                rock.corpus_cache().map(|c| &**c),
+                &mut self.asked,
                 config.parallelism,
                 ctx,
             );
@@ -976,8 +977,8 @@ impl<'a> StagedRun<'a> {
 
         // Finalize registry counters that only settle at the run
         // boundary; all of them derive from deterministic state (coverage
-        // snapshots, diagnostics, cache deltas), so restored runs report
-        // what the uninterrupted run would have.
+        // snapshots, diagnostics, the asked key pairs), so restored runs
+        // report what the uninterrupted run would have.
         let cov = self.coverage;
         self.metrics.set(names::ANALYSIS_FUNCTIONS_TOTAL, cov.functions_total as u64);
         self.metrics.set(names::ANALYSIS_FUNCTIONS_ANALYZED, cov.functions_analyzed as u64);
@@ -990,9 +991,14 @@ impl<'a> StagedRun<'a> {
         self.metrics.set(names::LIFTING_FAMILIES_TOTAL, cov.families_total as u64);
         self.metrics.set(names::LIFTING_FAMILIES_LIFTED, cov.families_lifted as u64);
         self.metrics.set(names::LIFTING_FAMILIES_DEGRADED, cov.families_degraded as u64);
-        self.metrics.set(names::DISTANCES_CACHE_HIT, self.rock.cache().hits() - self.cache_hits0);
-        self.metrics
-            .set(names::DISTANCES_CACHE_MISS, self.rock.cache().misses() - self.cache_misses0);
+        // A pair asked for again repeats a computation the run already
+        // did: a hit. The first ask of each distinct pair is the miss.
+        let asks = self.asked.len() as u64;
+        self.asked.sort_unstable();
+        self.asked.dedup();
+        let distinct = self.asked.len() as u64;
+        self.metrics.set(names::DISTANCES_CACHE_HIT, asks - distinct);
+        self.metrics.set(names::DISTANCES_CACHE_MISS, distinct);
         let dropped = self.sink.dropped();
         let diagnostics = self.sink.into_entries();
         let errors = diagnostics.iter().filter(|e| e.severity == Severity::Error).count();
@@ -1021,7 +1027,6 @@ impl<'a> StagedRun<'a> {
             config.metric,
             models,
             std::mem::take(&mut self.model_keys),
-            self.rock.cache().clone(),
             self.rock.corpus_cache().cloned(),
         )
     }

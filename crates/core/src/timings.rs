@@ -51,9 +51,11 @@ pub struct StageTimings {
     /// Candidate parents skipped because they were outside their family's
     /// member list (would previously have been an index panic).
     pub foreign_candidates: usize,
-    /// Distance lookups answered by the shared cache.
+    /// Distance asks (distance stage + repartition) that repeat a
+    /// `(from key, to key)` model pair the run already asked for.
     pub cache_hits: u64,
-    /// Distance lookups that had to compute.
+    /// Distinct `(from key, to key)` model pairs the run asked a
+    /// distance for, across the distance stage and repartition.
     pub cache_misses: u64,
     /// Functions excluded from behavioral analysis (skips + contained
     /// panics + budget exhaustion).

@@ -45,18 +45,13 @@ impl Metric {
     /// All metrics, for ablation sweeps.
     pub const ALL: [Metric; 3] = [Metric::KlDivergence, Metric::JsDivergence, Metric::JsDistance];
 
-    /// Computes the distance from `a` to `b` under this metric. The union
-    /// alphabet size is computed once here (not once per internal KL
-    /// term); callers that already know it — ablation sweeps, the
-    /// distance cache — should use [`Metric::distance_with_alphabet`].
+    /// Computes the distance from `a` to `b` under this metric with the
+    /// per-pair kernels. The pair's union alphabet size is merged once
+    /// per call (not once per internal KL term). Nothing is memoized
+    /// here: the pipeline reuses a distance only through an attached
+    /// corpus cache, keyed by the two models' content keys.
     pub fn distance<S: Symbol>(self, a: &Slm<S>, b: &Slm<S>) -> f64 {
-        self.distance_with_alphabet(a, b, union_alphabet_len(a, b))
-    }
-
-    /// [`Metric::distance`] with the pair's union alphabet size supplied
-    /// by the caller, so sweeps over several metrics (or both directions)
-    /// of the same pair compute it exactly once.
-    pub fn distance_with_alphabet<S: Symbol>(self, a: &Slm<S>, b: &Slm<S>, n: usize) -> f64 {
+        let n = union_alphabet_len(a, b);
         match self {
             Metric::KlDivergence => kl_divergence_with_alphabet(a, b, n),
             Metric::JsDivergence => js_divergence_with_alphabet(a, b, n),
@@ -511,15 +506,7 @@ mod tests {
         assert_eq!(Metric::default(), Metric::KlDivergence);
         assert_eq!(Metric::ALL.len(), 3);
         assert_eq!(Metric::KlDivergence.to_string(), "KL-divergence");
-        // Supplying the pair's alphabet size up front changes nothing.
-        let n = union_alphabet_len(&a, &b);
-        assert_eq!(n, 3);
-        for metric in Metric::ALL {
-            assert_eq!(
-                metric.distance(&a, &b).to_bits(),
-                metric.distance_with_alphabet(&a, &b, n).to_bits()
-            );
-        }
+        assert_eq!(union_alphabet_len(&a, &b), 3);
     }
 
     #[test]

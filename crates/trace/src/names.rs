@@ -112,9 +112,11 @@ pub const DISTANCES_EDGES: &str = "distances.edges";
 pub const DISTANCES_FOREIGN_CANDIDATES: &str = "distances.foreign_candidates";
 /// Candidate pairs dropped because an endpoint had no model.
 pub const DISTANCES_UNMODELED: &str = "distances.unmodeled_pairs";
-/// Distance lookups answered by the shared cache.
+/// Distance asks (distance stage + repartition) that repeat a
+/// `(from key, to key)` model pair the run already asked for.
 pub const DISTANCES_CACHE_HIT: &str = "distances.cache_hit";
-/// Distance lookups that had to compute.
+/// Distinct `(from key, to key)` model pairs the run asked a distance
+/// for, across the distance stage and repartition.
 pub const DISTANCES_CACHE_MISS: &str = "distances.cache_miss";
 
 /// Families found by the structural phase.

@@ -78,6 +78,28 @@ fn repartitioning_path_is_deterministic_too() {
     assert_eq!(serial.hierarchy, parallel.hierarchy);
     assert!(serial.hierarchy.is_acyclic());
     assert_eq!(serial.distances, parallel.distances);
+
+    // Two suite programs where two roots are each other's cross-family
+    // candidate, so repartitioning asks for some pairs twice. The whole
+    // metrics document — the distance cache counters included — must not
+    // depend on the thread count, in any run.
+    for name in ["CGridListCtrlEx", "yafc"] {
+        let compiled = suite::benchmark(name).expect("suite program").compile().expect("compiles");
+        let loaded = LoadedBinary::load(compiled.stripped_image()).expect("loads");
+        let serial = reconstruct_with(&loaded, config, Parallelism::Serial);
+        let want = serial.metrics.to_json();
+        for threads in [2, 8] {
+            for run in 0..100 {
+                let parallel = reconstruct_with(&loaded, config, Parallelism::Threads(threads));
+                assert_eq!(serial.hierarchy, parallel.hierarchy, "{name}: hierarchies diverged");
+                assert_eq!(
+                    want,
+                    parallel.metrics.to_json(),
+                    "{name}: metrics at Threads({threads}) differ from Serial in run {run}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
