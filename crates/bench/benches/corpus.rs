@@ -23,9 +23,11 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rock_bench::{smoke, write_record};
+use rock_core::corpus::hit_rate;
 use rock_core::suite::corpus_member;
-use rock_core::{CorpusCache, CorpusStats, Parallelism, Reconstruction, Rock, RockConfig};
+use rock_core::{CorpusCache, Parallelism, Reconstruction, Rock, RockConfig};
 use rock_loader::LoadedBinary;
+use rock_trace::{names, MetricsRegistry};
 
 fn config(par: Parallelism) -> RockConfig {
     RockConfig::paper().with_parallelism(par).with_canonical_calls()
@@ -98,10 +100,8 @@ fn fmt_runs(xs: &[f64]) -> String {
     xs.iter().map(|v| format!("{v:.3}")).collect::<Vec<_>>().join(", ")
 }
 
-/// Asserts warm output equals cold output for every member, then
-/// returns the cache stats of one warm pass.
-fn verify_and_stats(images: &[LoadedBinary], pars: &[Parallelism]) -> CorpusStats {
-    let mut stats = CorpusStats::default();
+/// Asserts warm output equals cold output for every member.
+fn verify(images: &[LoadedBinary], pars: &[Parallelism]) {
     for &par in pars {
         let cold = run_cold(images, par);
         let shared = Arc::new(CorpusCache::new());
@@ -110,9 +110,7 @@ fn verify_and_stats(images: &[LoadedBinary], pars: &[Parallelism]) -> CorpusStat
             assert_eq!(c.hierarchy, w.hierarchy, "{par:?} member {i}: hierarchy diverged");
             assert_eq!(c.distances, w.distances, "{par:?} member {i}: distances diverged");
         }
-        stats = shared.stats();
     }
-    stats
 }
 
 /// One instrumented measurement of a corpus shape: cold vs amortized
@@ -122,7 +120,7 @@ struct Shape {
     templates: usize,
     cold_ms: Vec<f64>,
     warm_ms: Vec<f64>,
-    stats: CorpusStats,
+    stats: MetricsRegistry,
 }
 
 fn measure(n: usize, templates: usize, runs: usize) -> Shape {
@@ -133,7 +131,7 @@ fn measure(n: usize, templates: usize, runs: usize) -> Shape {
     run_cold(&images, Parallelism::Serial);
     let mut cold_ms = Vec::new();
     let mut warm_ms = Vec::new();
-    let mut stats = CorpusStats::default();
+    let mut stats = MetricsRegistry::new();
     for _ in 0..runs {
         let start = Instant::now();
         run_cold(&images, Parallelism::Serial);
@@ -150,7 +148,7 @@ fn measure(n: usize, templates: usize, runs: usize) -> Shape {
 fn shape_json(label: &str, s: &Shape) -> String {
     let cold = median(&s.cold_ms);
     let warm = median(&s.warm_ms);
-    let st = &s.stats;
+    let st = |name| s.stats.counter(name);
     format!(
         "  \"{label}\": {{\n    \"binaries\": {n},\n    \"app_templates\": {templates},\n    \
          \"cold_runs_ms\": [{cold_runs}],\n    \"cold_median_ms\": {cold:.3},\n    \
@@ -169,14 +167,14 @@ fn shape_json(label: &str, s: &Shape) -> String {
         cold_tput = s.n as f64 / (cold / 1e3),
         warm_tput = s.n as f64 / (warm / 1e3),
         speedup = cold / warm.max(1e-6),
-        hit_rate = st.hit_rate(),
-        th = st.tracelet_hits,
-        tm = st.tracelet_misses,
-        sh = st.slm_hits,
-        sm = st.slm_misses,
-        dh = st.distance_hits,
-        dm = st.distance_misses,
-        bytes = st.bytes_stored,
+        hit_rate = hit_rate(&s.stats),
+        th = st(names::CORPUS_TRACELET_HIT),
+        tm = st(names::CORPUS_TRACELET_MISS),
+        sh = st(names::CORPUS_SLM_HIT),
+        sm = st(names::CORPUS_SLM_MISS),
+        dh = st(names::CORPUS_DISTANCE_HIT),
+        dm = st(names::CORPUS_DISTANCE_MISS),
+        bytes = st(names::CORPUS_BYTES_STORED),
     )
 }
 
@@ -190,16 +188,13 @@ fn emit_bench_json(_c: &mut Criterion) {
     // Bit-identity first: no number is worth reporting if the cache
     // changes an answer. Serial, 2 and 8 threads over a mixed corpus.
     let pinned = corpus(6, 3);
-    verify_and_stats(
-        &pinned,
-        &[Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(8)],
-    );
+    verify(&pinned, &[Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(8)]);
 
     let overlap50 = measure(n50, n50 / 2, runs);
     let high = measure(nhi, thi, runs);
 
     let speedup50 = median(&overlap50.cold_ms) / median(&overlap50.warm_ms).max(1e-6);
-    let hit_hi = high.stats.hit_rate();
+    let hit_hi = hit_rate(&high.stats);
     let json = format!(
         "{{\n  \"mode\": \"{mode}\",\n  \"parallelism\": \"serial\",\n  \
          \"identity_pinned_at\": [\"serial\", \"threads2\", \"threads8\"],\n\

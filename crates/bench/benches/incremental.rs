@@ -30,9 +30,10 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rock_bench::{smoke, write_record};
 use rock_core::suite::{self, DeltaEdit, DeltaSpec};
-use rock_core::{CorpusCache, CorpusStats, Parallelism, Reconstruction, Rock, RockConfig};
+use rock_core::{CorpusCache, Parallelism, Reconstruction, Rock, RockConfig};
 use rock_loader::LoadedBinary;
 use rock_supervisor::{flush_subartifacts, preload_subartifacts, ArtifactStore};
+use rock_trace::{names, MetricsRegistry};
 
 /// Position-independent function keys require canonical calls.
 fn config(par: Parallelism) -> RockConfig {
@@ -109,20 +110,21 @@ fn populate(base: &LoadedBinary, store: &ArtifactStore) -> u64 {
     let cache = Arc::new(CorpusCache::new());
     run_warm(base, Parallelism::Serial, &cache);
     let stats = flush_subartifacts(store, &cache);
-    assert_eq!(stats.io_errors, 0, "healthy flush must not error");
-    assert!(stats.flushed > 0, "the base run must persist sub-artifacts");
-    stats.flushed
+    assert_eq!(stats.counter(names::INCR_IO_ERRORS), 0, "healthy flush must not error");
+    let flushed = stats.counter(names::INCR_FLUSHED);
+    assert!(flushed > 0, "the base run must persist sub-artifacts");
+    flushed
 }
 
 /// One timed warm-delta pass: fresh cache, preload from disk, run the
 /// patched image. Returns (elapsed ms, cache stats, preloaded count).
-fn warm_delta(image: &LoadedBinary, store: &ArtifactStore) -> (f64, CorpusStats, u64) {
+fn warm_delta(image: &LoadedBinary, store: &ArtifactStore) -> (f64, MetricsRegistry, u64) {
     let cache = Arc::new(CorpusCache::new());
     let start = Instant::now();
     let pre = preload_subartifacts(store, &cache);
     run_warm(image, Parallelism::Serial, &cache);
     let elapsed = ms(start);
-    (elapsed, cache.stats(), pre.preloaded)
+    (elapsed, cache.stats(), pre.counter(names::INCR_PRELOADED))
 }
 
 fn ms(start: Instant) -> f64 {
@@ -172,15 +174,16 @@ struct Shape {
     label: &'static str,
     cold_ms: Vec<f64>,
     warm_ms: Vec<f64>,
-    stats: CorpusStats,
+    stats: MetricsRegistry,
     flushed: u64,
     preloaded: u64,
 }
 
 impl Shape {
     fn reuse(&self) -> f64 {
-        let lookups = self.stats.tracelet_hits + self.stats.tracelet_misses;
-        self.stats.tracelet_hits as f64 / (lookups.max(1)) as f64
+        let hits = self.stats.counter(names::CORPUS_TRACELET_HIT);
+        let lookups = hits + self.stats.counter(names::CORPUS_TRACELET_MISS);
+        hits as f64 / (lookups.max(1)) as f64
     }
 
     fn speedup(&self) -> f64 {
@@ -199,7 +202,7 @@ fn measure(label: &'static str, base: &LoadedBinary, edit: DeltaEdit, runs: usiz
     run_cold(&image, Parallelism::Serial);
     let mut cold_ms = Vec::new();
     let mut warm_ms = Vec::new();
-    let mut stats = CorpusStats::default();
+    let mut stats = MetricsRegistry::new();
     let mut preloaded = 0;
     for _ in 0..runs {
         let start = Instant::now();
@@ -214,7 +217,7 @@ fn measure(label: &'static str, base: &LoadedBinary, edit: DeltaEdit, runs: usiz
 }
 
 fn shape_json(s: &Shape) -> String {
-    let st = &s.stats;
+    let st = |name| s.stats.counter(name);
     format!(
         "  \"{label}\": {{\n    \"cold_runs_ms\": [{cold_runs}],\n    \
          \"cold_median_ms\": {cold:.3},\n    \
@@ -235,14 +238,14 @@ fn shape_json(s: &Shape) -> String {
         reuse = s.reuse(),
         flushed = s.flushed,
         preloaded = s.preloaded,
-        th = st.tracelet_hits,
-        tm = st.tracelet_misses,
-        sh = st.slm_hits,
-        sm = st.slm_misses,
-        dh = st.distance_hits,
-        dm = st.distance_misses,
-        lh = st.lifting_hits,
-        lm = st.lifting_misses,
+        th = st(names::CORPUS_TRACELET_HIT),
+        tm = st(names::CORPUS_TRACELET_MISS),
+        sh = st(names::CORPUS_SLM_HIT),
+        sm = st(names::CORPUS_SLM_MISS),
+        dh = st(names::CORPUS_DISTANCE_HIT),
+        dm = st(names::CORPUS_DISTANCE_MISS),
+        lh = st(names::CORPUS_LIFTING_HIT),
+        lm = st(names::CORPUS_LIFTING_MISS),
     )
 }
 

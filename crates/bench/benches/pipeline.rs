@@ -12,7 +12,7 @@ use rock_bench::{smoke, write_record};
 use rock_core::suite::{benchmark, stress_program};
 use rock_core::{Parallelism, Rock, RockConfig, TraceLevel};
 use rock_loader::LoadedBinary;
-use rock_trace::Tracer;
+use rock_trace::{names, Tracer};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("rock_reconstruct");
@@ -66,7 +66,16 @@ fn bench_parallelism(c: &mut Criterion) {
     {
         let config = RockConfig::paper().with_parallelism(parallelism);
         let recon = Rock::new(config).reconstruct(&loaded);
-        println!("\nstress_program(3, 3, 3) [{label}]\n{}", recon.timings);
+        let work = |name| recon.metrics.counter(name);
+        println!(
+            "\nstress_program(3, 3, 3) [{label}]\n{}\n  work         {} SLMs, {} edges, \
+             cache {} hit / {} miss",
+            recon.timings,
+            work(names::SLM_MODELS_TRAINED),
+            work(names::DISTANCES_EDGES),
+            work(names::DISTANCES_CACHE_HIT),
+            work(names::DISTANCES_CACHE_MISS),
+        );
     }
 }
 

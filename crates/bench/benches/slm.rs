@@ -18,6 +18,7 @@ use rock_core::{Parallelism, Rock, RockConfig};
 use rock_loader::LoadedBinary;
 use rock_slm::reference::{reference_kl_divergence, ReferenceSlm};
 use rock_slm::{kl_divergence, Slm};
+use rock_trace::names;
 
 /// Serial cold-cache distance stage on `stress_program(3, 3, 3)` as
 /// measured at the PR 1 head on the reference container (median of 4
@@ -231,14 +232,15 @@ fn emit_bench_json(_c: &mut Criterion) {
     let config = RockConfig::paper().with_parallelism(Parallelism::Serial);
     let mut distance_ms = Vec::new();
     let mut training_ms = Vec::new();
-    let mut timings = None;
+    let mut metrics = None;
     for _ in 0..runs {
         let recon = Rock::new(config).reconstruct(&loaded);
         distance_ms.push(ms(recon.timings.distances));
         training_ms.push(ms(recon.timings.training));
-        timings = Some(recon.timings);
+        metrics = Some(recon.metrics);
     }
-    let t = timings.expect("at least one run");
+    let metrics = metrics.expect("at least one run");
+    let counter = |name| metrics.counter(name);
     let distance_median = median(&distance_ms);
     let speedup = PR1_DISTANCE_STAGE_MS / distance_median;
 
@@ -276,13 +278,13 @@ fn emit_bench_json(_c: &mut Criterion) {
         mode = if smoke() { "smoke" } else { "full" },
         baseline = PR1_DISTANCE_STAGE_MS,
         training_median = median(&training_ms),
-        slms = t.slm_count,
-        nodes = t.slm_nodes,
-        edges = t.slm_edges,
-        bytes = t.slm_bytes,
-        unique = t.slm_unique_words,
-        total = t.slm_total_words,
-        misses = t.cache_misses,
+        slms = counter(names::SLM_MODELS_TRAINED),
+        nodes = counter(names::SLM_ARENA_NODES),
+        edges = counter(names::SLM_ARENA_EDGES),
+        bytes = counter(names::SLM_ARENA_BYTES),
+        unique = counter(names::SLM_WORDS_UNIQUE),
+        total = counter(names::SLM_WORDS_TOTAL),
+        misses = counter(names::DISTANCES_CACHE_MISS),
         models = arena.len(),
     );
     let path = write_record("BENCH_slm.json", &json);

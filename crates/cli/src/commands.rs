@@ -13,7 +13,7 @@ use rock_loader::LoadedBinary;
 use rock_slm::Metric;
 use rock_supervisor::{ArtifactStore, StdVfs, Supervisor, SupervisorOptions};
 use rock_trace::{
-    chrome_trace_json, validate_chrome_trace, validate_metrics_doc, TraceLevel, Tracer,
+    chrome_trace_json, names, validate_chrome_trace, validate_metrics_doc, TraceLevel, Tracer,
 };
 
 type CliResult = Result<(), Box<dyn Error>>;
@@ -668,29 +668,27 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     }
     if let Some(corpus) = &corpus {
         let s = corpus.stats();
+        let c = |name| s.counter(name);
         println!(
             "corpus: tracelets {}/{} hit, slms {}/{} hit, distances {}/{} hit, \
              liftings {}/{} hit ({:.1}% overall), \
              {} bytes stored, {} corrupt entries dropped, {} evicted",
-            s.tracelet_hits,
-            s.tracelet_hits + s.tracelet_misses,
-            s.slm_hits,
-            s.slm_hits + s.slm_misses,
-            s.distance_hits,
-            s.distance_hits + s.distance_misses,
-            s.lifting_hits,
-            s.lifting_hits + s.lifting_misses,
-            s.hit_rate() * 100.0,
-            s.bytes_stored,
-            s.corrupt_dropped,
-            s.evicted,
+            c(names::CORPUS_TRACELET_HIT),
+            c(names::CORPUS_TRACELET_HIT) + c(names::CORPUS_TRACELET_MISS),
+            c(names::CORPUS_SLM_HIT),
+            c(names::CORPUS_SLM_HIT) + c(names::CORPUS_SLM_MISS),
+            c(names::CORPUS_DISTANCE_HIT),
+            c(names::CORPUS_DISTANCE_HIT) + c(names::CORPUS_DISTANCE_MISS),
+            c(names::CORPUS_LIFTING_HIT),
+            c(names::CORPUS_LIFTING_HIT) + c(names::CORPUS_LIFTING_MISS),
+            rock_core::corpus::hit_rate(&s) * 100.0,
+            c(names::CORPUS_BYTES_STORED),
+            c(names::CORPUS_CORRUPT_DROPPED),
+            c(names::CORPUS_EVICTED),
         );
     }
     if let Some(incr) = &batch.incr {
-        println!(
-            "incr: {} preloaded, {} flushed, {} unchanged, {} corrupt skipped, {} io errors",
-            incr.preloaded, incr.flushed, incr.unchanged, incr.corrupt_skipped, incr.io_errors,
-        );
+        print_incr(|name| incr.counter(name));
     }
     if let Some(format) = timings {
         for job in &batch.jobs {
@@ -701,20 +699,24 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
         let restored: usize = batch.jobs.iter().map(|j| j.report.restored.len()).sum();
         let run = batch.jobs.len();
         let ms = elapsed.as_millis().max(1);
-        let incr_text = batch
-            .incr
-            .map(|i| format!(", incr {} preloaded / {} flushed", i.preloaded, i.flushed))
-            .unwrap_or_default();
-        let incr_json = batch
-            .incr
-            .map(|i| {
-                format!(
-                    ",\"incr_preloaded\":{},\"incr_flushed\":{},\"incr_unchanged\":{},\
-                     \"incr_corrupt_skipped\":{},\"incr_io_errors\":{}",
-                    i.preloaded, i.flushed, i.unchanged, i.corrupt_skipped, i.io_errors
-                )
-            })
-            .unwrap_or_default();
+        let incr_text = batch.incr.as_ref().map_or(String::new(), |i| {
+            format!(
+                ", incr {} preloaded / {} flushed",
+                i.counter(names::INCR_PRELOADED),
+                i.counter(names::INCR_FLUSHED)
+            )
+        });
+        let incr_json = batch.incr.as_ref().map_or(String::new(), |i| {
+            format!(
+                ",\"incr_preloaded\":{},\"incr_flushed\":{},\"incr_unchanged\":{},\
+                 \"incr_corrupt_skipped\":{},\"incr_io_errors\":{}",
+                i.counter(names::INCR_PRELOADED),
+                i.counter(names::INCR_FLUSHED),
+                i.counter(names::INCR_UNCHANGED),
+                i.counter(names::INCR_CORRUPT_SKIPPED),
+                i.counter(names::INCR_IO_ERRORS)
+            )
+        });
         match format {
             TimingsFormat::Text => println!(
                 "batch: {run} jobs in {ms} ms ({:.1} jobs/s), {restored} stages restored from \
@@ -823,13 +825,22 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
         summary.panics_contained,
     );
     if incremental {
-        let incr = handle.incr_stats();
-        println!(
-            "incr: {} preloaded, {} flushed, {} unchanged, {} corrupt skipped, {} io errors",
-            incr.preloaded, incr.flushed, incr.unchanged, incr.corrupt_skipped, incr.io_errors,
-        );
+        print_incr(|name| handle.counter(name));
     }
     Ok(0)
+}
+
+/// The end-of-run `incr:` line of `rock batch` and `rock serve`, read
+/// from a registry holding the `incr.*` counters.
+fn print_incr(counter: impl Fn(&str) -> u64) {
+    println!(
+        "incr: {} preloaded, {} flushed, {} unchanged, {} corrupt skipped, {} io errors",
+        counter(names::INCR_PRELOADED),
+        counter(names::INCR_FLUSHED),
+        counter(names::INCR_UNCHANGED),
+        counter(names::INCR_CORRUPT_SKIPPED),
+        counter(names::INCR_IO_ERRORS),
+    );
 }
 
 /// `rock client <addr> <verb>`: loopback client for a running daemon.

@@ -12,9 +12,9 @@
 //!          [--metric kl|js|jsd]      distance criterion (default kl)
 //!          [--threads <n>]           worker threads (0 = auto, default)
 //!          [--fuel <steps>]          per-function symbolic-execution budget
-//!          [--timings]               print per-stage wall-clock + counters
-//!                                    (incl. SLM arena nodes/edges/bytes and
-//!                                    unique-vs-total training words)
+//!          [--timings]               print per-stage wall clock (work
+//!                                    counts, SLM arena sizes among them,
+//!                                    are in --metrics)
 //!          [--diagnostics]           print coverage + contained faults
 //!          [--strict]                fail fast instead of degrading
 //!                                    (strict load + abort on first error)
@@ -30,7 +30,8 @@
 //!          [--max-errors <n>]        abort batch after n hard failures
 //!          [--report <path>]         write the batch report JSON to a file
 //!          [--sleep-backoff]         actually sleep retry backoff delays
-//!          [--timings]               batch throughput + resume summary
+//!          [--timings]               per-job stage wall clock, then the
+//!                                    batch throughput + resume summary
 //! rock serve                         multi-tenant reconstruction daemon
 //!          [--addr host:port]        bind address (default 127.0.0.1:0)
 //!          [--store <dir>]           artifact store root (default .rock-store)

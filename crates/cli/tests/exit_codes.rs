@@ -14,6 +14,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use rock_trace::{parse_json, Json};
+
 fn rock(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rock")).args(args).output().expect("spawn rock")
 }
@@ -165,4 +167,45 @@ fn report_file_collects_the_whole_batch() {
     assert!(body.starts_with("{\"jobs\":["), "got: {body}");
     assert!(body.contains("\"exit_code\":0"));
     assert!(body.contains("\"elapsed_ms\":"));
+}
+
+#[test]
+fn incremental_counts_reach_the_batch_summary_and_job_timings_hold_only_wall_clock() {
+    let s = Scratch::new("incr");
+    let run = || {
+        let out =
+            rock(&["batch", &s.image, "--store", &s.store, "--incremental", "--timings=json"]);
+        assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+        stdout(&out)
+            .lines()
+            .filter(|line| line.starts_with('{'))
+            .map(|line| parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+            .collect::<Vec<Json>>()
+    };
+    // The cold run flushes what it computed; the warm rerun preloads it.
+    for (pass, key) in [("cold", "incr_flushed"), ("warm", "incr_preloaded")] {
+        let docs = run();
+        let summary = docs.iter().find_map(|d| d.get("batch")).expect("batch summary");
+        let count = summary.get(key).and_then(Json::as_num).unwrap_or(0.0);
+        assert!(count > 0.0, "{pass}: {key} must count the sub-artifacts: {summary:?}");
+        let timings: Vec<&Json> = docs.iter().filter_map(|d| d.get("timings")).collect();
+        assert_eq!(timings.len(), 1, "{pass}: one timings object per job");
+        for t in timings {
+            let keys: Vec<&str> = t.as_obj().expect("object").keys().map(String::as_str).collect();
+            assert_eq!(
+                keys,
+                [
+                    "analysis_us",
+                    "distances_us",
+                    "lifting_us",
+                    "repartition_us",
+                    "structural_us",
+                    "threads",
+                    "total_us",
+                    "training_us"
+                ],
+                "{pass}: per-job timings carry wall clock only"
+            );
+        }
+    }
 }

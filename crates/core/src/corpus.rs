@@ -57,6 +57,7 @@ use rock_analysis::canon::{CachedCtors, CachedExec, ExecCache, Label};
 use rock_analysis::{AnalysisConfig, CachedSub, Event};
 use rock_binary::Addr;
 use rock_slm::{Metric, Slm};
+use rock_trace::{names, MetricsRegistry};
 
 use crate::faultplan::FaultPlan;
 
@@ -217,70 +218,32 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
     }
 }
 
-/// Monotonic hit/miss/bytes counters for the three tiers.
-///
-/// All counters are totals since construction; per-job deltas come from
-/// subtracting two [`CorpusStats`] snapshots.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CorpusStats {
-    /// Execution-tier lookups answered from the cache.
-    pub tracelet_hits: u64,
-    /// Execution-tier lookups that ran live.
-    pub tracelet_misses: u64,
-    /// Model-tier lookups answered from the cache.
-    pub slm_hits: u64,
-    /// Model-tier lookups that trained live.
-    pub slm_misses: u64,
-    /// Distance-tier lookups answered from the cache.
-    pub distance_hits: u64,
-    /// Distance-tier lookups that computed live.
-    pub distance_misses: u64,
-    /// Lifting-tier lookups answered from the cache.
-    pub lifting_hits: u64,
-    /// Lifting-tier lookups that lifted live.
-    pub lifting_misses: u64,
-    /// Total serialized bytes currently stored across all tiers.
-    pub bytes_stored: u64,
-    /// Entries dropped because their checksum failed verification.
-    pub corrupt_dropped: u64,
-    /// Entries dropped by capacity eviction (bounded caches only).
-    pub evicted: u64,
-}
-
-impl CorpusStats {
-    /// Component-wise `self - earlier` (for per-job deltas).
-    pub fn since(&self, earlier: &CorpusStats) -> CorpusStats {
-        CorpusStats {
-            tracelet_hits: self.tracelet_hits - earlier.tracelet_hits,
-            tracelet_misses: self.tracelet_misses - earlier.tracelet_misses,
-            slm_hits: self.slm_hits - earlier.slm_hits,
-            slm_misses: self.slm_misses - earlier.slm_misses,
-            distance_hits: self.distance_hits - earlier.distance_hits,
-            distance_misses: self.distance_misses - earlier.distance_misses,
-            lifting_hits: self.lifting_hits - earlier.lifting_hits,
-            lifting_misses: self.lifting_misses - earlier.lifting_misses,
-            bytes_stored: self.bytes_stored.saturating_sub(earlier.bytes_stored),
-            corrupt_dropped: self.corrupt_dropped - earlier.corrupt_dropped,
-            evicted: self.evicted - earlier.evicted,
-        }
-    }
-
-    /// Hit rate over all four tiers, in `[0, 1]` (1.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.tracelet_hits + self.slm_hits + self.distance_hits + self.lifting_hits;
-        let total = hits
-            + self.tracelet_misses
-            + self.slm_misses
-            + self.distance_misses
-            + self.lifting_misses;
-        if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        }
+/// Hit rate over all four tiers of a [`CorpusCache::stats`] snapshot
+/// (or a delta of two), in `[0, 1]` (1.0 when idle).
+pub fn hit_rate(stats: &MetricsRegistry) -> f64 {
+    let sum = |tiers: [&str; 4]| tiers.iter().map(|name| stats.counter(name)).sum::<u64>();
+    let hits = sum([
+        names::CORPUS_TRACELET_HIT,
+        names::CORPUS_SLM_HIT,
+        names::CORPUS_DISTANCE_HIT,
+        names::CORPUS_LIFTING_HIT,
+    ]);
+    let misses = sum([
+        names::CORPUS_TRACELET_MISS,
+        names::CORPUS_SLM_MISS,
+        names::CORPUS_DISTANCE_MISS,
+        names::CORPUS_LIFTING_MISS,
+    ]);
+    if hits + misses == 0 {
+        1.0
+    } else {
+        hits as f64 / (hits + misses) as f64
     }
 }
 
+/// The tier counters behind [`CorpusCache::stats`]: hits, misses,
+/// corruption drops and evictions are totals since construction;
+/// `bytes_stored` is a gauge of resident bytes.
 #[derive(Debug, Default)]
 struct Counters {
     tracelet_hits: AtomicU64,
@@ -338,22 +301,28 @@ impl CorpusCache {
         CorpusCache { shard_cap: max_entries_per_tier.div_ceil(SHARDS), ..CorpusCache::default() }
     }
 
-    /// A point-in-time snapshot of the tier counters.
-    pub fn stats(&self) -> CorpusStats {
+    /// A point-in-time snapshot of the tier counters under their
+    /// `corpus.*` names, all eleven present even at zero. Per-job deltas
+    /// come from [`MetricsRegistry::since`] between two snapshots.
+    pub fn stats(&self) -> MetricsRegistry {
         let c = &self.counters;
-        CorpusStats {
-            tracelet_hits: c.tracelet_hits.load(Ordering::Relaxed),
-            tracelet_misses: c.tracelet_misses.load(Ordering::Relaxed),
-            slm_hits: c.slm_hits.load(Ordering::Relaxed),
-            slm_misses: c.slm_misses.load(Ordering::Relaxed),
-            distance_hits: c.distance_hits.load(Ordering::Relaxed),
-            distance_misses: c.distance_misses.load(Ordering::Relaxed),
-            lifting_hits: c.lifting_hits.load(Ordering::Relaxed),
-            lifting_misses: c.lifting_misses.load(Ordering::Relaxed),
-            bytes_stored: c.bytes_stored.load(Ordering::Relaxed),
-            corrupt_dropped: c.corrupt_dropped.load(Ordering::Relaxed),
-            evicted: c.evicted.load(Ordering::Relaxed),
+        let mut stats = MetricsRegistry::new();
+        for (name, counter) in [
+            (names::CORPUS_TRACELET_HIT, &c.tracelet_hits),
+            (names::CORPUS_TRACELET_MISS, &c.tracelet_misses),
+            (names::CORPUS_SLM_HIT, &c.slm_hits),
+            (names::CORPUS_SLM_MISS, &c.slm_misses),
+            (names::CORPUS_DISTANCE_HIT, &c.distance_hits),
+            (names::CORPUS_DISTANCE_MISS, &c.distance_misses),
+            (names::CORPUS_LIFTING_HIT, &c.lifting_hits),
+            (names::CORPUS_LIFTING_MISS, &c.lifting_misses),
+            (names::CORPUS_BYTES_STORED, &c.bytes_stored),
+            (names::CORPUS_CORRUPT_DROPPED, &c.corrupt_dropped),
+            (names::CORPUS_EVICTED, &c.evicted),
+        ] {
+            stats.set(name, counter.load(Ordering::Relaxed));
         }
+        stats
     }
 
     /// Entries stored per tier: `(executions, models, distances)`.
@@ -1503,8 +1472,11 @@ mod tests {
         let hit = view.load(key).expect("stored exec must hit");
         assert!(Arc::ptr_eq(&hit, &exec), "hits share the decoded execution");
         let s = cache.stats();
-        assert_eq!((s.tracelet_hits, s.tracelet_misses), (1, 1));
-        assert!(s.bytes_stored > 0);
+        assert_eq!(
+            (s.counter(names::CORPUS_TRACELET_HIT), s.counter(names::CORPUS_TRACELET_MISS)),
+            (1, 1)
+        );
+        assert!(s.counter(names::CORPUS_BYTES_STORED) > 0);
         // A different config salts to a different key space.
         let other = cache.exec_cache(&AnalysisConfig::fast());
         assert_eq!(other.load(key), None);
@@ -1513,8 +1485,8 @@ mod tests {
         assert_eq!(touched, 1);
         assert_eq!(view.load(key), None);
         let s = cache.stats();
-        assert_eq!(s.corrupt_dropped, 1);
-        assert_eq!(s.bytes_stored, 0);
+        assert_eq!(s.counter(names::CORPUS_CORRUPT_DROPPED), 1);
+        assert_eq!(s.counter(names::CORPUS_BYTES_STORED), 0);
         // Recompute path: store again, clean hit.
         view.store(key, Arc::clone(&exec));
         assert_eq!(view.load(key), Some(exec));
@@ -1539,7 +1511,7 @@ mod tests {
         let touched = cache.corrupt_all(&FaultPlan::seeded(7, 0), 3);
         assert_eq!(touched, 2);
         assert_eq!(view.load_ctors(key), None);
-        assert!(cache.stats().corrupt_dropped >= 1);
+        assert!(cache.stats().counter(names::CORPUS_CORRUPT_DROPPED) >= 1);
         // Negative results (no stores) round-trip too.
         view.store_ctors(key, &CachedCtors::default());
         assert_eq!(view.load_ctors(key), Some(CachedCtors::default()));
@@ -1574,7 +1546,7 @@ mod tests {
         let hit = cache.load_model(key).expect("stored model must hit");
         assert!(Arc::ptr_eq(&hit, &arc), "hits share the finalized model");
         let s = cache.stats();
-        assert_eq!((s.slm_hits, s.slm_misses), (1, 1));
+        assert_eq!((s.counter(names::CORPUS_SLM_HIT), s.counter(names::CORPUS_SLM_MISS)), (1, 1));
     }
 
     #[test]
@@ -1589,7 +1561,11 @@ mod tests {
         let (_, _, dist_len) = cache.lens();
         assert!(dist_len <= SHARDS, "live entries bounded by cap ({dist_len} > {SHARDS})");
         let s = cache.stats();
-        assert_eq!(s.evicted, 64 - dist_len as u64, "every displaced entry is counted");
+        assert_eq!(
+            s.counter(names::CORPUS_EVICTED),
+            64 - dist_len as u64,
+            "every displaced entry is counted"
+        );
         // The newest entry in its shard survives and verifies clean.
         let got = cache.distance_load((Metric::KlDivergence, 63, 64));
         assert_eq!(got.map(f64::to_bits), Some((d + 63.0).to_bits()));
@@ -1602,13 +1578,13 @@ mod tests {
         let (_, _, after) = cache.lens();
         assert!(after <= SHARDS, "re-store under pressure must not grow the shard");
         // bytes_stored reflects live entries only: 8 bytes per distance.
-        assert_eq!(cache.stats().bytes_stored, 8 * after as u64);
+        assert_eq!(cache.stats().counter(names::CORPUS_BYTES_STORED), 8 * after as u64);
         // An unbounded cache never evicts.
         let unbounded = CorpusCache::new();
         for k in 0..64u128 {
             unbounded.distance_with(Metric::KlDivergence, k, k + 1, || d);
         }
-        assert_eq!(unbounded.stats().evicted, 0);
+        assert_eq!(unbounded.stats().counter(names::CORPUS_EVICTED), 0);
         assert_eq!(unbounded.lens().2, 64);
     }
 
@@ -1633,8 +1609,14 @@ mod tests {
                 "eviction must be deterministic (key {i})"
             );
         }
-        assert_eq!(a.stats().evicted, b.stats().evicted);
-        assert!(a.stats().evicted > 0, "40 inserts over a 16-entry tier must evict");
+        assert_eq!(
+            a.stats().counter(names::CORPUS_EVICTED),
+            b.stats().counter(names::CORPUS_EVICTED)
+        );
+        assert!(
+            a.stats().counter(names::CORPUS_EVICTED) > 0,
+            "40 inserts over a 16-entry tier must evict"
+        );
     }
 
     #[test]
@@ -1701,12 +1683,22 @@ mod tests {
         }
         assert_eq!(calls, 1);
         let s = cache.stats();
-        assert_eq!((s.distance_hits, s.distance_misses), (2, 1));
+        assert_eq!(
+            (s.counter(names::CORPUS_DISTANCE_HIT), s.counter(names::CORPUS_DISTANCE_MISS)),
+            (2, 1)
+        );
         // A corrupt entry is dropped and recomputed, never returned.
         cache.corrupt_all(&FaultPlan::seeded(3, 0), 3);
         assert_eq!(cache.distance_with(Metric::KlDivergence, 1, 2, || d + 1.0), d + 1.0);
         let s = cache.stats();
-        assert_eq!((s.distance_hits, s.distance_misses, s.corrupt_dropped), (2, 2, 1));
+        assert_eq!(
+            (
+                s.counter(names::CORPUS_DISTANCE_HIT),
+                s.counter(names::CORPUS_DISTANCE_MISS),
+                s.counter(names::CORPUS_CORRUPT_DROPPED)
+            ),
+            (2, 2, 1)
+        );
     }
 
     #[test]
@@ -1722,7 +1714,10 @@ mod tests {
         }
         assert_eq!(cache.lens().2, 6, "three metrics times two directions");
         let s = cache.stats();
-        assert_eq!((s.distance_hits, s.distance_misses), (0, 6));
+        assert_eq!(
+            (s.counter(names::CORPUS_DISTANCE_HIT), s.counter(names::CORPUS_DISTANCE_MISS)),
+            (0, 6)
+        );
         // Each stored entry answers only its own key.
         let kl_ab = cache.distance_with(Metric::KlDivergence, 1, 2, || unreachable!());
         assert_eq!(kl_ab.to_bits(), rock_slm::kl_divergence(&a, &b).to_bits());
@@ -1750,7 +1745,13 @@ mod tests {
         });
         assert_eq!(cache.lens().2, 5 * 7);
         let s = cache.stats();
-        assert_eq!(s.distance_hits + s.distance_misses, 200);
-        assert!(s.distance_misses >= 35, "every distinct key missed at least once");
+        assert_eq!(
+            s.counter(names::CORPUS_DISTANCE_HIT) + s.counter(names::CORPUS_DISTANCE_MISS),
+            200
+        );
+        assert!(
+            s.counter(names::CORPUS_DISTANCE_MISS) >= 35,
+            "every distinct key missed at least once"
+        );
     }
 }

@@ -48,27 +48,23 @@ pub mod corpus;
 pub mod diagnostics;
 mod eval;
 pub mod faultplan;
-pub mod incrstats;
 mod par;
 mod pipeline;
 mod pseudo;
 mod report;
 mod staged;
-pub mod storestats;
 pub mod suite;
 mod timings;
 
 pub use config::RockConfig;
-pub use corpus::{distance_disk_key, lift_key, pool_key, CorpusCache, CorpusStats, SubTier};
+pub use corpus::{distance_disk_key, lift_key, pool_key, CorpusCache, SubTier};
 pub use diagnostics::{Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject};
 pub use eval::{evaluate, evaluate_k_parents, project_hierarchy, AppDistance, Evaluation};
 pub use faultplan::FaultPlan;
-pub use incrstats::IncrStats;
 pub use par::Parallelism;
 pub use pipeline::{Reconstruction, Rock};
 pub use pseudo::pseudo_source;
 pub use report::{render_table2, render_table2_markdown, Table2Row};
 pub use rock_trace::TraceLevel;
 pub use staged::{RestoreError, StageId, StagedRun};
-pub use storestats::StoreStats;
 pub use timings::StageTimings;

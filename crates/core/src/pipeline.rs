@@ -56,16 +56,16 @@ pub struct Reconstruction {
     /// Behavioral distances computed for surviving candidate edges:
     /// `(parent, child) -> distance`.
     pub distances: BTreeMap<(Addr, Addr), f64>,
-    /// Per-stage wall-clock and work counters for this run.
+    /// Per-stage wall clock for this run.
     pub timings: StageTimings,
     /// Every contained fault of the run, in deterministic record order.
     pub diagnostics: Vec<StageError>,
     /// How much of the binary the run actually covered.
     pub coverage: Coverage,
-    /// The run's full metrics registry (counters + histograms); the
-    /// [`StageTimings`] counters are a fixed projection of it. Contains
-    /// only deterministic work counts — never wall-clock values — so two
-    /// runs of the same binary compare equal at any thread count.
+    /// The run's full metrics registry (counters + histograms): every
+    /// work count of the run. Contains only deterministic work counts —
+    /// never wall-clock values — so two runs of the same binary compare
+    /// equal at any thread count.
     pub metrics: MetricsRegistry,
     /// The metric the distances were computed under.
     metric: Metric,
@@ -684,17 +684,22 @@ mod tests {
         let (loaded, _) = streams_optimized();
         let recon = Rock::new(RockConfig::paper()).reconstruct(&loaded);
         let t = recon.timings;
-        assert_eq!(t.slm_count, 3);
-        assert!(t.slm_nodes > 0 && t.slm_edges > 0 && t.slm_bytes > 0);
-        assert!(t.slm_total_words > 0);
-        assert!(t.slm_unique_words as u64 <= t.slm_total_words, "dedup can only shrink");
-        assert!(t.edge_count >= recon.distances.len());
         assert!(t.threads >= 1);
         assert!(t.total >= t.analysis);
-        assert_eq!(t.foreign_candidates, 0);
+        let m = &recon.metrics;
+        assert_eq!(m.counter(names::SLM_MODELS_TRAINED), 3);
+        assert!(m.counter(names::SLM_ARENA_NODES) > 0 && m.counter(names::SLM_ARENA_EDGES) > 0);
+        assert!(m.counter(names::SLM_ARENA_BYTES) > 0);
+        assert!(m.counter(names::SLM_WORDS_TOTAL) > 0);
+        assert!(
+            m.counter(names::SLM_WORDS_UNIQUE) <= m.counter(names::SLM_WORDS_TOTAL),
+            "dedup can only shrink"
+        );
+        assert!(m.counter(names::DISTANCES_EDGES) as usize >= recon.distances.len());
+        assert_eq!(m.counter(names::DISTANCES_FOREIGN_CANDIDATES), 0);
         // Every lifted edge asked for its own distinct key pair.
-        assert_eq!(t.cache_misses as usize, recon.distances.len());
-        assert_eq!(t.cache_hits, 0);
+        assert_eq!(m.counter(names::DISTANCES_CACHE_MISS) as usize, recon.distances.len());
+        assert_eq!(m.counter(names::DISTANCES_CACHE_HIT), 0);
     }
 
     #[test]
@@ -704,13 +709,16 @@ mod tests {
         let rock = Rock::new(RockConfig::paper()).with_corpus_cache(Arc::clone(&corpus));
         let first = rock.reconstruct(&loaded);
         let warm = corpus.stats();
-        assert!(warm.distance_misses > 0, "the first run computes and publishes");
+        assert!(
+            warm.counter(names::CORPUS_DISTANCE_MISS) > 0,
+            "the first run computes and publishes"
+        );
         // The second run through the shared corpus computes no distance
         // and gets the same bits.
         let second = rock.reconstruct(&loaded);
         let delta = corpus.stats().since(&warm);
-        assert_eq!(delta.distance_misses, 0);
-        assert!(delta.distance_hits > 0);
+        assert_eq!(delta.counter(names::CORPUS_DISTANCE_MISS), 0);
+        assert!(delta.counter(names::CORPUS_DISTANCE_HIT) > 0);
         assert_eq!(first.distances.len(), second.distances.len());
         for (k, d) in &first.distances {
             assert_eq!(d.to_bits(), second.distances[k].to_bits(), "distance bits for {k:?}");
@@ -721,7 +729,7 @@ mod tests {
         let plain = Rock::new(RockConfig::paper());
         let first = plain.reconstruct(&loaded);
         let second = plain.reconstruct(&loaded);
-        assert!(second.timings.cache_misses > 0);
+        assert!(second.metrics.counter(names::DISTANCES_CACHE_MISS) > 0);
         assert_eq!(first.metrics.to_json(), second.metrics.to_json());
     }
 
@@ -766,10 +774,14 @@ mod tests {
         let recon = Rock::new(RockConfig::paper()).reconstruct(&loaded);
         assert!(recon.diagnostics.is_empty(), "clean run: {:?}", recon.diagnostics);
         assert!(recon.coverage.is_complete(), "clean run: {:?}", recon.coverage);
-        assert_eq!(recon.timings.skipped_functions, 0);
-        assert_eq!(recon.timings.fuel_exhausted, 0);
-        assert_eq!(recon.timings.rejected_vtables, 0);
-        assert_eq!(recon.timings.diagnostics_bytes, 0);
+        for name in [
+            names::ANALYSIS_FUNCTIONS_SKIPPED,
+            names::ANALYSIS_FUEL_EXHAUSTED,
+            names::LOAD_VTABLES_REJECTED,
+            names::DIAGNOSTICS_BYTES,
+        ] {
+            assert_eq!(recon.metrics.counter(name), 0, "{name}");
+        }
     }
 
     #[test]
@@ -779,7 +791,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new().panic_on(victim));
         let recon = Rock::new(RockConfig::paper()).with_fault_plan(plan).reconstruct(&loaded);
         assert_eq!(recon.coverage.functions_skipped, 1);
-        assert_eq!(recon.timings.skipped_functions, 1);
+        assert_eq!(recon.metrics.counter(names::ANALYSIS_FUNCTIONS_SKIPPED), 1);
         let e = recon
             .diagnostics
             .iter()
@@ -787,7 +799,7 @@ mod tests {
             .expect("analysis fault must be recorded");
         assert_eq!(e.subject, Subject::Function(victim));
         assert_eq!(e.severity, Severity::Error);
-        assert!(recon.timings.diagnostics_bytes > 0);
+        assert!(recon.metrics.counter(names::DIAGNOSTICS_BYTES) > 0);
         // The rest of the binary is still reconstructed.
         assert_eq!(recon.hierarchy.len(), 3);
     }

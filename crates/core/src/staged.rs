@@ -1011,8 +1011,6 @@ impl<'a> StagedRun<'a> {
         if dropped > 0 {
             eprintln!("rock: diagnostic sink overflowed; {dropped} entries dropped");
         }
-        // The timings counters are a fixed projection of the registry.
-        self.timings.absorb_counters(&self.metrics);
         self.timings.total = self.run_start.elapsed();
 
         assemble_reconstruction(

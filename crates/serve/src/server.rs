@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rock_core::{CorpusCache, FaultPlan, IncrStats, RockConfig};
+use rock_core::{CorpusCache, FaultPlan, RockConfig};
 use rock_supervisor::wire::{
     JobState, RejectReason, Request, Response, SERVE_MIN_PROTOCOL_VERSION, SERVE_PROTOCOL_VERSION,
 };
@@ -169,7 +169,6 @@ struct Inner {
     metrics: Mutex<MetricsRegistry>,
     faults: Mutex<BTreeMap<String, Arc<FaultPlan>>>,
     poisoned: Mutex<BTreeSet<String>>,
-    incr: Mutex<IncrStats>,
 }
 
 impl Inner {
@@ -370,8 +369,8 @@ impl Inner {
         // in-flight job's work, and a restarted one preloads everything
         // every earlier tenant computed.
         if self.cfg.options.incremental {
-            let delta = sup.flush_incremental();
-            self.incr.lock().expect("serve incr stats poisoned").add(&delta);
+            let flushed = sup.flush_incremental();
+            self.metrics.lock().expect("serve metrics poisoned").merge_from(&flushed);
         }
         Slot::Done {
             exit_code: result.report.exit_code(),
@@ -419,7 +418,9 @@ impl ServerHandle {
         (self.inner.queued.load(Ordering::Relaxed), self.inner.running.load(Ordering::Relaxed))
     }
 
-    /// One `serve.*` counter by name.
+    /// One daemon counter by name: a `serve.*` count, or an `incr.*`
+    /// sub-artifact preload/flush total (these only move when
+    /// [`SupervisorOptions::incremental`] is on).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner.counter(name)
     }
@@ -427,18 +428,6 @@ impl ServerHandle {
     /// The daemon-lifetime summary so far.
     pub fn summary(&self) -> DrainSummary {
         self.inner.summary()
-    }
-
-    /// Process-lifetime fault counters of the shared artifact store
-    /// (retries, losses, corruption, swept tmp files).
-    pub fn store_stats(&self) -> rock_core::StoreStats {
-        self.inner.store.stats()
-    }
-
-    /// Cumulative sub-artifact preload/flush accounting (only moves
-    /// when [`SupervisorOptions::incremental`] is on).
-    pub fn incr_stats(&self) -> IncrStats {
-        *self.inner.incr.lock().expect("serve incr stats poisoned")
     }
 
     /// Attaches a [`FaultPlan`] to every future job submitted under
@@ -493,10 +482,10 @@ impl Server {
         // before any tenant connects: a resubmitted (or patched) image
         // then reuses every function/type/pair/family artifact an
         // earlier daemon over this store already computed.
-        let incr = if cfg.options.incremental {
+        let metrics = if cfg.options.incremental {
             rock_supervisor::preload_subartifacts(&store, &corpus)
         } else {
-            IncrStats::default()
+            MetricsRegistry::new()
         };
         let inner = Arc::new(Inner {
             cfg,
@@ -512,10 +501,9 @@ impl Server {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(false),
-            metrics: Mutex::new(MetricsRegistry::new()),
+            metrics: Mutex::new(metrics),
             faults: Mutex::new(BTreeMap::new()),
             poisoned: Mutex::new(BTreeSet::new()),
-            incr: Mutex::new(incr),
         });
         Ok(Server { inner, listener })
     }
@@ -595,8 +583,8 @@ impl Server {
         // this mostly `unchanged`, but it catches anything a worker
         // computed after its own flush (shared-cache cross-talk).
         if inner.cfg.options.incremental {
-            let delta = rock_supervisor::flush_subartifacts(&inner.store, &inner.corpus);
-            inner.incr.lock().expect("serve incr stats poisoned").add(&delta);
+            let flushed = rock_supervisor::flush_subartifacts(&inner.store, &inner.corpus);
+            inner.metrics.lock().expect("serve metrics poisoned").merge_from(&flushed);
         }
         Ok(inner.summary())
     }

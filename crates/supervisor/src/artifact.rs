@@ -35,9 +35,10 @@
 //! All filesystem traffic goes through a [`Vfs`] handle ([`StdVfs`] in
 //! production, `FaultyVfs` under chaos testing). The store classifies
 //! i/o faults with [`crate::vfs::is_transient`]: transient faults get a
-//! bounded clock-free retry (schedule from [`RetryPolicy`], recorded in
-//! [`StoreStats`], slept only when `sleep_backoff` is set); persistent
-//! faults surface to the caller, which degrades instead of spinning.
+//! bounded clock-free retry (schedule from [`RetryPolicy`], counted in
+//! the `store.*` counters of [`ArtifactStore::stats`], slept only when
+//! `sleep_backoff` is set); persistent faults surface to the caller,
+//! which degrades instead of spinning.
 //! In `durable` mode the tmp file is fsynced before the rename and the
 //! parent directory after it, so a committed checkpoint survives power
 //! loss; the default skips both fsyncs (honest benchmarks, and a lost
@@ -56,11 +57,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rock_analysis::{Analysis, CtorMap, Event, IncidentKind, TypeTracelets};
 use rock_binary::Addr;
 use rock_budget::RetryPolicy;
-use rock_core::{
-    Coverage, FaultKind, RockConfig, Severity, Stage, StageError, StageId, StoreStats, Subject,
-};
+use rock_core::{Coverage, FaultKind, RockConfig, Severity, Stage, StageError, StageId, Subject};
 use rock_graph::Forest;
 use rock_slm::Metric;
+use rock_trace::{names, MetricsRegistry};
 
 use crate::vfs::{is_transient, StdVfs, Vfs};
 use crate::wire::{fnv1a, Reader, WireError, Writer};
@@ -204,7 +204,8 @@ pub fn config_fingerprint(config: &RockConfig) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Atomic mirror of [`StoreStats`], shared by every clone of a store.
+/// The fault-path counters behind [`ArtifactStore::stats`], shared by
+/// every clone of a store.
 #[derive(Debug, Default)]
 struct StatsCell {
     tmp_swept: AtomicU64,
@@ -339,20 +340,26 @@ impl ArtifactStore {
         self.durable
     }
 
-    /// A snapshot of the store's fault-path counters (process totals;
-    /// use [`StoreStats::since`] for per-job deltas).
-    pub fn stats(&self) -> StoreStats {
+    /// A snapshot of the store's fault-path counters under their
+    /// `store.*` names, all seven the store owns present even at zero
+    /// (process totals; per-job deltas come from
+    /// [`MetricsRegistry::since`]). `store.checkpoints_skipped` is
+    /// counted by the supervisor, not the store.
+    pub fn stats(&self) -> MetricsRegistry {
         let s = &self.stats;
-        StoreStats {
-            tmp_swept: s.tmp_swept.load(Ordering::Relaxed),
-            write_retries: s.write_retries.load(Ordering::Relaxed),
-            write_failures: s.write_failures.load(Ordering::Relaxed),
-            read_retries: s.read_retries.load(Ordering::Relaxed),
-            read_failures: s.read_failures.load(Ordering::Relaxed),
-            corrupt_detected: s.corrupt_detected.load(Ordering::Relaxed),
-            checkpoints_skipped: 0, // supervisor-side; see JobReport
-            retry_backoff_ms: s.retry_backoff_ms.load(Ordering::Relaxed),
+        let mut stats = MetricsRegistry::new();
+        for (name, counter) in [
+            (names::STORE_TMP_SWEPT, &s.tmp_swept),
+            (names::STORE_WRITE_RETRIES, &s.write_retries),
+            (names::STORE_WRITE_FAILURES, &s.write_failures),
+            (names::STORE_READ_RETRIES, &s.read_retries),
+            (names::STORE_READ_FAILURES, &s.read_failures),
+            (names::STORE_CORRUPT_DETECTED, &s.corrupt_detected),
+            (names::STORE_RETRY_BACKOFF_MS, &s.retry_backoff_ms),
+        ] {
+            stats.set(name, counter.load(Ordering::Relaxed));
         }
+        stats
     }
 
     /// The directory holding one job's artifacts.

@@ -55,7 +55,7 @@
 //! each payload's own key from its decoded content (a model must
 //! reproduce its pool key, a distance its disk key), so a payload can
 //! never be loaded under a key it does not hash to. A rejected file is
-//! counted ([`IncrStats::corrupt_skipped`]) and simply recomputes —
+//! counted (`incr.corrupt_skipped`) and simply recomputes —
 //! degradation, never stale reuse. `rock store scrub` quarantines such
 //! files individually without touching their tier siblings.
 //!
@@ -85,15 +85,17 @@
 //!
 //! The warm ≡ cold invariant holds end to end: preloaded entries only
 //! ever short-circuit work whose outputs are bit-identical to
-//! recomputation (enforced by `tests/incremental_delta.rs`), and
-//! [`IncrStats`] counters ride in timings/metrics only, never in the
-//! pipeline's own registry or diagnostics.
+//! recomputation (enforced by `tests/incremental_delta.rs`), and the
+//! `incr.*` counters preload and flush return ride in the batch and
+//! daemon registries only, never in the pipeline's own registry or
+//! diagnostics.
 
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rock_core::{CorpusCache, IncrStats, SubTier};
+use rock_core::{CorpusCache, SubTier};
+use rock_trace::{names, MetricsRegistry};
 
 use crate::artifact::{ArtifactStore, OpClass};
 use crate::wire::{fnv1a, Reader, Writer};
@@ -294,10 +296,13 @@ pub fn verify_sub_bytes(
 /// only when the pack mirrors the tier listing exactly (each listed
 /// entry once, nothing else); otherwise it holds no verified pack, and
 /// the next flush rebuilds one whole.
-pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrStats {
+///
+/// Returns the `incr.preloaded`, `incr.corrupt_skipped` and
+/// `incr.io_errors` counts.
+pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
     let mut held = store.pack();
     *held = None;
-    let mut stats = IncrStats::default();
+    let (mut preloaded, mut corrupt_skipped, mut io_errors) = (0, 0, 0);
     // Gather the per-tier listings up front (one readdir per tier):
     // the listings are the index of what the store currently trusts.
     // Everything the snapshot pack can serve is imported from it in
@@ -313,7 +318,7 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(_) => {
-                stats.io_errors += 1;
+                io_errors += 1;
                 continue;
             }
         };
@@ -323,7 +328,7 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
                 continue; // crash debris; the open-time sweep owns it
             }
             let Some(key) = key_of_sub_name(&name) else {
-                stats.corrupt_skipped += 1;
+                corrupt_skipped += 1;
                 continue;
             };
             work.push((tier, file, key));
@@ -348,7 +353,7 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
                         && !served.contains(&id)
                         && corpus.import_entry(tier, key, &payload)
                     {
-                        stats.preloaded += 1;
+                        preloaded += 1;
                         served.insert(id);
                     }
                 }
@@ -358,33 +363,49 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Incr
                     *held = Some(bytes);
                 }
             }
-            Err(_) => stats.corrupt_skipped += 1, // scrub quarantines it
+            Err(_) => corrupt_skipped += 1, // scrub quarantines it
         },
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(_) => stats.io_errors += 1,
+        Err(_) => io_errors += 1,
     }
     work.retain(|(t, _, k)| !served.contains(&(t.tag(), *k)));
-    let preload_one = |(tier, file, key): &(SubTier, PathBuf, u128)| {
-        let mut local = IncrStats::default();
-        match store.with_retry_op(OpClass::Read, || store.vfs().read(file)) {
-            Ok(bytes) => match decode_sub(&bytes) {
-                Ok((t, k, payload)) if t == *tier && k == *key => {
-                    if corpus.import_entry(t, k, &payload) {
-                        local.preloaded += 1;
-                    } else {
-                        local.corrupt_skipped += 1;
-                    }
+    let preload_one = |(tier, file, key): &(SubTier, PathBuf, u128)| match store
+        .with_retry_op(OpClass::Read, || store.vfs().read(file))
+    {
+        Ok(bytes) => match decode_sub(&bytes) {
+            Ok((t, k, payload)) if t == *tier && k == *key => {
+                if corpus.import_entry(t, k, &payload) {
+                    Loaded::Imported
+                } else {
+                    Loaded::Rejected
                 }
-                _ => local.corrupt_skipped += 1,
-            },
-            Err(_) => local.io_errors += 1,
-        }
-        local
+            }
+            _ => Loaded::Rejected,
+        },
+        Err(_) => Loaded::Unreadable,
     };
-    for local in par_map(&work, preload_one) {
-        stats.add(&local);
+    for loaded in par_map(&work, preload_one) {
+        match loaded {
+            Loaded::Imported => preloaded += 1,
+            Loaded::Rejected => corrupt_skipped += 1,
+            Loaded::Unreadable => io_errors += 1,
+        }
     }
+    let mut stats = MetricsRegistry::new();
+    stats.set(names::INCR_PRELOADED, preloaded);
+    stats.set(names::INCR_CORRUPT_SKIPPED, corrupt_skipped);
+    stats.set(names::INCR_IO_ERRORS, io_errors);
     stats
+}
+
+/// What preloading one loose sub-artifact file did.
+enum Loaded {
+    /// Verified and imported into the corpus.
+    Imported,
+    /// Bad frame, misfiled, or rejected by the importer.
+    Rejected,
+    /// The read failed after retries.
+    Unreadable,
 }
 
 /// Maps `f` over `work` on a small thread pool, keeping input order.
@@ -424,13 +445,35 @@ where
 /// write hands its entry back to the corpus for the next flush. A store
 /// holding no verified pack rebuilds it whole from every persisted
 /// entry. Flushes of one store run one at a time.
-pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrStats {
+///
+/// Returns the `incr.flushed`, `incr.unchanged` and `incr.io_errors`
+/// counts.
+pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
     let mut pack = store.pack();
     let (claimed, unchanged) = corpus.claim_unpersisted();
-    let mut stats = IncrStats { unchanged, ..IncrStats::default() };
-    let committed = write_claimed(store, corpus, &claimed, &mut stats);
+    let mut io_errors = 0;
+    let committed = write_claimed(store, corpus, &claimed, &mut io_errors);
+    let flushed = committed.len() as u64;
+    io_errors += write_pack(store, corpus, &mut pack, committed, unchanged);
+    let mut stats = MetricsRegistry::new();
+    stats.set(names::INCR_FLUSHED, flushed);
+    stats.set(names::INCR_UNCHANGED, unchanged);
+    stats.set(names::INCR_IO_ERRORS, io_errors);
+    stats
+}
+
+/// Appends the `committed` frames to the held pack as one segment, or
+/// rebuilds the pack whole when the store holds no verified one, and
+/// writes it. Returns the i/o errors it met (0 or 1).
+fn write_pack(
+    store: &ArtifactStore,
+    corpus: &CorpusCache,
+    pack: &mut Option<Vec<u8>>,
+    committed: Vec<Vec<u8>>,
+    unchanged: u64,
+) -> u64 {
     let bytes = match pack.as_mut() {
-        Some(_) if committed.is_empty() => return stats,
+        Some(_) if committed.is_empty() => return 0,
         Some(bytes) => {
             append_segment(bytes, &committed);
             bytes
@@ -445,7 +488,7 @@ pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrSt
                 corpus.export_entries().iter().map(|(t, k, p)| encode_sub(*t, *k, p)).collect()
             };
             if frames.is_empty() {
-                return stats;
+                return 0;
             }
             pack.insert(encode_snapshot(&frames))
         }
@@ -463,34 +506,31 @@ pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> IncrSt
         store.vfs().rename(&tmp, &dst)
     });
     match result {
-        Ok(()) if store.durable() && store.vfs().sync_dir(&sub_root).is_err() => {
-            stats.io_errors += 1;
-        }
-        Ok(()) => {}
+        Ok(()) if store.durable() && store.vfs().sync_dir(&sub_root).is_err() => 1,
+        Ok(()) => 0,
         Err(_) => {
-            stats.io_errors += 1;
             let _ = store.vfs().remove_file(&tmp);
+            1
         }
     }
-    stats
 }
 
 /// Writes each claimed entry to its loose file, fanned across threads
 /// (distinct keys mean distinct tmp and destination paths, so the
-/// writes commute). Hands every failed entry back to `corpus` and
-/// returns the committed frames in claim order.
+/// writes commute). Hands every failed entry back to `corpus`, counts
+/// it in `io_errors`, and returns the committed frames in claim order.
 fn write_claimed(
     store: &ArtifactStore,
     corpus: &CorpusCache,
     claimed: &[(SubTier, u128, Vec<u8>)],
-    stats: &mut IncrStats,
+    io_errors: &mut u64,
 ) -> Vec<Vec<u8>> {
     let tiers: Vec<SubTier> =
         SubTier::ALL.into_iter().filter(|&t| claimed.iter().any(|(c, ..)| *c == t)).collect();
     for &tier in &tiers {
         let dir = store.sub_tier_dir(tier);
         if store.with_retry_op(OpClass::Write, || store.vfs().create_dir_all(&dir)).is_err() {
-            stats.io_errors += 1;
+            *io_errors += 1;
         }
     }
     let write_one = |(tier, key, payload): &(SubTier, u128, Vec<u8>)| {
@@ -517,13 +557,12 @@ fn write_claimed(
         for &tier in &tiers {
             let wrote = claimed.iter().zip(&results).any(|((t, ..), r)| *t == tier && r.is_some());
             if wrote && store.vfs().sync_dir(&store.sub_tier_dir(tier)).is_err() {
-                stats.io_errors += 1;
+                *io_errors += 1;
             }
         }
     }
     let committed: Vec<Vec<u8>> = results.into_iter().flatten().collect();
-    stats.flushed += committed.len() as u64;
-    stats.io_errors += (claimed.len() - committed.len()) as u64;
+    *io_errors += (claimed.len() - committed.len()) as u64;
     committed
 }
 

@@ -31,8 +31,7 @@ use std::time::Instant;
 use rock_binary::{image_from_bytes, Addr};
 use rock_budget::{Deadline, RetryPolicy};
 use rock_core::{
-    CorpusCache, CorpusStats, FaultPlan, IncrStats, Reconstruction, Rock, RockConfig, Severity,
-    StageId, StagedRun, StoreStats,
+    CorpusCache, FaultPlan, Reconstruction, Rock, RockConfig, Severity, StageId, StagedRun,
 };
 use rock_graph::Forest;
 use rock_loader::LoadedBinary;
@@ -78,9 +77,11 @@ pub struct SupervisorOptions {
     pub sleep_backoff: bool,
     /// Abort the batch after this many hard failures (code ≥ 3).
     pub max_failures: Option<usize>,
-    /// Embed the run's versioned metrics document in each job report
-    /// (`rock batch --metrics`). The registry is computed by the
-    /// pipeline either way; this only controls report size.
+    /// Merge the run's own metrics registry into each job report's
+    /// metrics document (`rock batch --metrics`). Without it the
+    /// document holds only the job's operational counters
+    /// ([`JobReport::counters`]). The pipeline computes its registry
+    /// either way; this only controls report size.
     pub collect_metrics: bool,
     /// Persist the corpus cache's sub-artifacts across processes:
     /// preload them from the store before the batch and flush new ones
@@ -233,24 +234,67 @@ pub struct JobReport {
     pub roots: usize,
     /// Wall-clock time spent on the job.
     pub elapsed_ms: u64,
-    /// The run's versioned metrics document (pipeline registry plus the
-    /// `supervisor.*` counters), when
-    /// [`SupervisorOptions::collect_metrics`] is set. Deterministic work
-    /// counts only — no wall-clock values.
+    /// The job's versioned metrics document: [`JobReport::counters`],
+    /// merged into the pipeline's own registry when
+    /// [`SupervisorOptions::collect_metrics`] is set. Work counts only —
+    /// no wall-clock values. `None` only for an unloadable image.
     pub metrics: Option<String>,
-    /// This job's corpus-cache traffic (hit/miss/bytes deltas across all
-    /// three tiers), when the supervisor has a [`CorpusCache`] attached.
-    pub corpus: Option<CorpusStats>,
-    /// This job's artifact-store fault-path traffic (sweep / retry /
-    /// failure / corruption deltas), present only when something fired —
-    /// healthy runs on a healthy disk omit it. Deltas against a store
-    /// shared by concurrent jobs (serve) are approximate, like `corpus`.
-    pub store: Option<StoreStats>,
+    /// The job's operational counters: the four `supervisor.*` counts;
+    /// all eleven `corpus.*` deltas when the supervisor has a
+    /// [`CorpusCache`] attached; and all eight `store.*` fault-path
+    /// deltas when one fired or an incident was recorded (healthy runs
+    /// on a healthy disk omit them). Deltas against a cache or store
+    /// shared by concurrent jobs (serve) are approximate.
+    pub counters: MetricsRegistry,
     /// Typed storage incidents (persistent faults) this job absorbed.
     pub store_incidents: Vec<StoreIncident>,
 }
 
 impl JobReport {
+    /// A fresh report for job `name`: outcome ok, nothing recorded yet,
+    /// and the four `supervisor.*` counters at zero (every report
+    /// carries them).
+    fn new(name: &str, key: u64) -> JobReport {
+        let mut counters = MetricsRegistry::new();
+        for name in [
+            names::SUPERVISOR_ATTEMPTS,
+            names::SUPERVISOR_CHECKPOINTS_SAVED,
+            names::SUPERVISOR_STAGES_RESTORED,
+            names::SUPERVISOR_BACKOFF_MS,
+        ] {
+            counters.set(name, 0);
+        }
+        JobReport {
+            name: name.to_string(),
+            key,
+            outcome: JobOutcome::Ok,
+            attempts: Vec::new(),
+            restored: Vec::new(),
+            resume_corrupt: false,
+            errors: 0,
+            warnings: 0,
+            types: 0,
+            roots: 0,
+            elapsed_ms: 0,
+            metrics: None,
+            counters,
+            store_incidents: Vec::new(),
+        }
+    }
+
+    /// Folds the job's artifact-store delta into
+    /// [`JobReport::counters`], as all eight `store.*` counters, when a
+    /// fault path fired (a skipped save counts) or an incident was
+    /// recorded. Healthy runs on a healthy disk stay unchanged
+    /// byte-for-byte.
+    fn attach_store_delta(&mut self, delta: &MetricsRegistry) {
+        let skipped = self.counters.counter(names::STORE_CHECKPOINTS_SKIPPED);
+        if skipped > 0 || delta.counters().any(|(_, v)| v > 0) || !self.store_incidents.is_empty() {
+            self.counters.merge_from(delta);
+            self.counters.set(names::STORE_CHECKPOINTS_SKIPPED, skipped);
+        }
+    }
+
     /// The job's process exit code: the outcome's code, raised to
     /// [`exit::RESUME_CORRUPT`] if resume found damaged artifacts.
     pub fn exit_code(&self) -> u8 {
@@ -307,41 +351,6 @@ impl JobReport {
         if let Some(doc) = &self.metrics {
             // Already a rendered JSON object; embed it verbatim.
             s.push_str(&format!("\"metrics\":{doc},"));
-        }
-        if let Some(c) = &self.corpus {
-            s.push_str(&format!(
-                "\"corpus\":{{\"tracelet_hits\":{},\"tracelet_misses\":{},\
-                 \"slm_hits\":{},\"slm_misses\":{},\
-                 \"distance_hits\":{},\"distance_misses\":{},\
-                 \"lifting_hits\":{},\"lifting_misses\":{},\
-                 \"bytes_stored\":{},\"corrupt_dropped\":{},\"evicted\":{}}},",
-                c.tracelet_hits,
-                c.tracelet_misses,
-                c.slm_hits,
-                c.slm_misses,
-                c.distance_hits,
-                c.distance_misses,
-                c.lifting_hits,
-                c.lifting_misses,
-                c.bytes_stored,
-                c.corrupt_dropped,
-                c.evicted,
-            ));
-        }
-        if let Some(st) = &self.store {
-            s.push_str(&format!(
-                "\"store\":{{\"tmp_swept\":{},\"write_retries\":{},\"write_failures\":{},\
-                 \"read_retries\":{},\"read_failures\":{},\"corrupt_detected\":{},\
-                 \"checkpoints_skipped\":{},\"retry_backoff_ms\":{}}},",
-                st.tmp_swept,
-                st.write_retries,
-                st.write_failures,
-                st.read_retries,
-                st.read_failures,
-                st.corrupt_detected,
-                st.checkpoints_skipped,
-                st.retry_backoff_ms,
-            ));
         }
         if !self.store_incidents.is_empty() {
             s.push_str("\"store_incidents\":[");
@@ -429,9 +438,9 @@ pub struct BatchResult {
     /// `Some(n)`: the batch stopped after `n` jobs because
     /// [`SupervisorOptions::max_failures`] tripped.
     pub aborted_after: Option<usize>,
-    /// Combined sub-artifact preload + flush accounting, present when
-    /// [`SupervisorOptions::incremental`] was on.
-    pub incr: Option<IncrStats>,
+    /// Combined sub-artifact preload + flush counts (`incr.*`), present
+    /// when [`SupervisorOptions::incremental`] was on.
+    pub incr: Option<MetricsRegistry>,
 }
 
 /// Drives supervised reconstructions against one artifact store.
@@ -443,17 +452,6 @@ pub struct Supervisor {
     fault: Option<Arc<FaultPlan>>,
     tracer: Option<Arc<Tracer>>,
     trace_level: TraceLevel,
-}
-
-/// Work counts one job accumulates outside the pipeline registry.
-#[derive(Default)]
-struct SupervisorCounters {
-    checkpoints_saved: u64,
-    backoff_ms_total: u64,
-    checkpoints_skipped: u64,
-    /// A persistent save fault degraded this job to
-    /// recompute-without-checkpointing: later saves are skipped.
-    checkpointing_disabled: bool,
 }
 
 enum AttemptOutcome {
@@ -547,26 +545,9 @@ impl Supervisor {
         let key = self.job_key(image_bytes);
         let ctx = self.trace_ctx();
         let _job_span = ctx.span(names::SUPERVISOR_JOB, key);
-        let mut counters = SupervisorCounters::default();
-        let corpus_stats0 = self.corpus.as_ref().map(|c| c.stats());
-        let store_stats0 = self.store.stats();
-        let mut report = JobReport {
-            name: name.to_string(),
-            key,
-            outcome: JobOutcome::Ok,
-            attempts: Vec::new(),
-            restored: Vec::new(),
-            resume_corrupt: false,
-            errors: 0,
-            warnings: 0,
-            types: 0,
-            roots: 0,
-            elapsed_ms: 0,
-            metrics: None,
-            corpus: None,
-            store: None,
-            store_incidents: Vec::new(),
-        };
+        let corpus0 = self.corpus.as_ref().map(|c| c.stats());
+        let store0 = self.store.stats();
+        let mut report = JobReport::new(name, key);
         let image = match image_from_bytes(image_bytes) {
             Ok(image) => image,
             Err(e) => {
@@ -578,6 +559,9 @@ impl Supervisor {
         };
         let loaded = LoadedBinary::load_lenient(image);
         let deadline = Deadline::from_config(self.options.deadline_ms);
+        // A persistent save fault degrades the job to
+        // recompute-without-checkpointing: later saves are skipped.
+        let mut checkpointing_disabled = false;
 
         let mut fall_through_to_fallback = false;
         let mut output = JobOutput::None;
@@ -592,7 +576,7 @@ impl Supervisor {
             let backoff_ms =
                 if attempt == 0 { 0 } else { self.options.retry.backoff_ms(attempt - 1) };
             if backoff_ms > 0 {
-                counters.backoff_ms_total += backoff_ms;
+                report.counters.add(names::SUPERVISOR_BACKOFF_MS, backoff_ms);
                 let _backoff_span = ctx.span(names::SUPERVISOR_BACKOFF, backoff_ms);
                 if self.options.sleep_backoff {
                     std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
@@ -611,7 +595,7 @@ impl Supervisor {
                 image_bytes,
                 &deadline,
                 &mut report,
-                &mut counters,
+                &mut checkpointing_disabled,
             ) {
                 AttemptOutcome::Completed(recon) => {
                     report.attempts.push(AttemptRecord { rung, backoff_ms, result: "ok".into() });
@@ -697,65 +681,36 @@ impl Supervisor {
             output = JobOutput::StructuralOnly { hierarchy, structural, issues };
         }
 
+        report.counters.set(names::SUPERVISOR_ATTEMPTS, report.attempts.len() as u64);
+        report.counters.set(names::SUPERVISOR_STAGES_RESTORED, report.restored.len() as u64);
         // The job's corpus-tier traffic: a delta against the shared
-        // cache's counters at job start. Folded into the emitted
-        // reconstruction's timings (and the report's metrics doc), but
-        // never into the pipeline's own registry — cold and warm runs
-        // stay byte-identical there.
-        if let (Some(corpus), Some(stats0)) = (&self.corpus, &corpus_stats0) {
-            let delta = corpus.stats().since(stats0);
-            if let JobOutput::Full(recon) = &mut output {
-                let mut scratch = MetricsRegistry::new();
-                recon.timings.absorb_corpus_stats(&delta, &mut scratch);
-            }
-            report.corpus = Some(delta);
+        // cache's counters at job start, kept out of the pipeline's own
+        // registry so cold and warm runs stay byte-identical there.
+        if let (Some(corpus), Some(corpus0)) = (&self.corpus, &corpus0) {
+            report.counters.merge_from(&corpus.stats().since(corpus0));
         }
-
-        // Same discipline for the store's fault-path counters, attached
-        // only when something actually fired so healthy reports stay
-        // unchanged byte-for-byte.
-        let mut store_delta = self.store.stats().since(&store_stats0);
-        store_delta.checkpoints_skipped = counters.checkpoints_skipped;
-        if store_delta.has_activity() || !report.store_incidents.is_empty() {
-            if let JobOutput::Full(recon) = &mut output {
-                let mut scratch = MetricsRegistry::new();
-                recon.timings.absorb_store_stats(&store_delta, &mut scratch);
+        report.attach_store_delta(&self.store.stats().since(&store0));
+        report.metrics = Some(match &output {
+            JobOutput::Full(recon) if self.options.collect_metrics => {
+                let mut metrics = recon.metrics.clone();
+                metrics.merge_from(&report.counters);
+                metrics.to_json()
             }
-            report.store = Some(store_delta);
-        }
-
-        if self.options.collect_metrics {
-            let mut metrics = match &output {
-                JobOutput::Full(recon) => recon.metrics.clone(),
-                _ => MetricsRegistry::new(),
-            };
-            metrics.set(names::SUPERVISOR_ATTEMPTS, report.attempts.len() as u64);
-            metrics.set(names::SUPERVISOR_CHECKPOINTS_SAVED, counters.checkpoints_saved);
-            metrics.set(names::SUPERVISOR_STAGES_RESTORED, report.restored.len() as u64);
-            metrics.set(names::SUPERVISOR_BACKOFF_MS, counters.backoff_ms_total);
-            if let Some(delta) = &report.corpus {
-                let mut t = rock_core::StageTimings::default();
-                t.absorb_corpus_stats(delta, &mut metrics);
-            }
-            if let Some(delta) = &report.store {
-                let mut t = rock_core::StageTimings::default();
-                t.absorb_store_stats(delta, &mut metrics);
-            }
-            report.metrics = Some(metrics.to_json());
-        }
+            _ => report.counters.to_json(),
+        });
         report.elapsed_ms = start.elapsed().as_millis() as u64;
         JobResult { report, output }
     }
 
     /// Restores persisted sub-artifacts into the attached corpus cache
     /// (no-op without one). Idempotent; call before running jobs.
-    /// Traced as `supervisor.preload`.
-    pub fn preload_incremental(&self) -> IncrStats {
+    /// Traced as `supervisor.preload`; returns its `incr.*` counts.
+    pub fn preload_incremental(&self) -> MetricsRegistry {
         let ctx = self.trace_ctx();
         let _span = ctx.span(names::SUPERVISOR_PRELOAD, 0);
         match &self.corpus {
             Some(corpus) => crate::incr::preload_subartifacts(&self.store, corpus),
-            None => IncrStats::default(),
+            None => MetricsRegistry::new(),
         }
     }
 
@@ -764,13 +719,13 @@ impl Supervisor {
     /// snapshot pack as one segment (no-op without a cache). It costs
     /// what was added, not what the store holds: entries already
     /// persisted count as `unchanged` and are not touched. Traced as
-    /// `supervisor.flush`.
-    pub fn flush_incremental(&self) -> IncrStats {
+    /// `supervisor.flush`; returns its `incr.*` counts.
+    pub fn flush_incremental(&self) -> MetricsRegistry {
         let ctx = self.trace_ctx();
         let _span = ctx.span(names::SUPERVISOR_FLUSH, 0);
         match &self.corpus {
             Some(corpus) => crate::incr::flush_subartifacts(&self.store, corpus),
-            None => IncrStats::default(),
+            None => MetricsRegistry::new(),
         }
     }
 
@@ -796,9 +751,9 @@ impl Supervisor {
                 }
             }
         }
-        let incr = incr0.map(|mut stats| {
-            stats.add(&self.flush_incremental());
-            stats
+        let incr = incr0.map(|mut incr| {
+            incr.merge_from(&self.flush_incremental());
+            incr
         });
         let exit_code = results.iter().map(|r| r.report.exit_code()).max().unwrap_or(exit::OK);
         BatchResult { jobs: results, exit_code, aborted_after, incr }
@@ -817,7 +772,7 @@ impl Supervisor {
         image_bytes: &[u8],
         deadline: &Deadline,
         report: &mut JobReport,
-        counters: &mut SupervisorCounters,
+        checkpointing_disabled: &mut bool,
     ) -> AttemptOutcome {
         let ctx = self.trace_ctx();
         let _attempt_span = ctx.span(names::SUPERVISOR_ATTEMPT, attempt as u64);
@@ -837,7 +792,7 @@ impl Supervisor {
         let mut resume_corrupt = false;
         let mut checkpoints_saved = 0u64;
         let mut checkpoints_skipped = 0u64;
-        let mut checkpointing_disabled = counters.checkpointing_disabled;
+        let mut disabled = *checkpointing_disabled;
         let mut incidents: Vec<StoreIncident> = Vec::new();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if self.fault.as_ref().is_some_and(|p| p.should_fail_attempt(attempt)) {
@@ -871,13 +826,13 @@ impl Supervisor {
                             // error here is persistent — degrade to
                             // recompute-without-checkpointing instead
                             // of hammering a broken disk every stage.
-                            if checkpointing_disabled {
+                            if disabled {
                                 checkpoints_skipped += 1;
                             } else {
                                 match self.store.save(key, &cp) {
                                     Ok(()) => checkpoints_saved += 1,
                                     Err(e) => {
-                                        checkpointing_disabled = true;
+                                        disabled = true;
                                         incidents.push(StoreIncident::CheckpointLost {
                                             stage,
                                             detail: e.to_string(),
@@ -898,9 +853,11 @@ impl Supervisor {
         report.restored.extend(restored);
         report.resume_corrupt |= resume_corrupt;
         report.store_incidents.extend(incidents);
-        counters.checkpoints_saved += checkpoints_saved;
-        counters.checkpoints_skipped += checkpoints_skipped;
-        counters.checkpointing_disabled = checkpointing_disabled;
+        report.counters.add(names::SUPERVISOR_CHECKPOINTS_SAVED, checkpoints_saved);
+        if checkpoints_skipped > 0 {
+            report.counters.add(names::STORE_CHECKPOINTS_SKIPPED, checkpoints_skipped);
+        }
+        *checkpointing_disabled = disabled;
         match caught {
             Ok(outcome) => outcome,
             Err(payload) => AttemptOutcome::Panicked(panic_message(&payload)),
@@ -1006,23 +963,7 @@ mod tests {
 
     #[test]
     fn resume_corruption_dominates_the_exit_code() {
-        let mut report = JobReport {
-            name: "j".into(),
-            key: 1,
-            outcome: JobOutcome::Ok,
-            attempts: Vec::new(),
-            restored: Vec::new(),
-            resume_corrupt: false,
-            errors: 0,
-            warnings: 0,
-            types: 0,
-            roots: 0,
-            elapsed_ms: 0,
-            metrics: None,
-            corpus: None,
-            store: None,
-            store_incidents: Vec::new(),
-        };
+        let mut report = JobReport::new("j", 1);
         assert_eq!(report.exit_code(), exit::OK);
         report.resume_corrupt = true;
         assert_eq!(report.exit_code(), exit::RESUME_CORRUPT);
@@ -1032,27 +973,16 @@ mod tests {
 
     #[test]
     fn report_json_is_escaped_and_structured() {
-        let report = JobReport {
-            name: "a\"b\\c\nd".into(),
-            key: 0xAB,
-            outcome: JobOutcome::Failed("strict \"quote\"".into()),
-            attempts: vec![AttemptRecord {
-                rung: Rung::Full,
-                backoff_ms: 0,
-                result: "strict: boom".into(),
-            }],
-            restored: vec![StageId::Analysis, StageId::Training],
-            resume_corrupt: false,
-            errors: 1,
-            warnings: 2,
-            types: 3,
-            roots: 1,
-            elapsed_ms: 7,
-            metrics: None,
-            corpus: None,
-            store: None,
-            store_incidents: Vec::new(),
-        };
+        let mut report = JobReport::new("a\"b\\c\nd", 0xAB);
+        report.outcome = JobOutcome::Failed("strict \"quote\"".into());
+        report.attempts.push(AttemptRecord {
+            rung: Rung::Full,
+            backoff_ms: 0,
+            result: "strict: boom".into(),
+        });
+        report.restored = vec![StageId::Analysis, StageId::Training];
+        (report.errors, report.warnings, report.types, report.roots) = (1, 2, 3, 1);
+        report.elapsed_ms = 7;
         let json = report.to_json();
         assert!(json.contains("\"name\":\"a\\\"b\\\\c\\nd\""));
         assert!(json.contains("\"key\":\"00000000000000ab\""));
@@ -1061,38 +991,48 @@ mod tests {
         assert!(json.contains("\"exit_code\":3"));
         assert!(json.contains("\"restored\":[\"analysis\",\"training\"]"));
         assert!(json.contains("\"backoff_ms\":0"));
+        assert!(!json.contains("\"metrics\""), "no document, no key: {json}");
+        // The metrics document embeds verbatim, with no separate
+        // corpus or store objects beside it.
+        report.metrics = Some(report.counters.to_json());
+        let json = report.to_json();
+        assert!(
+            json.contains("\"metrics\":{\"version\":1,\"counters\":{\"supervisor.attempts\":0,"),
+            "{json}"
+        );
+        assert!(!json.contains("\"corpus\"") && !json.contains("\"store\""), "{json}");
         assert!(!json.contains('\n'), "single-line record");
     }
 
     #[test]
     fn store_sections_render_only_when_present() {
-        let mut report = JobReport {
-            name: "j".into(),
-            key: 1,
-            outcome: JobOutcome::Ok,
-            attempts: Vec::new(),
-            restored: Vec::new(),
-            resume_corrupt: false,
-            errors: 0,
-            warnings: 0,
-            types: 0,
-            roots: 0,
-            elapsed_ms: 0,
-            metrics: None,
-            corpus: None,
-            store: None,
-            store_incidents: Vec::new(),
+        let store_keys = |report: &JobReport| {
+            report.counters.counters().filter(|(name, _)| name.starts_with("store.")).count()
         };
-        let json = report.to_json();
-        assert!(!json.contains("\"store\""), "healthy reports stay unchanged: {json}");
-        report.store = Some(StoreStats { write_retries: 2, ..Default::default() });
+        let mut delta = MetricsRegistry::new();
+        delta.set(names::STORE_TMP_SWEPT, 0);
+        delta.set(names::STORE_WRITE_RETRIES, 0);
+        let mut report = JobReport::new("j", 1);
+        report.attach_store_delta(&delta);
+        assert_eq!(store_keys(&report), 0, "healthy reports stay unchanged");
+        // A skipped save alone is a fired fault path.
+        let mut skipped = JobReport::new("j", 1);
+        skipped.counters.add(names::STORE_CHECKPOINTS_SKIPPED, 3);
+        skipped.attach_store_delta(&delta);
+        assert_eq!(store_keys(&skipped), 3);
+        assert_eq!(skipped.counters.counter(names::STORE_CHECKPOINTS_SKIPPED), 3);
+
+        delta.set(names::STORE_WRITE_RETRIES, 2);
         report.store_incidents.push(StoreIncident::CheckpointLost {
             stage: StageId::Training,
             detail: "disk \"full\"".into(),
         });
         report.store_incidents.push(StoreIncident::ResumeUnavailable { detail: "eio".into() });
+        report.attach_store_delta(&delta);
+        report.metrics = Some(report.counters.to_json());
         let json = report.to_json();
-        assert!(json.contains("\"store\":{\"tmp_swept\":0,\"write_retries\":2"), "{json}");
+        assert!(json.contains("\"store.checkpoints_skipped\":0,"), "{json}");
+        assert!(json.contains("\"store.tmp_swept\":0,\"store.write_retries\":2,"), "{json}");
         assert!(
             json.contains("{\"kind\":\"checkpoint_lost\",\"stage\":\"training\",\"detail\":\"disk \\\"full\\\"\"}"),
             "{json}"

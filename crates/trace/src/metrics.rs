@@ -150,6 +150,19 @@ impl MetricsRegistry {
         }
     }
 
+    /// The counters of `self` less those of `earlier`, one by one,
+    /// saturating at zero (for per-job deltas of a shared cache or
+    /// store; a gauge such as `corpus.bytes_stored` may fall between
+    /// two snapshots). Histograms are not carried.
+    pub fn since(&self, earlier: &MetricsRegistry) -> MetricsRegistry {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(&name, &v)| (name, v.saturating_sub(earlier.counter(name))))
+            .collect();
+        MetricsRegistry { counters, histograms: BTreeMap::new() }
+    }
+
     /// The versioned metrics document (see `DESIGN.md` §14): integer-only
     /// JSON, counters and histograms keyed by name in sorted order.
     pub fn to_json(&self) -> String {
@@ -215,6 +228,31 @@ mod tests {
         let h = a.histogram("z.len").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 103);
+    }
+
+    #[test]
+    fn since_subtracts_counter_by_counter_and_saturates() {
+        let mut earlier = MetricsRegistry::new();
+        earlier.set("a.hits", 3);
+        earlier.set("a.bytes", 900);
+        earlier.set("a.gone", 5);
+        let mut now = MetricsRegistry::new();
+        now.set("a.hits", 10);
+        now.set("a.bytes", 400); // a gauge that fell: saturates at zero
+        now.set("a.new", 2);
+        now.set("a.idle", 0);
+        now.observe("h.len", 7);
+        let delta = now.since(&earlier);
+        let counters: Vec<_> = delta.counters().collect();
+        assert_eq!(counters, [("a.bytes", 0), ("a.hits", 7), ("a.idle", 0), ("a.new", 2)]);
+        assert!(delta.histograms().next().is_none(), "histograms are not carried");
+        // A delta against an empty registry is the snapshot itself, and
+        // adding a delta back onto its base restores the later snapshot.
+        assert_eq!(now.since(&MetricsRegistry::new()).counters().count(), 4);
+        let mut rebuilt = MetricsRegistry::new();
+        rebuilt.set("a.hits", 3);
+        rebuilt.merge_from(&delta);
+        assert_eq!(rebuilt.counter("a.hits"), now.counter("a.hits"));
     }
 
     #[test]

@@ -150,7 +150,9 @@ pub const CORPUS_SLM_MISS: &str = "corpus.slm_miss";
 pub const CORPUS_DISTANCE_HIT: &str = "corpus.distance_hit";
 /// Distances the corpus distance tier could not answer.
 pub const CORPUS_DISTANCE_MISS: &str = "corpus.distance_miss";
-/// Approximate bytes resident in the corpus cache after the run.
+/// Corpus-cache bytes: a cache snapshot holds the bytes resident in
+/// the cache; a job's metrics document holds the bytes that job added,
+/// or 0 when eviction freed more.
 pub const CORPUS_BYTES_STORED: &str = "corpus.bytes_stored";
 /// Corpus entries dropped on checksum mismatch (then recomputed).
 pub const CORPUS_CORRUPT_DROPPED: &str = "corpus.corrupt_dropped";
@@ -172,7 +174,8 @@ pub const INCR_CORRUPT_SKIPPED: &str = "incr.corrupt_skipped";
 /// Sub-artifact reads/writes abandoned on an i/o error.
 pub const INCR_IO_ERRORS: &str = "incr.io_errors";
 
-/// Orphaned `.art.tmp` files the artifact store swept.
+/// Orphaned tmp files the artifact store swept: `.art.tmp` checkpoints,
+/// `.sub.tmp` sub-artifacts and the snapshot pack's tmp.
 pub const STORE_TMP_SWEPT: &str = "store.tmp_swept";
 /// Checkpoint saves re-attempted after a transient i/o fault.
 pub const STORE_WRITE_RETRIES: &str = "store.write_retries";

@@ -12,6 +12,7 @@ use rock::core::suite::{self, Benchmark};
 use rock::core::{CorpusCache, FaultPlan, Parallelism, Rock, RockConfig};
 use rock::loader::LoadedBinary;
 use rock::slm::Metric;
+use rock::trace::names;
 
 const THREADS: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Threads(8)];
 
@@ -79,8 +80,14 @@ fn a_partly_warm_corpus_matches_the_per_pair_kernel() {
         let rock = Rock::new(config.with_parallelism(par)).with_corpus_cache(Arc::clone(&corpus));
         check_against_per_pair(&format!("warm corpus {par:?}"), &rock, &cold);
         let delta = corpus.stats().since(&before);
-        assert!(delta.distance_hits > 0, "some pairs must come from the corpus: {delta:?}");
-        assert!(delta.distance_misses > 0, "some pairs must be computed: {delta:?}");
+        assert!(
+            delta.counter(names::CORPUS_DISTANCE_HIT) > 0,
+            "some pairs must come from the corpus: {delta:?}"
+        );
+        assert!(
+            delta.counter(names::CORPUS_DISTANCE_MISS) > 0,
+            "some pairs must be computed: {delta:?}"
+        );
     }
 }
 

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use rock::core::{suite, CorpusCache, FaultPlan, Parallelism, Reconstruction, Rock, RockConfig};
 use rock::loader::LoadedBinary;
+use rock::trace::names;
 
 /// Compiles `n` corpus members with `templates` distinct app families
 /// (see `suite::corpus_member` — odd members shift all shared code to
@@ -72,11 +73,24 @@ fn warm_runs_are_bit_identical_to_cold_at_every_thread_count() {
             assert_identical(c, w, &format!("{par:?} job {i}"));
         }
         let s = shared.stats();
-        assert!(s.tracelet_hits > 0, "{par:?}: shared functions must hit the exec tier");
-        assert!(s.slm_hits > 0, "{par:?}: shared pools must hit the model tier");
-        assert!(s.distance_hits > 0, "{par:?}: shared pairs must hit the distance tier");
-        assert_eq!(s.corrupt_dropped, 0, "{par:?}: clean runs must not drop entries");
-        assert!(s.bytes_stored > 0);
+        assert!(
+            s.counter(names::CORPUS_TRACELET_HIT) > 0,
+            "{par:?}: shared functions must hit the exec tier"
+        );
+        assert!(
+            s.counter(names::CORPUS_SLM_HIT) > 0,
+            "{par:?}: shared pools must hit the model tier"
+        );
+        assert!(
+            s.counter(names::CORPUS_DISTANCE_HIT) > 0,
+            "{par:?}: shared pairs must hit the distance tier"
+        );
+        assert_eq!(
+            s.counter(names::CORPUS_CORRUPT_DROPPED),
+            0,
+            "{par:?}: clean runs must not drop entries"
+        );
+        assert!(s.counter(names::CORPUS_BYTES_STORED) > 0);
     }
 }
 
@@ -115,7 +129,10 @@ fn corrupted_entries_recompute_without_poisoning_later_jobs() {
         assert_identical(&cold[i], &w, &format!("post-corruption job {i}"));
     }
     let s = shared.stats();
-    assert!(s.corrupt_dropped > 0, "corruption must be detected and dropped, not trusted");
+    assert!(
+        s.counter(names::CORPUS_CORRUPT_DROPPED) > 0,
+        "corruption must be detected and dropped, not trusted"
+    );
     // Dropped entries were recomputed and re-stored: a fresh identical
     // job now runs against a healthy cache again.
     let again = reconstruct_warm(&images[2], par, &shared);
@@ -138,7 +155,10 @@ fn bounded_cache_eviction_never_changes_outputs() {
             assert_identical(&cold[i], &w, &format!("{par:?} bounded job {i}"));
         }
         let s = tight.stats();
-        assert!(s.evicted > 0, "{par:?}: a 16-entry cache under this fleet must evict");
+        assert!(
+            s.counter(names::CORPUS_EVICTED) > 0,
+            "{par:?}: a 16-entry cache under this fleet must evict"
+        );
         let (e, m, d) = tight.lens();
         assert!(e <= 16 && m <= 16 && d <= 16, "{par:?}: live entries exceed the bound");
         // And a re-run of the whole fleet against the thrashed cache is
@@ -163,9 +183,9 @@ fn position_shifted_twins_share_every_tier() {
     let after_first = shared.stats();
     let second = reconstruct_warm(&images[1], par, &shared);
     let delta = shared.stats().since(&after_first);
-    assert!(delta.tracelet_hits > 0, "shifted twin must reuse executions");
-    assert!(delta.slm_hits > 0, "shifted twin must reuse trained models");
-    assert!(delta.distance_hits > 0, "shifted twin must reuse distances");
+    assert!(delta.counter(names::CORPUS_TRACELET_HIT) > 0, "shifted twin must reuse executions");
+    assert!(delta.counter(names::CORPUS_SLM_HIT) > 0, "shifted twin must reuse trained models");
+    assert!(delta.counter(names::CORPUS_DISTANCE_HIT) > 0, "shifted twin must reuse distances");
     // And the reuse is invisible in the outputs.
     assert_identical(&reconstruct_cold(&images[0], par), &first, "member 0");
     assert_identical(&reconstruct_cold(&images[1], par), &second, "member 1");

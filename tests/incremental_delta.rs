@@ -19,6 +19,7 @@ use std::sync::Arc;
 use rock::core::{suite, CorpusCache, Parallelism, Reconstruction, Rock, RockConfig};
 use rock::loader::LoadedBinary;
 use rock::supervisor::{flush_subartifacts, preload_subartifacts, ArtifactStore};
+use rock::trace::{names, MetricsRegistry};
 
 /// A scratch artifact-store root, removed on drop.
 struct Scratch(PathBuf);
@@ -76,13 +77,27 @@ fn preloaded_from_base(
     let populate = Arc::new(CorpusCache::new());
     reconstruct_warm(base, par, &populate);
     let flushed = flush_subartifacts(store, &populate);
-    assert!(flushed.flushed > 0, "base run must persist sub-artifacts");
-    assert_eq!(flushed.io_errors, 0, "healthy store must not error");
+    assert!(flushed.counter(names::INCR_FLUSHED) > 0, "base run must persist sub-artifacts");
+    assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0, "healthy store must not error");
     let warm = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(store, &warm);
-    assert_eq!(preloaded.preloaded, flushed.flushed, "every flushed artifact must preload");
-    assert_eq!(preloaded.corrupt_skipped, 0, "healthy store must preload cleanly");
+    assert_eq!(
+        preloaded.counter(names::INCR_PRELOADED),
+        flushed.counter(names::INCR_FLUSHED),
+        "every flushed artifact must preload"
+    );
+    assert_eq!(
+        preloaded.counter(names::INCR_CORRUPT_SKIPPED),
+        0,
+        "healthy store must preload cleanly"
+    );
     warm
+}
+
+/// Exec-tier (function-level) hits and lookups in a cache snapshot.
+fn exec_tier(stats: &MetricsRegistry) -> (u64, u64) {
+    let hits = stats.counter(names::CORPUS_TRACELET_HIT);
+    (hits, hits + stats.counter(names::CORPUS_TRACELET_MISS))
 }
 
 /// Byte-level equality over everything a run reports.
@@ -176,10 +191,14 @@ fn fuzzed_edits_cold_vs_incremental_bit_identical() {
             assert_identical(&cold, &warm, &format!("seed {seed} {edit:?} {par:?}"));
             let s = warm_cache.stats();
             assert!(
-                s.tracelet_hits > 0,
+                s.counter(names::CORPUS_TRACELET_HIT) > 0,
                 "seed {seed} {edit:?} {par:?}: a small edit must reuse function artifacts"
             );
-            assert_eq!(s.corrupt_dropped, 0, "seed {seed}: healthy artifacts must verify");
+            assert_eq!(
+                s.counter(names::CORPUS_CORRUPT_DROPPED),
+                0,
+                "seed {seed}: healthy artifacts must verify"
+            );
         }
     }
 }
@@ -207,20 +226,18 @@ fn one_function_edit_reuses_ninety_percent_of_function_artifacts() {
     let warm = reconstruct_warm(&edited, par, &warm_cache);
     assert_identical(&cold, &warm, "1-function edit");
     let s = warm_cache.stats();
-    let lookups = s.tracelet_hits + s.tracelet_misses;
+    let (hits, lookups) = exec_tier(&s);
     assert!(lookups > 0, "the run must consult the exec tier");
-    let reuse = s.tracelet_hits as f64 / lookups as f64;
+    let reuse = hits as f64 / lookups as f64;
     assert!(
         reuse >= 0.90,
-        "1-function edit reused only {:.1}% of function artifacts ({} hits / {} lookups)",
+        "1-function edit reused only {:.1}% of function artifacts ({hits} hits / {lookups} lookups)",
         reuse * 100.0,
-        s.tracelet_hits,
-        lookups
     );
     // Type- and pair-level tiers must also see substantial reuse: only
     // the types whose tracelet multiset changed may retrain.
-    assert!(s.slm_hits > 0, "unchanged types must reuse their SLMs");
-    assert!(s.distance_hits > 0, "untouched pairs must reuse distances");
+    assert!(s.counter(names::CORPUS_SLM_HIT) > 0, "unchanged types must reuse their SLMs");
+    assert!(s.counter(names::CORPUS_DISTANCE_HIT) > 0, "untouched pairs must reuse distances");
 }
 
 /// The position-shift regression: declaring the salt class first moves
@@ -242,17 +259,15 @@ fn position_shifted_image_reuses_function_artifacts() {
     let warm = reconstruct_warm(&shifted, par, &warm_cache);
     assert_identical(&cold, &warm, "position-shifted image");
     let s = warm_cache.stats();
-    let lookups = s.tracelet_hits + s.tracelet_misses;
-    let reuse = s.tracelet_hits as f64 / lookups.max(1) as f64;
+    let (hits, lookups) = exec_tier(&s);
+    let reuse = hits as f64 / lookups.max(1) as f64;
     assert!(
         reuse >= 0.90,
-        "pure position shift reused only {:.1}% ({} hits / {} lookups) — keys are not position-independent",
+        "pure position shift reused only {:.1}% ({hits} hits / {lookups} lookups) — keys are not position-independent",
         reuse * 100.0,
-        s.tracelet_hits,
-        lookups
     );
-    assert!(s.slm_hits > 0, "shifted types must reuse their SLMs");
-    assert!(s.distance_hits > 0, "shifted pairs must reuse distances");
+    assert!(s.counter(names::CORPUS_SLM_HIT) > 0, "shifted types must reuse their SLMs");
+    assert!(s.counter(names::CORPUS_DISTANCE_HIT) > 0, "shifted pairs must reuse distances");
 }
 
 /// A salt-class edit touches no family function: every family artifact
@@ -270,9 +285,8 @@ fn salt_class_edit_reuses_all_family_artifacts() {
     let warm_cache = preloaded_from_base(&base, par, &scratch.store());
     let warm = reconstruct_warm(&edited, par, &warm_cache);
     assert_identical(&cold, &warm, "salt-class edit");
-    let s = warm_cache.stats();
-    let lookups = s.tracelet_hits + s.tracelet_misses;
-    let reuse = s.tracelet_hits as f64 / lookups.max(1) as f64;
+    let (hits, lookups) = exec_tier(&warm_cache.stats());
+    let reuse = hits as f64 / lookups.max(1) as f64;
     assert!(reuse >= 0.90, "salt edit reused only {:.1}%", reuse * 100.0);
 }
 
@@ -293,7 +307,13 @@ fn one_family_edit_retrains_only_that_family() {
     let warm = reconstruct_warm(&edited, par, &warm_cache);
     assert_identical(&cold, &warm, "1-family edit");
     let s = warm_cache.stats();
-    assert!(s.tracelet_hits > 0, "three untouched families must hit the exec tier");
-    assert!(s.tracelet_misses > 0, "the re-seeded family must miss the exec tier");
-    assert!(s.slm_hits > 0, "untouched types must reuse their SLMs");
+    assert!(
+        s.counter(names::CORPUS_TRACELET_HIT) > 0,
+        "three untouched families must hit the exec tier"
+    );
+    assert!(
+        s.counter(names::CORPUS_TRACELET_MISS) > 0,
+        "the re-seeded family must miss the exec tier"
+    );
+    assert!(s.counter(names::CORPUS_SLM_HIT) > 0, "untouched types must reuse their SLMs");
 }

@@ -17,13 +17,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use rock::core::{suite, CorpusCache, IncrStats, Parallelism, Rock, RockConfig, SubTier};
+use rock::core::{suite, CorpusCache, Parallelism, Rock, RockConfig, SubTier};
 use rock::loader::LoadedBinary;
 use rock::supervisor::wire::fnv1a;
 use rock::supervisor::{
     decode_snapshot, flush_subartifacts, preload_subartifacts, ArtifactStore, StdVfs, Vfs,
     SNAPSHOT_NAME,
 };
+use rock::trace::names;
 
 /// A scratch artifact-store root, removed on drop.
 struct Scratch(PathBuf);
@@ -170,11 +171,11 @@ fn preloaded(
     let populate = Arc::new(CorpusCache::new());
     run(base, &populate);
     let flushed = flush_subartifacts(&scratch.store(), &populate);
-    assert_eq!(flushed.io_errors, 0);
+    assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
     let (store, vfs) = scratch.counted_store();
     let cache = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&store, &cache);
-    assert_eq!(preloaded.preloaded, flushed.flushed);
+    assert_eq!(preloaded.counter(names::INCR_PRELOADED), flushed.counter(names::INCR_FLUSHED));
     assert_eq!(vfs.take()[Op::Read as usize], 1, "preload reads the pack alone");
     (store, vfs, cache)
 }
@@ -190,7 +191,11 @@ fn a_flush_after_a_run_that_added_nothing_makes_no_storage_call() {
 
     let stats = flush_subartifacts(&store, &cache);
     assert_eq!(vfs.take(), [0; OPS], "a flush with nothing to add touches no storage");
-    assert_eq!(stats, IncrStats { unchanged: entries, ..IncrStats::default() });
+    let counts: Vec<_> = stats.counters().collect();
+    assert_eq!(
+        counts,
+        [(names::INCR_FLUSHED, 0), (names::INCR_IO_ERRORS, 0), (names::INCR_UNCHANGED, entries)]
+    );
 }
 
 #[test]
@@ -205,7 +210,14 @@ fn a_one_method_patch_flush_writes_what_the_patch_added_plus_the_pack() {
 
     let stats = flush_subartifacts(&store, &cache);
     let calls = vfs.take();
-    assert_eq!((stats.flushed, stats.unchanged, stats.io_errors), (k, before, 0));
+    assert_eq!(
+        (
+            stats.counter(names::INCR_FLUSHED),
+            stats.counter(names::INCR_UNCHANGED),
+            stats.counter(names::INCR_IO_ERRORS)
+        ),
+        (k, before, 0)
+    );
     assert_eq!(calls[Op::Write as usize], k + 1, "one write per added entry, one for the pack");
     assert_eq!(calls[Op::Rename as usize], k + 1, "one rename per added entry, one for the pack");
     assert_eq!(calls[Op::List as usize], 0, "a flush lists no directory");
@@ -224,7 +236,7 @@ fn concurrent_flushes_of_one_corpus_write_each_entry_once() {
         let live = live_entries(&corpus);
         let store = scratch.store();
         let barrier = Barrier::new(2);
-        let stats: Vec<IncrStats> = std::thread::scope(|s| {
+        let stats: Vec<_> = std::thread::scope(|s| {
             let flushes: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
@@ -235,8 +247,16 @@ fn concurrent_flushes_of_one_corpus_write_each_entry_once() {
                 .collect();
             flushes.into_iter().map(|h| h.join().expect("flush thread")).collect()
         });
-        assert_eq!(stats[0].flushed + stats[1].flushed, live, "trial {trial}: {stats:?}");
-        assert_eq!(stats[0].io_errors + stats[1].io_errors, 0, "trial {trial}: {stats:?}");
+        assert_eq!(
+            stats[0].counter(names::INCR_FLUSHED) + stats[1].counter(names::INCR_FLUSHED),
+            live,
+            "trial {trial}: {stats:?}"
+        );
+        assert_eq!(
+            stats[0].counter(names::INCR_IO_ERRORS) + stats[1].counter(names::INCR_IO_ERRORS),
+            0,
+            "trial {trial}: {stats:?}"
+        );
         assert_eq!(pack_ids(&scratch.pack()).len() as u64, live, "trial {trial}");
     }
 }
@@ -248,7 +268,7 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
     let populate = Arc::new(CorpusCache::new());
     run(&base, &populate);
     let flushed = flush_subartifacts(&scratch.store(), &populate);
-    assert_eq!(flushed.io_errors, 0);
+    assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
 
     // Replace the pack with the previous format over the same loose
     // files: magic "ROCKSPK\x01" | count | (len | frame)* | checksum.
@@ -260,7 +280,7 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
         files.sort();
         frames.extend(files.iter().map(|f| fs::read(f).unwrap()));
     }
-    assert_eq!(frames.len() as u64, flushed.flushed);
+    assert_eq!(frames.len() as u64, flushed.counter(names::INCR_FLUSHED));
     let mut v1 = b"ROCKSPK\x01".to_vec();
     v1.extend_from_slice(&(frames.len() as u64).to_le_bytes());
     for frame in &frames {
@@ -276,13 +296,19 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
     let store = scratch.store();
     let cache = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&store, &cache);
-    assert_eq!((preloaded.preloaded, preloaded.corrupt_skipped), (flushed.flushed, 1));
+    assert_eq!(
+        (preloaded.counter(names::INCR_PRELOADED), preloaded.counter(names::INCR_CORRUPT_SKIPPED)),
+        (flushed.counter(names::INCR_FLUSHED), 1)
+    );
 
     // The next flush that writes anything replaces it with a v2 pack
     // holding every live entry.
     run(&edited, &cache);
     let stats = flush_subartifacts(&store, &cache);
-    assert!(stats.flushed > 0 && stats.io_errors == 0, "{stats:?}");
+    assert!(
+        stats.counter(names::INCR_FLUSHED) > 0 && stats.counter(names::INCR_IO_ERRORS) == 0,
+        "{stats:?}"
+    );
     let pack = scratch.pack();
     assert_eq!(&pack[..8], b"ROCKSPK\x02");
     let live: HashSet<(u8, u128)> =
@@ -295,5 +321,8 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
     let fresh = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&store, &fresh);
     assert_eq!(vfs.take()[Op::Read as usize], 1);
-    assert_eq!((preloaded.preloaded, preloaded.corrupt_skipped), (live.len() as u64, 0));
+    assert_eq!(
+        (preloaded.counter(names::INCR_PRELOADED), preloaded.counter(names::INCR_CORRUPT_SKIPPED)),
+        (live.len() as u64, 0)
+    );
 }

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use rock::core::{suite, FaultPlan, Parallelism, Rock, RockConfig};
 use rock::loader::LoadedBinary;
+use rock::trace::names;
 
 fn reconstruct_with(
     loaded: &LoadedBinary,
@@ -59,8 +60,9 @@ fn stress_program_serial_vs_threads_bit_identical() {
     assert_eq!(serial.timings.threads, 1);
     assert_eq!(parallel.timings.threads, 4);
     // Same work either way: one cache miss per computed pair.
-    assert_eq!(serial.timings.cache_misses, parallel.timings.cache_misses);
-    assert_eq!(serial.timings.edge_count, parallel.timings.edge_count);
+    for name in [names::DISTANCES_CACHE_MISS, names::DISTANCES_EDGES] {
+        assert_eq!(serial.metrics.counter(name), parallel.metrics.counter(name), "{name}");
+    }
 }
 
 #[test]

@@ -28,6 +28,7 @@ use rock::supervisor::{
     exit, flush_subartifacts, preload_subartifacts, ArtifactStore, ChaosPlan, FaultyVfs,
     JobOutcome, JobOutput, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
 };
+use rock::trace::{names, MetricsRegistry};
 
 /// A scratch artifact-store root, removed on drop.
 struct Scratch(PathBuf);
@@ -237,13 +238,63 @@ fn chaos_runs_report_store_activity_with_typed_incidents() {
             );
             assert!(!incident.detail().is_empty());
         }
-        if let Some(stats) = &result.report.store {
-            any_activity |= stats.has_activity();
+        let store: Vec<_> = result
+            .report
+            .counters
+            .counters()
+            .filter(|(name, _)| name.starts_with("store."))
+            .collect();
+        if !store.is_empty() {
+            assert_eq!(store.len(), 8, "all eight store counters or none: {store:?}");
+            any_activity |= store.iter().any(|&(_, v)| v > 0);
             let json = result.report.to_json();
-            assert!(json.contains("\"store\":{"), "store delta must render: {json}");
+            assert!(json.contains("\"store.write_retries\":"), "store delta must render: {json}");
         }
     }
     assert!(any_activity, "rate-350 chaos sweep never touched the store counters");
+}
+
+#[test]
+fn per_job_counters_sum_to_the_cache_and_store_totals() {
+    // Counter conservation over a batch: the per-job deltas of a shared
+    // corpus cache and a shared (chaotic) store add up exactly to what
+    // the cache and the store counted. Two passes with resume on, so
+    // both checkpoint saves and restores count; repeated images make
+    // the second pass and the repeats hit the cache.
+    let jobs: Vec<(String, Vec<u8>)> =
+        ["AntispyComplete", "cppcheck", "patl", "echoparams", "tinyxml", "patl", "echoparams"]
+            .into_iter()
+            .map(|name| {
+                let compiled = suite::benchmark(name).expect("suite image").compile().unwrap();
+                (name.to_string(), image_to_bytes(&compiled.stripped_image()))
+            })
+            .collect();
+    for seed in seeds() {
+        let scratch = Scratch::new(&format!("conservation-{seed}"));
+        let store = scratch.chaos_store(seed, 350);
+        let store0 = store.stats();
+        let corpus = Arc::new(CorpusCache::new());
+        let cfg = config(Parallelism::Serial).with_canonical_calls();
+        let sup = Supervisor::new(cfg, store, options(true)).with_corpus(Arc::clone(&corpus));
+        let mut sums = MetricsRegistry::new();
+        for pass in 0..2 {
+            let batch = sup.run_batch(&jobs);
+            assert_eq!(batch.jobs.len(), jobs.len(), "seed {seed} pass {pass}");
+            for job in &batch.jobs {
+                sums.merge_from(&job.report.counters);
+            }
+        }
+        let cache = corpus.stats();
+        for (name, total) in cache.counters() {
+            assert_eq!(sums.counter(name), total, "seed {seed}: {name} not conserved");
+        }
+        assert!(cache.counter(names::CORPUS_TRACELET_HIT) > 0, "seed {seed}: repeats must hit");
+        let store = sup.store().stats().since(&store0);
+        for (name, total) in store.counters() {
+            assert_eq!(sums.counter(name), total, "seed {seed}: {name} not conserved");
+        }
+        assert!(sums.counter(names::SUPERVISOR_CHECKPOINTS_SAVED) > 0, "seed {seed}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -494,7 +545,7 @@ fn chaos_faulted_subartifacts_degrade_to_recompute_never_stale_reuse() {
         reconstruct(&base, Some(&populate));
         let flushed = flush_subartifacts(&scratch.chaos_store(seed, 200), &populate);
         assert!(
-            flushed.flushed + flushed.io_errors > 0,
+            flushed.counter(names::INCR_FLUSHED) + flushed.counter(names::INCR_IO_ERRORS) > 0,
             "seed {seed}: the flush must have attempted work"
         );
 
@@ -536,7 +587,7 @@ fn chaos_faulted_subartifacts_degrade_to_recompute_never_stale_reuse() {
         let preloaded = preload_subartifacts(&scratch.chaos_store(seed ^ 0xF00D, 200), &warm_cache);
         if rotted > 0 {
             assert!(
-                preloaded.corrupt_skipped > 0,
+                preloaded.counter(names::INCR_CORRUPT_SKIPPED) > 0,
                 "seed {seed}: {rotted} rotted files must be detected, not imported"
             );
         }
@@ -560,8 +611,8 @@ fn scrub_quarantines_corrupt_subartifact_without_invalidating_siblings() {
     let populate = Arc::new(CorpusCache::new());
     reconstruct(&base, Some(&populate));
     let flushed = flush_subartifacts(&scratch.store(), &populate);
-    assert!(flushed.flushed > 2, "need siblings to prove isolation");
-    assert_eq!(flushed.io_errors, 0);
+    assert!(flushed.counter(names::INCR_FLUSHED) > 2, "need siblings to prove isolation");
+    assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
 
     // Corrupt exactly one function-level (exec tier) artifact.
     let exec_dir = scratch.0.join("sub").join("exec");
@@ -582,7 +633,11 @@ fn scrub_quarantines_corrupt_subartifact_without_invalidating_siblings() {
     assert!(victim.exists(), "dry run must not move files");
     let report = scratch.store().scrub(false);
     assert_eq!(report.corrupt_quarantined, 1, "scrub misclassified: {:?}", report.details);
-    assert_eq!(report.artifacts_ok, flushed.flushed - 1, "every sibling must verify");
+    assert_eq!(
+        report.artifacts_ok,
+        flushed.counter(names::INCR_FLUSHED) - 1,
+        "every sibling must verify"
+    );
     assert!(!victim.exists(), "the corrupt sub-artifact must be quarantined");
     let quarantined: Vec<_> = fs::read_dir(scratch.0.join(QUARANTINE_DIR))
         .unwrap()
@@ -601,13 +656,17 @@ fn scrub_quarantines_corrupt_subartifact_without_invalidating_siblings() {
     // patched run is still bit-identical to cold.
     let warm_cache = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&scratch.store(), &warm_cache);
-    assert_eq!(preloaded.preloaded, flushed.flushed - 1);
-    assert_eq!(preloaded.corrupt_skipped, 0, "scrub already removed the damage");
+    assert_eq!(preloaded.counter(names::INCR_PRELOADED), flushed.counter(names::INCR_FLUSHED) - 1);
+    assert_eq!(
+        preloaded.counter(names::INCR_CORRUPT_SKIPPED),
+        0,
+        "scrub already removed the damage"
+    );
     let cold = reconstruct(&edited, None);
     let warm = reconstruct(&edited, Some(&warm_cache));
     assert_run_identical(&cold, &warm, "post-quarantine incremental run");
     let s = warm_cache.stats();
-    assert!(s.tracelet_hits > 0, "surviving siblings must still be reused");
+    assert!(s.counter(names::CORPUS_TRACELET_HIT) > 0, "surviving siblings must still be reused");
 }
 
 #[test]
@@ -623,8 +682,8 @@ fn snapshot_pack_self_heals_rotted_loose_artifacts() {
     let populate = Arc::new(CorpusCache::new());
     reconstruct(&base, Some(&populate));
     let flushed = flush_subartifacts(&scratch.store(), &populate);
-    assert!(flushed.flushed > 2);
-    assert_eq!(flushed.io_errors, 0);
+    assert!(flushed.counter(names::INCR_FLUSHED) > 2);
+    assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
 
     let exec_dir = scratch.0.join("sub").join("exec");
     let mut exec_files: Vec<_> =
@@ -639,10 +698,11 @@ fn snapshot_pack_self_heals_rotted_loose_artifacts() {
     let warm_cache = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&scratch.store(), &warm_cache);
     assert_eq!(
-        preloaded.preloaded, flushed.flushed,
+        preloaded.counter(names::INCR_PRELOADED),
+        flushed.counter(names::INCR_FLUSHED),
         "the pack must serve the rotted loose file's healthy copy"
     );
-    assert_eq!(preloaded.corrupt_skipped, 0, "nothing read the rotted bytes");
+    assert_eq!(preloaded.counter(names::INCR_CORRUPT_SKIPPED), 0, "nothing read the rotted bytes");
     let cold = reconstruct(&edited, None);
     let warm = reconstruct(&edited, Some(&warm_cache));
     assert_run_identical(&cold, &warm, "pack-healed incremental run");
@@ -662,7 +722,7 @@ fn open_sweeps_stale_tmp_files_and_counts_them() {
     fs::write(dir.join(".distances.art.tmp"), b"stranded too").unwrap();
 
     let store = scratch.store(); // open() sweeps
-    assert_eq!(store.stats().tmp_swept, 2, "open must sweep stale tmp files");
+    assert_eq!(store.stats().counter(names::STORE_TMP_SWEPT), 2, "open must sweep stale tmp files");
     assert!(!dir.join(".training.art.tmp").exists());
     // The real artifacts are untouched and still restore.
     let sup = Supervisor::new(config(Parallelism::Serial), store, options(true));
