@@ -277,6 +277,23 @@ impl ContentLabels {
         self.vt_by_label.get(&label).copied().flatten()
     }
 
+    /// The same labels with every *function* label also hashing its
+    /// entry address; vtable labels are unchanged. For execution caches
+    /// whose entries keep raw, address-bearing call events: two functions
+    /// with equal content labels can call distinct callees whose labels
+    /// are equal too, and only the entry address tells their events
+    /// apart. Bound labels are position-dependent by design, so they must
+    /// never feed [`ContentLabels::canonical_event`].
+    pub(crate) fn bound_to_entries(mut self) -> ContentLabels {
+        for (entry, label) in &mut self.functions {
+            let mut m = Mixer::new();
+            m.label(*label);
+            m.u64(entry.value());
+            *label = m.finish();
+        }
+        self
+    }
+
     /// Rewrites one event into its position-independent form: direct
     /// call targets become the callee's content label (folded to 64
     /// bits); every other event is already position-free. Unlabeled

@@ -43,19 +43,6 @@ impl CtorMap {
         self.stores.keys().copied()
     }
 
-    /// Iterates `(function, stores)` entries in address order — the
-    /// flattening a checkpoint serializer walks.
-    pub fn entries(&self) -> impl Iterator<Item = (&Addr, &Vec<(i32, Addr)>)> {
-        self.stores.iter()
-    }
-
-    /// Rebuilds a map from flattened entries (the inverse of
-    /// [`CtorMap::entries`], used when restoring a checkpoint). Empty
-    /// store lists are dropped, matching what recognition produces.
-    pub fn from_entries(entries: impl IntoIterator<Item = (Addr, Vec<(i32, Addr)>)>) -> Self {
-        CtorMap { stores: entries.into_iter().filter(|(_, s)| !s.is_empty()).collect() }
-    }
-
     /// Number of ctor-like functions recognized.
     pub fn len(&self) -> usize {
         self.stores.len()

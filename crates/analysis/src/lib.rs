@@ -71,8 +71,8 @@ pub use exec::{
 };
 pub use rock_budget::{Budget, Deadline, Exhausted};
 pub use tracelets::{
-    extract_tracelets, extract_tracelets_canonical, extract_tracelets_instrumented,
-    extract_tracelets_with, Analysis, AnalysisHooks, FunctionDirective, IncidentKind, NoHooks,
-    TraceletStats, TypeTracelets,
+    extract_tracelets, extract_tracelets_cached, extract_tracelets_canonical,
+    extract_tracelets_instrumented, extract_tracelets_with, Analysis, AnalysisHooks,
+    FunctionDirective, IncidentKind, NoHooks, TraceletStats, TypeTracelets,
 };
 pub use value::{ObjId, SubObj, SymValue};

@@ -186,19 +186,6 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Reassembles an analysis from its three parts (checkpoint restore).
-    ///
-    /// The parts round-trip: serializing via [`Analysis::tracelets`],
-    /// [`Analysis::ctors`] and [`Analysis::incidents`] and rebuilding
-    /// through this constructor compares equal to the original.
-    pub fn from_parts(
-        tracelets: TypeTracelets,
-        ctors: CtorMap,
-        incidents: Vec<(Addr, IncidentKind)>,
-    ) -> Self {
-        Analysis { tracelets, ctors, incidents }
-    }
-
     /// Tracelets per type.
     pub fn tracelets(&self) -> &TypeTracelets {
         &self.tracelets
@@ -293,7 +280,7 @@ pub fn extract_tracelets_instrumented(
     spans: &mut LocalSpans,
     metrics: &mut MetricsRegistry,
 ) -> Analysis {
-    extract_inner(loaded, config, hooks, spans, metrics, None)
+    extract_inner(loaded, config, hooks, spans, metrics, Mode::Live)
 }
 
 /// Like [`extract_tracelets_instrumented`], but with **canonical call
@@ -321,7 +308,30 @@ pub fn extract_tracelets_canonical(
     labels: &ContentLabels,
     cache: Option<&dyn ExecCache>,
 ) -> Analysis {
-    extract_inner(loaded, config, hooks, spans, metrics, Some((labels, cache)))
+    extract_inner(loaded, config, hooks, spans, metrics, Mode::Canonical { labels, cache })
+}
+
+/// Like [`extract_tracelets_instrumented`] — raw call events, the same
+/// analysis bit for bit — but answered from a content-addressed
+/// execution cache wherever it can be.
+///
+/// Raw call events carry callee addresses, so a cached execution is
+/// valid only for the function it was computed from. Every key (ctor
+/// recognition included) therefore binds the function's content label
+/// to its entry address, and `cache` must scope its keys to this image
+/// (the corpus cache's image-salted view does). The caching rules of
+/// [`extract_tracelets_canonical`] apply unchanged: fault-injected,
+/// fuel-overridden and deadline-bounded executions always run live.
+pub fn extract_tracelets_cached(
+    loaded: &LoadedBinary,
+    config: &AnalysisConfig,
+    hooks: &dyn AnalysisHooks,
+    spans: &mut LocalSpans,
+    metrics: &mut MetricsRegistry,
+    cache: &dyn ExecCache,
+) -> Analysis {
+    let labels = &ContentLabels::compute(loaded).bound_to_entries();
+    extract_inner(loaded, config, hooks, spans, metrics, Mode::ImageBound { labels, cache })
 }
 
 /// Resolves one cached execution's attributions for this binary: every
@@ -367,19 +377,44 @@ fn encode_cached(
     Some(CachedExec { subs, fuel_spent })
 }
 
+/// How [`extract_inner`] treats call events and the execution cache.
+#[derive(Clone, Copy)]
+enum Mode<'a> {
+    /// Raw call events, no cache.
+    Live,
+    /// Call events rewritten to content labels; the optional cache is
+    /// keyed by them.
+    Canonical { labels: &'a ContentLabels, cache: Option<&'a dyn ExecCache> },
+    /// Raw call events, answered from a cache under image-bound keys.
+    ImageBound { labels: &'a ContentLabels, cache: &'a dyn ExecCache },
+}
+
+impl<'a> Mode<'a> {
+    /// The execution cache and the labels that key it, if any.
+    fn cache(self) -> Option<(&'a ContentLabels, &'a dyn ExecCache)> {
+        match self {
+            Mode::Live | Mode::Canonical { cache: None, .. } => None,
+            Mode::Canonical { labels, cache: Some(cache) } | Mode::ImageBound { labels, cache } => {
+                Some((labels, cache))
+            }
+        }
+    }
+}
+
 fn extract_inner(
     loaded: &LoadedBinary,
     config: &AnalysisConfig,
     hooks: &dyn AnalysisHooks,
     spans: &mut LocalSpans,
     metrics: &mut MetricsRegistry,
-    canon: Option<(&ContentLabels, Option<&dyn ExecCache>)>,
+    mode: Mode<'_>,
 ) -> Analysis {
+    let cached_by = mode.cache();
     // The ctor pre-pass is a pure function of content under the same
     // conditions as the tracelet tier (no wall-clock deadline; hooks
     // never reach it), so it shares the execution cache.
-    let ctors = match canon {
-        Some((labels, Some(cache))) if config.deadline_ms.is_none() => {
+    let ctors = match cached_by {
+        Some((labels, cache)) if config.deadline_ms.is_none() => {
             recognize_ctors_cached(loaded, config, labels, cache)
         }
         _ => recognize_ctors(loaded, config),
@@ -410,13 +445,13 @@ fn extract_inner(
         // outcome is a pure function of the body: no injected fault, no
         // per-function fuel override, no wall-clock deadline.
         let cacheable = !inject_panic && !fuel_overridden && config.deadline_ms.is_none();
-        let fkey = canon.and_then(|(labels, _)| labels.function_label(entry));
+        let fkey = cached_by.and_then(|(labels, _)| labels.function_label(entry));
         let host_vtables: Vec<Addr> =
             loaded.vtables_containing(entry).iter().map(|vt| vt.addr()).collect();
 
         // Cache hit: attribute the shared pieces directly — reference
         // counts, no event copies, no re-windowing.
-        if let (Some((labels, Some(cache))), Some(key)) = (canon, fkey) {
+        if let (Some((labels, cache)), Some(key)) = (cached_by, fkey) {
             if cacheable {
                 if let Some(cached) = cache.load(key) {
                     if let Some(attrs) = resolve_cached(labels, &cached) {
@@ -473,7 +508,7 @@ fn extract_inner(
                 (paths, fuel_spent)
             }
         };
-        if let Some((labels, _)) = canon {
+        if let Mode::Canonical { labels, .. } = mode {
             for p in &mut paths {
                 for s in &mut p.subobjects {
                     for e in &mut s.events {
@@ -498,7 +533,7 @@ fn extract_inner(
                 }
             }
         }
-        if let Some((labels, Some(cache))) = canon {
+        if let Some((labels, cache)) = cached_by {
             if let (Some(key), true) = (fkey, cacheable) {
                 if let Some(entry) = encode_cached(labels, &contrib, fuel_spent) {
                     cache.store(key, Arc::new(entry));

@@ -1,8 +1,9 @@
 //! Batch-runtime benchmarks: supervised throughput (jobs/s through the
-//! full checkpoint-writing pipeline) and the resume win — a warm second
-//! pass that restores every stage from the artifact store instead of
-//! recomputing. A machine-readable `BENCH_batch.json` summary is written
-//! at the workspace root.
+//! full pipeline, flushing sub-artifacts at every stage boundary) and the
+//! resume win — a warm second pass that preloads the store and reruns,
+//! every stage answered by the corpus tiers instead of recomputed. A
+//! machine-readable `BENCH_batch.json` summary is written at the
+//! workspace root.
 //!
 //! Set `ROCK_BENCH_SMOKE=1` to run a tiny subset (CI smoke); its summary
 //! goes to `target/bench-smoke/` instead.
@@ -17,6 +18,7 @@ use rock_binary::image_to_bytes;
 use rock_core::suite::{datasource_example, streams_example, stress_program, Benchmark};
 use rock_core::{Parallelism, RockConfig};
 use rock_supervisor::{ArtifactStore, JobOutcome, StdVfs, Supervisor, SupervisorOptions, Vfs};
+use rock_trace::names;
 
 /// The job mix: the two worked examples plus a stress shape.
 fn jobs() -> Vec<(String, Vec<u8>)> {
@@ -45,8 +47,9 @@ impl Scratch {
         Scratch(dir)
     }
 
-    fn supervisor(&self, resume: bool) -> Supervisor {
-        let options = SupervisorOptions { resume, ..SupervisorOptions::default() };
+    /// A `rock batch --resume` supervisor over this store.
+    fn supervisor(&self) -> Supervisor {
+        let options = SupervisorOptions { incremental: true, ..SupervisorOptions::default() };
         Supervisor::new(
             RockConfig::paper().with_parallelism(Parallelism::Serial),
             ArtifactStore::open(&self.0).unwrap(),
@@ -54,7 +57,7 @@ impl Scratch {
         )
     }
 
-    /// Total bytes of every artifact in the store.
+    /// Total bytes of the store: every sub-artifact plus the pack.
     fn store_bytes(&self) -> u64 {
         fn walk(dir: &PathBuf, acc: &mut u64) {
             let Ok(entries) = fs::read_dir(dir) else { return };
@@ -85,7 +88,7 @@ fn run_batch(sup: &Supervisor, jobs: &[(String, Vec<u8>)]) -> usize {
     batch.jobs.len()
 }
 
-/// Cold supervised batch: every stage computed and checkpointed.
+/// Cold supervised batch: every stage computed and flushed.
 fn bench_batch_cold(c: &mut Criterion) {
     let jobs = jobs();
     let mut group = c.benchmark_group("batch_cold");
@@ -94,22 +97,22 @@ fn bench_batch_cold(c: &mut Criterion) {
         b.iter(|| {
             // A fresh store per iteration: genuinely cold.
             let scratch = Scratch::new("cold-iter");
-            run_batch(&scratch.supervisor(true), jobs)
+            run_batch(&scratch.supervisor(), jobs)
         });
     });
     group.finish();
 }
 
-/// Warm resume: the store already holds every stage, so a rerun only
-/// replays checkpoints.
+/// Warm resume: the store already holds every sub-artifact, so a rerun
+/// preloads them and every tier lookup hits.
 fn bench_batch_resume(c: &mut Criterion) {
     let jobs = jobs();
     let scratch = Scratch::new("warm");
-    run_batch(&scratch.supervisor(true), &jobs); // populate once
+    run_batch(&scratch.supervisor(), &jobs); // populate once
     let mut group = c.benchmark_group("batch_resume");
     group.sample_size(if smoke() { 2 } else { 10 });
     group.bench_with_input(BenchmarkId::from_parameter(jobs.len()), &jobs, |b, jobs| {
-        b.iter(|| run_batch(&scratch.supervisor(true), jobs));
+        b.iter(|| run_batch(&scratch.supervisor(), jobs));
     });
     group.finish();
 }
@@ -124,8 +127,9 @@ fn median(xs: &[f64]) -> f64 {
     sorted[sorted.len() / 2]
 }
 
-/// A/B of the `Vfs` seam on the warm-resume read path: the same
-/// artifact file read through `Arc<dyn Vfs>` (one virtual dispatch per
+/// A/B of the `Vfs` seam on the warm-resume read path: the store's
+/// largest file (the snapshot pack) read through `Arc<dyn Vfs>` (one
+/// virtual dispatch per
 /// call, the production shape since the store was ported onto the
 /// trait) and via `fs::read` directly. Samples are interleaved so
 /// clock drift and cache state hit both arms equally; the reported
@@ -179,21 +183,21 @@ fn emit_bench_json(_c: &mut Criterion) {
     for _ in 0..runs {
         let scratch = Scratch::new("json-cold");
         let start = Instant::now();
-        run_batch(&scratch.supervisor(true), &jobs);
+        run_batch(&scratch.supervisor(), &jobs);
         cold_ms.push(ms(start));
     }
 
     let scratch = Scratch::new("json-warm");
-    run_batch(&scratch.supervisor(true), &jobs);
+    run_batch(&scratch.supervisor(), &jobs);
     let store_bytes = scratch.store_bytes();
     let mut resume_ms = Vec::new();
-    let mut restored_stages = 0usize;
+    let mut preloaded = 0;
     for _ in 0..runs {
         let start = Instant::now();
-        let batch = scratch.supervisor(true).run_batch(&jobs);
+        let batch = scratch.supervisor().run_batch(&jobs);
         resume_ms.push(ms(start));
         assert_eq!(batch.exit_code, 0);
-        restored_stages = batch.jobs.iter().map(|j| j.report.restored.len()).sum::<usize>();
+        preloaded = batch.incr.as_ref().map_or(0, |i| i.counter(names::INCR_PRELOADED));
         assert!(batch.jobs.iter().all(|j| j.report.outcome == JobOutcome::Ok));
     }
 
@@ -210,7 +214,7 @@ fn emit_bench_json(_c: &mut Criterion) {
          \"resume_batch_runs_ms\": [{warm_runs}],\n  \
          \"resume_batch_median_ms\": {warm:.3},\n  \
          \"resume_speedup\": {speedup:.2},\n  \
-         \"restored_stages_per_resume\": {restored},\n  \
+         \"preloaded_per_resume\": {preloaded},\n  \
          \"artifact_store_bytes\": {store_bytes},\n  \
          \"vfs_read_overhead_ratio\": {vfs_overhead:.4}\n}}\n",
         mode = if smoke() { "smoke" } else { "full" },
@@ -219,7 +223,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         warm_runs = resume_ms.iter().map(|v| format!("{v:.3}")).collect::<Vec<_>>().join(", "),
         cold_tput = jobs.len() as f64 / (cold / 1e3),
         speedup = cold / warm.max(1e-6),
-        restored = restored_stages,
     );
     let path = write_record("BENCH_batch.json", &json);
     println!("\nwrote {}:\n{json}", path.display());

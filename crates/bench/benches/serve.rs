@@ -10,15 +10,17 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rock_bench::{smoke, write_record};
 use rock_binary::image_to_bytes;
 use rock_core::suite::streams_example;
+use rock_core::CorpusCache;
 use rock_serve::wire::Response;
 use rock_serve::{ServeClient, ServeConfig, Server};
-use rock_supervisor::{ArtifactStore, Supervisor};
+use rock_supervisor::{preload_subartifacts, ArtifactStore, Supervisor};
 
 struct Scratch(PathBuf);
 
@@ -74,21 +76,33 @@ fn bench_serve_roundtrip(c: &mut Criterion) {
     join.join().expect("server thread").expect("clean drain");
 }
 
-/// The same warm job, no daemon: direct supervisor invocation.
+/// A per-job supervisor as the daemon runs it: the daemon's options,
+/// over its store and its one shared corpus.
+fn direct_job(
+    cfg: &ServeConfig,
+    store: &ArtifactStore,
+    corpus: &Arc<CorpusCache>,
+    name: &str,
+    bytes: &[u8],
+) {
+    let sup = Supervisor::new(cfg.config, store.clone(), cfg.options.clone())
+        .with_corpus(Arc::clone(corpus));
+    sup.run_job(name, bytes);
+}
+
+/// The same warm job, no daemon: direct supervisor invocation over a
+/// shared corpus, warm after the first iteration.
 fn bench_direct_supervisor(c: &mut Criterion) {
     let scratch = Scratch::new("direct");
     let cfg = ServeConfig::new(&scratch.0);
+    let store = ArtifactStore::open(&scratch.0).expect("store");
+    let corpus = Arc::new(CorpusCache::new());
     let bytes = image();
     let mut seq = 0u64;
     c.bench_function("serve/direct_warm", |b| {
         b.iter(|| {
             seq += 1;
-            let sup = Supervisor::new(
-                cfg.config,
-                ArtifactStore::open(&scratch.0).expect("store"),
-                cfg.options.clone(),
-            );
-            sup.run_job(&format!("job-{seq}"), &bytes)
+            direct_job(&cfg, &store, &corpus, &format!("job-{seq}"), &bytes)
         })
     });
 }
@@ -155,15 +169,14 @@ fn emit_bench_json(_c: &mut Criterion) {
     handle.drain();
     join.join().expect("server thread").expect("clean drain");
 
+    // The daemon preloaded this store at bind; so does the direct lane.
+    let store = ArtifactStore::open(&scratch.0).expect("store");
+    let corpus = Arc::new(CorpusCache::new());
+    preload_subartifacts(&store, &corpus);
     let mut direct = Vec::new();
     for i in 0..iters {
         let t = Instant::now();
-        let sup = Supervisor::new(
-            cfg.config,
-            ArtifactStore::open(&scratch.0).expect("store"),
-            cfg.options.clone(),
-        );
-        sup.run_job(&format!("rt-{i}"), &bytes);
+        direct_job(&cfg, &store, &corpus, &format!("rt-{i}"), &bytes);
         direct.push(t.elapsed().as_secs_f64() * 1e3);
     }
 

@@ -78,7 +78,8 @@ run `rock help` for details";
 
 /// Dispatches one CLI invocation; `Ok` carries the process exit code
 /// (always `0` except for `batch`, whose typed codes surface degraded,
-/// failed, deadline-blown, and corrupt-resume jobs — see the README).
+/// failed and deadline-blown jobs, and a preload that met corrupt
+/// sub-artifacts — see the README).
 pub fn dispatch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     let ok = |r: CliResult| r.map(|()| 0u8);
     let mut it = args.iter().map(String::as_str);
@@ -490,9 +491,11 @@ fn cmd_table2(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `rock batch` — supervised batch reconstruction with checkpoints,
-/// watchdog deadlines, and the retry/degradation ladder. Returns the
-/// batch's typed exit code (largest per-job code).
+/// `rock batch` — supervised batch reconstruction with watchdog
+/// deadlines, the retry/degradation ladder, and (with `--resume` or
+/// `--incremental`) sub-artifacts persisted at every stage boundary.
+/// Returns the batch's typed exit code (largest per-job code, or 5 when
+/// the preload skipped a corrupt sub-artifact).
 fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     let mut store_dir = String::from(".rock-store");
     let mut resume = false;
@@ -609,19 +612,20 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     // Corpus and incremental modes canonicalize call targets so SLM
     // training inputs are position-independent and shareable across
     // every binary in the fleet — and across edits of one binary.
+    // `--resume` alone persists the same way but keeps the paper's raw
+    // call events (its execution keys are bound to the image instead).
     if corpus_manifest.is_some() || incremental {
         config = config.with_canonical_calls();
     }
     let options = SupervisorOptions {
         retry: RetryPolicy::new(max_retries),
         deadline_ms,
-        resume,
         sleep_backoff,
         max_failures,
         collect_metrics: metrics,
-        incremental,
+        incremental: incremental || resume,
     };
-    // `--durable` trades latency for crash safety: each checkpoint is
+    // `--durable` trades latency for crash safety: each sub-artifact is
     // fsynced (file + directory) before its commit rename counts.
     // `--sleep-backoff` also makes *store* retries sleep their curve.
     let store = ArtifactStore::open_with(&store_dir, StdVfs::arc(), durable)?
@@ -631,12 +635,10 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     if let Some(t) = &tracer {
         supervisor = supervisor.with_tracer(t.clone());
     }
-    // `--incremental` needs a corpus cache even without a manifest: it
-    // is the in-memory face of the persisted sub-artifact store.
-    let corpus =
-        (corpus_manifest.is_some() || incremental).then(|| Arc::new(rock_core::CorpusCache::new()));
-    if let Some(c) = &corpus {
-        supervisor = supervisor.with_corpus(c.clone());
+    // `--resume` and `--incremental` get a private corpus cache from
+    // the supervisor: it is the in-memory face of the persisted store.
+    if corpus_manifest.is_some() && supervisor.corpus().is_none() {
+        supervisor = supervisor.with_corpus(Arc::new(rock_core::CorpusCache::new()));
     }
     let start = std::time::Instant::now();
     let batch = supervisor.run_batch(&jobs);
@@ -666,7 +668,7 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
         write_trace(path, tracer)?;
     }
-    if let Some(corpus) = &corpus {
+    if let Some(corpus) = supervisor.corpus() {
         let s = corpus.stats();
         let c = |name| s.counter(name);
         println!(
@@ -696,7 +698,6 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
                 emit_timings(&job.report.name, &recon.timings, format);
             }
         }
-        let restored: usize = batch.jobs.iter().map(|j| j.report.restored.len()).sum();
         let run = batch.jobs.len();
         let ms = elapsed.as_millis().max(1);
         let incr_text = batch.incr.as_ref().map_or(String::new(), |i| {
@@ -719,14 +720,12 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
         });
         match format {
             TimingsFormat::Text => println!(
-                "batch: {run} jobs in {ms} ms ({:.1} jobs/s), {restored} stages restored from \
-                 checkpoints{incr_text}, exit code {}",
+                "batch: {run} jobs in {ms} ms ({:.1} jobs/s){incr_text}, exit code {}",
                 run as f64 * 1000.0 / ms as f64,
                 batch.exit_code
             ),
             TimingsFormat::Json => println!(
-                "{{\"batch\":{{\"jobs\":{run},\"elapsed_ms\":{ms},\"stages_restored\":\
-                 {restored}{incr_json},\"exit_code\":{}}}}}",
+                "{{\"batch\":{{\"jobs\":{run},\"elapsed_ms\":{ms}{incr_json},\"exit_code\":{}}}}}",
                 batch.exit_code
             ),
         }
@@ -778,7 +777,6 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
             }
             "--idle-timeout" => cfg.idle_timeout_ms = num("--idle-timeout", "milliseconds")?,
             "--durable" => cfg.durable = true,
-            "--incremental" => cfg.options.incremental = true,
             "--trace" => {
                 trace_path = Some(it.next().ok_or("--trace needs an output path")?.clone());
             }
@@ -792,7 +790,7 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
                      [--store <dir>] [--port-file <path>] [--queue n] [--workers n] \
                      [--quota-burst n] [--quota-refill n/s] [--max-inflight n] [--deadline ms] \
                      [--corpus-cap n] [--max-image-bytes n] [--send-budget n] \
-                     [--idle-timeout ms] [--durable] [--incremental] [--trace <out.json>] \
+                     [--idle-timeout ms] [--durable] [--trace <out.json>] \
                      [--trace-level off|stage|sampled|full]"
                 )
                 .into())
@@ -801,7 +799,6 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
     }
     let tracer = trace_path.as_ref().map(|_| Arc::new(Tracer::new()));
     cfg.tracer = tracer.clone();
-    let incremental = cfg.options.incremental;
     rock_serve::signals::install_termination_handler();
     let server = rock_serve::Server::bind(cfg, &addr)?;
     let handle = server.handle();
@@ -824,9 +821,7 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
         summary.protocol_errors,
         summary.panics_contained,
     );
-    if incremental {
-        print_incr(|name| handle.counter(name));
-    }
+    print_incr(|name| handle.counter(name));
     Ok(0)
 }
 
@@ -1176,8 +1171,8 @@ fn hammer_trickle(addr: &str, image: &[u8]) -> Result<rock_serve::wire::Response
 }
 
 /// `rock store scrub`: offline self-healing pass over an artifact
-/// store. Verifies every artifact frame's checksum, sweeps orphaned
-/// `.art.tmp` files, and quarantines corrupt or unknown entries under
+/// store. Verifies every sub-artifact frame and payload, sweeps orphaned
+/// `.sub.tmp` files, and quarantines corrupt or unknown entries under
 /// `<store>/.quarantine/`. Exit code 0 unless the scrub itself hit
 /// i/o errors it could not work around.
 fn cmd_store(args: &[String]) -> Result<u8, Box<dyn Error>> {
@@ -1212,10 +1207,9 @@ fn cmd_store(args: &[String]) -> Result<u8, Box<dyn Error>> {
             println!("{}{line}", if dry_run { "would fix: " } else { "" });
         }
         println!(
-            "scrub{}: {} job dirs, {} artifacts ok, {} corrupt quarantined, {} tmp swept, \
+            "scrub{}: {} artifacts ok, {} corrupt quarantined, {} tmp swept, \
              {} unknown quarantined, {} io errors{}",
             if dry_run { " (dry run)" } else { "" },
-            report.jobs_scanned,
             report.artifacts_ok,
             report.corrupt_quarantined,
             report.tmp_swept,

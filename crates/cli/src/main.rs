@@ -24,14 +24,16 @@
 //! rock batch <file.rkb ...>          supervised batch reconstruction
 //!          [--jobs <list>]           read job paths (one per line) from a file
 //!          [--store <dir>]           artifact store root (default .rock-store)
-//!          [--resume]                restore checkpointed stages
+//!          [--resume]                persist sub-artifacts at every stage
+//!                                    boundary and preload them first, so
+//!                                    a rerun reuses every stage that ran
 //!          [--max-retries <n>]       retry ladder depth (default 3)
 //!          [--deadline <ms>]         per-job watchdog deadline
 //!          [--max-errors <n>]        abort batch after n hard failures
 //!          [--report <path>]         write the batch report JSON to a file
 //!          [--sleep-backoff]         actually sleep retry backoff delays
 //!          [--timings]               per-job stage wall clock, then the
-//!                                    batch throughput + resume summary
+//!                                    batch throughput + preload/flush summary
 //! rock serve                         multi-tenant reconstruction daemon
 //!          [--addr host:port]        bind address (default 127.0.0.1:0)
 //!          [--store <dir>]           artifact store root (default .rock-store)
@@ -53,8 +55,8 @@
 //! Exit codes: `0` success; `1` usage / interrupted job; `2` a job
 //! degraded (retry ladder or contained faults); `3` a job failed
 //! (unloadable image or strict mode); `4` a job blew its deadline;
-//! `5` resume found corrupt artifacts. A batch exits with the largest
-//! per-job code.
+//! `5` the batch's preload skipped a corrupt sub-artifact. A batch exits
+//! with the largest of these.
 
 use std::process::ExitCode;
 

@@ -8,7 +8,7 @@
 //! | 2    | a job degraded (retry ladder, contained fault) |
 //! | 3    | a job failed (unloadable image, strict mode)   |
 //! | 4    | a job blew its watchdog deadline               |
-//! | 5    | resume found corrupt artifacts                 |
+//! | 5    | the preload skipped a corrupt sub-artifact     |
 
 use std::fs;
 use std::path::PathBuf;
@@ -117,28 +117,59 @@ fn a_blown_deadline_exits_four_but_still_emits_a_hierarchy() {
     assert!(types > 0, "fallback hierarchy must be non-empty: {json}");
 }
 
+/// The batch's `corpus:` or `incr:` summary line.
+fn summary_line(out: &str, prefix: &str) -> String {
+    out.lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix} in {out}"))
+        .into()
+}
+
 #[test]
 fn corrupt_resume_artifacts_exit_five_and_recompute() {
     let s = Scratch::new("corrupt");
     // First run populates the store.
     let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
-    // Damage every analysis artifact in the store.
-    let mut damaged = 0;
-    for job_dir in fs::read_dir(&s.store).unwrap() {
-        let art = job_dir.unwrap().path().join("analysis.art");
-        if art.exists() {
-            fs::write(&art, b"garbage").unwrap();
-            damaged += 1;
-        }
-    }
-    assert!(damaged > 0, "first run must have checkpointed");
+    // Damage one lifting sub-artifact and the snapshot pack, so preload
+    // meets both and neither copy of the entry survives.
+    let sub = PathBuf::from(&s.store).join("sub");
+    let lifting = fs::read_dir(sub.join("lifting")).unwrap().next().unwrap().unwrap().path();
+    fs::write(&lifting, b"garbage").unwrap();
+    fs::write(sub.join("snapshot.pack"), b"garbage").unwrap();
     let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
     assert_eq!(code(&out), 5, "stdout: {}", stdout(&out));
-    let json = stdout(&out);
-    assert!(json.contains("\"resume_corrupt\":true"), "got: {json}");
-    // The job itself still recomputed successfully.
-    assert!(json.contains("\"outcome\":\"ok\""), "got: {json}");
+    let text = stdout(&out);
+    assert!(
+        summary_line(&text, "incr:").contains("2 corrupt skipped"),
+        "the preload counts both damaged files: {text}"
+    );
+    // The job itself still recomputed the lost entry successfully.
+    assert!(text.contains("\"outcome\":\"ok\""), "got: {text}");
+    assert!(text.contains("\"exit_code\":0"), "the job is fine; the batch carries the 5: {text}");
+    assert!(summary_line(&text, "corpus:").contains("liftings 0/1 hit"), "got: {text}");
+    // That rerun persisted the entry again: the next one is clean.
+    let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
+    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+}
+
+#[test]
+fn an_alien_file_in_a_tier_loses_nothing_and_exits_zero() {
+    let s = Scratch::new("alien");
+    let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
+    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+    // A file no flush wrote holds no entry: scrub owns it, and no
+    // rerun removes it, so it must not raise the exit code.
+    let alien = PathBuf::from(&s.store).join("sub").join("model").join(".DS_Store");
+    fs::write(&alien, b"not an artifact").unwrap();
+    for _ in 0..2 {
+        let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
+        assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+        let text = stdout(&out);
+        assert!(summary_line(&text, "incr:").contains("0 corrupt skipped"), "got: {text}");
+        assert!(summary_line(&text, "corpus:").contains("(100.0% overall)"), "got: {text}");
+    }
+    assert!(alien.exists(), "a batch never deletes what it did not write");
 }
 
 #[test]
@@ -146,15 +177,18 @@ fn resume_restores_checkpointed_stages() {
     let s = Scratch::new("resume");
     let out = rock(&["batch", &s.image, "--store", &s.store, "--resume", "--timings"]);
     assert_eq!(code(&out), 0);
-    assert!(stdout(&out).contains("\"restored\":[]"), "first run restores nothing");
+    let text = stdout(&out);
+    assert!(summary_line(&text, "corpus:").contains("(0.0% overall)"), "first run is cold: {text}");
+    assert!(text.contains("incr 0 preloaded / "), "timings summary: {text}");
     let out = rock(&["batch", &s.image, "--store", &s.store, "--resume", "--timings"]);
     assert_eq!(code(&out), 0);
-    let json = stdout(&out);
+    let text = stdout(&out);
     assert!(
-        json.contains("\"restored\":[\"analysis\",\"training\",\"distances\",\"lifting\"]"),
-        "second run restores every stage: {json}"
+        summary_line(&text, "corpus:").contains("(100.0% overall)"),
+        "the second run is answered by every tier: {text}"
     );
-    assert!(json.contains("4 stages restored"), "timings summary: {json}");
+    assert!(summary_line(&text, "incr:").contains(" 0 flushed"), "nothing new to persist: {text}");
+    assert!(!text.contains("incr 0 preloaded"), "the second run preloads: {text}");
 }
 
 #[test]

@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex};
 
 use rock_analysis::canon::{CachedCtors, CachedExec, ExecCache, Label};
 use rock_analysis::{AnalysisConfig, CachedSub, Event};
-use rock_binary::Addr;
+use rock_binary::{image_to_bytes, Addr, BinaryImage};
 use rock_slm::{Metric, Slm};
 use rock_trace::{names, MetricsRegistry};
 
@@ -174,11 +174,16 @@ impl Stored for ExecSlot {
 struct Shard<K, V> {
     map: BTreeMap<K, V>,
     order: VecDeque<K>,
+    /// Once the shard has been claimed from: every key stored unmarked
+    /// or unclaimed since the last claim (`None` before the first, which
+    /// walks the whole map). A claim visits only these, so it costs what
+    /// was added, and a cache that never persists keeps no list.
+    unpersisted: Option<Vec<K>>,
 }
 
 impl<K: Ord, V> Default for Shard<K, V> {
     fn default() -> Shard<K, V> {
-        Shard { map: BTreeMap::new(), order: VecDeque::new() }
+        Shard { map: BTreeMap::new(), order: VecDeque::new(), unpersisted: None }
     }
 }
 
@@ -206,6 +211,9 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
             }
         }
         counters.bytes_stored.fetch_add(value.image().bytes.len() as u64, Ordering::Relaxed);
+        if let (Some(keys), false) = (&mut self.unpersisted, value.image().persisted) {
+            keys.push(key);
+        }
         self.order.push_back(key);
         self.map.insert(key, value);
     }
@@ -214,7 +222,33 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
     fn unclaim(&mut self, key: &K) {
         if let Some(value) = self.map.get_mut(key) {
             value.image_mut().persisted = false;
+            if let Some(keys) = &mut self.unpersisted {
+                keys.push(*key);
+            }
         }
+    }
+
+    /// With `claim`, marks every unmarked entry persisted, returns their
+    /// keys and adds the number of entries marked already to
+    /// `unchanged`; without, returns the keys of every persisted entry.
+    /// Keys come in ascending order.
+    fn select(&mut self, claim: bool, unchanged: &mut u64) -> Vec<K> {
+        if !claim {
+            return self.map.iter().filter(|(_, v)| v.image().persisted).map(|(k, _)| *k).collect();
+        }
+        let mut keys = match self.unpersisted.replace(Vec::new()) {
+            Some(keys) => keys,
+            None => self.map.keys().copied().collect(),
+        };
+        keys.sort_unstable();
+        keys.dedup();
+        keys.retain(|key| {
+            self.map
+                .get_mut(key)
+                .is_some_and(|v| !std::mem::replace(&mut v.image_mut().persisted, true))
+        });
+        *unchanged += (self.map.len() - keys.len()) as u64;
+        keys
     }
 }
 
@@ -388,6 +422,21 @@ impl CorpusCache {
     /// budgets never alias each other's entries.
     pub fn exec_cache(&self, config: &AnalysisConfig) -> CorpusExecCache<'_> {
         CorpusExecCache { cache: self, salt: exec_salt(config) }
+    }
+
+    /// The execution-tier view for runs without canonical calls
+    /// ([`rock_analysis::extract_tracelets_cached`]). Their call events
+    /// carry raw callee addresses, so the salt also hashes the whole
+    /// image; with the extractor's entry-bound function keys, an entry
+    /// then answers only the function, in the image, it came from.
+    pub fn image_exec_cache(
+        &self,
+        config: &AnalysisConfig,
+        image: &BinaryImage,
+    ) -> CorpusExecCache<'_> {
+        let mut bytes = exec_salt(config).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&image_to_bytes(image));
+        CorpusExecCache { cache: self, salt: key_of_bytes(&bytes) }
     }
 
     fn exec_load(&self, key: u128) -> Option<Arc<CachedExec>> {
@@ -601,7 +650,7 @@ impl CorpusCache {
     /// rebuilding a lost snapshot pack. Order and encoding are those of
     /// [`CorpusCache::claim_unpersisted`].
     pub fn export_entries(&self) -> Vec<(SubTier, u128, Vec<u8>)> {
-        self.encode_entries(|entry| entry.persisted)
+        self.encode_entries(false).0
     }
 
     /// Claims every entry not yet persisted: marks it persisted under
@@ -609,8 +658,9 @@ impl CorpusCache {
     /// to exactly one flush however many run at once. Returns the
     /// claimed entries and the number of entries found already
     /// persisted. A caller whose write of a claimed entry fails hands it
-    /// back with [`CorpusCache::unclaim`]. Only unpersisted entries are
-    /// verified and encoded, so a claim costs what was added.
+    /// back with [`CorpusCache::unclaim`]. After a shard's first claim
+    /// it tracks the keys stored unmarked since, so a claim visits and
+    /// encodes only what was added, not every entry the cache holds.
     ///
     /// Order is deterministic: tier by tier, shard index ascending, key
     /// ascending within each shard. Entries that fail their checksum
@@ -622,16 +672,7 @@ impl CorpusCache {
     /// triple into one `u128` — the triple itself travels in the
     /// payload so an import can verify the key before trusting it.
     pub fn claim_unpersisted(&self) -> (Vec<(SubTier, u128, Vec<u8>)>, u64) {
-        let mut unchanged = 0;
-        let claimed = self.encode_entries(|entry| {
-            if entry.persisted {
-                unchanged += 1;
-                return false;
-            }
-            entry.persisted = true;
-            true
-        });
-        (claimed, unchanged)
+        self.encode_entries(true)
     }
 
     /// Hands back an entry [`CorpusCache::claim_unpersisted`] returned
@@ -653,16 +694,18 @@ impl CorpusCache {
     }
 
     /// Serializes, in the order [`CorpusCache::claim_unpersisted`]
-    /// documents, every entry whose image `pick` accepts and that then
-    /// verifies (`pick` may update the image's persisted mark).
-    fn encode_entries(
-        &self,
-        mut pick: impl FnMut(&mut Entry) -> bool,
-    ) -> Vec<(SubTier, u128, Vec<u8>)> {
+    /// documents, the verified entries it claims (`claim`), or else
+    /// every verified persisted entry. Returns them and the number of
+    /// entries a claim found persisted already (0 for an export).
+    fn encode_entries(&self, claim: bool) -> (Vec<(SubTier, u128, Vec<u8>)>, u64) {
+        const POISONED: &str = "corpus shard poisoned";
+        let mut unchanged = 0;
         let mut out = Vec::new();
         for shard in &self.execs {
-            for (&key, slot) in &mut shard.lock().expect("corpus shard poisoned").map {
-                if !pick(slot.image_mut()) || slot.image().verified().is_none() {
+            let mut shard = shard.lock().expect(POISONED);
+            for key in shard.select(claim, &mut unchanged) {
+                let slot = &shard.map[&key];
+                if slot.image().verified().is_none() {
                     continue;
                 }
                 let bytes = match slot {
@@ -681,20 +724,18 @@ impl CorpusCache {
             }
         }
         for shard in &self.models {
-            for (&key, me) in &mut shard.lock().expect("corpus shard poisoned").map {
-                if pick(&mut me.entry) && me.entry.verified().is_some() {
+            let mut shard = shard.lock().expect(POISONED);
+            for key in shard.select(claim, &mut unchanged) {
+                let me = &shard.map[&key];
+                if me.entry.verified().is_some() {
                     out.push((SubTier::Model, key, encode_model(&me.model)));
                 }
             }
         }
         for shard in &self.distances {
-            for (&(metric, from, to), entry) in
-                &mut shard.lock().expect("corpus shard poisoned").map
-            {
-                if !pick(entry) {
-                    continue;
-                }
-                let Some(bits) = entry.verified().and_then(|b| {
+            let mut shard = shard.lock().expect(POISONED);
+            for (metric, from, to) in shard.select(claim, &mut unchanged) {
+                let Some(bits) = shard.map[&(metric, from, to)].verified().and_then(|b| {
                     let raw: [u8; 8] = b.try_into().ok()?;
                     Some(u64::from_le_bytes(raw))
                 }) else {
@@ -705,13 +746,15 @@ impl CorpusCache {
             }
         }
         for shard in &self.liftings {
-            for (&key, entry) in &mut shard.lock().expect("corpus shard poisoned").map {
-                if pick(entry) && entry.verified().is_some() {
+            let mut shard = shard.lock().expect(POISONED);
+            for key in shard.select(claim, &mut unchanged) {
+                let entry = &shard.map[&key];
+                if entry.verified().is_some() {
                     out.push((SubTier::Lifting, key, entry.bytes.clone()));
                 }
             }
         }
-        out
+        (out, unchanged)
     }
 
     /// Restores one exported entry. Decoding is fully validating:
@@ -1645,6 +1688,16 @@ mod tests {
             cache.unclaim(*tier, *key, payload);
         }
         assert_eq!(cache.claim_unpersisted(), (claimed.clone(), 0));
+
+        // After the first claim, the next one hands out what was stored
+        // since, and only that.
+        cache.store_lifting(8, &[None], 1);
+        let (added, unchanged) = cache.claim_unpersisted();
+        assert_eq!(
+            added.iter().map(|(t, k, _)| (*t, *k)).collect::<Vec<_>>(),
+            [(SubTier::Lifting, 8)]
+        );
+        assert_eq!(unchanged, 5);
 
         // Imported entries arrive persisted; a live store of the same
         // key keeps the mark, and an import marks a live entry.

@@ -66,5 +66,5 @@ pub use pipeline::{Reconstruction, Rock};
 pub use pseudo::pseudo_source;
 pub use report::{render_table2, render_table2_markdown, Table2Row};
 pub use rock_trace::TraceLevel;
-pub use staged::{RestoreError, StageId, StagedRun};
+pub use staged::{StageId, StagedRun};
 pub use timings::StageTimings;

@@ -1,20 +1,14 @@
-//! The reconstruction pipeline as explicit, checkpointable stages.
+//! The reconstruction pipeline as explicit stages.
 //!
 //! [`crate::Rock::try_reconstruct`] is a thin loop over a [`StagedRun`]:
 //! `begin` records the load boundary, each [`StagedRun::advance`] call
 //! runs exactly one [`StageId`] to completion, and [`StagedRun::finish`]
 //! assembles the [`crate::Reconstruction`]. A supervisor (the
-//! `rock-supervisor` crate) drives the same loop but snapshots every
-//! completed stage to an on-disk artifact store, and on resume feeds the
-//! artifacts back through the `restore_*` methods so completed stages are
-//! **skipped, not re-run** — the restored state is bit-identical to what
-//! the live stage would have produced, because every stage is a
-//! deterministic function of its restored inputs.
-//!
-//! Restores must follow stage order (analysis, then training, then
-//! distances, then lifting); a restore against the wrong cursor position
-//! is rejected with [`RestoreError`] rather than silently corrupting the
-//! run.
+//! `rock-supervisor` crate) drives the same loop and persists the
+//! attached corpus cache's new entries at every stage boundary. Every
+//! stage is a pure function of content-addressed inputs, so a resumed
+//! job simply runs again: the corpus tiers answer the stages that
+//! already ran, bit for bit.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,8 +16,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rock_analysis::{
-    extract_tracelets_canonical, extract_tracelets_instrumented, Analysis, AnalysisHooks,
-    ContentLabels, Event, ExecCache, NoHooks,
+    extract_tracelets_cached, extract_tracelets_canonical, extract_tracelets_instrumented,
+    Analysis, AnalysisHooks, ContentLabels, Event, ExecCache, NoHooks,
 };
 use rock_binary::Addr;
 use rock_graph::{min_spanning_forest, DiGraph, Forest};
@@ -42,13 +36,12 @@ use crate::pipeline::{
 };
 use crate::{Reconstruction, StageTimings};
 
-/// One checkpointable pipeline stage.
+/// One pipeline stage: a supervisor's persistence boundary.
 ///
-/// The variants are ordered: a [`StagedRun`] executes them front to back,
-/// and a resumed run restores a *prefix* of them from artifacts before
-/// executing the rest live. (Structural analysis is deliberately not a
-/// checkpoint boundary: it is cheap, deterministic, and re-derived on
-/// demand from the loaded binary plus the analysis artifact.)
+/// The variants are ordered: a [`StagedRun`] executes them front to back.
+/// (Structural analysis is deliberately not a boundary: it is cheap,
+/// deterministic, and derived on demand from the loaded binary plus the
+/// recognized ctors.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StageId {
     /// Behavioral analysis: tracelet extraction + ctor recognition.
@@ -66,7 +59,7 @@ impl StageId {
     pub const ALL: [StageId; 4] =
         [StageId::Analysis, StageId::Training, StageId::Distances, StageId::Lifting];
 
-    /// Stable lowercase name (artifact file stems, reports).
+    /// Stable lowercase name (reports).
     pub fn name(self) -> &'static str {
         match self {
             StageId::Analysis => "analysis",
@@ -103,26 +96,6 @@ fn stage_span_name(stage: StageId) -> &'static str {
     }
 }
 
-/// A restore was attempted against the wrong cursor position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RestoreError {
-    /// The stage the caller tried to restore.
-    pub restoring: StageId,
-    /// The stage the run actually expects next (`None` when complete).
-    pub expected: Option<StageId>,
-}
-
-impl fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.expected {
-            Some(e) => write!(f, "cannot restore {}: run expects {e} next", self.restoring),
-            None => write!(f, "cannot restore {}: run already complete", self.restoring),
-        }
-    }
-}
-
-impl std::error::Error for RestoreError {}
-
 /// One in-flight reconstruction, advanced stage by stage.
 ///
 /// Obtained from [`Rock::begin`]; see the module docs for the contract.
@@ -134,9 +107,9 @@ pub struct StagedRun<'a> {
     metrics: MetricsRegistry,
     sink: DiagnosticSink,
     coverage: Coverage,
-    /// Every `(from, to)` model key pair a live stage asked a distance
-    /// for, one entry per ask: the distance stage's scored pairs, then
-    /// repartition's. Restored stages add nothing.
+    /// Every `(from, to)` model key pair a stage asked a distance for,
+    /// one entry per ask: the distance stage's scored pairs, then
+    /// repartition's.
     asked: Vec<(ModelKey, ModelKey)>,
     analysis: Option<Analysis>,
     structural: Option<Structural>,
@@ -196,7 +169,7 @@ impl<'a> StagedRun<'a> {
         self.cursor
     }
 
-    /// Returns `true` once every stage has run or been restored.
+    /// Returns `true` once every stage has run.
     pub fn is_done(&self) -> bool {
         self.cursor.is_none()
     }
@@ -204,11 +177,6 @@ impl<'a> StagedRun<'a> {
     /// The binary this run reconstructs.
     pub fn loaded(&self) -> &'a LoadedBinary {
         self.loaded
-    }
-
-    /// The behavioral analysis, once its stage completed.
-    pub fn analysis(&self) -> Option<&Analysis> {
-        self.analysis.as_ref()
     }
 
     /// The trained models, once the training stage completed. Models are
@@ -221,23 +189,6 @@ impl<'a> StagedRun<'a> {
     /// The scored candidate edges, once the distance stage completed.
     pub fn distances(&self) -> Option<&BTreeMap<(Addr, Addr), f64>> {
         self.distances.as_ref()
-    }
-
-    /// The lifted hierarchy, once the lifting stage completed.
-    pub fn hierarchy(&self) -> Option<&Forest<Addr>> {
-        self.hierarchy.as_ref()
-    }
-
-    /// Every diagnostic recorded so far, in record order (a checkpoint
-    /// snapshots this alongside the stage output so a resumed run
-    /// reports exactly what the original would have).
-    pub fn diagnostics_snapshot(&self) -> Vec<StageError> {
-        self.sink.iter().cloned().collect()
-    }
-
-    /// Coverage accumulated so far.
-    pub fn coverage(&self) -> Coverage {
-        self.coverage
     }
 
     /// The metrics recorded so far (work counts only — no wall-clock
@@ -295,9 +246,9 @@ impl<'a> StagedRun<'a> {
 
     /// Re-derives the structural analysis if it is not present yet.
     ///
-    /// Structural analysis is not a checkpoint boundary: it is a cheap
+    /// Structural analysis is not a stage boundary: it is a cheap
     /// deterministic function of the loaded binary and the recognized
-    /// ctors, so live and resumed runs alike compute it on first use.
+    /// ctors, computed on first use.
     fn ensure_structural(&mut self) {
         if self.structural.is_some() {
             return;
@@ -324,6 +275,9 @@ impl<'a> StagedRun<'a> {
     /// call events to position-independent content labels, and — when a
     /// corpus cache is attached — answers whole per-function executions
     /// from the fleet-wide tracelet tier instead of re-running them.
+    /// Without canonical calls an attached corpus still answers them, but
+    /// under keys bound to this image and each function's entry address,
+    /// because raw call events carry addresses.
     fn run_analysis(&mut self) {
         let stage = Instant::now();
         let rock = self.rock;
@@ -333,22 +287,33 @@ impl<'a> StagedRun<'a> {
         };
         let ctx = rock.trace_ctx();
         let mut spans = ctx.local();
+        let config = &rock.config().analysis;
         let analysis = if rock.config().canonical_calls {
             let labels = ContentLabels::compute(self.loaded);
-            let exec_cache = rock.corpus_cache().map(|c| c.exec_cache(&rock.config().analysis));
+            let exec_cache = rock.corpus_cache().map(|c| c.exec_cache(config));
             extract_tracelets_canonical(
                 self.loaded,
-                &rock.config().analysis,
+                config,
                 hooks,
                 &mut spans,
                 &mut self.metrics,
                 &labels,
                 exec_cache.as_ref().map(|c| c as &dyn ExecCache),
             )
+        } else if let Some(corpus) = rock.corpus_cache() {
+            let exec_cache = corpus.image_exec_cache(config, self.loaded.image());
+            extract_tracelets_cached(
+                self.loaded,
+                config,
+                hooks,
+                &mut spans,
+                &mut self.metrics,
+                &exec_cache,
+            )
         } else {
             extract_tracelets_instrumented(
                 self.loaded,
-                &rock.config().analysis,
+                config,
                 hooks,
                 &mut spans,
                 &mut self.metrics,
@@ -361,9 +326,7 @@ impl<'a> StagedRun<'a> {
         self.timings.analysis = stage.elapsed();
     }
 
-    /// Folds the deterministic shape of an analysis into the registry
-    /// (shared by the live stage and the restore path, so resumed runs
-    /// report the same pool counters the original would have).
+    /// Folds the deterministic shape of an analysis into the registry.
     fn record_analysis_metrics(&mut self, analysis: &Analysis) {
         use rock_analysis::IncidentKind;
         let mut tracelets = 0u64;
@@ -385,8 +348,7 @@ impl<'a> StagedRun<'a> {
         self.metrics.set(names::ANALYSIS_FUEL_EXHAUSTED, fuel_starved as u64);
     }
 
-    /// Folds an analysis' incident list into diagnostics + coverage
-    /// (shared by the live stage and the restore path).
+    /// Folds an analysis' incident list into diagnostics + coverage.
     fn record_analysis_incidents(&mut self, analysis: &Analysis) {
         use rock_analysis::IncidentKind;
         for (entry, incident) in analysis.incidents() {
@@ -553,8 +515,7 @@ impl<'a> StagedRun<'a> {
         self.timings.training = stage.elapsed();
     }
 
-    /// Installs trained models and their derived counters (shared by the
-    /// live stage and the restore path).
+    /// Installs trained models and their derived counters.
     fn set_models(&mut self, models: BTreeMap<Addr, Arc<Slm<Event>>>) {
         self.coverage.models_trained = models.len();
         self.metrics.set(names::SLM_MODELS_TRAINED, models.len() as u64);
@@ -806,137 +767,6 @@ impl<'a> StagedRun<'a> {
         self.timings.lifting = stage.elapsed();
     }
 
-    /// Replaces the diagnostic sink and coverage with a checkpoint
-    /// snapshot (the cumulative state at the restored stage's boundary).
-    fn restore_observability(&mut self, diagnostics: Vec<StageError>, coverage: Coverage) {
-        let sink = DiagnosticSink::default();
-        for e in diagnostics {
-            sink.record(e);
-        }
-        self.sink = sink;
-        self.coverage = coverage;
-    }
-
-    /// Checks that `stage` is the one the cursor expects, then moves the
-    /// cursor past it.
-    fn accept_restore(&mut self, stage: StageId) -> Result<(), RestoreError> {
-        if self.cursor != Some(stage) {
-            return Err(RestoreError { restoring: stage, expected: self.cursor });
-        }
-        self.cursor = stage.next();
-        Ok(())
-    }
-
-    /// Restores the behavioral-analysis stage from a checkpoint.
-    ///
-    /// The incidents carried by `analysis` are *not* re-folded into
-    /// coverage — the snapshot already accounts for them.
-    pub fn restore_analysis(
-        &mut self,
-        analysis: Analysis,
-        diagnostics: Vec<StageError>,
-        coverage: Coverage,
-    ) -> Result<(), RestoreError> {
-        self.accept_restore(StageId::Analysis)?;
-        self.restore_observability(diagnostics, coverage);
-        // Pool-shape metrics are re-derived from the artifact; only
-        // `analysis.fuel_spent` is unrecoverable (it never leaves the
-        // live stage) and stays zero on resumed runs.
-        self.record_analysis_metrics(&analysis);
-        self.analysis = Some(analysis);
-        Ok(())
-    }
-
-    /// Restores the training stage from a checkpoint: re-derives each
-    /// listed model from the (already restored) analysis artifact.
-    ///
-    /// SLM parameters are a deterministic function of the type's tracelet
-    /// pool and the configured depth (symbol ids are assigned in `Ord`
-    /// order, trie counts are additive), so retraining reproduces the
-    /// original models bit for bit — the checkpoint only has to pin
-    /// *which* types trained successfully. Crucially, no fault is
-    /// injected here: a plan that would panic the live training stage
-    /// cannot touch a restored one.
-    pub fn restore_models(
-        &mut self,
-        trained: &[Addr],
-        diagnostics: Vec<StageError>,
-        coverage: Coverage,
-    ) -> Result<(), RestoreError> {
-        self.accept_restore(StageId::Training)?;
-        self.compute_model_keys();
-        let analysis = self.analysis.as_ref().expect("restore order guarantees analysis");
-        let config = self.rock.config();
-        let retrained = crate::par::par_map(config.parallelism, trained, |&addr| {
-            let mut m = Slm::new(config.analysis.slm_depth);
-            for t in analysis.tracelets().of_type(addr) {
-                m.train(t);
-            }
-            m.finalize();
-            Arc::new(m)
-        });
-        let models: BTreeMap<Addr, Arc<Slm<Event>>> =
-            trained.iter().copied().zip(retrained).collect();
-        self.ensure_structural();
-        self.set_models(models);
-        self.restore_observability(diagnostics, coverage);
-        Ok(())
-    }
-
-    /// Restores the distance stage from a checkpoint: installs the scored
-    /// edges and replays the family digraph assembly from them.
-    ///
-    /// The replay walks families, children, and candidate parents in the
-    /// same order as the live stage, inserting exactly the edges the
-    /// checkpoint accepted — so the digraphs (and therefore every
-    /// downstream tie-break in the arborescence search) are bit-identical
-    /// to the uninterrupted run's.
-    pub fn restore_distances(
-        &mut self,
-        distances: BTreeMap<(Addr, Addr), f64>,
-        diagnostics: Vec<StageError>,
-        coverage: Coverage,
-    ) -> Result<(), RestoreError> {
-        self.accept_restore(StageId::Distances)?;
-        self.ensure_structural();
-        let structural = self.structural.as_ref().expect("restore order guarantees structural");
-        let families = structural.families();
-        let mut graphs: Vec<DiGraph> = families.iter().map(|f| DiGraph::new(f.len())).collect();
-        for (fi, family) in families.iter().enumerate() {
-            let index: BTreeMap<Addr, usize> =
-                family.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-            for &child in family {
-                for parent in structural.possible_parents().of(child) {
-                    if !index.contains_key(&parent) {
-                        self.metrics.add(names::DISTANCES_FOREIGN_CANDIDATES, 1);
-                        continue;
-                    }
-                    if let Some(&d) = distances.get(&(parent, child)) {
-                        graphs[fi].add_edge(index[&parent], index[&child], d);
-                        self.metrics.add(names::DISTANCES_EDGES, 1);
-                    }
-                }
-            }
-        }
-        self.distances = Some(distances);
-        self.graphs = Some(graphs);
-        self.restore_observability(diagnostics, coverage);
-        Ok(())
-    }
-
-    /// Restores the lifting stage from a checkpoint.
-    pub fn restore_hierarchy(
-        &mut self,
-        hierarchy: Forest<Addr>,
-        diagnostics: Vec<StageError>,
-        coverage: Coverage,
-    ) -> Result<(), RestoreError> {
-        self.accept_restore(StageId::Lifting)?;
-        self.hierarchy = Some(hierarchy);
-        self.restore_observability(diagnostics, coverage);
-        Ok(())
-    }
-
     /// Completes the run: optional repartitioning, final counters, and
     /// the assembled [`Reconstruction`].
     ///
@@ -947,10 +777,10 @@ impl<'a> StagedRun<'a> {
         assert!(self.is_done(), "finish() with stage {:?} still pending", self.cursor);
         self.ensure_structural();
         let structural = self.structural.take().expect("structural ensured");
-        let analysis = self.analysis.take().expect("analysis ran or was restored");
-        let models = self.models.take().expect("training ran or was restored");
-        let mut distances = self.distances.take().expect("distances ran or were restored");
-        let mut hierarchy = self.hierarchy.take().expect("lifting ran or was restored");
+        let analysis = self.analysis.take().expect("analysis ran");
+        let models = self.models.take().expect("training ran");
+        let mut distances = self.distances.take().expect("distances ran");
+        let mut hierarchy = self.hierarchy.take().expect("lifting ran");
         let config = *self.rock.config();
 
         if config.repartition_families {
@@ -976,9 +806,8 @@ impl<'a> StagedRun<'a> {
         }
 
         // Finalize registry counters that only settle at the run
-        // boundary; all of them derive from deterministic state (coverage
-        // snapshots, diagnostics, the asked key pairs), so restored runs
-        // report what the uninterrupted run would have.
+        // boundary; all of them derive from deterministic state (coverage,
+        // diagnostics, the asked key pairs).
         let cov = self.coverage;
         self.metrics.set(names::ANALYSIS_FUNCTIONS_TOTAL, cov.functions_total as u64);
         self.metrics.set(names::ANALYSIS_FUNCTIONS_ANALYZED, cov.functions_analyzed as u64);
@@ -1080,64 +909,5 @@ mod tests {
         assert_eq!(staged.distances, direct.distances);
         assert_eq!(staged.coverage, direct.coverage);
         assert_eq!(staged.diagnostics, direct.diagnostics);
-    }
-
-    #[test]
-    fn restores_must_follow_cursor_order() {
-        let loaded = loaded_sample();
-        let rock = Rock::new(RockConfig::paper());
-        let mut run = rock.begin(&loaded);
-        let err = run
-            .restore_models(&[], Vec::new(), Coverage::default())
-            .expect_err("training restore before analysis must fail");
-        assert_eq!(err.restoring, StageId::Training);
-        assert_eq!(err.expected, Some(StageId::Analysis));
-        assert!(err.to_string().contains("expects analysis next"));
-        // After running everything, no further restore is accepted.
-        while !run.is_done() {
-            run.advance().unwrap();
-        }
-        let err = run
-            .restore_hierarchy(Forest::new(), Vec::new(), Coverage::default())
-            .expect_err("restore after completion must fail");
-        assert_eq!(err.expected, None);
-        assert!(err.to_string().contains("already complete"));
-    }
-
-    #[test]
-    fn full_restore_chain_reproduces_the_run() {
-        let loaded = loaded_sample();
-        let rock = Rock::new(RockConfig::paper());
-
-        // Live run, snapshotting at every boundary.
-        let mut live = rock.begin(&loaded);
-        let mut snaps = Vec::new();
-        while !live.is_done() {
-            live.advance().unwrap();
-            snaps.push((live.diagnostics_snapshot(), live.coverage()));
-        }
-        let analysis = live.analysis().unwrap().clone();
-        let trained: Vec<Addr> = live.models().unwrap().keys().copied().collect();
-        let distances = live.distances().unwrap().clone();
-        let hierarchy = live.hierarchy().unwrap().clone();
-        let original = live.finish();
-
-        // Resumed run: everything restored, nothing executed.
-        let rock2 = Rock::new(RockConfig::paper());
-        let mut resumed = rock2.begin(&loaded);
-        resumed.restore_analysis(analysis, snaps[0].0.clone(), snaps[0].1).unwrap();
-        resumed.restore_models(&trained, snaps[1].0.clone(), snaps[1].1).unwrap();
-        resumed.restore_distances(distances, snaps[2].0.clone(), snaps[2].1).unwrap();
-        resumed.restore_hierarchy(hierarchy, snaps[3].0.clone(), snaps[3].1).unwrap();
-        assert!(resumed.is_done());
-        let replayed = resumed.finish();
-
-        assert_eq!(replayed.hierarchy, original.hierarchy);
-        assert_eq!(replayed.coverage, original.coverage);
-        assert_eq!(replayed.diagnostics, original.diagnostics);
-        assert_eq!(replayed.distances.len(), original.distances.len());
-        for (k, d) in &original.distances {
-            assert_eq!(d.to_bits(), replayed.distances[k].to_bits(), "distance bits for {k:?}");
-        }
     }
 }

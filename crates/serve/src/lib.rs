@@ -1,7 +1,7 @@
 //! The reconstruction daemon: `rock serve`.
 //!
 //! `rock-supervisor` makes a fleet of reconstructions *operable*
-//! (checkpoints, retries, typed exit codes); this crate makes them
+//! (persistence, retries, typed exit codes); this crate makes them
 //! *servable*: a dependency-free, thread-per-connection TCP daemon that
 //! accepts jobs from many tenants over a versioned, length-prefixed
 //! binary protocol ([`rock_supervisor::wire`]) and keeps its promises
@@ -29,9 +29,9 @@
 //!   [`rock_core::FaultPlan`]) fails *that request* with a typed error
 //!   while the serving loop keeps serving.
 //! * **Graceful drain** — `SIGTERM` or a `Drain` frame stops
-//!   admission, finishes (or checkpoints) every admitted job, then
-//!   exits cleanly. A restarted daemon pointed at the same artifact
-//!   store resumes interrupted jobs bit-identically
+//!   admission, finishes every admitted job, flushes the shared corpus,
+//!   then exits cleanly. A restarted daemon pointed at the same artifact
+//!   store preloads it and resumes interrupted jobs bit-identically
 //!   ([`fingerprint::result_fp`] lets clients prove it over the wire).
 //!
 //! Jobs execute through the existing [`rock_supervisor::Supervisor`]

@@ -17,9 +17,10 @@
 //! Everything admitted completes to a terminal, queryable state — even
 //! if its connection dies, even if the job panics (contained per
 //! worker), even across a drain. A drain stops admission, lets the
-//! queue empty, joins the workers, and reports a [`DrainSummary`];
-//! interrupted-and-checkpointed jobs resume bit-identically when a new
-//! daemon is started over the same artifact store.
+//! queue empty, joins the workers, flushes the shared corpus once more,
+//! and reports a [`DrainSummary`]; an interrupted job resumes
+//! bit-identically when a new daemon over the same artifact store
+//! preloads what its stage-boundary flushes persisted and reruns it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read};
@@ -46,13 +47,14 @@ use crate::signals;
 /// Everything the daemon needs to know at startup.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Artifact-store root (checkpoints; shared across restarts).
+    /// Artifact-store root (sub-artifacts; shared across restarts).
     pub store_dir: PathBuf,
     /// The reconstruction configuration every job runs under.
     pub config: RockConfig,
     /// Supervision policy template. `deadline_ms` is the server default
-    /// a `Submit` with `deadline_ms == 0` inherits; `resume` defaults
-    /// on so a restarted daemon picks up checkpoints.
+    /// a `Submit` with `deadline_ms == 0` inherits; `incremental`
+    /// defaults on, so every job flushes the shared corpus at its stage
+    /// boundaries and a restarted daemon preloads what they persisted.
     pub options: SupervisorOptions,
     /// Admission-queue capacity (K); submissions beyond it are shed.
     pub queue_capacity: usize,
@@ -83,18 +85,19 @@ pub struct ServeConfig {
     /// Storage backend for the shared artifact store (`None`: the real
     /// filesystem). Chaos tests hand a `FaultyVfs` in here.
     pub vfs: Option<Arc<dyn Vfs>>,
-    /// Fsync artifacts (and their directory) before a checkpoint
-    /// counts as committed. Off by default: durability costs latency.
+    /// Fsync sub-artifacts (and their directory) before a flush counts
+    /// as committed. Off by default: durability costs latency.
     pub durable: bool,
 }
 
 impl ServeConfig {
     /// Production-shaped defaults over `store_dir`: the paper config
-    /// with canonical calls (so tenants share corpus entries), resume
-    /// on, a 64-deep queue, 4 workers, and a bounded corpus cache.
+    /// with canonical calls (so tenants share corpus entries),
+    /// `incremental` on (stage-boundary flushes, preload at bind), a
+    /// 64-deep queue, 4 workers, and a bounded corpus cache.
     pub fn new(store_dir: impl Into<PathBuf>) -> ServeConfig {
         let mut options = SupervisorOptions::default();
-        options.resume = true;
+        options.incremental = true;
         ServeConfig {
             store_dir: store_dir.into(),
             config: RockConfig::paper().with_canonical_calls(),
@@ -123,7 +126,7 @@ pub struct DrainSummary {
     /// Submissions admitted to the queue.
     pub accepted: u64,
     /// Admitted jobs that reached a terminal state (includes contained
-    /// panics and interrupted-but-checkpointed jobs).
+    /// panics and interrupted jobs).
     pub completed: u64,
     /// Jobs cancelled while still queued.
     pub cancelled: u64,
@@ -361,16 +364,18 @@ impl Inner {
         if let Some(tracer) = &self.cfg.tracer {
             sup = sup.with_tracer(Arc::clone(tracer)).with_trace_level(self.cfg.trace_level);
         }
+        // With `incremental` on the job flushes the shared corpus at
+        // every stage boundary (loose files; the pack once, at its end):
+        // each flush claims only entries no earlier flush persisted, so a
+        // crashed daemon loses at most the in-flight stage, and a
+        // restarted one preloads everything every earlier tenant
+        // computed. The registry sums the job's counts.
         let result = sup.run_job(&job.name, &job.image);
-        // Persist the job's new sub-artifacts immediately. The flush
-        // claims only entries no earlier flush persisted and appends
-        // them to the snapshot pack as one segment, so it costs what
-        // this job added: a crashed daemon then loses at most the
-        // in-flight job's work, and a restarted one preloads everything
-        // every earlier tenant computed.
         if self.cfg.options.incremental {
-            let flushed = sup.flush_incremental();
-            self.metrics.lock().expect("serve metrics poisoned").merge_from(&flushed);
+            let mut metrics = self.metrics.lock().expect("serve metrics poisoned");
+            for name in [names::INCR_FLUSHED, names::INCR_IO_ERRORS] {
+                metrics.add(name, result.report.counters.counter(name));
+            }
         }
         Slot::Done {
             exit_code: result.report.exit_code(),
@@ -579,9 +584,9 @@ impl Server {
             inner.jobs.lock().expect("serve job table poisoned").insert(job.id, Slot::Cancelled);
             inner.count(names::SERVE_CANCELLED, 1);
         }
-        // Final flush after the workers are gone: per-job flushes make
-        // this mostly `unchanged`, but it catches anything a worker
-        // computed after its own flush (shared-cache cross-talk).
+        // Final flush after the workers are gone: stage-boundary flushes
+        // make this mostly `unchanged`, but it persists what a job's
+        // failed flush handed back to the cache.
         if inner.cfg.options.incremental {
             let flushed = rock_supervisor::flush_subartifacts(&inner.store, &inner.corpus);
             inner.metrics.lock().expect("serve metrics poisoned").merge_from(&flushed);

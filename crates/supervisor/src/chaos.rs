@@ -84,7 +84,7 @@ pub enum ChaosFlavor {
     /// read would after a torn write on the far side of a crash.
     PartialRead,
     /// Crash shape: the rename fails AND the tmp file becomes
-    /// unremovable for one attempt, stranding a stale `.art.tmp`
+    /// unremovable for one attempt, stranding a stale `.sub.tmp`
     /// exactly like a process that died between write and rename.
     CrashTmp,
     /// The operation fails with a generic persistent EIO.
@@ -442,9 +442,9 @@ mod tests {
             StdVfs::arc(),
             ChaosPlan::quiet().with_directive(ChaosOp::Rename, 0, ChaosFlavor::CrashTmp),
         );
-        let tmp = dir.join(".x.art.tmp");
+        let tmp = dir.join(".x.sub.tmp");
         vfs.write(&tmp, b"half-finished").unwrap();
-        assert!(vfs.rename(&tmp, &dir.join("x.art")).is_err());
+        assert!(vfs.rename(&tmp, &dir.join("x.sub")).is_err());
         // Cleanup fails once — exactly the crash window.
         assert!(vfs.remove_file(&tmp).is_err());
         assert!(tmp.exists());

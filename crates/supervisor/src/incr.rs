@@ -1,14 +1,15 @@
-//! Fine-grained incremental persistence of corpus sub-artifacts.
+//! Fine-grained incremental persistence of corpus sub-artifacts — the
+//! one resume format.
 //!
-//! The artifact store's per-job checkpoints ([`crate::artifact`]) are
-//! keyed by an *image-level* content hash: change one byte of the
-//! binary and the whole job recomputes. This module adds the layer
-//! below — the corpus cache's *sub-artifacts* are checkpointed to disk
-//! individually, each under its own content-derived key:
+//! The corpus cache's *sub-artifacts* are persisted individually, each
+//! under its own content-derived key. A supervised job flushes them at
+//! every stage boundary, so an interrupted job resumes as a preload plus
+//! a rerun whose tier lookups answer every stage that already ran, and a
+//! patched image recomputes only what its edit touched:
 //!
 //! | tier       | one entry per                   | key derived from                     |
 //! |------------|---------------------------------|--------------------------------------|
-//! | `exec`     | distinct function body          | position-independent WL content label + analysis config salt |
+//! | `exec`     | distinct function body          | position-independent WL content label + analysis config salt (without canonical calls also the image and the entry address) |
 //! | `model`    | distinct tracelet multiset      | commutative hash of the trained windows + SLM depth |
 //! | `distance` | ordered model pair × metric     | both model keys + metric tag         |
 //! | `lifting`  | family lifting problem          | member model keys + edge list + tie config |
@@ -20,10 +21,9 @@
 //! which misses the model tier, which invalidates precisely the
 //! distance rows touching a changed model and the lift keys of the
 //! families containing a changed type. Everything else re-keys
-//! identically and is served from disk. In particular the exec key is
-//! independent of the function's *address*, so byte-identical
-//! functions at shifted offsets still hit (the image-level
-//! [`crate::artifact::content_key`] cannot do this — see its docs).
+//! identically and is served from disk. In particular, with canonical
+//! calls the exec key is independent of the function's *address*, so
+//! byte-identical functions at shifted offsets still hit.
 //!
 //! On-disk layout, under the artifact store root:
 //!
@@ -62,24 +62,29 @@
 //! A flush costs what was added since the last one, not what the store
 //! holds. Every corpus entry carries a persisted mark (preloaded
 //! entries arrive marked); [`flush_subartifacts`] claims the unmarked
-//! ones ([`rock_core::CorpusCache::claim_unpersisted`]), writes one
-//! loose file per claim through a temp file + atomic rename, hands a
-//! failed write back, and appends the frames it committed to the pack
-//! as one segment. It lists no directory and reads nothing. Within a
+//! ones ([`rock_core::CorpusCache::claim_unpersisted`], which visits
+//! only keys stored since the last claim), writes one loose file per
+//! claim through a temp file + atomic rename, hands a failed write
+//! back, and appends the frames it committed to the pack as one
+//! segment. A stage-boundary flush writes the loose files only and
+//! leaves its frames pending in the store, so a job writes the pack
+//! once, after its last stage, and a batch once, in its final flush.
+//! A flush lists no directory and reads nothing. Within a
 //! process first-write-wins therefore holds by construction: a claimed
 //! entry goes to exactly one flush, and a writer that does reach an
 //! existing file (a second process, or a corpus that never preloaded
 //! the store) writes the same content-addressed frame through tmp +
 //! rename. In `durable` mode files are fsynced before rename and each
-//! tier directory after its batch. All traffic shares the store's
+//! tier directory after its batch. All traffic goes through the store's
 //! [`crate::vfs::Vfs`] seam, retry policy, and fault accounting, so
-//! chaos tests exercise this layer with the same storage faults as the
-//! artifact layer.
+//! chaos tests exercise this layer under injected storage faults.
 //!
 //! The pack bytes a store last verified at preload, or last wrote, stay
-//! in the store's shared state; a flush appends to them and rewrites the
-//! file whole (tmp + rename), and the same lock serialises flushes
-//! across the daemon's workers. A store that holds no verified pack —
+//! in the store's shared state with the pending frames; a pack write
+//! appends those to them and rewrites the file whole (tmp + rename), and
+//! the same lock serialises flushes across the daemon's workers. A pack
+//! that lags the loose files costs a resume only loose-file reads, since
+//! preload falls back to them. A store that holds no verified pack —
 //! none on disk, a damaged one, an older format, or one that does not
 //! mirror the loose files — rebuilds it whole at its next flush.
 //!
@@ -97,7 +102,7 @@ use std::path::{Path, PathBuf};
 use rock_core::{CorpusCache, SubTier};
 use rock_trace::{names, MetricsRegistry};
 
-use crate::artifact::{ArtifactStore, OpClass};
+use crate::artifact::{ArtifactStore, OpClass, PackState};
 use crate::wire::{fnv1a, Reader, Writer};
 
 /// The 8-byte sub-artifact file magic; the trailing byte is the format
@@ -301,7 +306,7 @@ pub fn verify_sub_bytes(
 /// `incr.io_errors` counts.
 pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
     let mut held = store.pack();
-    *held = None;
+    *held = PackState::default();
     let (mut preloaded, mut corrupt_skipped, mut io_errors) = (0, 0, 0);
     // Gather the per-tier listings up front (one readdir per tier):
     // the listings are the index of what the store currently trusts.
@@ -327,10 +332,9 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Metr
             if name.ends_with(".sub.tmp") {
                 continue; // crash debris; the open-time sweep owns it
             }
-            let Some(key) = key_of_sub_name(&name) else {
-                corrupt_skipped += 1;
-                continue;
-            };
+            // A file under an unknown name (an editor backup, an alien
+            // file) holds no entry, so nothing is lost: scrub owns it.
+            let Some(key) = key_of_sub_name(&name) else { continue };
             work.push((tier, file, key));
         }
     }
@@ -360,7 +364,7 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Metr
                 // Later flushes append to this pack only if it holds
                 // every listed entry once and nothing else.
                 if exact && served.len() == listed.len() {
-                    *held = Some(bytes);
+                    held.bytes = Some(bytes);
                 }
             }
             Err(_) => corrupt_skipped += 1, // scrub quarantines it
@@ -437,7 +441,7 @@ where
 /// Persists what `corpus` added since its last flush (or preload): one
 /// framed file per claimed sub-artifact (temp file + atomic rename;
 /// fsyncs in `durable` mode), then one pack segment holding the frames
-/// it committed.
+/// it committed and those earlier loose-only flushes left pending.
 ///
 /// Entries already persisted are counted as `unchanged` and never
 /// touched, so once the store holds a verified pack, a flush after a
@@ -449,12 +453,35 @@ where
 /// Returns the `incr.flushed`, `incr.unchanged` and `incr.io_errors`
 /// counts.
 pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
-    let mut pack = store.pack();
+    flush(store, corpus, true)
+}
+
+/// Like [`flush_subartifacts`], but leaves the pack file alone: the
+/// frames it commits wait in the store for the next pack write. A
+/// stage-boundary flush writes only loose files, which is all a resume
+/// needs (preload reads the loose files a pack lacks), so a batch
+/// rewrites its pack once instead of at every boundary.
+pub(crate) fn flush_loose(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
+    flush(store, corpus, false)
+}
+
+fn flush(store: &ArtifactStore, corpus: &CorpusCache, pack: bool) -> MetricsRegistry {
+    let mut state = store.pack();
     let (claimed, unchanged) = corpus.claim_unpersisted();
+    if state.bytes.is_none() && unchanged == 0 && state.pending.is_empty() {
+        // Nothing was persisted before this flush, so a pack holding
+        // exactly what flushes commit from here on mirrors the store.
+        state.bytes = Some(SNAPSHOT_MAGIC.to_vec());
+    }
     let mut io_errors = 0;
     let committed = write_claimed(store, corpus, &claimed, &mut io_errors);
     let flushed = committed.len() as u64;
-    io_errors += write_pack(store, corpus, &mut pack, committed, unchanged);
+    if state.bytes.is_some() {
+        state.pending.extend(committed);
+    }
+    if pack {
+        io_errors += write_pack(store, corpus, &mut state);
+    }
     let mut stats = MetricsRegistry::new();
     stats.set(names::INCR_FLUSHED, flushed);
     stats.set(names::INCR_UNCHANGED, unchanged);
@@ -462,35 +489,26 @@ pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Metric
     stats
 }
 
-/// Appends the `committed` frames to the held pack as one segment, or
+/// Appends the pending frames to the held pack as one segment, or
 /// rebuilds the pack whole when the store holds no verified one, and
 /// writes it. Returns the i/o errors it met (0 or 1).
-fn write_pack(
-    store: &ArtifactStore,
-    corpus: &CorpusCache,
-    pack: &mut Option<Vec<u8>>,
-    committed: Vec<Vec<u8>>,
-    unchanged: u64,
-) -> u64 {
-    let bytes = match pack.as_mut() {
-        Some(_) if committed.is_empty() => return 0,
+fn write_pack(store: &ArtifactStore, corpus: &CorpusCache, state: &mut PackState) -> u64 {
+    let frames = std::mem::take(&mut state.pending);
+    let bytes = match state.bytes.as_mut() {
+        Some(_) if frames.is_empty() => return 0,
         Some(bytes) => {
-            append_segment(bytes, &committed);
+            append_segment(bytes, &frames);
             bytes
         }
         None => {
             // No verified pack to append to: rebuild it whole from
-            // everything persisted. A corpus that held nothing
-            // persisted before this flush committed exactly `committed`.
-            let frames = if unchanged == 0 {
-                committed
-            } else {
-                corpus.export_entries().iter().map(|(t, k, p)| encode_sub(*t, *k, p)).collect()
-            };
+            // everything persisted.
+            let frames: Vec<Vec<u8>> =
+                corpus.export_entries().iter().map(|(t, k, p)| encode_sub(*t, *k, p)).collect();
             if frames.is_empty() {
                 return 0;
             }
-            pack.insert(encode_snapshot(&frames))
+            state.bytes.insert(encode_snapshot(&frames))
         }
     };
     // A failed pack write keeps the bytes: the next flush that commits

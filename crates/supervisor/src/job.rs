@@ -1,16 +1,18 @@
 //! The supervised job runner: watchdog deadline, retry ladder,
-//! checkpoint/resume, and per-job reports.
+//! persistence at stage boundaries, and per-job reports.
 //!
 //! One *job* is one binary image to reconstruct. The supervisor drives
 //! the staged pipeline ([`rock_core::StagedRun`]) and wraps it in
 //! policy:
 //!
-//! * **Checkpointing** — after every completed stage the stage artifact
-//!   is saved to the [`ArtifactStore`]. With `resume` on, the next run
-//!   of the same (image, config) restores the completed prefix and
-//!   skips straight to the first unfinished stage. Restored state is
-//!   bit-identical to live state, so an interrupted-then-resumed job
-//!   equals an uninterrupted one.
+//! * **Checkpointing** — with [`SupervisorOptions::incremental`] on,
+//!   every completed stage boundary flushes the corpus cache's new
+//!   sub-artifacts to the [`ArtifactStore`] ([`crate::incr`]). Resume is
+//!   then the same mechanism as incremental reuse: a batch (or a daemon)
+//!   preloads the store, and the rerun's content-addressed tier lookups
+//!   answer every stage that already ran. The tiers return bit for bit
+//!   what recomputation would, so an interrupted-then-resumed job equals
+//!   an uninterrupted one.
 //! * **Watchdog** — an optional per-job wall-clock deadline, checked
 //!   cooperatively at stage boundaries. A blown deadline does not kill
 //!   the job: it short-circuits to the structural-only fallback.
@@ -30,20 +32,20 @@ use std::time::Instant;
 
 use rock_binary::{image_from_bytes, Addr};
 use rock_budget::{Deadline, RetryPolicy};
-use rock_core::{
-    CorpusCache, FaultPlan, Reconstruction, Rock, RockConfig, Severity, StageId, StagedRun,
-};
+use rock_core::{CorpusCache, FaultPlan, Reconstruction, Rock, RockConfig, Severity, StageId};
 use rock_graph::Forest;
 use rock_loader::LoadedBinary;
 use rock_structural::Structural;
 use rock_trace::{names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
 
-use crate::artifact::{content_key, ArtifactStore, Checkpoint, StagePayload, StoreError};
+use crate::artifact::{content_key, ArtifactStore};
+use crate::incr::{flush_loose, flush_subartifacts, preload_subartifacts};
 use crate::ladder::{structural_only_hierarchy, Rung};
 
 /// Typed process exit codes for supervised runs (documented in the
 /// README; the CLI maps a batch to the numerically largest per-job
-/// code, so the worst condition in the batch wins).
+/// code, raised to [`exit::RESUME_CORRUPT`] when the batch's preload
+/// skipped a corrupt sub-artifact, so the worst condition wins).
 pub mod exit {
     /// Every job completed at full strength with complete coverage.
     pub const OK: u8 = 0;
@@ -57,8 +59,9 @@ pub mod exit {
     pub const FAILED: u8 = 3;
     /// A job blew its wall-clock deadline (structural fallback emitted).
     pub const DEADLINE: u8 = 4;
-    /// Resume was requested but the job's artifacts were corrupt (the
-    /// job recomputed from scratch; the damage is still surfaced).
+    /// The batch's preload skipped a corrupt sub-artifact
+    /// (`incr.corrupt_skipped` > 0). Whichever job asked for the entry
+    /// recomputed it; the damage is still surfaced. Batch-level only.
     pub const RESUME_CORRUPT: u8 = 5;
 }
 
@@ -69,8 +72,6 @@ pub struct SupervisorOptions {
     pub retry: RetryPolicy,
     /// Per-job wall-clock deadline in milliseconds (`None`: no watchdog).
     pub deadline_ms: Option<u64>,
-    /// Restore checkpointed stages instead of re-running them.
-    pub resume: bool,
     /// Actually sleep the backoff delays. Off by default so retry
     /// behavior is testable without a wall clock; the schedule is
     /// recorded in the report either way.
@@ -83,11 +84,15 @@ pub struct SupervisorOptions {
     /// ([`JobReport::counters`]). The pipeline computes its registry
     /// either way; this only controls report size.
     pub collect_metrics: bool,
-    /// Persist the corpus cache's sub-artifacts across processes:
-    /// preload them from the store before the batch and flush new ones
-    /// after it (see [`crate::incr`]). Requires an attached
-    /// [`CorpusCache`]; a patched image then recomputes only what its
-    /// edit actually touched.
+    /// Persist the corpus cache's sub-artifacts across processes (see
+    /// [`crate::incr`]): every job flushes what it added at each stage
+    /// boundary (loose files; the snapshot pack once per job, or once
+    /// per batch), and [`Supervisor::run_batch`] preloads the store
+    /// before its first job. An interrupted job then resumes as a
+    /// preload plus a rerun the tiers answer, and a patched image
+    /// recomputes only what its edit touched. [`Supervisor::new`]
+    /// attaches a private unbounded [`CorpusCache`] when none is
+    /// attached. Off, the supervisor never reads or writes the store.
     pub incremental: bool,
 }
 
@@ -97,8 +102,8 @@ pub enum JobOutcome {
     /// Full-strength success with complete coverage.
     Ok,
     /// Interrupted at a stage boundary by the fault plan (the simulated
-    /// crash of the resume tests; checkpoints up to the boundary are on
-    /// disk).
+    /// crash of the resume tests; with [`SupervisorOptions::incremental`]
+    /// the sub-artifacts up to the boundary are on disk).
     Interrupted(StageId),
     /// Completed, but on a lower rung and/or with contained faults.
     Degraded(Rung),
@@ -120,8 +125,7 @@ impl JobOutcome {
         }
     }
 
-    /// The exit-code contribution of this outcome alone (corrupt-resume
-    /// is tracked separately and folded in by [`JobReport::exit_code`]).
+    /// The exit-code contribution of this outcome.
     pub fn code(&self) -> u8 {
         match self {
             JobOutcome::Ok => exit::OK,
@@ -153,25 +157,15 @@ impl fmt::Display for JobOutcome {
 /// the graceful degradation that answered it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreIncident {
-    /// A checkpoint save failed persistently; the supervisor degraded
-    /// the job to recompute-without-checkpointing (later saves of this
-    /// job are skipped, the job itself runs to completion).
+    /// A stage-boundary flush met a persistent i/o error; the
+    /// supervisor degraded the job to recompute-without-checkpointing
+    /// (its later flushes are skipped, the job itself runs to
+    /// completion). The entries it could not write went back to the
+    /// cache for the batch's final flush or the daemon's drain flush.
     CheckpointLost {
-        /// The stage whose artifact could not be written.
+        /// The stage whose boundary flush failed.
         stage: StageId,
-        /// The underlying store error.
-        detail: String,
-    },
-    /// The resume prefix could not be read (persistent i/o fault); the
-    /// job recomputed from scratch.
-    ResumeUnavailable {
-        /// The underlying store error.
-        detail: String,
-    },
-    /// Resume found corrupt artifacts; the job slot was wiped and the
-    /// job recomputed from scratch.
-    ResumeCorrupt {
-        /// What failed validation.
+        /// What failed.
         detail: String,
     },
 }
@@ -181,17 +175,13 @@ impl StoreIncident {
     pub fn kind(&self) -> &'static str {
         match self {
             StoreIncident::CheckpointLost { .. } => "checkpoint_lost",
-            StoreIncident::ResumeUnavailable { .. } => "resume_unavailable",
-            StoreIncident::ResumeCorrupt { .. } => "resume_corrupt",
         }
     }
 
     /// The underlying error text.
     pub fn detail(&self) -> &str {
         match self {
-            StoreIncident::CheckpointLost { detail, .. }
-            | StoreIncident::ResumeUnavailable { detail }
-            | StoreIncident::ResumeCorrupt { detail } => detail,
+            StoreIncident::CheckpointLost { detail, .. } => detail,
         }
     }
 }
@@ -213,17 +203,12 @@ pub struct AttemptRecord {
 pub struct JobReport {
     /// Job name (usually the image file stem).
     pub name: String,
-    /// Content key of the full-strength configuration (the canonical
-    /// artifact-store slot for this job).
+    /// Content key of the image under the full-strength configuration.
     pub key: u64,
     /// How the job ended.
     pub outcome: JobOutcome,
     /// Every attempt, in order, including the fallback if it ran.
     pub attempts: Vec<AttemptRecord>,
-    /// Stages skipped by restoring checkpoints instead of re-running.
-    pub restored: Vec<StageId>,
-    /// Resume found corrupt artifacts (wiped and recomputed).
-    pub resume_corrupt: bool,
     /// Error-severity diagnostics in the final result.
     pub errors: usize,
     /// Warning-severity diagnostics in the final result.
@@ -239,12 +224,14 @@ pub struct JobReport {
     /// [`SupervisorOptions::collect_metrics`] is set. Work counts only —
     /// no wall-clock values. `None` only for an unloadable image.
     pub metrics: Option<String>,
-    /// The job's operational counters: the four `supervisor.*` counts;
-    /// all eleven `corpus.*` deltas when the supervisor has a
-    /// [`CorpusCache`] attached; and all eight `store.*` fault-path
-    /// deltas when one fired or an incident was recorded (healthy runs
-    /// on a healthy disk omit them). Deltas against a cache or store
-    /// shared by concurrent jobs (serve) are approximate.
+    /// The job's operational counters: three `supervisor.*` counts
+    /// (attempts, checkpoints saved, backoff); all eleven `corpus.*`
+    /// deltas when the supervisor has a [`CorpusCache`] attached; its
+    /// flushes' `incr.flushed` and `incr.io_errors` with
+    /// [`SupervisorOptions::incremental`]; and all eight `store.*`
+    /// fault-path deltas when one fired or an incident was recorded
+    /// (healthy runs on a healthy disk omit them). Deltas against a cache
+    /// or store shared by concurrent jobs (serve) are approximate.
     pub counters: MetricsRegistry,
     /// Typed storage incidents (persistent faults) this job absorbed.
     pub store_incidents: Vec<StoreIncident>,
@@ -252,14 +239,13 @@ pub struct JobReport {
 
 impl JobReport {
     /// A fresh report for job `name`: outcome ok, nothing recorded yet,
-    /// and the four `supervisor.*` counters at zero (every report
+    /// and the three `supervisor.*` counters at zero (every report
     /// carries them).
     fn new(name: &str, key: u64) -> JobReport {
         let mut counters = MetricsRegistry::new();
         for name in [
             names::SUPERVISOR_ATTEMPTS,
             names::SUPERVISOR_CHECKPOINTS_SAVED,
-            names::SUPERVISOR_STAGES_RESTORED,
             names::SUPERVISOR_BACKOFF_MS,
         ] {
             counters.set(name, 0);
@@ -269,8 +255,6 @@ impl JobReport {
             key,
             outcome: JobOutcome::Ok,
             attempts: Vec::new(),
-            restored: Vec::new(),
-            resume_corrupt: false,
             errors: 0,
             warnings: 0,
             types: 0,
@@ -295,15 +279,9 @@ impl JobReport {
         }
     }
 
-    /// The job's process exit code: the outcome's code, raised to
-    /// [`exit::RESUME_CORRUPT`] if resume found damaged artifacts.
+    /// The job's process exit code: its outcome's code.
     pub fn exit_code(&self) -> u8 {
-        let base = self.outcome.code();
-        if self.resume_corrupt {
-            base.max(exit::RESUME_CORRUPT)
-        } else {
-            base
-        }
+        self.outcome.code()
     }
 
     /// Renders the report as one JSON object.
@@ -335,15 +313,6 @@ impl JobReport {
             ));
         }
         s.push_str("],");
-        s.push_str("\"restored\":[");
-        for (i, stage) in self.restored.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{stage}\""));
-        }
-        s.push_str("],");
-        s.push_str(&format!("\"resume_corrupt\":{},", self.resume_corrupt));
         s.push_str(&format!("\"errors\":{},", self.errors));
         s.push_str(&format!("\"warnings\":{},", self.warnings));
         s.push_str(&format!("\"types\":{},", self.types));
@@ -358,11 +327,12 @@ impl JobReport {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!("{{\"kind\":\"{}\",", inc.kind()));
-                if let StoreIncident::CheckpointLost { stage, .. } = inc {
-                    s.push_str(&format!("\"stage\":\"{stage}\","));
-                }
-                s.push_str(&format!("\"detail\":\"{}\"}}", json_escape(inc.detail())));
+                let StoreIncident::CheckpointLost { stage, detail } = inc;
+                s.push_str(&format!(
+                    "{{\"kind\":\"{}\",\"stage\":\"{stage}\",\"detail\":\"{}\"}}",
+                    inc.kind(),
+                    json_escape(detail)
+                ));
             }
             s.push_str("],");
         }
@@ -433,13 +403,17 @@ pub struct JobResult {
 pub struct BatchResult {
     /// Per-job results, in submission order (prefix only if aborted).
     pub jobs: Vec<JobResult>,
-    /// Numerically largest per-job exit code (0 for an empty batch).
+    /// Numerically largest per-job exit code (0 for an empty batch),
+    /// raised to [`exit::RESUME_CORRUPT`] when the preload skipped a
+    /// corrupt sub-artifact.
     pub exit_code: u8,
     /// `Some(n)`: the batch stopped after `n` jobs because
     /// [`SupervisorOptions::max_failures`] tripped.
     pub aborted_after: Option<usize>,
-    /// Combined sub-artifact preload + flush counts (`incr.*`), present
-    /// when [`SupervisorOptions::incremental`] was on.
+    /// The batch's `incr.*` counts, present when
+    /// [`SupervisorOptions::incremental`] was on: the preload's, every
+    /// job's stage-boundary flushes (`incr.flushed`, `incr.io_errors`),
+    /// and the final flush's.
     pub incr: Option<MetricsRegistry>,
 }
 
@@ -462,15 +436,30 @@ enum AttemptOutcome {
     Panicked(String),
 }
 
+/// One job's stage-boundary flushes, across all of its attempts.
+#[derive(Default)]
+struct Checkpoints {
+    /// A flush met an i/o error: the job's remaining flushes are skipped.
+    disabled: bool,
+    saved: u64,
+    skipped: u64,
+    flushed: u64,
+    io_errors: u64,
+    incidents: Vec<StoreIncident>,
+}
+
 impl Supervisor {
-    /// A supervisor reconstructing under `config` with checkpoints in
-    /// `store`.
+    /// A supervisor reconstructing under `config` over `store`. With
+    /// [`SupervisorOptions::incremental`] on it attaches a private
+    /// unbounded [`CorpusCache`] ([`Supervisor::with_corpus`] replaces
+    /// it).
     pub fn new(config: RockConfig, store: ArtifactStore, options: SupervisorOptions) -> Self {
+        let corpus = options.incremental.then(|| Arc::new(CorpusCache::new()));
         Supervisor {
             config,
             options,
             store,
-            corpus: None,
+            corpus,
             fault: None,
             tracer: None,
             trace_level: TraceLevel::default(),
@@ -478,7 +467,7 @@ impl Supervisor {
     }
 
     /// Attaches a fleet-wide [`CorpusCache`]: every attempt of every job
-    /// reads and warms the shared three-tier store, and each report
+    /// reads and warms the shared four-tier store, and each report
     /// carries the job's hit/miss deltas. Pair with
     /// [`RockConfig::with_canonical_calls`] so content keys survive
     /// layout differences between the batch's images.
@@ -493,8 +482,8 @@ impl Supervisor {
     }
 
     /// Attaches a span [`Tracer`]: every job records `supervisor.*`
-    /// spans (job, attempts, checkpoint saves, restores, backoff waits)
-    /// and the pipeline's stage/item spans into it, filtered through the
+    /// spans (job, attempts, stage-boundary flushes, backoff waits) and
+    /// the pipeline's stage/item spans into it, filtered through the
     /// level set by [`Supervisor::with_trace_level`] ([`TraceLevel::Full`]
     /// by default).
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
@@ -526,7 +515,7 @@ impl Supervisor {
         self
     }
 
-    /// The artifact store this supervisor checkpoints into.
+    /// The artifact store this supervisor persists into.
     pub fn store(&self) -> &ArtifactStore {
         &self.store
     }
@@ -539,8 +528,16 @@ impl Supervisor {
 
     /// Runs one job to a report + output. Never panics; never returns
     /// an empty output for a loadable image unless the run is strict,
-    /// failed, or interrupted.
+    /// failed, or interrupted. With [`SupervisorOptions::incremental`]
+    /// a completed job also writes the snapshot pack, once, after its
+    /// last stage.
     pub fn run_job(&self, name: &str, image_bytes: &[u8]) -> JobResult {
+        self.run_one(name, image_bytes, true)
+    }
+
+    /// [`Supervisor::run_job`]; `pack` says whether a completed job
+    /// writes the snapshot pack (a batch writes it in its final flush).
+    fn run_one(&self, name: &str, image_bytes: &[u8], pack: bool) -> JobResult {
         let start = Instant::now();
         let key = self.job_key(image_bytes);
         let ctx = self.trace_ctx();
@@ -559,9 +556,7 @@ impl Supervisor {
         };
         let loaded = LoadedBinary::load_lenient(image);
         let deadline = Deadline::from_config(self.options.deadline_ms);
-        // A persistent save fault degrades the job to
-        // recompute-without-checkpointing: later saves are skipped.
-        let mut checkpointing_disabled = false;
+        let mut checkpoints = Checkpoints::default();
 
         let mut fall_through_to_fallback = false;
         let mut output = JobOutput::None;
@@ -588,15 +583,7 @@ impl Supervisor {
                 fall_through_to_fallback = true;
                 break;
             }
-            match self.attempt(
-                attempt,
-                rung,
-                &loaded,
-                image_bytes,
-                &deadline,
-                &mut report,
-                &mut checkpointing_disabled,
-            ) {
+            match self.attempt(attempt, rung, &loaded, &deadline, &mut checkpoints, pack) {
                 AttemptOutcome::Completed(recon) => {
                     report.attempts.push(AttemptRecord { rung, backoff_ms, result: "ok".into() });
                     report.errors = count_severity(&recon, Severity::Error);
@@ -682,7 +669,15 @@ impl Supervisor {
         }
 
         report.counters.set(names::SUPERVISOR_ATTEMPTS, report.attempts.len() as u64);
-        report.counters.set(names::SUPERVISOR_STAGES_RESTORED, report.restored.len() as u64);
+        report.counters.set(names::SUPERVISOR_CHECKPOINTS_SAVED, checkpoints.saved);
+        if checkpoints.skipped > 0 {
+            report.counters.set(names::STORE_CHECKPOINTS_SKIPPED, checkpoints.skipped);
+        }
+        if self.options.incremental {
+            report.counters.set(names::INCR_FLUSHED, checkpoints.flushed);
+            report.counters.set(names::INCR_IO_ERRORS, checkpoints.io_errors);
+        }
+        report.store_incidents = checkpoints.incidents;
         // The job's corpus-tier traffic: a delta against the shared
         // cache's counters at job start, kept out of the pipeline's own
         // registry so cold and warm runs stay byte-identical there.
@@ -709,7 +704,7 @@ impl Supervisor {
         let ctx = self.trace_ctx();
         let _span = ctx.span(names::SUPERVISOR_PRELOAD, 0);
         match &self.corpus {
-            Some(corpus) => crate::incr::preload_subartifacts(&self.store, corpus),
+            Some(corpus) => preload_subartifacts(&self.store, corpus),
             None => MetricsRegistry::new(),
         }
     }
@@ -724,22 +719,27 @@ impl Supervisor {
         let ctx = self.trace_ctx();
         let _span = ctx.span(names::SUPERVISOR_FLUSH, 0);
         match &self.corpus {
-            Some(corpus) => crate::incr::flush_subartifacts(&self.store, corpus),
+            Some(corpus) => flush_subartifacts(&self.store, corpus),
             None => MetricsRegistry::new(),
         }
     }
 
     /// Runs a batch of `(name, image bytes)` jobs sequentially. With
     /// [`SupervisorOptions::incremental`] set, sub-artifacts are
-    /// preloaded before the first job and flushed after the last (even
-    /// when the batch aborts early — completed work stays persisted).
+    /// preloaded before the first job, every job writes loose files at
+    /// its stage boundaries, and a final flush after the last job
+    /// persists what a failed job flush handed back and writes the
+    /// snapshot pack once (even when the batch aborts early — completed
+    /// work stays persisted). A preload that skipped a corrupt
+    /// sub-artifact raises the batch's exit code to
+    /// [`exit::RESUME_CORRUPT`].
     pub fn run_batch(&self, jobs: &[(String, Vec<u8>)]) -> BatchResult {
         let incr0 = self.options.incremental.then(|| self.preload_incremental());
         let mut results = Vec::new();
         let mut failures = 0usize;
         let mut aborted_after = None;
         for (i, (name, bytes)) in jobs.iter().enumerate() {
-            let r = self.run_job(name, bytes);
+            let r = self.run_one(name, bytes, false);
             if r.report.exit_code() >= exit::FAILED {
                 failures += 1;
             }
@@ -752,33 +752,38 @@ impl Supervisor {
             }
         }
         let incr = incr0.map(|mut incr| {
+            for r in &results {
+                for name in [names::INCR_FLUSHED, names::INCR_IO_ERRORS] {
+                    incr.add(name, r.report.counters.counter(name));
+                }
+            }
             incr.merge_from(&self.flush_incremental());
             incr
         });
-        let exit_code = results.iter().map(|r| r.report.exit_code()).max().unwrap_or(exit::OK);
+        let mut exit_code = results.iter().map(|r| r.report.exit_code()).max().unwrap_or(exit::OK);
+        if incr.as_ref().is_some_and(|i| i.counter(names::INCR_CORRUPT_SKIPPED) > 0) {
+            exit_code = exit_code.max(exit::RESUME_CORRUPT);
+        }
         BatchResult { jobs: results, exit_code, aborted_after, incr }
     }
 
-    /// One pipeline attempt on `rung`: resume the checkpointed prefix,
-    /// advance the rest live, checkpoint each completed stage, honor
-    /// interrupt directives and the watchdog. Panics are contained and
-    /// reported, never propagated.
-    #[allow(clippy::too_many_arguments)]
+    /// One pipeline attempt on `rung`: advance every stage, flush loose
+    /// files at each stage boundary, honor interrupt directives and the
+    /// watchdog. After `finish` it flushes once more when repartition
+    /// may have added distance entries, or when `pack` asks for the
+    /// pack write. Panics are contained and reported, never propagated.
     fn attempt(
         &self,
         attempt: u32,
         rung: Rung,
         loaded: &LoadedBinary,
-        image_bytes: &[u8],
         deadline: &Deadline,
-        report: &mut JobReport,
-        checkpointing_disabled: &mut bool,
+        checkpoints: &mut Checkpoints,
+        pack: bool,
     ) -> AttemptOutcome {
         let ctx = self.trace_ctx();
         let _attempt_span = ctx.span(names::SUPERVISOR_ATTEMPT, attempt as u64);
-        let config = rung.apply(&self.config);
-        let key = content_key(image_bytes, &config);
-        let mut rock = Rock::new(config).with_trace_level(self.trace_level);
+        let mut rock = Rock::new(rung.apply(&self.config)).with_trace_level(self.trace_level);
         if let Some(corpus) = &self.corpus {
             rock = rock.with_corpus_cache(corpus.clone());
         }
@@ -788,28 +793,11 @@ impl Supervisor {
         if let Some(tracer) = &self.tracer {
             rock = rock.with_tracer(tracer.clone());
         }
-        let mut restored: Vec<StageId> = Vec::new();
-        let mut resume_corrupt = false;
-        let mut checkpoints_saved = 0u64;
-        let mut checkpoints_skipped = 0u64;
-        let mut disabled = *checkpointing_disabled;
-        let mut incidents: Vec<StoreIncident> = Vec::new();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if self.fault.as_ref().is_some_and(|p| p.should_fail_attempt(attempt)) {
                 panic!("injected attempt fault");
             }
             let mut run = rock.begin(loaded);
-            if self.options.resume {
-                let restore_span = ctx.span(names::SUPERVISOR_RESTORE, key);
-                self.restore_prefix(
-                    &mut run,
-                    key,
-                    &mut restored,
-                    &mut resume_corrupt,
-                    &mut incidents,
-                );
-                drop(restore_span);
-            }
             loop {
                 if deadline.expired() {
                     return AttemptOutcome::Deadline;
@@ -818,113 +806,60 @@ impl Supervisor {
                     Err(e) => return AttemptOutcome::Strict(e.to_string()),
                     Ok(None) => break,
                     Ok(Some(stage)) => {
-                        if let Some(cp) = checkpoint_of(&run, stage) {
-                            let cp_span = ctx.span(names::SUPERVISOR_CHECKPOINT, stage as u64);
-                            // A failed save must not fail the job: the
-                            // stage already ran; only resume is lost.
-                            // The store retried transient faults, so an
-                            // error here is persistent — degrade to
-                            // recompute-without-checkpointing instead
-                            // of hammering a broken disk every stage.
-                            if disabled {
-                                checkpoints_skipped += 1;
-                            } else {
-                                match self.store.save(key, &cp) {
-                                    Ok(()) => checkpoints_saved += 1,
-                                    Err(e) => {
-                                        disabled = true;
-                                        incidents.push(StoreIncident::CheckpointLost {
-                                            stage,
-                                            detail: e.to_string(),
-                                        });
-                                    }
-                                }
-                            }
-                            drop(cp_span);
-                        }
+                        self.checkpoint(stage, checkpoints, false);
                         if self.fault.as_ref().is_some_and(|p| p.should_interrupt_after(stage)) {
                             return AttemptOutcome::Interrupted(stage);
                         }
                     }
                 }
             }
-            AttemptOutcome::Completed(Box::new(run.finish()))
+            let recon = run.finish();
+            if pack || rock.config().repartition_families {
+                self.checkpoint(StageId::Lifting, checkpoints, pack);
+            }
+            AttemptOutcome::Completed(Box::new(recon))
         }));
-        report.restored.extend(restored);
-        report.resume_corrupt |= resume_corrupt;
-        report.store_incidents.extend(incidents);
-        report.counters.add(names::SUPERVISOR_CHECKPOINTS_SAVED, checkpoints_saved);
-        if checkpoints_skipped > 0 {
-            report.counters.add(names::STORE_CHECKPOINTS_SKIPPED, checkpoints_skipped);
-        }
-        *checkpointing_disabled = disabled;
         match caught {
             Ok(outcome) => outcome,
             Err(payload) => AttemptOutcome::Panicked(panic_message(&payload)),
         }
     }
 
-    /// Restores the contiguous checkpointed prefix into `run`. Corrupt
-    /// or out-of-order artifacts invalidate the whole job slot and fall
-    /// back to live execution from the start.
-    fn restore_prefix(
-        &self,
-        run: &mut StagedRun<'_>,
-        key: u64,
-        restored: &mut Vec<StageId>,
-        resume_corrupt: &mut bool,
-        incidents: &mut Vec<StoreIncident>,
-    ) {
-        let prefix = match self.store.completed_prefix(key) {
-            Ok(prefix) => prefix,
-            Err(e @ StoreError::Corrupt { .. }) => {
-                *resume_corrupt = true;
-                incidents.push(StoreIncident::ResumeCorrupt { detail: e.to_string() });
-                let _ = self.store.invalidate(key);
-                return;
-            }
-            Err(e @ StoreError::Io(_)) => {
-                // Persistent read fault (transients were retried in the
-                // store): recompute from scratch, keep the job alive.
-                incidents.push(StoreIncident::ResumeUnavailable { detail: e.to_string() });
-                return;
-            }
+    /// Flushes what the corpus cache added since the last flush, at the
+    /// boundary after `stage` (with [`SupervisorOptions::incremental`]
+    /// only), as loose files, and with `pack` the snapshot pack too. A
+    /// failed flush must not fail the job: the stage already ran, only
+    /// persistence is lost. The store retried transient faults, so an
+    /// i/o error here is persistent — the job degrades to
+    /// recompute-without-checkpointing instead of hammering a broken
+    /// disk at every boundary.
+    fn checkpoint(&self, stage: StageId, checkpoints: &mut Checkpoints, pack: bool) {
+        let Some(corpus) = self.corpus.as_ref().filter(|_| self.options.incremental) else {
+            return;
         };
-        for cp in prefix {
-            let stage = cp.payload.stage();
-            let Checkpoint { payload, diagnostics, coverage } = cp;
-            let ok = match payload {
-                StagePayload::Analysis(a) => run.restore_analysis(a, diagnostics, coverage),
-                StagePayload::Training(t) => run.restore_models(&t, diagnostics, coverage),
-                StagePayload::Distances(d) => run.restore_distances(d, diagnostics, coverage),
-                StagePayload::Hierarchy(h) => run.restore_hierarchy(h, diagnostics, coverage),
-            };
-            match ok {
-                Ok(()) => restored.push(stage),
-                Err(e) => {
-                    // completed_prefix is ordered, so this means the
-                    // store and the run disagree — treat as corruption.
-                    *resume_corrupt = true;
-                    incidents.push(StoreIncident::ResumeCorrupt {
-                        detail: format!("restore of {stage} rejected: {e:?}"),
-                    });
-                    let _ = self.store.invalidate(key);
-                    return;
-                }
-            }
+        if checkpoints.disabled {
+            checkpoints.skipped += 1;
+            return;
+        }
+        let _span = self.trace_ctx().span(names::SUPERVISOR_CHECKPOINT, stage as u64);
+        let flushed = if pack {
+            flush_subartifacts(&self.store, corpus)
+        } else {
+            flush_loose(&self.store, corpus)
+        };
+        let io_errors = flushed.counter(names::INCR_IO_ERRORS);
+        checkpoints.flushed += flushed.counter(names::INCR_FLUSHED);
+        checkpoints.io_errors += io_errors;
+        if io_errors == 0 {
+            checkpoints.saved += 1;
+        } else {
+            checkpoints.disabled = true;
+            checkpoints.incidents.push(StoreIncident::CheckpointLost {
+                stage,
+                detail: format!("{io_errors} sub-artifact i/o error(s) at the {stage} boundary"),
+            });
         }
     }
-}
-
-/// Snapshots the stage that just completed into a checkpoint.
-fn checkpoint_of(run: &StagedRun<'_>, stage: StageId) -> Option<Checkpoint> {
-    let payload = match stage {
-        StageId::Analysis => StagePayload::Analysis(run.analysis()?.clone()),
-        StageId::Training => StagePayload::Training(run.models()?.keys().copied().collect()),
-        StageId::Distances => StagePayload::Distances(run.distances()?.clone()),
-        StageId::Lifting => StagePayload::Hierarchy(run.hierarchy()?.clone()),
-    };
-    Some(Checkpoint { payload, diagnostics: run.diagnostics_snapshot(), coverage: run.coverage() })
 }
 
 fn count_severity(recon: &Reconstruction, severity: Severity) -> usize {
@@ -962,16 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_corruption_dominates_the_exit_code() {
-        let mut report = JobReport::new("j", 1);
-        assert_eq!(report.exit_code(), exit::OK);
-        report.resume_corrupt = true;
-        assert_eq!(report.exit_code(), exit::RESUME_CORRUPT);
-        report.outcome = JobOutcome::DeadlineBlown;
-        assert_eq!(report.exit_code(), exit::RESUME_CORRUPT, "5 > 4");
-    }
-
-    #[test]
     fn report_json_is_escaped_and_structured() {
         let mut report = JobReport::new("a\"b\\c\nd", 0xAB);
         report.outcome = JobOutcome::Failed("strict \"quote\"".into());
@@ -980,7 +905,6 @@ mod tests {
             backoff_ms: 0,
             result: "strict: boom".into(),
         });
-        report.restored = vec![StageId::Analysis, StageId::Training];
         (report.errors, report.warnings, report.types, report.roots) = (1, 2, 3, 1);
         report.elapsed_ms = 7;
         let json = report.to_json();
@@ -989,7 +913,7 @@ mod tests {
         assert!(json.contains("\"outcome\":\"failed\""));
         assert!(json.contains("\"reason\":\"strict \\\"quote\\\"\""));
         assert!(json.contains("\"exit_code\":3"));
-        assert!(json.contains("\"restored\":[\"analysis\",\"training\"]"));
+        assert!(!json.contains("\"restored\"") && !json.contains("resume_corrupt"), "{json}");
         assert!(json.contains("\"backoff_ms\":0"));
         assert!(!json.contains("\"metrics\""), "no document, no key: {json}");
         // The metrics document embeds verbatim, with no separate
@@ -1027,7 +951,6 @@ mod tests {
             stage: StageId::Training,
             detail: "disk \"full\"".into(),
         });
-        report.store_incidents.push(StoreIncident::ResumeUnavailable { detail: "eio".into() });
         report.attach_store_delta(&delta);
         report.metrics = Some(report.counters.to_json());
         let json = report.to_json();
@@ -1037,7 +960,6 @@ mod tests {
             json.contains("{\"kind\":\"checkpoint_lost\",\"stage\":\"training\",\"detail\":\"disk \\\"full\\\"\"}"),
             "{json}"
         );
-        assert!(json.contains("{\"kind\":\"resume_unavailable\",\"detail\":\"eio\"}"), "{json}");
     }
 
     #[test]

@@ -4,27 +4,28 @@
 //! faults, typed diagnostics, a staged pipeline). This crate makes a
 //! *fleet* of reconstructions operable:
 //!
-//! * [`artifact`] — a versioned on-disk store of per-stage checkpoints,
-//!   keyed by a content hash of the image bytes + config fingerprint.
-//!   An interrupted job resumes from its last completed stage, and the
-//!   resumed output is bit-identical to an uninterrupted run (enforced
-//!   by the integration property tests in `tests/batch_resume.rs`).
+//! * [`incr`] — persistence of the corpus cache's function-, type-,
+//!   pair- and family-level sub-artifacts (tracelets, SLMs, distances,
+//!   liftings) under `<root>/sub/<tier>/`, keyed by content, so a
+//!   patched image reuses everything its edit did not touch. It is also
+//!   the one resume format: a supervised job flushes at every stage
+//!   boundary, and an interrupted job resumes as a preload plus a rerun
+//!   whose tier lookups answer every stage that already ran,
+//!   bit-identical to an uninterrupted run (enforced by the integration
+//!   property tests in `tests/batch_resume.rs`).
+//! * [`artifact`] — the store those sub-artifacts live in: the storage
+//!   seam, retry policy, fault counters and the offline scrub.
 //! * [`ladder`] — the deterministic degradation ladder: full pipeline →
 //!   reduced analysis budgets → structural-only hierarchy. The bottom
 //!   rung cannot fail for a loadable image, so a supervised job never
 //!   returns empty-handed.
-//! * [`incr`] — fine-grained incremental persistence: the corpus
-//!   cache's function-, type-, pair- and family-level sub-artifacts
-//!   (tracelets, SLMs, distances, liftings) are checkpointed under
-//!   `<root>/sub/<tier>/` keyed by position-independent content labels,
-//!   so a patched image reuses everything its edit did not touch.
 //! * [`job`] — the [`job::Supervisor`] itself: watchdog deadlines
 //!   checked at stage boundaries, retries on the
 //!   [`rock_budget::RetryPolicy`] backoff schedule (recorded, and only
 //!   slept on request, so tests stay clock-free), per-job JSON reports,
 //!   and typed exit codes ([`job::exit`]).
 //! * [`wire`] — the hand-rolled, fully bounds-checked binary codec the
-//!   artifacts are framed in.
+//!   daemon protocol and the sub-artifact frames are written in.
 //! * [`vfs`] — the narrow storage trait the store runs on ([`StdVfs`]
 //!   in production), with the durability (fsync) commit mode.
 //! * [`chaos`] — seeded, clock-free storage fault injection
@@ -48,8 +49,7 @@ pub mod vfs;
 pub mod wire;
 
 pub use artifact::{
-    config_fingerprint, content_key, ArtifactStore, Checkpoint, ScrubReport, StagePayload,
-    StoreError, QUARANTINE_DIR, SUB_DIR,
+    config_fingerprint, content_key, ArtifactStore, ScrubReport, QUARANTINE_DIR, SUB_DIR,
 };
 pub use chaos::{ChaosDirective, ChaosFlavor, ChaosOp, ChaosPlan, FaultyVfs};
 pub use incr::{

@@ -40,9 +40,13 @@ pub const REPARTITION_ROOT: &str = "repartition.root";
 pub const SUPERVISOR_JOB: &str = "supervisor.job";
 /// One attempt on the retry ladder; subject = attempt ordinal.
 pub const SUPERVISOR_ATTEMPT: &str = "supervisor.attempt";
-/// Saving one stage checkpoint; subject = stage ordinal.
+/// One stage-boundary flush of the corpus cache's new sub-artifacts;
+/// subject = stage ordinal (the flush after `finish` reuses the lifting
+/// ordinal).
 pub const SUPERVISOR_CHECKPOINT: &str = "supervisor.checkpoint";
-/// Restoring the checkpointed prefix; subject = stages restored.
+/// Retired: restoring per-stage checkpoints, which resume no longer
+/// does (a resumed job is a preload plus a rerun). No longer emitted;
+/// the name stays so existing readers see 0.
 pub const SUPERVISOR_RESTORE: &str = "supervisor.restore";
 /// Preloading persisted sub-artifacts into the corpus cache (outside
 /// any job); subject = 0.
@@ -174,29 +178,36 @@ pub const INCR_CORRUPT_SKIPPED: &str = "incr.corrupt_skipped";
 /// Sub-artifact reads/writes abandoned on an i/o error.
 pub const INCR_IO_ERRORS: &str = "incr.io_errors";
 
-/// Orphaned tmp files the artifact store swept: `.art.tmp` checkpoints,
-/// `.sub.tmp` sub-artifacts and the snapshot pack's tmp.
+/// Orphaned tmp files the artifact store swept: `.sub.tmp`
+/// sub-artifacts and the snapshot pack's tmp.
 pub const STORE_TMP_SWEPT: &str = "store.tmp_swept";
-/// Checkpoint saves re-attempted after a transient i/o fault.
+/// Store writes (sub-artifacts, the pack, tier directories)
+/// re-attempted after a transient i/o fault.
 pub const STORE_WRITE_RETRIES: &str = "store.write_retries";
-/// Checkpoint saves abandoned after retries (resume lost, job lives).
+/// Store writes that failed persistently, after retries: the entry goes
+/// back to the cache for a later flush, the job lives.
 pub const STORE_WRITE_FAILURES: &str = "store.write_failures";
-/// Artifact loads re-attempted after a transient i/o fault.
+/// Store reads (listings, loose files, the pack) re-attempted after a
+/// transient i/o fault.
 pub const STORE_READ_RETRIES: &str = "store.read_retries";
-/// Artifact loads abandoned after retries (the job recomputes).
+/// Store reads that failed persistently, after retries (the entry is
+/// recomputed).
 pub const STORE_READ_FAILURES: &str = "store.read_failures";
 /// Artifacts whose checksum or frame failed verification.
 pub const STORE_CORRUPT_DETECTED: &str = "store.corrupt_detected";
-/// Saves skipped after degrading to recompute-without-checkpointing.
+/// Stage-boundary flushes skipped after a failed one degraded the job to
+/// recompute-without-checkpointing.
 pub const STORE_CHECKPOINTS_SKIPPED: &str = "store.checkpoints_skipped";
 /// Backoff milliseconds scheduled for store retries.
 pub const STORE_RETRY_BACKOFF_MS: &str = "store.retry_backoff_ms";
 
 /// Attempts the supervised job made (1 = clean first try).
 pub const SUPERVISOR_ATTEMPTS: &str = "supervisor.attempts";
-/// Stage checkpoints the job saved.
+/// Stage-boundary flushes the job committed without an i/o error.
 pub const SUPERVISOR_CHECKPOINTS_SAVED: &str = "supervisor.checkpoints_saved";
-/// Stages restored from artifacts on resume.
+/// Retired: stages restored from per-stage checkpoints. No longer
+/// emitted (a resumed job's reuse shows as `corpus.*` hits); the name
+/// stays so existing readers see 0.
 pub const SUPERVISOR_STAGES_RESTORED: &str = "supervisor.stages_restored";
 /// Total scheduled backoff across attempts, milliseconds.
 pub const SUPERVISOR_BACKOFF_MS: &str = "supervisor.backoff_ms_total";

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # CI smoke for the self-healing artifact store, end to end through the
-# CLI. A durable batch populates checkpoints (fsync at every commit
-# point); we then damage the store three ways — truncate one artifact,
-# strand a crash-style .art.tmp, plant a foreign file in a job dir —
-# and `rock store scrub` must classify all three: the dry run reports
-# exact per-class counts while touching nothing, the real scrub
-# quarantines/sweeps and converges to clean, and a `--resume` rerun
-# restores every healthy stage while recomputing only the quarantined
-# one, exiting 0 throughout.
+# CLI. A durable `--resume` batch persists sub-artifacts at every stage
+# boundary (fsync at every commit point); we then damage the store three
+# ways — truncate one sub-artifact, strand a crash-style .sub.tmp, plant
+# a foreign file in a tier directory — and `rock store scrub` must
+# classify all three: the dry run reports exact per-class counts while
+# touching nothing, the real scrub quarantines/sweeps and converges to
+# clean, a `--resume` rerun reuses every healthy entry and recomputes
+# only the quarantined one (the `corpus:` and `incr:` lines show it),
+# and the rerun after that is fully warm, exiting 0 throughout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,49 +18,53 @@ ROCK=${ROCK:-target/release/rock}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 STORE="$WORK/store"
+ALL_HIT='tracelets ([0-9]+)/\1 hit, slms ([0-9]+)/\2 hit, distances ([0-9]+)/\3 hit, liftings ([0-9]+)/\4 hit'
 
 "$ROCK" gen streams "$WORK/streams.rkb"
 
 echo "== durable cold batch: every stage computed and fsync-committed =="
-"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume --durable --timings \
-  | tee "$WORK/cold.log" >/dev/null
-grep -q '0 stages restored' "$WORK/cold.log"
+"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume --durable | tee "$WORK/cold.log"
+FLUSHED=$(sed -n 's/^incr: 0 preloaded, \([0-9]*\) flushed.*/\1/p' "$WORK/cold.log")
+[ "${FLUSHED:-0}" -gt 1 ] || { echo "the cold batch persisted nothing"; exit 1; }
 
-echo "== warm rerun restores all four stages =="
-"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume --timings \
-  | tee "$WORK/warm.log" >/dev/null
-grep -q '4 stages restored' "$WORK/warm.log"
+echo "== warm rerun: every tier answers, nothing new to flush =="
+"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume | tee "$WORK/warm.log"
+grep -Eq "$ALL_HIT" "$WORK/warm.log"
+grep -q "^incr: $FLUSHED preloaded, 0 flushed" "$WORK/warm.log"
 
-echo "== damage: truncate lifting.art, strand a tmp, plant an alien file =="
-LIFT=$(find "$STORE" -name lifting.art)
-[ -n "$LIFT" ] || { echo "no lifting.art in $STORE"; exit 1; }
-JOBDIR=$(dirname "$LIFT")
-truncate -s 21 "$LIFT"
-printf 'half a commit' > "$JOBDIR/.analysis.art.tmp"
-printf 'not ours' > "$JOBDIR/alien.bin"
+echo "== damage: truncate a lifting sub-artifact, strand a tmp, plant an alien file =="
+SUB=$(find "$STORE/sub/lifting" -name '*.sub' | head -1)
+[ -n "$SUB" ] || { echo "no lifting sub-artifact in $STORE"; exit 1; }
+TMP="$STORE/sub/exec/.0000000000000000000000000000002a.sub.tmp"
+ALIEN="$STORE/sub/exec/alien.bin"
+truncate -s 21 "$SUB"
+printf 'half a commit' > "$TMP"
+printf 'not ours' > "$ALIEN"
 
 echo "== dry run reports exact counts and touches nothing =="
 "$ROCK" store scrub --store "$STORE" --dry-run | tee "$WORK/dry.log"
 grep -q '1 corrupt quarantined, 1 tmp swept, 1 unknown quarantined, 0 io errors' "$WORK/dry.log"
-[ -f "$LIFT" ] && [ -f "$JOBDIR/.analysis.art.tmp" ] && [ -f "$JOBDIR/alien.bin" ] \
+[ -f "$SUB" ] && [ -f "$TMP" ] && [ -f "$ALIEN" ] \
   || { echo "dry run modified the store"; exit 1; }
 
 echo "== real scrub quarantines and sweeps, then converges clean =="
 "$ROCK" store scrub --store "$STORE" | tee "$WORK/scrub.log"
 grep -q '1 corrupt quarantined, 1 tmp swept, 1 unknown quarantined, 0 io errors' "$WORK/scrub.log"
-[ ! -f "$LIFT" ] || { echo "corrupt artifact still in place"; exit 1; }
-[ ! -f "$JOBDIR/.analysis.art.tmp" ] || { echo "stale tmp survived scrub"; exit 1; }
+[ ! -f "$SUB" ] || { echo "corrupt sub-artifact still in place"; exit 1; }
+[ ! -f "$TMP" ] || { echo "stale tmp survived scrub"; exit 1; }
+[ ! -f "$ALIEN" ] || { echo "alien file survived scrub"; exit 1; }
 [ -d "$STORE/.quarantine" ] || { echo "no quarantine directory"; exit 1; }
 "$ROCK" store scrub --store "$STORE" | grep -q 'clean'
 
-echo "== resume recomputes only the quarantined stage =="
-"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume --timings \
-  | tee "$WORK/resume.log" >/dev/null
-grep -q '3 stages restored' "$WORK/resume.log"
+echo "== resume recomputes only the quarantined entry =="
+"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume | tee "$WORK/resume.log"
+grep -Eq 'tracelets ([0-9]+)/\1 hit, slms ([0-9]+)/\2 hit, distances ([0-9]+)/\3 hit, liftings 0/1 hit' \
+  "$WORK/resume.log"
+grep -q "^incr: $((FLUSHED - 1)) preloaded, 1 flushed" "$WORK/resume.log"
 
 echo "== and the next rerun is fully warm again =="
-"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume --timings \
-  | tee "$WORK/rewarm.log" >/dev/null
-grep -q '4 stages restored' "$WORK/rewarm.log"
+"$ROCK" batch "$WORK/streams.rkb" --store "$STORE" --resume | tee "$WORK/rewarm.log"
+grep -Eq "$ALL_HIT" "$WORK/rewarm.log"
+grep -q "^incr: $FLUSHED preloaded, 0 flushed" "$WORK/rewarm.log"
 
 echo "chaos smoke: all assertions held"

@@ -8,7 +8,9 @@
 //! added entry plus one of each for the pack, with no listing and no
 //! read. Two flushes racing over one corpus write each entry once, and
 //! a store holding the previous pack format (`ROCKSPK\x01`) is upgraded
-//! whole by the next flush that writes anything.
+//! whole by the next flush that writes anything. A supervised batch
+//! writes each entry once and its pack once; a supervised job writes
+//! its pack once, after its last stage.
 
 use std::collections::HashSet;
 use std::fs;
@@ -17,12 +19,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
+use rock::binary::image_to_bytes;
 use rock::core::{suite, CorpusCache, Parallelism, Rock, RockConfig, SubTier};
 use rock::loader::LoadedBinary;
 use rock::supervisor::wire::fnv1a;
 use rock::supervisor::{
-    decode_snapshot, flush_subartifacts, preload_subartifacts, ArtifactStore, StdVfs, Vfs,
-    SNAPSHOT_NAME,
+    decode_snapshot, flush_subartifacts, preload_subartifacts, ArtifactStore, StdVfs, Supervisor,
+    SupervisorOptions, Vfs, SNAPSHOT_NAME,
 };
 use rock::trace::names;
 
@@ -223,6 +226,50 @@ fn a_one_method_patch_flush_writes_what_the_patch_added_plus_the_pack() {
     assert_eq!(calls[Op::List as usize], 0, "a flush lists no directory");
     assert_eq!(calls[Op::Read as usize], 0, "a flush reads nothing back");
     assert_eq!(pack_ids(&scratch.pack()).len() as u64, before + k);
+}
+
+#[test]
+fn a_batch_writes_each_entry_once_and_its_pack_once() {
+    let jobs: Vec<(String, Vec<u8>)> = (0..3)
+        .map(|i| {
+            let compiled = suite::corpus_member(i, 40).compile().expect("compiles");
+            (format!("member{i}"), image_to_bytes(&compiled.stripped_image()))
+        })
+        .collect();
+    let config = RockConfig::paper().with_parallelism(Parallelism::Serial);
+    let options = SupervisorOptions { incremental: true, ..SupervisorOptions::default() };
+
+    // A batch: loose files at every stage boundary, the pack once, in
+    // its final flush.
+    let scratch = Scratch::new("batch");
+    let (store, vfs) = scratch.counted_store();
+    let batch = Supervisor::new(config, store, options.clone()).run_batch(&jobs);
+    assert_eq!(batch.exit_code, 0);
+    let incr = batch.incr.expect("an incremental batch reports its incr counts");
+    let flushed = incr.counter(names::INCR_FLUSHED);
+    assert!(flushed > 0);
+    assert_eq!(incr.counter(names::INCR_IO_ERRORS), 0);
+    let calls = vfs.take();
+    assert_eq!(calls[Op::Write as usize], flushed + 1, "one write per entry, one for the pack");
+    assert_eq!(calls[Op::Rename as usize], flushed + 1, "one rename per entry, one for the pack");
+    assert_eq!(pack_ids(&scratch.pack()).len() as u64, flushed, "the pack holds every entry");
+
+    // Jobs run one by one: each writes the pack once, after its last
+    // stage, if it added anything.
+    let scratch = Scratch::new("jobs");
+    let (store, vfs) = scratch.counted_store();
+    let supervisor = Supervisor::new(config, store, options);
+    let mut total = 0;
+    for (name, bytes) in &jobs {
+        let report = supervisor.run_job(name, bytes).report;
+        let flushed = report.counters.counter(names::INCR_FLUSHED);
+        let calls = vfs.take();
+        let pack_writes = u64::from(flushed > 0);
+        assert_eq!(calls[Op::Write as usize], flushed + pack_writes, "{name}");
+        assert_eq!(calls[Op::Rename as usize], flushed + pack_writes, "{name}");
+        total += flushed;
+    }
+    assert_eq!(pack_ids(&scratch.pack()).len() as u64, total);
 }
 
 #[test]

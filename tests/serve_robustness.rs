@@ -5,10 +5,12 @@
 //!   every shed request gets a *typed* rejection, every admitted job
 //!   completes to a terminal state, and the serving loop survives the
 //!   panic and keeps serving.
-//! * **Drain + restart**: a job interrupted at a stage boundary (and
-//!   checkpointed) on one daemon resumes on a *restarted* daemon over
+//! * **Drain + restart**: a job interrupted at a stage boundary (its
+//!   stages flushed) on one daemon resumes on a *restarted* daemon over
 //!   the same store and produces a result bit-identical — compared by
 //!   content fingerprint — to an uninterrupted run.
+//! * **Persistence counts**: the per-job flush counts plus the drain
+//!   flush's add up to the daemon's totals and to the files on disk.
 //! * **Protocol discipline**: bad versions, Hello-less requests, and
 //!   garbage frames get typed protocol errors and a close, never a
 //!   wedged daemon.
@@ -27,7 +29,7 @@ use rock::core::{suite, FaultPlan, StageId};
 use rock::serve::wire::{JobState, RejectReason, Request, Response};
 use rock::serve::{result_fp, DrainSummary, ServeClient, ServeConfig, Server, ServerHandle};
 use rock::supervisor::{ArtifactStore, Supervisor};
-use rock::trace::names;
+use rock::trace::{names, parse_json, Json};
 
 /// A scratch artifact-store root, removed on drop.
 struct Scratch(PathBuf);
@@ -82,6 +84,17 @@ fn done(state: JobState) -> (u8, String, u64, String) {
         }
         other => panic!("expected Done, got {other:?}"),
     }
+}
+
+/// One counter of a job report's metrics document.
+fn report_counter(report_json: &str, name: &str) -> u64 {
+    let report = parse_json(report_json).unwrap_or_else(|e| panic!("{e}: {report_json}"));
+    report
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_num)
+        .unwrap_or_else(|| panic!("no {name} in {report_json}")) as u64
 }
 
 #[test]
@@ -192,7 +205,7 @@ fn drain_midflight_then_restart_resumes_bit_identical() {
     };
 
     // Daemon #1: the job is rigged to crash right after the Training
-    // stage checkpoints.
+    // stage's boundary flush.
     let (addr, handle, join) = start(cfg.clone());
     handle.set_fault_plan("flaky", Arc::new(FaultPlan::new().interrupt_after(StageId::Training)));
     let mut c = ServeClient::connect(addr, "tenant").expect("connect");
@@ -206,20 +219,68 @@ fn drain_midflight_then_restart_resumes_bit_identical() {
     let summary = join.join().expect("server thread").expect("clean drain");
     assert_eq!(summary.completed, summary.accepted);
 
-    // Daemon #2 on the SAME store, no fault plan: the resumed run must
-    // restore the checkpointed prefix and land on the reference bits.
+    // Daemon #2 on the SAME store, no fault plan: it preloads what the
+    // first daemon flushed, the tiers answer the two stages that ran,
+    // and the resumed run lands on the reference bits.
     let (addr, _handle, join) = start(ServeConfig::new(&scratch.0));
     let mut c = ServeClient::connect(addr, "tenant").expect("connect");
     let job = accepted(c.submit("flaky", 0, &image).unwrap());
     let (exit_code, outcome, fp, report) = done(c.wait(job, 10, 120_000).unwrap());
     assert_eq!((exit_code, outcome.as_str()), (0, "ok"), "{report}");
     assert_eq!(fp, reference, "resumed result must be bit-identical to an uninterrupted run");
-    assert!(
-        !report.contains("\"restored\":[]"),
-        "the restart really restored checkpoints: {report}"
-    );
+    for tier in [names::CORPUS_TRACELET_MISS, names::CORPUS_SLM_MISS] {
+        assert_eq!(report_counter(&report, tier), 0, "the restart reused {tier}: {report}");
+    }
     c.drain().unwrap();
     join.join().expect("server thread").expect("clean drain");
+}
+
+#[test]
+fn per_job_flush_counts_and_the_drain_flush_sum_to_the_daemon_totals() {
+    let scratch = Scratch::new("persistence-counts");
+    let mut cfg = ServeConfig::new(&scratch.0);
+    cfg.workers = 2;
+    let (addr, handle, join) = start(cfg);
+    // Distinct and repeated images from two tenants, two workers racing
+    // their stage-boundary flushes over one shared corpus.
+    let images = [small_image(), big_image(), small_image(), big_image()];
+    let mut clients = [
+        ServeClient::connect(addr, "a").expect("connect"),
+        ServeClient::connect(addr, "b").unwrap(),
+    ];
+    let mut jobs = Vec::new();
+    for (i, image) in images.iter().enumerate() {
+        let c = &mut clients[i % 2];
+        jobs.push((i % 2, accepted(c.submit(&format!("job-{i}"), 0, image).unwrap())));
+    }
+    let (mut flushed, mut io_errors) = (0, 0);
+    for (c, job) in jobs {
+        let (exit_code, _, _, report) = done(clients[c].wait(job, 10, 120_000).unwrap());
+        assert_eq!(exit_code, 0, "{report}");
+        flushed += report_counter(&report, names::INCR_FLUSHED);
+        io_errors += report_counter(&report, names::INCR_IO_ERRORS);
+    }
+    assert!(flushed > 0, "the jobs' flushes persisted their work");
+    // Before the drain the registry holds exactly the jobs' counts (the
+    // preload of an empty store counts nothing), each counted once.
+    assert_eq!(handle.counter(names::INCR_FLUSHED), flushed);
+    assert_eq!(handle.counter(names::INCR_IO_ERRORS), io_errors);
+    assert_eq!(handle.counter(names::INCR_UNCHANGED), 0, "only the drain flush counts unchanged");
+
+    handle.drain();
+    join.join().expect("server thread").expect("clean drain");
+    // The drain flush found every entry persisted and wrote nothing, so
+    // the totals are the jobs' sums plus its counts — and they match the
+    // files on disk, each written exactly once.
+    let on_disk: u64 = ["exec", "model", "distance", "lifting"]
+        .iter()
+        .filter_map(|tier| fs::read_dir(scratch.0.join("sub").join(tier)).ok())
+        .map(|dir| dir.count() as u64)
+        .sum();
+    assert_eq!(handle.counter(names::INCR_FLUSHED), flushed, "the drain flush had nothing left");
+    assert_eq!(handle.counter(names::INCR_FLUSHED), on_disk, "one flush count per file");
+    assert_eq!(handle.counter(names::INCR_UNCHANGED), on_disk, "the drain flush saw every entry");
+    assert_eq!(handle.counter(names::INCR_IO_ERRORS), io_errors);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //!    doc bytes) to a run that never saw a fault — at `Serial` and
 //!    `Threads(8)` alike.
 //! 3. **Classification** — scrub counts each damage class (corrupt
-//!    frame, orphaned tmp, unknown entry) exactly, and a resumed batch
+//!    frame, orphaned tmp, unknown entry) exactly, and a resumed job
 //!    recomputes only what was quarantined.
 //!
 //! Seeds come from `ROCK_CHAOS_SEEDS` (`"a..b"` range or a comma list;
@@ -22,11 +22,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use rock::binary::image_to_bytes;
-use rock::core::{suite, CorpusCache, Parallelism, Reconstruction, Rock, RockConfig, StageId};
+use rock::core::{suite, CorpusCache, Parallelism, Reconstruction, Rock, RockConfig};
 use rock::serve::{result_fp, ServeClient, ServeConfig, Server};
 use rock::supervisor::{
     exit, flush_subartifacts, preload_subartifacts, ArtifactStore, ChaosPlan, FaultyVfs,
-    JobOutcome, JobOutput, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
+    JobOutcome, JobOutput, JobResult, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
 };
 use rock::trace::{names, MetricsRegistry};
 
@@ -84,8 +84,30 @@ fn config(par: Parallelism) -> RockConfig {
     RockConfig::paper().with_parallelism(par)
 }
 
-fn options(resume: bool) -> SupervisorOptions {
-    SupervisorOptions { resume, ..SupervisorOptions::default() }
+/// Stage-boundary flushes on: the one resume format.
+fn options() -> SupervisorOptions {
+    SupervisorOptions { incremental: true, ..SupervisorOptions::default() }
+}
+
+/// A fresh supervisor (a new process, as far as the corpus is
+/// concerned) that preloads `store` and runs the job: one resume.
+/// Returns the preload's counts beside the result.
+fn resume(par: Parallelism, store: ArtifactStore, bytes: &[u8]) -> (MetricsRegistry, JobResult) {
+    let sup = Supervisor::new(config(par), store, options());
+    let preloaded = sup.preload_incremental();
+    (preloaded, sup.run_job("job", bytes))
+}
+
+/// Every corpus tier answered the job without a miss.
+fn assert_all_hits(result: &JobResult, what: &str) {
+    for tier in [
+        names::CORPUS_TRACELET_MISS,
+        names::CORPUS_SLM_MISS,
+        names::CORPUS_DISTANCE_MISS,
+        names::CORPUS_LIFTING_MISS,
+    ] {
+        assert_eq!(result.report.counters.counter(tier), 0, "{what}: {tier}");
+    }
 }
 
 fn full(output: JobOutput) -> Reconstruction {
@@ -107,10 +129,8 @@ fn assert_bit_identical(a: &Reconstruction, b: &Reconstruction, what: &str) {
     assert_eq!(a.coverage, b.coverage, "{what}: coverage diverged");
 }
 
-/// Metrics-doc byte equality. Only meaningful between runs with the
-/// same restore profile: a restored stage re-derives its headline
-/// metrics from the artifact but not every incidental counter, so cold
-/// and warm docs differ by design — warm is compared against warm.
+/// Metrics-doc byte equality: warm runs report exactly what cold runs
+/// do.
 fn assert_metrics_identical(a: &Reconstruction, b: &Reconstruction, what: &str) {
     assert_eq!(
         a.metrics.to_json(),
@@ -137,15 +157,14 @@ fn chaos_sweep_survives_scrubs_and_reruns_bit_identical() {
     let bytes = image_bytes();
     // The never-faulted reference, one per parallelism (metrics docs
     // legitimately record thread counts): a cold run followed by a
-    // warm (full-restore) run; the warm reconstruction is what a
+    // warm rerun every tier answers; the warm reconstruction is what a
     // repaired store's rerun must reproduce byte-for-byte.
     let warm_reference = |par: Parallelism| -> Reconstruction {
         let reference = Scratch::new(&format!("reference-{par:?}"));
-        let sup = Supervisor::new(config(par), reference.store(), options(true));
+        let sup = Supervisor::new(config(par), reference.store(), options());
         assert_eq!(sup.run_job("job", &bytes).report.outcome, JobOutcome::Ok);
-        let sup = Supervisor::new(config(par), reference.store(), options(true));
-        let result = sup.run_job("job", &bytes);
-        assert_eq!(result.report.restored, StageId::ALL.to_vec(), "reference warm-restores all");
+        let (_, result) = resume(par, reference.store(), &bytes);
+        assert_all_hits(&result, "reference warm rerun");
         full(result.output)
     };
 
@@ -158,15 +177,13 @@ fn chaos_sweep_survives_scrubs_and_reruns_bit_identical() {
             // land on different op sequence numbers each run, so
             // damage accumulates in different places.
             for round in 0..3 {
-                let store = scratch.chaos_store(seed, 120);
-                let sup = Supervisor::new(config(par), store, options(true));
-                let result = sup.run_job("job", &bytes);
+                let (_, result) = resume(par, scratch.chaos_store(seed, 120), &bytes);
                 let code = result.report.exit_code();
                 assert!(
                     TYPED_CODES.contains(&code),
                     "seed {seed} {par:?} round {round}: untyped exit code {code}"
                 );
-                // Storage faults degrade checkpointing, never the
+                // Storage faults degrade persistence, never the
                 // reconstruction itself: a completed run still answers.
                 assert_eq!(
                     result.report.outcome,
@@ -181,8 +198,8 @@ fn chaos_sweep_survives_scrubs_and_reruns_bit_identical() {
             }
 
             // Heal: scrub on the real filesystem, then prove the store
-            // is coherent — a fault-free warm rerun must restore every
-            // stage it finds and recompute the rest bit-identically.
+            // is coherent — a fault-free rerun must reuse every entry it
+            // finds and recompute the rest bit-identically.
             let report = scratch.store().scrub(false);
             assert_eq!(report.io_errors, 0, "seed {seed} {par:?}: scrub must finish clean");
             let rescrub = scratch.store().scrub(false);
@@ -191,22 +208,23 @@ fn chaos_sweep_survives_scrubs_and_reruns_bit_identical() {
                 "seed {seed} {par:?}: scrub must converge, got {:?}",
                 rescrub.details
             );
-            let sup = Supervisor::new(config(par), scratch.store(), options(true));
-            let result = sup.run_job("job", &bytes);
+            let (preloaded, result) = resume(par, scratch.store(), &bytes);
             assert_eq!(result.report.outcome, JobOutcome::Ok);
-            assert!(!result.report.resume_corrupt, "scrub left corrupt artifacts behind");
+            assert_eq!(
+                preloaded.counter(names::INCR_CORRUPT_SKIPPED),
+                0,
+                "seed {seed} {par:?}: scrub left corrupt sub-artifacts behind"
+            );
             assert_bit_identical(
                 &full(result.output),
                 &warm_reference,
                 &format!("seed {seed} {par:?} post-scrub rerun"),
             );
-            // That rerun re-checkpointed whatever scrub quarantined,
-            // so one more fault-free run is a full restore — now the
-            // metrics doc must match the never-faulted warm doc
-            // byte-for-byte (same restore profile on both sides).
-            let sup = Supervisor::new(config(par), scratch.store(), options(true));
-            let result = sup.run_job("job", &bytes);
-            assert_eq!(result.report.restored, StageId::ALL.to_vec());
+            // That rerun persisted whatever scrub quarantined, so one
+            // more fault-free run is answered by every tier, and its
+            // metrics doc matches the never-faulted one byte-for-byte.
+            let (_, result) = resume(par, scratch.store(), &bytes);
+            assert_all_hits(&result, &format!("seed {seed} {par:?} healed warm rerun"));
             let recon = full(result.output);
             let what = format!("seed {seed} {par:?} healed warm rerun");
             assert_bit_identical(&recon, &warm_reference, &what);
@@ -217,25 +235,20 @@ fn chaos_sweep_survives_scrubs_and_reruns_bit_identical() {
 
 #[test]
 fn chaos_runs_report_store_activity_with_typed_incidents() {
-    // At a high fault rate some checkpoint saves must fail; the report
-    // carries the delta and typed incidents, never a panic. Across
-    // seeds, at least one run must record store activity (rate 350
-    // over dozens of ops makes a totally quiet sweep implausible).
+    // At a high fault rate some stage-boundary flushes must fail; the
+    // report carries the delta and typed incidents, never a panic.
+    // Across seeds, at least one run must record store activity (rate
+    // 350 over dozens of ops makes a totally quiet sweep implausible).
     let bytes = image_bytes();
     let mut any_activity = false;
     for seed in seeds() {
         let scratch = Scratch::new(&format!("incidents-{seed}"));
         let store = scratch.chaos_store(seed, 350);
-        let sup = Supervisor::new(config(Parallelism::Serial), store, options(true));
+        let sup = Supervisor::new(config(Parallelism::Serial), store, options());
         let result = sup.run_job("job", &bytes);
         assert!(TYPED_CODES.contains(&result.report.exit_code()));
         for incident in &result.report.store_incidents {
-            assert!(
-                ["checkpoint_lost", "resume_unavailable", "resume_corrupt"]
-                    .contains(&incident.kind()),
-                "unknown incident kind {:?}",
-                incident.kind()
-            );
+            assert_eq!(incident.kind(), "checkpoint_lost", "unknown incident kind");
             assert!(!incident.detail().is_empty());
         }
         let store: Vec<_> = result
@@ -256,11 +269,12 @@ fn chaos_runs_report_store_activity_with_typed_incidents() {
 
 #[test]
 fn per_job_counters_sum_to_the_cache_and_store_totals() {
-    // Counter conservation over a batch: the per-job deltas of a shared
-    // corpus cache and a shared (chaotic) store add up exactly to what
-    // the cache and the store counted. Two passes with resume on, so
-    // both checkpoint saves and restores count; repeated images make
-    // the second pass and the repeats hit the cache.
+    // Counter conservation over a run of jobs: the per-job deltas of a
+    // shared corpus cache and a shared (chaotic) store add up exactly to
+    // what the cache and the store counted. Two passes with the option
+    // on, so every stage boundary flushes; repeated images make the
+    // second pass and the repeats hit the cache. Jobs run one by one:
+    // a batch's preload and final flush belong to no job.
     let jobs: Vec<(String, Vec<u8>)> =
         ["AntispyComplete", "cppcheck", "patl", "echoparams", "tinyxml", "patl", "echoparams"]
             .into_iter()
@@ -275,13 +289,11 @@ fn per_job_counters_sum_to_the_cache_and_store_totals() {
         let store0 = store.stats();
         let corpus = Arc::new(CorpusCache::new());
         let cfg = config(Parallelism::Serial).with_canonical_calls();
-        let sup = Supervisor::new(cfg, store, options(true)).with_corpus(Arc::clone(&corpus));
+        let sup = Supervisor::new(cfg, store, options()).with_corpus(Arc::clone(&corpus));
         let mut sums = MetricsRegistry::new();
-        for pass in 0..2 {
-            let batch = sup.run_batch(&jobs);
-            assert_eq!(batch.jobs.len(), jobs.len(), "seed {seed} pass {pass}");
-            for job in &batch.jobs {
-                sums.merge_from(&job.report.counters);
+        for _pass in 0..2 {
+            for (name, bytes) in &jobs {
+                sums.merge_from(&sup.run_job(name, bytes).report.counters);
             }
         }
         let cache = corpus.stats();
@@ -293,7 +305,9 @@ fn per_job_counters_sum_to_the_cache_and_store_totals() {
         for (name, total) in store.counters() {
             assert_eq!(sums.counter(name), total, "seed {seed}: {name} not conserved");
         }
-        assert!(sums.counter(names::SUPERVISOR_CHECKPOINTS_SAVED) > 0, "seed {seed}");
+        // Every flush at rate 350 meets some fault, so few (or no) flush
+        // commits whole; the jobs' flushes must still have landed files.
+        assert!(sums.counter(names::INCR_FLUSHED) > 0, "seed {seed}: flushes wrote nothing");
     }
 }
 
@@ -406,12 +420,21 @@ fn serve_chaos_drain_restart_then_scrubbed_rerun_matches_fault_free_fp() {
 // Scrub classification: one of each damage class, counted exactly
 // ---------------------------------------------------------------------
 
+/// The loose sub-artifact files of one tier, sorted.
+fn tier_files(root: &std::path::Path, tier: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(root.join("sub").join(tier))
+        .map(|d| d.map(|e| e.unwrap().path()).collect())
+        .unwrap_or_default();
+    files.sort();
+    files
+}
+
 #[test]
 fn scrub_classifies_damage_and_resume_recomputes_only_the_quarantined_stage() {
     let bytes = image_bytes();
     let scratch = Scratch::new("classify");
     let reference = {
-        let sup = Supervisor::new(config(Parallelism::Serial), scratch.store(), options(true));
+        let sup = Supervisor::new(config(Parallelism::Serial), scratch.store(), options());
         let result = sup.run_job("job", &bytes);
         assert_eq!(result.report.outcome, JobOutcome::Ok);
         full(result.output)
@@ -420,20 +443,25 @@ fn scrub_classifies_damage_and_resume_recomputes_only_the_quarantined_stage() {
     // tmp files (that behavior gets its own test below), stealing the
     // scrub's count.
     let store = scratch.store();
-    let key = rock::supervisor::content_key(&bytes, &config(Parallelism::Serial));
-    let job_dir = store.job_dir(key);
+    let persisted: usize = ["exec", "model", "distance", "lifting"]
+        .iter()
+        .map(|t| tier_files(&scratch.0, t).len())
+        .sum();
 
-    // Damage class 1: flip one payload byte of the *last* stage's
-    // artifact — checksum breaks, scrub must quarantine it.
-    let corrupt_path = job_dir.join("lifting.art");
-    let mut art = fs::read(&corrupt_path).unwrap();
-    let mid = art.len() / 2;
-    art[mid] ^= 0xFF;
-    fs::write(&corrupt_path, &art).unwrap();
+    // Damage class 1: flip one byte of one lifting-tier sub-artifact —
+    // its checksum breaks, scrub must quarantine it.
+    let corrupt_path = tier_files(&scratch.0, "lifting")[0].clone();
+    let mut sub = fs::read(&corrupt_path).unwrap();
+    let mid = sub.len() / 2;
+    sub[mid] ^= 0xFF;
+    fs::write(&corrupt_path, &sub).unwrap();
     // Damage class 2: an orphaned tmp file from a phantom crash.
-    fs::write(job_dir.join(".analysis.art.tmp"), b"half a frame").unwrap();
-    // Damage class 3: an unknown entry no artifact should be named as.
-    fs::write(job_dir.join("bogus.art"), b"who wrote this").unwrap();
+    let exec_dir = scratch.0.join("sub").join("exec");
+    let tmp = exec_dir.join(".0000000000000000000000000000002a.sub.tmp");
+    fs::write(&tmp, b"half a frame").unwrap();
+    // Damage class 3: an unknown entry no sub-artifact is named as.
+    let alien = exec_dir.join("bogus.bin");
+    fs::write(&alien, b"who wrote this").unwrap();
 
     // Dry run counts without touching anything.
     let dry = store.scrub(true);
@@ -444,12 +472,10 @@ fn scrub_classifies_damage_and_resume_recomputes_only_the_quarantined_stage() {
         "dry-run misclassified: {:?}",
         dry.details
     );
-    assert!(corrupt_path.exists(), "dry run must not move files");
-    assert!(job_dir.join(".analysis.art.tmp").exists(), "dry run must not sweep");
+    assert!(corrupt_path.exists() && tmp.exists() && alien.exists(), "dry run must not move files");
 
     let report = store.scrub(false);
-    assert_eq!(report.jobs_scanned, 1);
-    assert_eq!(report.artifacts_ok, (StageId::ALL.len() - 1) as u64);
+    assert_eq!(report.artifacts_ok, (persisted - 1) as u64);
     assert_eq!(
         (
             report.corrupt_quarantined,
@@ -462,25 +488,32 @@ fn scrub_classifies_damage_and_resume_recomputes_only_the_quarantined_stage() {
         report.details
     );
     assert!(!report.is_clean());
-    assert!(!corrupt_path.exists(), "corrupt artifact must be moved out of the job dir");
+    assert!(!corrupt_path.exists(), "the corrupt sub-artifact must be moved out of its tier");
+    assert!(!tmp.exists() && !alien.exists());
     assert!(
         scratch.0.join(QUARANTINE_DIR).is_dir(),
         "quarantined files land under {QUARANTINE_DIR}"
     );
     assert!(store.scrub(false).is_clean(), "scrub converges");
 
-    // Resume over the healed store: exactly the three intact stages
-    // restore; only the quarantined lifting stage is recomputed — and
-    // the result is bit-identical to the never-damaged run.
-    let sup = Supervisor::new(config(Parallelism::Serial), scratch.store(), options(true));
-    let result = sup.run_job("job", &bytes);
+    // Resume over the healed store: the three intact stages are answered
+    // by their tiers; only the quarantined lifting entry is recomputed —
+    // and the result is bit-identical to the never-damaged run.
+    let (preloaded, result) = resume(Parallelism::Serial, scratch.store(), &bytes);
     assert_eq!(result.report.outcome, JobOutcome::Ok);
+    assert_eq!(preloaded.counter(names::INCR_PRELOADED), (persisted - 1) as u64);
+    assert_eq!(preloaded.counter(names::INCR_CORRUPT_SKIPPED), 0, "scrub removed the damage");
+    let c = &result.report.counters;
     assert_eq!(
-        result.report.restored,
-        vec![StageId::Analysis, StageId::Training, StageId::Distances],
-        "only the quarantined stage recomputes"
+        [
+            c.counter(names::CORPUS_TRACELET_MISS),
+            c.counter(names::CORPUS_SLM_MISS),
+            c.counter(names::CORPUS_DISTANCE_MISS),
+            c.counter(names::CORPUS_LIFTING_MISS),
+        ],
+        [0, 0, 0, 1],
+        "only the quarantined entry recomputes"
     );
-    assert!(!result.report.resume_corrupt, "scrub already removed the damage");
     assert_bit_identical(&full(result.output), &reference, "post-scrub resume");
 }
 
@@ -713,19 +746,22 @@ fn open_sweeps_stale_tmp_files_and_counts_them() {
     let bytes = image_bytes();
     let scratch = Scratch::new("tmp-sweep");
     {
-        let sup = Supervisor::new(config(Parallelism::Serial), scratch.store(), options(true));
+        let sup = Supervisor::new(config(Parallelism::Serial), scratch.store(), options());
         assert_eq!(sup.run_job("job", &bytes).report.outcome, JobOutcome::Ok);
     }
-    let key = rock::supervisor::content_key(&bytes, &config(Parallelism::Serial));
-    let dir = scratch.store().job_dir(key);
-    fs::write(dir.join(".training.art.tmp"), b"stranded").unwrap();
-    fs::write(dir.join(".distances.art.tmp"), b"stranded too").unwrap();
+    let sub = scratch.0.join("sub");
+    let stranded = [
+        sub.join("model").join(".0000000000000000000000000000002a.sub.tmp"),
+        sub.join("distance").join(".0000000000000000000000000000002b.sub.tmp"),
+    ];
+    for tmp in &stranded {
+        fs::write(tmp, b"stranded").unwrap();
+    }
 
     let store = scratch.store(); // open() sweeps
     assert_eq!(store.stats().counter(names::STORE_TMP_SWEPT), 2, "open must sweep stale tmp files");
-    assert!(!dir.join(".training.art.tmp").exists());
-    // The real artifacts are untouched and still restore.
-    let sup = Supervisor::new(config(Parallelism::Serial), store, options(true));
-    let result = sup.run_job("job", &bytes);
-    assert_eq!(result.report.restored, StageId::ALL.to_vec());
+    assert!(stranded.iter().all(|tmp| !tmp.exists()));
+    // The real sub-artifacts are untouched and answer a rerun in full.
+    let (_, result) = resume(Parallelism::Serial, store, &bytes);
+    assert_all_hits(&result, "rerun after the sweep");
 }
