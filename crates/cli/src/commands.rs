@@ -13,7 +13,8 @@ use rock_loader::LoadedBinary;
 use rock_slm::Metric;
 use rock_supervisor::{ArtifactStore, StdVfs, Supervisor, SupervisorOptions};
 use rock_trace::{
-    chrome_trace_json, names, validate_chrome_trace, validate_metrics_doc, TraceLevel, Tracer,
+    chrome_trace_json, json_escape, names, validate_chrome_trace, validate_metrics_doc, TraceLevel,
+    Tracer,
 };
 
 type CliResult = Result<(), Box<dyn Error>>;
@@ -50,7 +51,7 @@ fn emit_timings(label: &str, timings: &rock_core::StageTimings, format: TimingsF
         }
         TimingsFormat::Json if label.is_empty() => println!("{}", timings.to_json()),
         TimingsFormat::Json => {
-            println!("{{\"job\":\"{label}\",\"timings\":{}}}", timings.to_json());
+            println!("{{\"job\":\"{}\",\"timings\":{}}}", json_escape(label), timings.to_json());
         }
     }
 }

@@ -243,3 +243,44 @@ fn incremental_counts_reach_the_batch_summary_and_job_timings_hold_only_wall_clo
         }
     }
 }
+
+#[test]
+fn scrub_json_escapes_control_characters_in_entry_names() {
+    let s = Scratch::new("scrub-json");
+    let store = PathBuf::from(&s.store);
+    fs::create_dir_all(store.join("sub").join("exec")).unwrap();
+    fs::write(store.join("odd\ttab"), b"stray").unwrap();
+    fs::write(store.join("sub").join("exec").join("bad\nname"), b"stray").unwrap();
+    let out = rock(&["store", "scrub", "--store", &s.store, "--dry-run", "--json"]);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = stdout(&out);
+    let doc = text.trim_end_matches('\n');
+    // JSON forbids raw control characters inside strings.
+    assert!(!doc.bytes().any(|b| b < 0x20), "raw control character in {doc:?}");
+    let report = parse_json(doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+    let details: Vec<&str> = report
+        .get("details")
+        .and_then(Json::as_arr)
+        .expect("details array")
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    assert!(details.contains(&"unknown entry: odd\ttab"), "{details:?}");
+    assert!(details.contains(&"sub/exec: unknown file bad\nname"), "{details:?}");
+}
+
+#[test]
+fn timings_json_escapes_the_job_name() {
+    let s = Scratch::new("timings-json");
+    let image = s.dir.join("we\"ird.rkb");
+    fs::copy(&s.image, &image).unwrap();
+    let out = rock(&["batch", image.to_str().unwrap(), "--store", &s.store, "--timings=json"]);
+    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().filter(|l| l.contains("\"timings\"")).collect();
+    assert_eq!(lines.len(), 1, "one timings line per job: {text}");
+    for line in lines {
+        let doc = parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(doc.get("job").and_then(Json::as_str), Some("we\"ird"), "{line}");
+    }
+}

@@ -37,7 +37,7 @@ use rock_supervisor::wire::{
     JobState, RejectReason, Request, Response, SERVE_MIN_PROTOCOL_VERSION, SERVE_PROTOCOL_VERSION,
 };
 use rock_supervisor::{exit, ArtifactStore, StdVfs, Supervisor, SupervisorOptions, Vfs};
-use rock_trace::{names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
+use rock_trace::{json_escape, names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
 
 use crate::admission::{QuotaConfig, Quotas};
 use crate::fingerprint::result_fp;
@@ -641,8 +641,8 @@ fn worker_loop(inner: &Arc<Inner>) {
                     result_fp: result_fp(&rock_supervisor::JobOutput::None),
                     report_json: format!(
                         "{{\"name\":\"{}\",\"outcome\":\"failed\",\"reason\":\"panicked: {}\"}}",
-                        escape(&job.name),
-                        escape(&panic_text(&panic))
+                        json_escape(&job.name),
+                        json_escape(&panic_text(&panic))
                     ),
                 }
             }
@@ -845,23 +845,6 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Minimal JSON string escaping for the synthetic failure reports.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,11 +863,5 @@ mod tests {
         // A hostile length trips the cap before any body arrives.
         buf.extend_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(matches!(extract_frame(&mut buf, 64), Err(FrameError::TooLarge { .. })));
-    }
-
-    #[test]
-    fn escape_covers_the_control_plane() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rock_budget::RetryPolicy;
 use rock_core::RockConfig;
 use rock_slm::Metric;
-use rock_trace::{names, MetricsRegistry};
+use rock_trace::{json_escape, names, MetricsRegistry};
 
 use crate::vfs::{is_transient, StdVfs, Vfs};
 use crate::wire::{fnv1a, Writer};
@@ -601,7 +601,7 @@ impl ScrubReport {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\"", d.replace('\\', "\\\\").replace('"', "\\\""));
+            let _ = write!(s, "\"{}\"", json_escape(d));
         }
         s.push_str("]}");
         s

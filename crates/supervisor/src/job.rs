@@ -36,7 +36,7 @@ use rock_core::{CorpusCache, FaultPlan, Reconstruction, Rock, RockConfig, Severi
 use rock_graph::Forest;
 use rock_loader::LoadedBinary;
 use rock_structural::Structural;
-use rock_trace::{names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
+use rock_trace::{json_escape, names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
 
 use crate::artifact::{content_key, ArtifactStore};
 use crate::incr::{flush_loose, flush_subartifacts, preload_subartifacts};
@@ -340,22 +340,6 @@ impl JobReport {
         s.push('}');
         s
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// What a job actually produced.

@@ -28,10 +28,12 @@
 //!   daemon protocol and the sub-artifact frames are written in.
 //! * [`vfs`] — the narrow storage trait the store runs on ([`StdVfs`]
 //!   in production), with the durability (fsync) commit mode.
-//! * [`chaos`] — seeded, clock-free storage fault injection
-//!   ([`FaultyVfs`] driven by a [`ChaosPlan`]): torn writes, ENOSPC,
-//!   transient EIO, rename failures, partial reads, crash-shaped stale
-//!   tmp files.
+//! * [`chaos`] — seeded, clock-free storage fault injection: a
+//!   [`FaultyVfs`] whose calls the storage lanes of a
+//!   [`rock_core::FaultPlan`] fault as torn writes, ENOSPC, transient
+//!   EIO, rename failures, partial reads and crash-shaped stale tmp
+//!   files. One plan can drive a supervisor's compute faults and its
+//!   store's storage faults at once.
 //!
 //! The CLI's `rock batch` subcommand is a thin shell around
 //! [`job::Supervisor::run_batch`]; `rock store scrub` is a thin shell
@@ -51,7 +53,7 @@ pub mod wire;
 pub use artifact::{
     config_fingerprint, content_key, ArtifactStore, ScrubReport, QUARANTINE_DIR, SUB_DIR,
 };
-pub use chaos::{ChaosDirective, ChaosFlavor, ChaosOp, ChaosPlan, FaultyVfs};
+pub use chaos::FaultyVfs;
 pub use incr::{
     decode_snapshot, encode_snapshot, flush_subartifacts, preload_subartifacts, SNAPSHOT_NAME,
 };

@@ -4,7 +4,8 @@
 //! actually uses: whole-file read/write, rename-commit, directory
 //! listing, removal, and explicit durability syncs. Production runs use
 //! [`StdVfs`] (plain `std::fs`); chaos tests swap in
-//! [`crate::chaos::FaultyVfs`] to make the disk lie on purpose; the
+//! [`crate::chaos::FaultyVfs`], which lies where the storage lanes of a
+//! `rock_core::FaultPlan` say; the
 //! same seam is what later lets the daemon swap storage backends (and
 //! the WASM build stub the filesystem out entirely, per ROADMAP).
 //!

@@ -1,14 +1,16 @@
-//! A tiny length-prefixed binary codec for checkpoint artifacts and the
-//! `rock serve` request/response protocol.
+//! A tiny length-prefixed binary codec for the `rock serve`
+//! request/response protocol, the sub-artifact frame headers, and the
+//! config and result fingerprints.
 //!
-//! The workspace has no serialization dependency, so artifacts are
+//! The workspace has no serialization dependency, so all of these are
 //! encoded by hand: little-endian fixed-width integers, `f64`s as raw
-//! bits (checkpoints must round-trip distances *bit for bit*), strings
-//! and sequences length-prefixed with `u64`. Decoding is fully
+//! bits (a result fingerprint must see distances *bit for bit*),
+//! strings and sequences length-prefixed with `u64`. Decoding is fully
 //! bounds-checked — a truncated or lied-about length yields a
-//! [`WireError`], never a panic — because artifact files are untrusted
-//! input after a crash, and protocol frames are untrusted input
-//! *always*: the serve daemon decodes whatever bytes a client sends.
+//! [`WireError`], never a panic — because sub-artifact files are
+//! untrusted input after a crash, and protocol frames are untrusted
+//! input *always*: the serve daemon decodes whatever bytes a client
+//! sends.
 //!
 //! The serve protocol ([`Request`]/[`Response`]) frames one message as
 //! `u32 LE body length | body`, where `body = u8 tag | payload`. The

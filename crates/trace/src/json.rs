@@ -83,11 +83,31 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslashes and every control character below U+0020, which JSON
+/// forbids raw. The one escaper behind the hand-built documents (job,
+/// scrub and serve failure reports, the CLI's timings lines).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Parses one complete JSON document (trailing whitespace allowed).
 ///
 /// Strict where it matters for validation: rejects `NaN`/`Infinity`
-/// tokens (they are not JSON), trailing garbage, and unterminated
-/// structures.
+/// tokens (they are not JSON), raw control characters inside strings,
+/// trailing garbage, and unterminated structures.
 pub fn parse_json(text: &str) -> Result<Json, ParseError> {
     let bytes = text.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
@@ -242,6 +262,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(0..=0x1F) => return Err(self.err("raw control character in string")),
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is &str, so slicing
                     // at char boundaries is safe).
@@ -291,6 +312,22 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "NaN", "Infinity", "\"\\q\""] {
             assert!(parse_json(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn escape_covers_the_control_plane() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        for raw in ["plain", "we\"ird", "odd\ttab", "bad\nname", "\u{0}\u{1f}\r\\/é"] {
+            let doc = format!("\"{}\"", json_escape(raw));
+            assert_eq!(parse_json(&doc).unwrap().as_str(), Some(raw), "{doc}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected() {
+        assert!(parse_json("\"odd\ttab\"").is_err(), "a raw tab is not JSON");
+        assert!(parse_json("\"bad\nname\"").is_err(), "a raw line feed is not JSON");
     }
 
     #[test]

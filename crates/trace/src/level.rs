@@ -104,9 +104,10 @@ pub fn span_sampled(name: &str, subject: u64) -> bool {
     splitmix64(fnv1a(name) ^ subject) < u64::MAX / SPAN_SAMPLE_RATE
 }
 
-/// SplitMix64 finalizer: a full-avalanche bijection on `u64` (the same
-/// mixer the fault-injection plan uses for seed derivation).
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a full-avalanche bijection on `u64`. The one
+/// copy in the workspace: span sampling, the fault plan's seeded
+/// decisions and the fuzzers' input streams all mix with it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

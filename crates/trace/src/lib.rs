@@ -41,8 +41,8 @@ mod tracer;
 pub use export::{
     chrome_trace_json, scrubbed, validate_chrome_trace, validate_metrics_doc, ScrubbedSpan,
 };
-pub use json::{parse_json, Json};
-pub use level::{is_coarse_span, span_sampled, TraceLevel, SPAN_SAMPLE_RATE};
+pub use json::{json_escape, parse_json, Json};
+pub use level::{is_coarse_span, span_sampled, splitmix64, TraceLevel, SPAN_SAMPLE_RATE};
 pub use local::{LocalSpans, SpanToken};
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_BOUNDS, METRICS_SCHEMA_VERSION};
 pub use tracer::{SpanEvent, SpanGuard, TraceCtx, Tracer};

@@ -16,14 +16,7 @@
 
 use rock::serve::frame::{read_frame, write_frame, FrameError};
 use rock::serve::wire::{JobState, RejectReason, Request, Response};
-
-/// SplitMix64: the same deterministic generator the fault plan uses.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use rock::trace::splitmix64;
 
 struct Rng(u64);
 

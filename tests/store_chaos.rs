@@ -13,6 +13,10 @@
 //! 3. **Classification** — scrub counts each damage class (corrupt
 //!    frame, orphaned tmp, unknown entry) exactly, and a resumed job
 //!    recomputes only what was quarantined.
+//! 4. **One plan, both lanes** — a `FaultPlan` that drives a
+//!    supervisor's compute faults and its store's storage faults in the
+//!    same runs leaves nothing wrong behind: a contained compute fault
+//!    never persists a wrong sub-artifact.
 //!
 //! Seeds come from `ROCK_CHAOS_SEEDS` (`"a..b"` range or a comma list;
 //! CI sweeps `0..16`), defaulting to a small smoke set.
@@ -22,11 +26,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use rock::binary::image_to_bytes;
-use rock::core::{suite, CorpusCache, Parallelism, Reconstruction, Rock, RockConfig};
+use rock::core::{suite, CorpusCache, FaultPlan, Parallelism, Reconstruction, Rock, RockConfig};
 use rock::serve::{result_fp, ServeClient, ServeConfig, Server};
 use rock::supervisor::{
-    exit, flush_subartifacts, preload_subartifacts, ArtifactStore, ChaosPlan, FaultyVfs,
-    JobOutcome, JobOutput, JobResult, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
+    exit, flush_subartifacts, preload_subartifacts, ArtifactStore, FaultyVfs, JobOutcome,
+    JobOutput, JobResult, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
 };
 use rock::trace::{names, MetricsRegistry};
 
@@ -46,9 +50,14 @@ impl Scratch {
         ArtifactStore::open(&self.0).unwrap()
     }
 
-    fn chaos_store(&self, seed: u64, rate_per_mille: u64) -> ArtifactStore {
-        let vfs: Arc<dyn Vfs> =
-            Arc::new(FaultyVfs::new(StdVfs::arc(), ChaosPlan::seeded(seed, rate_per_mille)));
+    fn chaos_store(&self, seed: u64, rate_per_mille: u32) -> ArtifactStore {
+        self.plan_store(Arc::new(FaultPlan::seeded(seed, rate_per_mille)))
+    }
+
+    /// The store behind a [`FaultyVfs`] that faults where `plan`'s
+    /// storage lanes say.
+    fn plan_store(&self, plan: Arc<FaultPlan>) -> ArtifactStore {
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultyVfs::new(StdVfs::arc(), plan));
         ArtifactStore::open_with(&self.0, vfs, false)
             .expect("chaos open survives (create_dir retries or store root pre-exists)")
     }
@@ -234,6 +243,66 @@ fn chaos_sweep_survives_scrubs_and_reruns_bit_identical() {
 }
 
 #[test]
+fn one_plan_faults_compute_and_storage_and_the_store_heals_bit_identical() {
+    // One FaultPlan per run, attached to the supervisor (its compute
+    // lanes: analysis functions, parallel stage items) and handed to
+    // the store's FaultyVfs (its storage lanes). Contained compute
+    // faults degrade the run; what the run persisted must still be
+    // right, so after a scrub a fault-free rerun reproduces the
+    // never-faulted warm reference, and the rerun after it is answered
+    // by every tier with the same metrics doc.
+    let bytes = image_bytes();
+    for par in [Parallelism::Serial, Parallelism::Threads(8)] {
+        let reference = {
+            let scratch = Scratch::new(&format!("one-plan-reference-{par:?}"));
+            let sup = Supervisor::new(config(par), scratch.store(), options());
+            assert_eq!(sup.run_job("job", &bytes).report.outcome, JobOutcome::Ok);
+            let (_, result) = resume(par, scratch.store(), &bytes);
+            assert_all_hits(&result, "reference warm rerun");
+            full(result.output)
+        };
+        let mut degraded = 0;
+        for seed in seeds() {
+            let scratch = Scratch::new(&format!("one-plan-{seed}-{par:?}"));
+            for round in 0..3u64 {
+                let plan = Arc::new(FaultPlan::seeded(seed ^ round, 120));
+                let store = scratch.plan_store(Arc::clone(&plan));
+                let sup = Supervisor::new(config(par), store, options()).with_fault_plan(plan);
+                sup.preload_incremental();
+                let result = sup.run_job("job", &bytes);
+                let code = result.report.exit_code();
+                assert!(
+                    TYPED_CODES.contains(&code),
+                    "seed {seed} {par:?} round {round}: untyped exit code {code}"
+                );
+                degraded += usize::from(matches!(result.report.outcome, JobOutcome::Degraded(_)));
+            }
+
+            let report = scratch.store().scrub(false);
+            assert_eq!(report.io_errors, 0, "seed {seed} {par:?}: scrub must finish clean");
+            let rescrub = scratch.store().scrub(false);
+            assert!(
+                rescrub.is_clean(),
+                "seed {seed} {par:?}: scrub must converge, got {:?}",
+                rescrub.details
+            );
+            let (preloaded, result) = resume(par, scratch.store(), &bytes);
+            assert_eq!(result.report.outcome, JobOutcome::Ok, "seed {seed} {par:?}");
+            assert_eq!(preloaded.counter(names::INCR_CORRUPT_SKIPPED), 0, "seed {seed} {par:?}");
+            let what = format!("seed {seed} {par:?} fault-free rerun");
+            assert_bit_identical(&full(result.output), &reference, &what);
+            let (_, result) = resume(par, scratch.store(), &bytes);
+            let what = format!("seed {seed} {par:?} healed warm rerun");
+            assert_all_hits(&result, &what);
+            let recon = full(result.output);
+            assert_bit_identical(&recon, &reference, &what);
+            assert_metrics_identical(&recon, &reference, &what);
+        }
+        assert!(degraded > 0, "{par:?}: the plan's compute lanes never fired");
+    }
+}
+
+#[test]
 fn chaos_runs_report_store_activity_with_typed_incidents() {
     // At a high fault rate some stage-boundary flushes must fail; the
     // report carries the delta and typed incidents, never a panic.
@@ -354,7 +423,7 @@ fn serve_chaos_drain_restart_then_scrubbed_rerun_matches_fault_free_fp() {
         for cycle in 0..2u32 {
             let vfs: Arc<dyn Vfs> = Arc::new(FaultyVfs::new(
                 StdVfs::arc(),
-                ChaosPlan::seeded(seed ^ u64::from(cycle), 120),
+                Arc::new(FaultPlan::seeded(seed ^ u64::from(cycle), 120)),
             ));
             let mut cfg = ServeConfig::new(&scratch.0);
             cfg.poll_ms = 2;
