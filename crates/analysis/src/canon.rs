@@ -58,36 +58,60 @@ impl Label {
     }
 }
 
-/// Two independent FNV-1a streams over the same byte sequence.
+/// Two independent FNV-1a streams over the same input: the one dual-FNV
+/// mixer in the workspace.
 ///
 /// FNV-1a with distinct offset bases decorrelates quickly; the pair
-/// behaves as a 128-bit fingerprint for hash-consing purposes.
-#[derive(Clone, Copy)]
-struct Mixer {
+/// behaves as a 128-bit fingerprint for hash-consing purposes. It
+/// hashes content labels here, and the corpus cache's tracelet, pool,
+/// execution and byte-image keys (`rock_core::corpus`).
+///
+/// Its outputs are persisted. An execution key is a config salt XOR a
+/// function's label, a pool key is this mixer over a pool's tracelet
+/// fingerprints, and both name `.sub` files and snapshot-pack entries
+/// that later processes preload. Changing a seed, the prime, the byte
+/// step's `0xa5`, or the word step's shift or rotation therefore
+/// orphans every store on disk: such a change must bump the corpus
+/// format byte (`CORPUS_FORMAT` in `rock_core::corpus`) with it.
+#[derive(Clone, Copy, Debug)]
+pub struct Mixer {
     a: u64,
     b: u64,
 }
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
+impl Default for Mixer {
+    fn default() -> Self {
+        Mixer::new()
+    }
+}
+
 impl Mixer {
-    fn new() -> Self {
+    /// A mixer at the two streams' offset bases.
+    #[inline]
+    pub fn new() -> Self {
         Mixer { a: 0xcbf2_9ce4_8422_2325, b: 0x9e37_79b9_7f4a_7c15 }
     }
 
-    fn byte(&mut self, v: u8) {
+    /// Absorbs one byte: a plain FNV-1a step on each stream (the second
+    /// sees the byte XOR `0xa5`).
+    #[inline]
+    pub fn byte(&mut self, v: u8) {
         self.a = (self.a ^ u64::from(v)).wrapping_mul(FNV_PRIME);
         self.b = (self.b ^ u64::from(v ^ 0xa5)).wrapping_mul(FNV_PRIME);
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Absorbs one word.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
         // Word-at-a-time: one multiply-and-fold per stream instead of
         // eight byte steps. The xor-shift folds the product's high bits
         // back down (a bare FNV multiply only carries entropy upward);
         // each step stays a bijection of the state for fixed input, and
-        // the rotation decorrelates the two streams. Labels never leave
-        // process memory, so the constants are free to differ from the
-        // byte-wise FNV walk.
+        // the rotation decorrelates the two streams. The word step
+        // differs from eight byte steps, so a fingerprint must always
+        // feed a given field the same way.
         self.a = (self.a ^ v).wrapping_mul(FNV_PRIME);
         self.a ^= self.a >> 32;
         self.b = (self.b ^ v.rotate_left(17)).wrapping_mul(FNV_PRIME);
@@ -103,7 +127,9 @@ impl Mixer {
         self.u64(l.hi);
     }
 
-    fn finish(self) -> Label {
+    /// The 128-bit fingerprint: the first stream is [`Label::lo`].
+    #[inline]
+    pub fn finish(self) -> Label {
         Label { lo: self.a, hi: self.b }
     }
 }

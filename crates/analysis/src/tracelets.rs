@@ -9,7 +9,7 @@ use rock_binary::Addr;
 use rock_budget::Budget;
 use rock_loader::LoadedBinary;
 
-use rock_trace::{names, LocalSpans, MetricsRegistry};
+use rock_trace::{names, panic_message, LocalSpans, MetricsRegistry};
 
 use crate::canon::{CachedExec, CachedSub, ContentLabels, ExecCache};
 use crate::{
@@ -228,17 +228,6 @@ pub(crate) fn windows(events: &[Event], len: usize) -> Vec<Arc<[Event]>> {
 ///   vtable slots) contributes to every vtable containing the function.
 pub fn extract_tracelets(loaded: &LoadedBinary, config: &AnalysisConfig) -> Analysis {
     extract_tracelets_with(loaded, config, &NoHooks)
-}
-
-/// Extracts a readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Like [`extract_tracelets`], but with per-function fault isolation
@@ -490,7 +479,7 @@ fn extract_inner(
         let (mut paths, fuel_spent) = match outcome {
             Err(payload) => {
                 spans.exit(token);
-                incidents.push((entry, IncidentKind::Panicked(panic_message(payload))));
+                incidents.push((entry, IncidentKind::Panicked(panic_message(&*payload))));
                 continue;
             }
             Ok((_, ExecStatus::FuelExhausted, _)) => {

@@ -15,6 +15,10 @@
 //! decoded back by [`decode_instr`], so downstream crates work from a
 //! genuine "disassembly" rather than an AST.
 //!
+//! [`codec`] is the workspace's one byte codec: the `.rkb` container
+//! here, and every corpus entry, store frame, fingerprint and serve
+//! frame elsewhere, are written and read with it.
+//!
 //! # Example
 //!
 //! ```
@@ -37,6 +41,7 @@
 
 mod addr;
 mod builder;
+pub mod codec;
 mod encode;
 mod error;
 mod image;

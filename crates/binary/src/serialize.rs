@@ -1,7 +1,8 @@
 //! On-disk container format for binary images (`.rkb`).
 //!
-//! A small, versioned, little-endian container so images can be written
-//! by one process (e.g. the benchmark generator) and analyzed by another
+//! A small, versioned, little-endian container, written and read with
+//! the one byte codec ([`crate::codec`]), so images can be written by
+//! one process (e.g. the benchmark generator) and analyzed by another
 //! (the `rock` CLI):
 //!
 //! ```text
@@ -19,7 +20,8 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{Addr, BinaryImage, RttiRecord, Section, SectionKind, Symbol, SymbolTable};
+use crate::codec::{Reader, WireError, Writer};
+use crate::{BinaryImage, RttiRecord, Section, SectionKind, Symbol, SymbolTable};
 
 /// Magic + version tag at the start of every serialized image.
 pub const MAGIC: &[u8; 4] = b"RKB1";
@@ -72,72 +74,49 @@ fn kind_from(code: u8) -> Option<SectionKind> {
 
 /// Serializes an image to the `.rkb` container format.
 pub fn image_to_bytes(image: &BinaryImage) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(image.sections().len() as u32).to_le_bytes());
+    let mut w = Writer::new();
+    w.raw(MAGIC);
+    w.u32(image.sections().len() as u32);
     for s in image.sections() {
-        out.push(kind_code(s.kind()));
-        out.extend_from_slice(&s.base().value().to_le_bytes());
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        out.extend_from_slice(s.bytes());
+        w.u8(kind_code(s.kind()));
+        w.addr(s.base());
+        w.u64(s.len() as u64);
+        w.raw(s.bytes());
     }
-    let symbols: Vec<&Symbol> = image.symbols().iter().collect();
-    out.extend_from_slice(&(symbols.len() as u32).to_le_bytes());
-    for sym in symbols {
-        out.extend_from_slice(&sym.addr.value().to_le_bytes());
-        write_str(&mut out, &sym.name);
+    w.u32(image.symbols().len() as u32);
+    for sym in image.symbols().iter() {
+        w.addr(sym.addr);
+        write_str(&mut w, &sym.name);
     }
-    out.extend_from_slice(&(image.rtti().len() as u32).to_le_bytes());
+    w.u32(image.rtti().len() as u32);
     for r in image.rtti() {
-        out.extend_from_slice(&r.vtable.value().to_le_bytes());
-        write_str(&mut out, &r.class_name);
-        out.extend_from_slice(&(r.ancestors.len() as u32).to_le_bytes());
-        for a in &r.ancestors {
-            out.extend_from_slice(&a.value().to_le_bytes());
+        w.addr(r.vtable);
+        write_str(&mut w, &r.class_name);
+        w.u32(r.ancestors.len() as u32);
+        for &a in &r.ancestors {
+            w.addr(a);
         }
     }
-    out
+    w.into_bytes()
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Strings in the container carry a `u32` length prefix.
+fn write_str(w: &mut Writer, s: &str) {
+    w.u32(s.len() as u32);
+    w.raw(s.as_bytes());
 }
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+fn read_str(r: &mut Reader<'_>) -> Result<String, ImageFormatError> {
+    let len = r.u32("string length")? as usize;
+    let bytes = r.bytes(len, "string")?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| ImageFormatError::BadString)
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageFormatError> {
-        // checked_add: a lying length field near usize::MAX must read as
-        // truncation, not overflow the cursor.
-        let end = self.pos.checked_add(n).ok_or(ImageFormatError::Truncated)?;
-        if end > self.data.len() {
-            return Err(ImageFormatError::Truncated);
-        }
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ImageFormatError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ImageFormatError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ImageFormatError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self) -> Result<String, ImageFormatError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ImageFormatError::BadString)
+/// Every codec failure inside an image is a truncation: a length field
+/// that lies runs past the end of the data.
+impl From<WireError> for ImageFormatError {
+    fn from(_: WireError) -> ImageFormatError {
+        ImageFormatError::Truncated
     }
 }
 
@@ -147,41 +126,41 @@ impl<'a> Reader<'a> {
 ///
 /// Returns [`ImageFormatError`] for malformed input; never panics.
 pub fn image_from_bytes(data: &[u8]) -> Result<BinaryImage, ImageFormatError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != MAGIC {
+    let mut r = Reader::new(data);
+    if r.bytes(MAGIC.len(), "magic")? != MAGIC {
         return Err(ImageFormatError::BadMagic);
     }
-    let section_count = r.u32()? as usize;
+    let section_count = r.u32("section count")? as usize;
     let mut sections = Vec::with_capacity(section_count.min(16));
     for _ in 0..section_count {
-        let kind = r.u8()?;
+        let kind = r.u8("section kind")?;
         let kind = kind_from(kind).ok_or(ImageFormatError::BadSectionKind(kind))?;
-        let base = Addr::new(r.u64()?);
-        let len = r.u64()? as usize;
-        let bytes = r.take(len)?.to_vec();
+        let base = r.addr("section base")?;
+        let len = r.len("section length")?;
+        let bytes = r.bytes(len, "section bytes")?.to_vec();
         sections.push(Section::new(kind, base, bytes));
     }
-    let symbol_count = r.u32()? as usize;
+    let symbol_count = r.u32("symbol count")? as usize;
     let mut symbols = SymbolTable::new();
     for _ in 0..symbol_count {
-        let addr = Addr::new(r.u64()?);
-        let name = r.string()?;
+        let addr = r.addr("symbol address")?;
+        let name = read_str(&mut r)?;
         symbols.insert(Symbol::new(addr, name));
     }
-    let rtti_count = r.u32()? as usize;
+    let rtti_count = r.u32("rtti count")? as usize;
     let mut rtti = Vec::with_capacity(rtti_count.min(64));
     for _ in 0..rtti_count {
-        let vtable = Addr::new(r.u64()?);
-        let class_name = r.string()?;
-        let n = r.u32()? as usize;
+        let vtable = r.addr("rtti vtable")?;
+        let class_name = read_str(&mut r)?;
+        let n = r.u32("ancestor count")? as usize;
         let mut ancestors = Vec::with_capacity(n.min(64));
         for _ in 0..n {
-            ancestors.push(Addr::new(r.u64()?));
+            ancestors.push(r.addr("ancestor")?);
         }
         rtti.push(RttiRecord { vtable, class_name, ancestors });
     }
-    if r.pos != data.len() {
-        return Err(ImageFormatError::TrailingBytes(data.len() - r.pos));
+    if !r.is_at_end() {
+        return Err(ImageFormatError::TrailingBytes(data.len() - r.offset()));
     }
     Ok(BinaryImage::with_debug_info(sections, symbols, rtti))
 }

@@ -1129,31 +1129,20 @@ impl HammerTally {
 
 /// Handshakes normally, then writes one `Submit` frame in small chunks
 /// with pauses longer than the daemon's poll tick, and finally reads
-/// the response. Exercises the server's partial-frame buffering.
+/// the response. Exercises the server's partial-frame buffering. Both
+/// responses are read through [`rock_serve::read_frame`], which refuses
+/// an oversized length prefix before allocating.
 fn hammer_trickle(addr: &str, image: &[u8]) -> Result<rock_serve::wire::Response, Box<dyn Error>> {
-    use std::io::{Read, Write};
+    use rock_serve::wire::{Request, Response, SERVE_PROTOCOL_VERSION};
+    use rock_serve::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
+    use std::io::Write;
     let mut stream = std::net::TcpStream::connect(addr)?;
-    let hello = rock_serve::wire::Request::Hello {
-        version: rock_serve::wire::SERVE_PROTOCOL_VERSION,
-        client: "trickle".to_string(),
-    }
-    .encode();
-    stream.write_all(&(hello.len() as u32).to_le_bytes())?;
-    stream.write_all(&hello)?;
-    let frame = |s: &mut std::net::TcpStream| -> Result<Vec<u8>, Box<dyn Error>> {
-        let mut prefix = [0u8; 4];
-        s.read_exact(&mut prefix)?;
-        let mut body = vec![0u8; u32::from_le_bytes(prefix) as usize];
-        s.read_exact(&mut body)?;
-        Ok(body)
-    };
-    rock_serve::wire::Response::decode(&frame(&mut stream)?)?; // HelloOk
-    let submit = rock_serve::wire::Request::Submit {
-        name: "trickle-job".to_string(),
-        deadline_ms: 0,
-        image: image.to_vec(),
-    }
-    .encode();
+    let hello = Request::Hello { version: SERVE_PROTOCOL_VERSION, client: "trickle".to_string() };
+    write_frame(&mut stream, &hello.encode())?;
+    Response::decode(&read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES)?)?; // HelloOk
+    let submit =
+        Request::Submit { name: "trickle-job".to_string(), deadline_ms: 0, image: image.to_vec() }
+            .encode();
     let mut wire_bytes = (submit.len() as u32).to_le_bytes().to_vec();
     wire_bytes.extend_from_slice(&submit);
     // Length prefix byte-by-byte, then the body in three chunks, each
@@ -1168,7 +1157,7 @@ fn hammer_trickle(addr: &str, image: &[u8]) -> Result<rock_serve::wire::Response
         stream.write_all(chunk)?;
         std::thread::sleep(std::time::Duration::from_millis(40));
     }
-    Ok(rock_serve::wire::Response::decode(&frame(&mut stream)?)?)
+    Ok(Response::decode(&read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES)?)?)
 }
 
 /// `rock store scrub`: offline self-healing pass over an artifact
@@ -1231,6 +1220,30 @@ mod tests {
         assert!(dispatch(&[]).is_ok());
         assert!(dispatch(&["help".into()]).is_ok());
         assert!(dispatch(&["frobnicate".into()]).is_err());
+    }
+
+    #[test]
+    fn trickle_client_refuses_a_peer_that_is_not_a_daemon() {
+        use std::io::Write;
+        // A peer that speaks HTTP: its reply's first four bytes, read as
+        // a frame length, claim 1,347,703,880 bytes (`b"HTTP"`).
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            rock_serve::read_frame(&mut conn, rock_serve::DEFAULT_MAX_FRAME_BYTES).unwrap();
+            conn.write_all(b"HTTP/1.1 200 OK\r\n\r\n").unwrap();
+        });
+        let err = hammer_trickle(&addr, b"image").unwrap_err();
+        peer.join().unwrap();
+        let frame_err = err.downcast_ref::<rock_serve::FrameError>();
+        assert!(
+            matches!(
+                frame_err,
+                Some(rock_serve::FrameError::TooLarge { claimed: 1_347_703_880, .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use corpus::{distance_disk_key, lift_key, pool_key, CorpusCache, SubTier};
 pub use diagnostics::{Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject};
 pub use eval::{evaluate, evaluate_k_parents, project_hierarchy, AppDistance, Evaluation};
 pub use faultplan::{ChaosFlavor, ChaosOp, FaultPlan};
-pub use par::Parallelism;
+pub use par::{par_map, Parallelism};
 pub use pipeline::{Reconstruction, Rock};
 pub use pseudo::pseudo_source;
 pub use report::{render_table2, render_table2_markdown, Table2Row};

@@ -8,10 +8,14 @@
 //! work-stealing index counter and returns results **in input order**, so
 //! callers can merge them exactly as the serial loop would have and the
 //! reconstruction stays bit-identical whatever [`Parallelism`] is chosen.
+//! It is the workspace's one fan-out: the supervisor's store reads and
+//! writes its sub-artifact files through it too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use rock_trace::panic_message;
 
 /// How many worker threads the pipeline's hot loops may use.
 ///
@@ -48,7 +52,7 @@ impl Parallelism {
 /// it. The calling thread is worker zero — `Threads(n)` spawns only
 /// `n - 1` OS threads — and with one thread (or one item) this
 /// degenerates to a plain serial loop with no thread spawned at all.
-pub(crate) fn par_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -99,15 +103,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     par_map(parallelism, items, |item| {
-        catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            }
-        })
+        catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| panic_message(&*payload))
     })
 }
 

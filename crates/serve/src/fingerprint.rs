@@ -9,8 +9,9 @@
 //! produced exactly the bits an uninterrupted run would have, without
 //! shipping the artifacts themselves.
 
-use rock_supervisor::wire::{fnv1a, Writer};
+use rock_binary::codec::Writer;
 use rock_supervisor::JobOutput;
+use rock_trace::fnv1a;
 
 /// The content fingerprint of a job's output. `JobOutput::None`
 /// (failed or interrupted jobs) fingerprints to a fixed tag so it can

@@ -37,7 +37,9 @@ use rock_supervisor::wire::{
     JobState, RejectReason, Request, Response, SERVE_MIN_PROTOCOL_VERSION, SERVE_PROTOCOL_VERSION,
 };
 use rock_supervisor::{exit, ArtifactStore, StdVfs, Supervisor, SupervisorOptions, Vfs};
-use rock_trace::{json_escape, names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
+use rock_trace::{
+    json_escape, names, panic_message, MetricsRegistry, TraceCtx, TraceLevel, Tracer,
+};
 
 use crate::admission::{QuotaConfig, Quotas};
 use crate::fingerprint::result_fp;
@@ -642,7 +644,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                     report_json: format!(
                         "{{\"name\":\"{}\",\"outcome\":\"failed\",\"reason\":\"panicked: {}\"}}",
                         json_escape(&job.name),
-                        json_escape(&panic_text(&panic))
+                        json_escape(&panic_message(&*panic))
                     ),
                 }
             }
@@ -833,16 +835,6 @@ fn extract_frame(buf: &mut Vec<u8>, max: usize) -> Result<Option<Vec<u8>>, Frame
     let body = buf[4..4 + claimed].to_vec();
     buf.drain(..4 + claimed);
     Ok(Some(body))
-}
-
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -45,6 +45,21 @@ impl Metric {
     /// All metrics, for ablation sweeps.
     pub const ALL: [Metric; 3] = [Metric::KlDivergence, Metric::JsDivergence, Metric::JsDistance];
 
+    /// The metric's stable one-byte tag, written into persisted distance
+    /// keys and config fingerprints.
+    pub fn tag(self) -> u8 {
+        match self {
+            Metric::KlDivergence => 0,
+            Metric::JsDivergence => 1,
+            Metric::JsDistance => 2,
+        }
+    }
+
+    /// Inverse of [`Metric::tag`].
+    pub fn from_tag(tag: u8) -> Option<Metric> {
+        Metric::ALL.into_iter().find(|m| m.tag() == tag)
+    }
+
     /// Computes the distance from `a` to `b` under this metric with the
     /// per-pair kernels. The pair's union alphabet size is merged once
     /// per call (not once per internal KL term). Nothing is memoized
@@ -507,6 +522,16 @@ mod tests {
         assert_eq!(Metric::ALL.len(), 3);
         assert_eq!(Metric::KlDivergence.to_string(), "KL-divergence");
         assert_eq!(union_alphabet_len(&a, &b), 3);
+    }
+
+    #[test]
+    fn metric_tags_are_stable() {
+        let tags: Vec<u8> = Metric::ALL.iter().map(|m| m.tag()).collect();
+        assert_eq!(tags, [0, 1, 2], "tags are persisted: never renumber them");
+        for m in Metric::ALL {
+            assert_eq!(Metric::from_tag(m.tag()), Some(m));
+        }
+        assert_eq!(Metric::from_tag(3), None);
     }
 
     #[test]

@@ -29,13 +29,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use rock_binary::codec::Writer;
 use rock_budget::RetryPolicy;
 use rock_core::RockConfig;
-use rock_slm::Metric;
-use rock_trace::{json_escape, names, MetricsRegistry};
+use rock_trace::{fnv1a, json_escape, names, MetricsRegistry};
 
 use crate::vfs::{is_transient, StdVfs, Vfs};
-use crate::wire::{fnv1a, Writer};
 
 /// The version byte leading every [`config_fingerprint`].
 /// v2: the fingerprint gained `canonical_calls`.
@@ -77,11 +76,7 @@ pub fn config_fingerprint(config: &RockConfig) -> Vec<u8> {
         }
         None => w.u8(0),
     }
-    w.u8(match config.metric {
-        Metric::KlDivergence => 0,
-        Metric::JsDivergence => 1,
-        Metric::JsDistance => 2,
-    });
+    w.u8(config.metric.tag());
     w.u8(config.resolve_ties as u8);
     w.f64_bits(config.tie_epsilon);
     w.len(config.max_tie_variants);

@@ -99,11 +99,11 @@ use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rock_core::{CorpusCache, SubTier};
-use rock_trace::{names, MetricsRegistry};
+use rock_binary::codec::{Reader, WireError, Writer};
+use rock_core::{par_map, CorpusCache, Parallelism, SubTier};
+use rock_trace::{fnv1a, names, MetricsRegistry};
 
 use crate::artifact::{ArtifactStore, OpClass, PackState};
-use crate::wire::{fnv1a, Reader, Writer};
 
 /// The 8-byte sub-artifact file magic; the trailing byte is the format
 /// version. Bumps invalidate every existing sub-artifact.
@@ -141,18 +141,19 @@ pub fn key_of_sub_name(name: &str) -> Option<u128> {
     (name == sub_file_name(key)).then_some(key)
 }
 
-/// Frames one sub-artifact payload for disk.
+/// Frames one sub-artifact payload for disk:
+///
+/// ```text
+/// "ROCKSUB\x01" | tier tag u8 | key u128 | payload len u64 | payload
+///                | FNV-1a checksum u64 (over every byte before it)
+/// ```
 pub fn encode_sub(tier: SubTier, key: u128, payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
+    w.raw(SUB_MAGIC);
     w.u8(tier.tag());
-    w.u64(key as u64);
-    w.u64((key >> 64) as u64);
-    w.len(payload.len());
-    let header = w.into_bytes();
-    let mut buf = Vec::with_capacity(SUB_MAGIC.len() + header.len() + payload.len() + 8);
-    buf.extend_from_slice(SUB_MAGIC);
-    buf.extend_from_slice(&header);
-    buf.extend_from_slice(payload);
+    w.u128(key);
+    w.blob(payload);
+    let mut buf = w.into_bytes();
     let checksum = fnv1a(&buf);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
@@ -165,29 +166,27 @@ pub fn decode_sub(bytes: &[u8]) -> Result<(SubTier, u128, Vec<u8>), String> {
     if bytes.len() < SUB_MAGIC.len() + 1 + 8 + 8 + 8 + 8 {
         return Err("file shorter than the fixed frame".into());
     }
+    let fail = |e: WireError| e.to_string();
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != checksum {
+    if fnv1a(body) != Reader::new(tail).u64("checksum").map_err(fail)? {
         return Err("checksum mismatch".into());
     }
-    if &body[..SUB_MAGIC.len()] != SUB_MAGIC {
+    let (magic, header) = body.split_at(SUB_MAGIC.len());
+    if magic != SUB_MAGIC {
         return Err("bad magic or unsupported format version".into());
     }
-    let mut r = Reader::new(&body[SUB_MAGIC.len()..]);
-    let fail = |e: crate::wire::WireError| e.to_string();
+    let mut r = Reader::new(header);
     let tag = r.u8("tier tag").map_err(fail)?;
     let Some(tier) = SubTier::from_tag(tag) else {
         return Err(format!("unknown tier tag {tag}"));
     };
-    let lo = r.u64("key lo").map_err(fail)?;
-    let hi = r.u64("key hi").map_err(fail)?;
-    let key = (lo as u128) | ((hi as u128) << 64);
+    let key = r.u128("key").map_err(fail)?;
     let payload_len = r.len("payload length").map_err(fail)?;
-    let payload_start = SUB_MAGIC.len() + 1 + 8 + 8 + 8;
-    if body.len() - payload_start != payload_len {
+    let payload = &header[r.offset()..];
+    if payload.len() != payload_len {
         return Err("payload length field disagrees with file size".into());
     }
-    Ok((tier, key, body[payload_start..].to_vec()))
+    Ok((tier, key, payload.to_vec()))
 }
 
 /// Bundles already-framed sub-artifacts into a one-segment snapshot
@@ -210,14 +209,14 @@ pub fn encode_snapshot(frames: &[Vec<u8>]) -> Vec<u8> {
 
 /// Appends `frames` to a pack as one self-checksummed segment.
 fn append_segment(pack: &mut Vec<u8>, frames: &[Vec<u8>]) {
-    let start = pack.len();
-    pack.extend_from_slice(&(frames.len() as u64).to_le_bytes());
+    let mut w = Writer::new();
+    w.len(frames.len());
     for frame in frames {
-        pack.extend_from_slice(&(frame.len() as u64).to_le_bytes());
-        pack.extend_from_slice(frame);
+        w.blob(frame);
     }
-    let checksum = fnv1a(&pack[start..]);
-    pack.extend_from_slice(&checksum.to_le_bytes());
+    let segment = w.into_bytes();
+    pack.extend_from_slice(&segment);
+    pack.extend_from_slice(&fnv1a(&segment).to_le_bytes());
 }
 
 /// Decodes a snapshot pack into its (tier, key, payload) entries, in
@@ -229,35 +228,27 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<(SubTier, u128, Vec<u8>)>, St
     if bytes.len() < SNAPSHOT_MAGIC.len() + 8 + 8 {
         return Err("pack shorter than the fixed frame".into());
     }
-    if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+    let (magic, body) = bytes.split_at(SNAPSHOT_MAGIC.len());
+    if magic != SNAPSHOT_MAGIC {
         return Err("bad pack magic or unsupported format version".into());
     }
-    let truncated = || "pack truncated inside a segment".to_string();
-    let word = |at: usize| {
-        let b = bytes.get(at..at + 8).ok_or_else(truncated)?;
-        Ok::<u64, String>(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    };
+    let truncated = |_: WireError| "pack truncated inside a segment".to_string();
     // Each segment's frames are located in place and decoded only after
     // the segment's checksum holds.
     let mut entries = Vec::new();
-    let mut pos = SNAPSHOT_MAGIC.len();
-    while pos < bytes.len() {
-        let start = pos;
-        let count = word(pos)?;
-        pos += 8;
+    let mut r = Reader::new(body);
+    while !r.is_at_end() {
+        let start = r.offset();
+        let count = r.u64("frame count").map_err(truncated)?;
         let mut frames = Vec::new();
         for _ in 0..count {
-            let len = usize::try_from(word(pos)?).map_err(|_| truncated())?;
-            pos += 8;
-            frames.push(
-                pos.checked_add(len).and_then(|end| bytes.get(pos..end)).ok_or_else(truncated)?,
-            );
-            pos += len;
+            let len = r.len("frame length").map_err(truncated)?;
+            frames.push(r.bytes(len, "frame").map_err(truncated)?);
         }
-        if fnv1a(&bytes[start..pos]) != word(pos)? {
+        let segment = &body[start..r.offset()];
+        if fnv1a(segment) != r.u64("segment checksum").map_err(truncated)? {
             return Err("pack segment checksum mismatch".into());
         }
-        pos += 8;
         for frame in frames {
             entries.push(decode_sub(frame)?);
         }
@@ -388,7 +379,7 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Metr
         },
         Err(_) => Loaded::Unreadable,
     };
-    for loaded in par_map(&work, preload_one) {
+    for loaded in par_map(io_parallelism(work.len()), &work, preload_one) {
         match loaded {
             Loaded::Imported => preloaded += 1,
             Loaded::Rejected => corrupt_skipped += 1,
@@ -412,30 +403,15 @@ enum Loaded {
     Unreadable,
 }
 
-/// Maps `f` over `work` on a small thread pool, keeping input order.
-/// Falls back to the calling thread for small batches, where spawn
-/// overhead would dominate.
-fn par_map<T, R, F>(work: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-    if threads <= 1 || work.len() < 64 {
-        return work.iter().map(f).collect();
+/// The thread policy of the store's file fan-outs: the calling thread
+/// for small batches, where spawn overhead would dominate, and at most
+/// eight workers otherwise.
+fn io_parallelism(items: usize) -> Parallelism {
+    if items < 64 {
+        Parallelism::Serial
+    } else {
+        Parallelism::Threads(Parallelism::Auto.thread_count().min(8))
     }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .chunks(work.len().div_ceil(threads))
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("sub-artifact worker panicked"))
-            .collect()
-    })
 }
 
 /// Persists what `corpus` added since its last flush (or preload): one
@@ -570,7 +546,7 @@ fn write_claimed(
         corpus.unclaim(*tier, *key, payload);
         None
     };
-    let results = par_map(claimed, write_one);
+    let results = par_map(io_parallelism(claimed.len()), claimed, write_one);
     if store.durable() {
         for &tier in &tiers {
             let wrote = claimed.iter().zip(&results).any(|((t, ..), r)| *t == tier && r.is_some());

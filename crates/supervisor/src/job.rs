@@ -36,7 +36,9 @@ use rock_core::{CorpusCache, FaultPlan, Reconstruction, Rock, RockConfig, Severi
 use rock_graph::Forest;
 use rock_loader::LoadedBinary;
 use rock_structural::Structural;
-use rock_trace::{json_escape, names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
+use rock_trace::{
+    json_escape, names, panic_message, MetricsRegistry, TraceCtx, TraceLevel, Tracer,
+};
 
 use crate::artifact::{content_key, ArtifactStore};
 use crate::incr::{flush_loose, flush_subartifacts, preload_subartifacts};
@@ -805,7 +807,7 @@ impl Supervisor {
         }));
         match caught {
             Ok(outcome) => outcome,
-            Err(payload) => AttemptOutcome::Panicked(panic_message(&payload)),
+            Err(payload) => AttemptOutcome::Panicked(panic_message(&*payload)),
         }
     }
 
@@ -848,16 +850,6 @@ impl Supervisor {
 
 fn count_severity(recon: &Reconstruction, severity: Severity) -> usize {
     recon.diagnostics.iter().filter(|e| e.severity == severity).count()
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -24,8 +24,8 @@
 //!   [`rock_budget::RetryPolicy`] backoff schedule (recorded, and only
 //!   slept on request, so tests stay clock-free), per-job JSON reports,
 //!   and typed exit codes ([`job::exit`]).
-//! * [`wire`] — the hand-rolled, fully bounds-checked binary codec the
-//!   daemon protocol and the sub-artifact frames are written in.
+//! * [`wire`] — the `rock serve` request and response frames, written
+//!   with the one byte codec, [`rock_binary::codec`].
 //! * [`vfs`] — the narrow storage trait the store runs on ([`StdVfs`]
 //!   in production), with the durability (fsync) commit mode.
 //! * [`chaos`] — seeded, clock-free storage fault injection: a

@@ -1,26 +1,17 @@
-//! A tiny length-prefixed binary codec for the `rock serve`
-//! request/response protocol, the sub-artifact frame headers, and the
-//! config and result fingerprints.
+//! The `rock serve` request/response frames and the protocol-version
+//! constants.
 //!
-//! The workspace has no serialization dependency, so all of these are
-//! encoded by hand: little-endian fixed-width integers, `f64`s as raw
-//! bits (a result fingerprint must see distances *bit for bit*),
-//! strings and sequences length-prefixed with `u64`. Decoding is fully
-//! bounds-checked — a truncated or lied-about length yields a
-//! [`WireError`], never a panic — because sub-artifact files are
-//! untrusted input after a crash, and protocol frames are untrusted
-//! input *always*: the serve daemon decodes whatever bytes a client
-//! sends.
-//!
-//! The serve protocol ([`Request`]/[`Response`]) frames one message as
-//! `u32 LE body length | body`, where `body = u8 tag | payload`. The
-//! framing itself (length prefix, socket IO, oversize policy) lives in
-//! `rock-serve`; this module owns the pure, panic-free body codec and
-//! the protocol-version constants.
+//! A frame is `u32 LE body length | body`, where `body = u8 tag |
+//! payload`. The framing itself (length prefix, socket IO, oversize
+//! policy) lives in `rock-serve`; this module owns the frame bodies,
+//! written and read with the one byte codec ([`rock_binary::codec`]).
+//! Decoding is fully bounds-checked — truncation, lying lengths,
+//! unknown tags and trailing garbage are all [`WireError`]s, never
+//! panics — because the daemon decodes whatever bytes a client sends.
 
 use std::fmt;
 
-use rock_binary::Addr;
+use rock_binary::codec::{Reader, WireError, Writer};
 
 /// The serve protocol version this build speaks (sent in
 /// [`Request::Hello`]; echoed back, possibly lowered, in
@@ -31,202 +22,6 @@ pub const SERVE_PROTOCOL_VERSION: u16 = 1;
 /// [`Request::Hello`] below this is answered with a
 /// [`Response::ProtocolError`] and the connection is closed.
 pub const SERVE_MIN_PROTOCOL_VERSION: u16 = 1;
-
-/// A malformed artifact payload (truncated, or a length field lies).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireError {
-    /// Byte offset the decoder had reached.
-    pub offset: usize,
-    /// What the decoder was trying to read.
-    pub what: &'static str,
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed artifact: bad {} at byte {}", self.what, self.offset)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// FNV-1a over a byte slice — the store's content-hash and checksum
-/// primitive (stable, dependency-free, endianness-independent).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// An append-only encoder.
-#[derive(Clone, Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// A fresh, empty writer.
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as `u64`.
-    pub fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Appends a little-endian `i32`.
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its raw bit pattern.
-    pub fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends an address.
-    pub fn addr(&mut self, a: Addr) {
-        self.u64(a.value());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed byte blob.
-    pub fn blob(&mut self, b: &[u8]) {
-        self.len(b.len());
-        self.buf.extend_from_slice(b);
-    }
-}
-
-/// A bounds-checked decoder over an artifact payload.
-#[derive(Clone, Debug)]
-pub struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts decoding at the front of `data`.
-    pub fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    /// Returns `true` once every byte has been consumed.
-    pub fn is_at_end(&self) -> bool {
-        self.pos == self.data.len()
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        match end {
-            Some(end) => {
-                let s = &self.data[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(WireError { offset: self.pos, what }),
-        }
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a `u64` length and sanity-checks it against the bytes left
-    /// (any element needs at least one byte, so a length beyond the
-    /// remaining payload is a lie, not an allocation request).
-    pub fn len(&mut self, what: &'static str) -> Result<usize, WireError> {
-        let at = self.pos;
-        let v = self.u64(what)?;
-        if v > self.data.len() as u64 {
-            return Err(WireError { offset: at, what });
-        }
-        Ok(v as usize)
-    }
-
-    /// Reads a little-endian `i32`.
-    pub fn i32(&mut self, what: &'static str) -> Result<i32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(i32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    /// Reads an `f64` from its raw bit pattern.
-    pub fn f64_bits(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads an address.
-    pub fn addr(&mut self, what: &'static str) -> Result<Addr, WireError> {
-        Ok(Addr::new(self.u64(what)?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self, what: &'static str) -> Result<String, WireError> {
-        let n = self.len(what)?;
-        let at = self.pos;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError { offset: at, what })
-    }
-
-    /// Reads a length-prefixed byte blob.
-    pub fn blob(&mut self, what: &'static str) -> Result<Vec<u8>, WireError> {
-        let n = self.len(what)?;
-        Ok(self.take(n, what)?.to_vec())
-    }
-}
-
-// --- Serve protocol frames --------------------------------------------
 
 /// Why the daemon refused to admit a request. The taxonomy is part of
 /// the protocol: clients dispatch on it (back off on `QueueFull`/
@@ -349,7 +144,7 @@ impl JobState {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let at = r.pos;
+        let at = r.offset();
         match r.u8("job state tag")? {
             0 => Ok(JobState::Unknown),
             1 => Ok(JobState::Queued { position: r.u64("queue position")? }),
@@ -438,7 +233,7 @@ impl Request {
     /// [`WireError`]s, never panics.
     pub fn decode(body: &[u8]) -> Result<Request, WireError> {
         let mut r = Reader::new(body);
-        let at = r.pos;
+        let at = r.offset();
         let req = match r.u8("request tag")? {
             1 => Request::Hello { version: r.u16("version")?, client: r.string("client")? },
             2 => Request::Submit {
@@ -452,7 +247,7 @@ impl Request {
             _ => return Err(WireError { offset: at, what: "request tag" }),
         };
         if !r.is_at_end() {
-            return Err(WireError { offset: r.pos, what: "trailing bytes" });
+            return Err(WireError { offset: r.offset(), what: "trailing bytes" });
         }
         Ok(req)
     }
@@ -540,12 +335,12 @@ impl Response {
     /// Decodes one frame body (same guarantees as [`Request::decode`]).
     pub fn decode(body: &[u8]) -> Result<Response, WireError> {
         let mut r = Reader::new(body);
-        let at = r.pos;
+        let at = r.offset();
         let resp = match r.u8("response tag")? {
             128 => Response::HelloOk { version: r.u16("version")? },
             129 => Response::Accepted { job: r.u64("job id")? },
             130 => {
-                let at = r.pos;
+                let at = r.offset();
                 let tag = r.u8("reject reason")?;
                 Response::Rejected {
                     reason: RejectReason::from_tag(tag, at)?,
@@ -561,7 +356,7 @@ impl Response {
             _ => return Err(WireError { offset: at, what: "response tag" }),
         };
         if !r.is_at_end() {
-            return Err(WireError { offset: r.pos, what: "trailing bytes" });
+            return Err(WireError { offset: r.offset(), what: "trailing bytes" });
         }
         Ok(resp)
     }
@@ -570,73 +365,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalars_roundtrip() {
-        let mut w = Writer::new();
-        w.u8(7);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX - 1);
-        w.i32(-42);
-        w.f64_bits(-0.0);
-        w.addr(Addr::new(0x4000));
-        w.string("héllo");
-        w.len(3);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8("a").unwrap(), 7);
-        assert_eq!(r.u32("b").unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64("c").unwrap(), u64::MAX - 1);
-        assert_eq!(r.i32("d").unwrap(), -42);
-        assert_eq!(r.f64_bits("e").unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.addr("f").unwrap(), Addr::new(0x4000));
-        assert_eq!(r.string("g").unwrap(), "héllo");
-        assert_eq!(r.len("h").unwrap(), 3);
-        assert!(r.is_at_end());
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let mut w = Writer::new();
-        w.u64(123);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes[..5]);
-        let err = r.u64("x").unwrap_err();
-        assert_eq!(err.what, "x");
-        assert!(err.to_string().contains("byte 0"));
-    }
-
-    #[test]
-    fn lying_length_fields_are_rejected() {
-        let mut w = Writer::new();
-        w.len(1 << 40); // absurd element count over an 8-byte payload
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(r.len("count").is_err(), "length beyond payload must fail");
-        // A string length that lies about remaining bytes also fails.
-        let mut w = Writer::new();
-        w.len(6);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(b"abc"); // promises 6, delivers 3
-        let mut r = Reader::new(&bytes);
-        assert!(r.string("s").is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_is_an_error() {
-        let mut w = Writer::new();
-        w.len(2);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(Reader::new(&bytes).string("s").is_err());
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_eq!(fnv1a(b"rock"), fnv1a(b"rock"));
-    }
 
     fn all_requests() -> Vec<Request> {
         vec![

@@ -101,7 +101,7 @@ pub fn is_coarse_span(name: &str) -> bool {
 /// sampled trace of a binary regardless of parallelism — and a span
 /// that is dropped costs no clock read and no buffer push.
 pub fn span_sampled(name: &str, subject: u64) -> bool {
-    splitmix64(fnv1a(name) ^ subject) < u64::MAX / SPAN_SAMPLE_RATE
+    splitmix64(fnv1a(name.as_bytes()) ^ subject) < u64::MAX / SPAN_SAMPLE_RATE
 }
 
 /// SplitMix64 finalizer: a full-avalanche bijection on `u64`. The one
@@ -114,14 +114,16 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over the span name, folding the `&'static str` into a seed the
-/// subject is mixed against. Hashing bytes (not the pointer) keeps the
-/// predicate stable across processes and builds.
-fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// FNV-1a (64-bit) over a byte slice. The one copy in the workspace:
+/// span sampling folds a span name with it, and the stores checksum
+/// every sub frame, pack segment and corpus entry, and fingerprint
+/// jobs, configs and results with it. Stable across processes, builds
+/// and endianness, so its outputs may be persisted.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
@@ -191,6 +193,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fnv_is_stable() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_eq!(fnv1a(b"rock"), fnv1a(b"rock"));
     }
 
     #[test]

@@ -42,7 +42,26 @@ pub use export::{
     chrome_trace_json, scrubbed, validate_chrome_trace, validate_metrics_doc, ScrubbedSpan,
 };
 pub use json::{json_escape, parse_json, Json};
-pub use level::{is_coarse_span, span_sampled, splitmix64, TraceLevel, SPAN_SAMPLE_RATE};
+pub use level::{fnv1a, is_coarse_span, span_sampled, splitmix64, TraceLevel, SPAN_SAMPLE_RATE};
 pub use local::{LocalSpans, SpanToken};
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_BOUNDS, METRICS_SCHEMA_VERSION};
 pub use tracer::{SpanEvent, SpanGuard, TraceCtx, Tracer};
+
+/// The text of a caught panic payload: the message of a `&str` or
+/// `String` panic, or "opaque panic payload" for any other type. The
+/// one copy in the workspace: contained stage items, analysed
+/// functions, supervised attempts and daemon jobs all report panics
+/// with it.
+///
+/// Pass the payload, `&*payload` for the `Box` `catch_unwind` returns:
+/// `&payload` would coerce the box itself to `dyn Any`, which is never
+/// a string.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}

@@ -22,12 +22,11 @@ use std::sync::{Arc, Barrier};
 use rock::binary::image_to_bytes;
 use rock::core::{suite, CorpusCache, Parallelism, Rock, RockConfig, SubTier};
 use rock::loader::LoadedBinary;
-use rock::supervisor::wire::fnv1a;
 use rock::supervisor::{
     decode_snapshot, flush_subartifacts, preload_subartifacts, ArtifactStore, StdVfs, Supervisor,
     SupervisorOptions, Vfs, SNAPSHOT_NAME,
 };
-use rock::trace::names;
+use rock::trace::{fnv1a, names};
 
 /// A scratch artifact-store root, removed on drop.
 struct Scratch(PathBuf);

@@ -63,6 +63,15 @@ fn the_backoff_schedule_is_pure_arithmetic() {
 }
 
 #[test]
+fn a_panicked_attempt_reports_its_panic_message() {
+    let scratch = Scratch::new("message");
+    let sup = supervisor(RetryPolicy::new(1), &scratch)
+        .with_fault_plan(Arc::new(FaultPlan::new().fail_attempts(1)));
+    let result = sup.run_job("job", &image_bytes());
+    assert_eq!(result.report.attempts[0].result, "panicked: injected attempt fault");
+}
+
+#[test]
 fn recorded_backoffs_match_the_schedule_without_sleeping() {
     // Every attempt panics; sleep_backoff stays off, so the full ladder
     // runs in far less wall time than the 300 ms it *records*.
