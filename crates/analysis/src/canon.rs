@@ -63,8 +63,9 @@ impl Label {
 ///
 /// FNV-1a with distinct offset bases decorrelates quickly; the pair
 /// behaves as a 128-bit fingerprint for hash-consing purposes. It
-/// hashes content labels here, and the corpus cache's tracelet, pool,
-/// execution and byte-image keys (`rock_core::corpus`).
+/// hashes content labels and tracelet fingerprints ([`tracelet_fp`])
+/// here, and the corpus cache's pool, execution and byte-image keys
+/// (`rock_core::corpus`).
 ///
 /// Its outputs are persisted. An execution key is a config salt XOR a
 /// function's label, a pool key is this mixer over a pool's tracelet
@@ -127,10 +128,81 @@ impl Mixer {
         self.u64(l.hi);
     }
 
+    /// Absorbs one event as its [`event_words`] pair.
+    #[inline]
+    pub fn event(&mut self, e: Event) {
+        let (tag, payload) = event_words(e);
+        self.u64(tag);
+        self.u64(payload);
+    }
+
     /// The 128-bit fingerprint: the first stream is [`Label::lo`].
     #[inline]
     pub fn finish(self) -> Label {
         Label { lo: self.a, hi: self.b }
+    }
+}
+
+/// The `(tag, payload)` word pair an event contributes to a fingerprint,
+/// and the corpus wire form of the event (`rock_core::corpus`), so the
+/// two views can never drift apart.
+pub fn event_words(e: Event) -> (u64, u64) {
+    match e {
+        Event::C(i) => (0, i as u64),
+        Event::R(o) => (1, o as i64 as u64),
+        Event::W(o) => (2, o as i64 as u64),
+        Event::This => (3, 0),
+        Event::Arg(i) => (4, i as u64),
+        Event::Ret => (5, 0),
+        Event::Call(addr) => (6, addr.value()),
+    }
+}
+
+/// The fingerprint of one tracelet's event sequence: the one summand of
+/// every pool key, whether the pipeline sums it from [`PoolSum`]s or a
+/// model decoder recomputes it from a persisted model's words.
+pub fn tracelet_fp(t: &[Event]) -> u128 {
+    let mut m = Mixer::new();
+    m.u64(t.len() as u64);
+    for &e in t {
+        m.event(e);
+    }
+    m.finish().as_u128()
+}
+
+/// The commutative accumulators of a tracelet pool's content key: how
+/// many tracelets it holds and the wrapping sums of the low and high
+/// halves of their [`tracelet_fp`]s. A pool key is a pure function of
+/// these three words (`rock_core::corpus::pool_key_of_sum`), so a pool
+/// assembled from cached pieces sums their stored accumulators instead
+/// of hashing its events again. Empty tracelets join no pool and add
+/// nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolSum {
+    /// Non-empty tracelets summed.
+    pub count: u64,
+    /// Wrapping sum of the fingerprints' low halves.
+    pub lo: u64,
+    /// Wrapping sum of the fingerprints' high halves.
+    pub hi: u64,
+}
+
+impl PoolSum {
+    /// Adds one tracelet whose [`tracelet_fp`] is `fp`; an empty
+    /// tracelet adds nothing.
+    pub(crate) fn add(&mut self, tracelet: &[Event], fp: u128) {
+        if !tracelet.is_empty() {
+            self.count += 1;
+            self.lo = self.lo.wrapping_add(fp as u64);
+            self.hi = self.hi.wrapping_add((fp >> 64) as u64);
+        }
+    }
+
+    /// Adds another pool's accumulators (the sum of the union multiset).
+    pub(crate) fn merge(&mut self, other: PoolSum) {
+        self.count += other.count;
+        self.lo = self.lo.wrapping_add(other.lo);
+        self.hi = self.hi.wrapping_add(other.hi);
     }
 }
 
@@ -351,6 +423,11 @@ fn v_tag() -> u8 {
 /// unambiguous vtable with that label. Pieces are already split at the
 /// configured tracelet length and shared (`Arc`): attributing a hit
 /// costs reference counts, not event copies.
+///
+/// A sub also carries the [`PoolSum`] of its pieces, built by its
+/// constructor and never changed after, so attributing it adds to a
+/// pool key without hashing an event. The sum is derived state: it is
+/// not persisted and not part of an entry's verification image.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedSub {
     /// `Some(label)` — the typing vtable's content label; `None` — the
@@ -359,7 +436,51 @@ pub struct CachedSub {
     pub vtable: Option<Label>,
     /// Canonical events ([`ContentLabels::canonical_event`] applied),
     /// split into tracelet windows.
-    pub pieces: Vec<Arc<[Event]>>,
+    pieces: Vec<Arc<[Event]>>,
+    /// The accumulators of `pieces`.
+    sum: PoolSum,
+}
+
+impl CachedSub {
+    /// A sub over `pieces`, fingerprinting each one.
+    pub fn new(vtable: Option<Label>, pieces: Vec<Arc<[Event]>>) -> CachedSub {
+        CachedSub::fingerprinted(
+            vtable,
+            pieces.into_iter().map(|p| {
+                let fp = tracelet_fp(&p);
+                (p, fp)
+            }),
+        )
+    }
+
+    /// A sub over pieces whose fingerprints are known already, each
+    /// given as `(piece, tracelet_fp(piece))`: a decoder fingerprints a
+    /// dictionary piece once however many subs repeat it.
+    pub fn fingerprinted(
+        vtable: Option<Label>,
+        pieces: impl IntoIterator<Item = (Arc<[Event]>, u128)>,
+    ) -> CachedSub {
+        let mut sum = PoolSum::default();
+        let pieces = pieces
+            .into_iter()
+            .map(|(p, fp)| {
+                debug_assert_eq!(fp, tracelet_fp(&p), "a piece's fingerprint is its tracelet_fp");
+                sum.add(&p, fp);
+                p
+            })
+            .collect();
+        CachedSub { vtable, pieces, sum }
+    }
+
+    /// The windowed pieces, in contribution order.
+    pub fn pieces(&self) -> &[Arc<[Event]>] {
+        &self.pieces
+    }
+
+    /// The accumulators of the non-empty pieces.
+    pub fn sum(&self) -> PoolSum {
+        self.sum
+    }
 }
 
 /// A complete, position-independent symbolic-execution result for one

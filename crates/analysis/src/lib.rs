@@ -61,7 +61,7 @@ mod exec;
 mod tracelets;
 mod value;
 
-pub use canon::{CachedCtors, CachedExec, CachedSub, ContentLabels, ExecCache, Label};
+pub use canon::{CachedCtors, CachedExec, CachedSub, ContentLabels, ExecCache, Label, PoolSum};
 pub use config::AnalysisConfig;
 pub use ctors::{recognize_ctors, recognize_ctors_cached, CtorMap};
 pub use event::Event;

@@ -20,7 +20,8 @@ pub struct StageTimings {
     pub analysis: Duration,
     /// Structural analysis: families + possible parents (§5).
     pub structural: Duration,
-    /// Per-vtable SLM training (§3.1).
+    /// Per-vtable SLM training (§3.1), including the pools' content
+    /// keys the model lookups use.
     pub training: Duration,
     /// Per-family distance-matrix computation (§4.2.1).
     pub distances: Duration,

@@ -17,6 +17,10 @@ pub struct LoadedBinary {
     image: BinaryImage,
     functions: Vec<Function>,
     vtables: Vec<Vtable>,
+    /// `(function entry, vtable index)` for every vtable slot, sorted and
+    /// without duplicates: the hosting vtables of each function, in
+    /// vtable address order.
+    hosts: Vec<(Addr, usize)>,
     issues: Vec<LoadIssue>,
 }
 
@@ -50,7 +54,7 @@ impl LoadedBinary {
         let functions = split_functions(&decoded);
         let mut issues = Vec::new();
         let vtables = discover_vtables(&image, &functions, &decoded, &mut issues);
-        Ok(LoadedBinary { image, functions, vtables, issues })
+        Ok(LoadedBinary::assemble(image, functions, vtables, issues))
     }
 
     /// Loads an image, degrading around defects instead of erroring.
@@ -68,7 +72,7 @@ impl LoadedBinary {
         let mut issues = Vec::new();
         let Some(text) = image.section(SectionKind::Text) else {
             issues.push(LoadIssue::NoTextSection);
-            return LoadedBinary { image, functions: Vec::new(), vtables: Vec::new(), issues };
+            return LoadedBinary::assemble(image, Vec::new(), Vec::new(), issues);
         };
 
         // Linear sweep; stop at the first undecodable byte.
@@ -111,7 +115,25 @@ impl LoadedBinary {
 
         let functions = split_functions(&body);
         let vtables = discover_vtables(&image, &functions, &body, &mut issues);
-        LoadedBinary { image, functions, vtables, issues }
+        LoadedBinary::assemble(image, functions, vtables, issues)
+    }
+
+    /// The loaded view, with the function → hosting-vtable index built
+    /// once the vtables are fixed.
+    fn assemble(
+        image: BinaryImage,
+        functions: Vec<Function>,
+        vtables: Vec<Vtable>,
+        issues: Vec<LoadIssue>,
+    ) -> LoadedBinary {
+        let mut hosts: Vec<(Addr, usize)> = vtables
+            .iter()
+            .enumerate()
+            .flat_map(|(i, vt)| vt.slots().iter().map(move |&slot| (slot, i)))
+            .collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        LoadedBinary { image, functions, vtables, hosts, issues }
     }
 
     /// Non-fatal defects recorded while loading (always empty for a
@@ -136,9 +158,12 @@ impl LoadedBinary {
         self.functions.binary_search_by_key(&addr, Function::entry).ok().map(|i| &self.functions[i])
     }
 
-    /// The function containing `addr`.
+    /// The function containing `addr`. Functions are sorted by entry
+    /// and disjoint, so only the last one entered at or below `addr`
+    /// can contain it.
     pub fn function_containing(&self, addr: Addr) -> Option<&Function> {
-        self.functions.iter().find(|f| f.contains(addr))
+        let after = self.functions.partition_point(|f| f.entry() <= addr);
+        after.checked_sub(1).map(|i| &self.functions[i]).filter(|f| f.contains(addr))
     }
 
     /// Discovered vtables (binary types), sorted by address.
@@ -151,9 +176,15 @@ impl LoadedBinary {
         self.vtables.binary_search_by_key(&addr, Vtable::addr).ok().map(|i| &self.vtables[i])
     }
 
-    /// All vtables containing `function` in some slot.
-    pub fn vtables_containing(&self, function: Addr) -> Vec<&Vtable> {
-        self.vtables.iter().filter(|vt| vt.slots().contains(&function)).collect()
+    /// All vtables containing `function` in some slot, each once, in
+    /// address order.
+    pub fn vtables_containing(
+        &self,
+        function: Addr,
+    ) -> impl ExactSizeIterator<Item = &Vtable> + Clone + '_ {
+        let start = self.hosts.partition_point(|&(f, _)| f < function);
+        let len = self.hosts[start..].partition_point(|&(f, _)| f == function);
+        self.hosts[start..start + len].iter().map(|&(_, i)| &self.vtables[i])
     }
 
     /// Builds the CFG of `function`.
@@ -303,6 +334,16 @@ mod tests {
         assert!(loaded.function_containing(f0.entry() + 1).is_some());
         let last = loaded.functions().last().unwrap();
         assert!(loaded.function_containing(last.end()).is_none());
+        // The search equals a scan at each function's entry, last byte
+        // and end, and below the first one.
+        let scan = |a: Addr| loaded.functions().iter().find(|f| f.contains(a)).map(Function::entry);
+        for f in loaded.functions() {
+            for a in [f.entry(), f.end() - 1, f.end()] {
+                assert_eq!(loaded.function_containing(a).map(Function::entry), scan(a), "{a}");
+            }
+        }
+        assert_eq!(loaded.function_containing(Addr::new(0)).map(Function::entry), None);
+        assert_eq!(loaded.function_containing(Addr::new(u64::MAX)).map(Function::entry), None);
     }
 
     #[test]

@@ -45,10 +45,17 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` observations of the same value: the buckets, count
+    /// and saturating sum end as `n` calls of [`Histogram::observe`]
+    /// leave them.
+    pub fn observe_n(&mut self, value: u64, n: u64) {
         let bucket = self.bounds.partition_point(|&b| b < value);
-        self.counts[bucket] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.counts[bucket] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
     }
 
     /// Total observations.
@@ -119,7 +126,16 @@ impl MetricsRegistry {
     /// Records one observation in a histogram, creating it with
     /// [`DEFAULT_BOUNDS`].
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().observe(value);
+        self.observe_n(name, value, 1);
+    }
+
+    /// Records `n` observations of one value, as `n` calls of
+    /// [`MetricsRegistry::observe`] would; `n = 0` records nothing and
+    /// creates no histogram.
+    pub fn observe_n(&mut self, name: &'static str, value: u64, n: u64) {
+        if n > 0 {
+            self.histograms.entry(name).or_default().observe_n(value, n);
+        }
     }
 
     /// The named histogram, if any observation was recorded.
@@ -203,6 +219,38 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 2, 2, 2]);
         assert_eq!(h.count(), 8);
         assert_eq!(h.sum(), 1045);
+    }
+
+    #[test]
+    fn observe_n_equals_n_single_observations() {
+        for (start, value, n) in
+            [(0, 0, 3), (10, 5, 7), (0, 2000, 4), (u64::MAX - 10, 3, 5), (7, u64::MAX / 2, 3)]
+        {
+            let mut one_by_one = Histogram::with_bounds(&[1, 4, 16]);
+            let mut batched = Histogram::with_bounds(&[1, 4, 16]);
+            one_by_one.observe(start);
+            batched.observe(start);
+            for _ in 0..n {
+                one_by_one.observe(value);
+            }
+            batched.observe_n(value, n);
+            assert_eq!(batched, one_by_one, "start {start}, value {value}, n {n}");
+        }
+        let mut saturated = Histogram::default();
+        saturated.observe_n(u64::MAX, 2);
+        assert_eq!((saturated.count(), saturated.sum()), (2, u64::MAX));
+
+        let mut registry = MetricsRegistry::new();
+        registry.observe_n("h.len", 5, 0);
+        assert!(registry.histogram("h.len").is_none(), "n = 0 creates no histogram");
+        assert_eq!(registry, MetricsRegistry::new());
+        registry.observe_n("h.len", 5, 3);
+        let mut single = MetricsRegistry::new();
+        for _ in 0..3 {
+            single.observe("h.len", 5);
+        }
+        assert_eq!(registry, single);
+        assert_eq!(registry.to_json(), single.to_json());
     }
 
     #[test]
