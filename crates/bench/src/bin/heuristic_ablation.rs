@@ -57,7 +57,8 @@ fn main() {
                         .structural
                         .possible_parents()
                         .of(child)
-                        .into_iter()
+                        .iter()
+                        .copied()
                         .map(|p| (recon.distances.get(&(p, child)).copied().unwrap_or(f64::MAX), p))
                         .min_by(|a, b| a.0.total_cmp(&b.0));
                     let parent = match (best, threshold) {

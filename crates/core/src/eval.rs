@@ -189,7 +189,8 @@ pub fn evaluate(compiled: &Compiled, recon: &Reconstruction) -> Evaluation {
         gt.classes().map(|c| (c.to_string(), projected.successors(&c.to_string()))).collect();
 
     // Without SLMs: every possible parent counts.
-    let relation = named_parent_relation(compiled, |vt| recon.structural.possible_parents().of(vt));
+    let relation =
+        named_parent_relation(compiled, |vt| recon.structural.possible_parents().of(vt).to_vec());
     let without_succ = closure_successors(&relation);
 
     Evaluation {

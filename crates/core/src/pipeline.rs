@@ -85,7 +85,7 @@ pub struct Reconstruction {
 impl Reconstruction {
     /// Convenience: candidate parents of `child` after the structural
     /// phase (the "Without SLMs" relation).
-    pub fn possible_parents_of(&self, child: Addr) -> Vec<Addr> {
+    pub fn possible_parents_of(&self, child: Addr) -> &[Addr] {
         self.structural.possible_parents().of(child)
     }
 
@@ -138,7 +138,8 @@ impl Reconstruction {
                     .structural
                     .possible_parents()
                     .of(child)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .filter(|p| Some(*p) != chosen)
                     .map(|p| (self.distance_of(p, child), p))
                     .collect();
@@ -368,52 +369,6 @@ pub(crate) fn incident_error(entry: Addr, incident: &IncidentKind) -> StageError
     StageError { stage: Stage::Analysis, subject: Subject::Function(entry), kind, severity }
 }
 
-/// One child's scored candidate edges, plus everything that was dropped
-/// on the way and why.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct ChildEdges {
-    /// Accepted `(parent, child, distance)` edges.
-    pub(crate) accepted: Vec<(Addr, Addr, f64)>,
-    /// Candidates outside the family's member list (ctor merges).
-    pub(crate) foreign: usize,
-    /// Candidate pairs skipped because an endpoint has no trained model
-    /// (its training faulted upstream).
-    pub(crate) unmodeled: Vec<(Addr, Addr)>,
-}
-
-/// Scores one child's surviving candidate edges within its family.
-///
-/// `index` is the family's member list; **foreign** candidates — parents
-/// proposed by the structural phase (e.g. via a ctor merge) that are not
-/// family members — are counted and dropped: indexing them
-/// unconditionally (`index[&parent]`) was a panic; they carry no position
-/// in the family's digraph. `distance` returns `None` when an endpoint
-/// has no model; those pairs are reported in
-/// [`ChildEdges::unmodeled`] instead of being scored.
-pub(crate) fn child_candidate_edges(
-    index: &BTreeMap<Addr, usize>,
-    child: Addr,
-    candidates: &[Addr],
-    mut distance: impl FnMut(Addr, Addr) -> Option<f64>,
-) -> ChildEdges {
-    let mut edges = ChildEdges::default();
-    for &parent in candidates {
-        if !index.contains_key(&parent) {
-            eprintln!(
-                "rock: skipping foreign parent candidate {parent} for {child} \
-                 (outside its family)"
-            );
-            edges.foreign += 1;
-            continue;
-        }
-        match distance(parent, child) {
-            Some(d) => edges.accepted.push((parent, child, d)),
-            None => edges.unmodeled.push((parent, child)),
-        }
-    }
-    edges
-}
-
 /// Behavioral family repartitioning — the future-work extension the paper
 /// sketches in §6.4 ("our current implementation does not attempt to
 /// repartition based on usage"): false family *splits* (error source 2 —
@@ -587,7 +542,6 @@ fn apply_adoptions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rock_graph::{min_spanning_forest, DiGraph};
     use rock_minicpp::{compile, CompileOptions, ProgramBuilder};
 
     /// The paper's running example (Fig. 3/5): Stream + two children, each
@@ -731,41 +685,6 @@ mod tests {
         let second = plain.reconstruct(&loaded);
         assert!(second.metrics.counter(names::DISTANCES_CACHE_MISS) > 0);
         assert_eq!(first.metrics.to_json(), second.metrics.to_json());
-    }
-
-    /// Regression: a possible-parent candidate outside the family's member
-    /// list (as a ctor merge can produce) must be skipped, not `index[..]`
-    /// panicked on.
-    #[test]
-    fn child_candidate_edges_skip_foreign_candidates() {
-        let family = [Addr::new(0x1000), Addr::new(0x2000)];
-        let foreign = Addr::new(0xdead);
-        let index: BTreeMap<Addr, usize> =
-            family.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-        let mut graph = DiGraph::new(family.len());
-        let mut skipped = 0;
-        for &child in &family {
-            let candidates = if child == Addr::new(0x2000) {
-                // One legitimate candidate and one from outside.
-                vec![Addr::new(0x1000), foreign]
-            } else {
-                vec![]
-            };
-            let edges = child_candidate_edges(&index, child, &candidates, |_, _| Some(1.0));
-            skipped += edges.foreign;
-            assert!(edges.unmodeled.is_empty());
-            if child == Addr::new(0x2000) {
-                assert_eq!(edges.accepted, vec![(Addr::new(0x1000), Addr::new(0x2000), 1.0)]);
-            } else {
-                assert!(edges.accepted.is_empty());
-            }
-            for (parent, child, d) in edges.accepted {
-                graph.add_edge(index[&parent], index[&child], d);
-            }
-        }
-        assert_eq!(skipped, 1);
-        let parent = min_spanning_forest(&graph).parent;
-        assert_eq!(parent, vec![None, Some(0)]);
     }
 
     #[test]

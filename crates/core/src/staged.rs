@@ -31,8 +31,7 @@ use crate::diagnostics::{
     Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject,
 };
 use crate::pipeline::{
-    assemble_reconstruction, child_candidate_edges, distance_through, incident_error,
-    load_issue_error, Rock,
+    assemble_reconstruction, distance_through, incident_error, load_issue_error, Rock,
 };
 use crate::{Reconstruction, StageTimings};
 
@@ -119,6 +118,21 @@ pub struct StagedRun<'a> {
     graphs: Option<Vec<DiGraph>>,
     hierarchy: Option<Forest<Addr>>,
     cursor: Option<StageId>,
+}
+
+/// One child's scored candidate parents, by member position in its
+/// family, plus what was dropped on the way and why.
+#[derive(Default)]
+struct ChildScores {
+    /// Accepted `(parent position, distance)` edges.
+    accepted: Vec<(usize, f64)>,
+    /// Positions of candidate parents skipped because an endpoint has no
+    /// trained model (its training faulted upstream).
+    unmodeled: Vec<usize>,
+    /// Candidates outside the family's member list.
+    foreign: usize,
+    /// The `(from, to)` model key pairs asked for, one per scored pair.
+    asked: Vec<(ModelKey, ModelKey)>,
 }
 
 impl Rock {
@@ -549,6 +563,13 @@ impl<'a> StagedRun<'a> {
     /// The graphs are then assembled serially in family order, which
     /// replays the exact edge-insertion order of the serial loop.
     ///
+    /// Each family's models and model keys are laid out in family order
+    /// once, and each child maps its candidates to member positions once,
+    /// so scoring and merging a pair index vectors instead of probing
+    /// maps. A **foreign** candidate — a parent the structural phase
+    /// proposed that is no member of the child's family — has no
+    /// position in the family's digraph: it is counted and dropped.
+    ///
     /// Under KL, a child with at least two in-family candidates scores
     /// its corpus misses (every pair, with no corpus attached) as one
     /// batch ([`ChildTarget`]) over its family's [`FamilyScorer`], built
@@ -561,71 +582,82 @@ impl<'a> StagedRun<'a> {
         let rock = self.rock;
         let structural = self.structural.as_ref().expect("distances follow structural");
         let models = self.models.as_ref().expect("distances follow training");
-        let model_keys = &self.model_keys;
         let config = rock.config();
         let corpus = rock.corpus_cache().map(|c| &**c);
         let ctx = rock.trace_ctx();
         let families = structural.families();
-        let indices: Vec<BTreeMap<Addr, usize>> =
-            families.iter().map(|f| f.iter().enumerate().map(|(i, a)| (*a, i)).collect()).collect();
-        let children: Vec<(usize, Addr)> = families
+        let members: Vec<Vec<Option<&Slm<Event>>>> = families
+            .iter()
+            .map(|f| f.iter().map(|a| models.get(a).map(|m| &**m)).collect())
+            .collect();
+        let keys: Vec<Vec<ModelKey>> =
+            families.iter().map(|f| f.iter().map(|a| self.model_keys[a]).collect()).collect();
+        let children: Vec<(usize, usize)> = families
             .iter()
             .enumerate()
-            .flat_map(|(fi, f)| f.iter().map(move |&child| (fi, child)))
+            .flat_map(|(fi, f)| (0..f.len()).map(move |ci| (fi, ci)))
             .collect();
         let scorers: Vec<OnceLock<FamilyScorer<'_, Event>>> =
             families.iter().map(|_| OnceLock::new()).collect();
-        let scored = crate::par::par_map_catch(config.parallelism, &children, |&(fi, child)| {
+        let scored = crate::par::par_map_catch(config.parallelism, &children, |&(fi, ci)| {
+            let family = &families[fi];
+            let child = family[ci];
             let mut spans = ctx.local();
             let token = spans.enter(names::DISTANCES_CHILD, child.value());
             self.inject(Stage::Distances, child.value());
-            let index = &indices[fi];
-            let candidates = structural.possible_parents().of(child);
+            let candidates: Vec<(Addr, Option<usize>)> = structural
+                .possible_parents()
+                .of(child)
+                .iter()
+                .map(|&parent| (parent, family.binary_search(&parent).ok()))
+                .collect();
             let batched = config.metric == Metric::KlDivergence
-                && candidates.iter().filter(|p| index.contains_key(p)).count() >= 2;
+                && candidates.iter().filter(|(_, pi)| pi.is_some()).count() >= 2;
             let mut target: Option<ChildTarget<'_, '_, Event>> = None;
-            let mut asked = Vec::new();
-            let edges = child_candidate_edges(index, child, &candidates, |parent, child| {
+            let mut scores = ChildScores::default();
+            for (parent, pi) in candidates {
+                let Some(pi) = pi else {
+                    eprintln!(
+                        "rock: skipping foreign parent candidate {parent} for {child} \
+                         (outside its family)"
+                    );
+                    scores.foreign += 1;
+                    continue;
+                };
                 let pair = spans.enter(names::DISTANCES_PAIR, parent.value());
-                let d = match (models.get(&parent), models.get(&child)) {
+                match (members[fi][pi], members[fi][ci]) {
                     (Some(pm), Some(cm)) => {
-                        let (from, to) = (model_keys[&parent], model_keys[&child]);
-                        asked.push((from, to));
-                        Some(distance_through(corpus, config.metric, from, to, || {
+                        let (from, to) = (keys[fi][pi], keys[fi][ci]);
+                        scores.asked.push((from, to));
+                        let d = distance_through(corpus, config.metric, from, to, || {
                             if !batched {
                                 return config.metric.distance(pm, cm);
                             }
-                            let scorer = scorers[fi].get_or_init(|| {
-                                let members: Vec<Option<&Slm<Event>>> = families[fi]
-                                    .iter()
-                                    .map(|a| models.get(a).map(|m| &**m))
-                                    .collect();
-                                FamilyScorer::new(&members)
-                            });
-                            target
-                                .get_or_insert_with(|| scorer.target(index[&child]))
-                                .kl_from(index[&parent])
-                        }))
+                            let scorer =
+                                scorers[fi].get_or_init(|| FamilyScorer::new(&members[fi]));
+                            target.get_or_insert_with(|| scorer.target(ci)).kl_from(pi)
+                        });
+                        scores.accepted.push((pi, d));
                     }
-                    _ => None,
-                };
+                    _ => scores.unmodeled.push(pi),
+                }
                 spans.exit(pair);
-                d
-            });
+            }
             spans.exit(token);
-            (edges, asked, spans)
+            (scores, spans)
         });
         let mut distances = BTreeMap::new();
         let mut graphs: Vec<DiGraph> = families.iter().map(|f| DiGraph::new(f.len())).collect();
         let mut buffers = Vec::new();
-        for (&(fi, child), outcome) in children.iter().zip(scored) {
-            let edges = match outcome {
-                Ok((edges, asked, spans)) => {
+        for (&(fi, ci), outcome) in children.iter().zip(scored) {
+            let family = &families[fi];
+            let child = family[ci];
+            let scores = match outcome {
+                Ok((scores, spans)) => {
                     if !spans.is_empty() {
                         buffers.push(spans);
                     }
-                    self.asked.extend(asked);
-                    edges
+                    scores
                 }
                 Err(msg) => {
                     // The child keeps no incoming edges and becomes a
@@ -639,26 +671,25 @@ impl<'a> StagedRun<'a> {
                     continue;
                 }
             };
-            let candidates = edges.accepted.len() + edges.unmodeled.len() + edges.foreign;
+            self.asked.extend(scores.asked);
+            let (accepted, unmodeled) = (scores.accepted.len(), scores.unmodeled.len());
+            let candidates = accepted + unmodeled + scores.foreign;
             self.metrics.observe(names::HIST_CANDIDATES_PER_CHILD, candidates as u64);
-            self.metrics.add(
-                names::DISTANCES_PAIRS_SCORED,
-                (edges.accepted.len() + edges.unmodeled.len()) as u64,
-            );
-            self.metrics.add(names::DISTANCES_EDGES, edges.accepted.len() as u64);
-            self.metrics.add(names::DISTANCES_FOREIGN_CANDIDATES, edges.foreign as u64);
-            self.metrics.add(names::DISTANCES_UNMODELED, edges.unmodeled.len() as u64);
-            for &(parent, child) in &edges.unmodeled {
+            self.metrics.add(names::DISTANCES_PAIRS_SCORED, (accepted + unmodeled) as u64);
+            self.metrics.add(names::DISTANCES_EDGES, accepted as u64);
+            self.metrics.add(names::DISTANCES_FOREIGN_CANDIDATES, scores.foreign as u64);
+            self.metrics.add(names::DISTANCES_UNMODELED, unmodeled as u64);
+            for &pi in &scores.unmodeled {
                 self.sink.record(StageError {
                     stage: Stage::Distances,
-                    subject: Subject::Edge(parent, child),
+                    subject: Subject::Edge(family[pi], child),
                     kind: FaultKind::MissingModel,
                     severity: Severity::Warning,
                 });
             }
-            for &(parent, child, d) in &edges.accepted {
-                graphs[fi].add_edge(indices[fi][&parent], indices[fi][&child], d);
-                distances.insert((parent, child), d);
+            for &(pi, d) in &scores.accepted {
+                graphs[fi].add_edge(pi, ci, d);
+                distances.insert((family[pi], child), d);
             }
         }
         ctx.merge_many(buffers);
@@ -919,6 +950,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Regression: a possible parent outside the child's family has no
+    /// position in the family's digraph; it is counted and dropped, not
+    /// looked up.
+    #[test]
+    fn foreign_candidates_are_counted_and_get_no_edge() {
+        use rock_analysis::recognize_ctors;
+        use rock_binary::{BinaryImage, Section, SectionKind};
+        // B's ctor calls A's, pinning A as B's parent. On a copy of the
+        // image whose A table is corrupted, the pin (from the intact
+        // image's ctors) names an address that is no discovered vtable.
+        let intact = loaded_sample();
+        let a = intact.vtables().iter().find(|vt| vt.len() == 1).expect("A has one slot").addr();
+        let image = intact.image();
+        let rodata = image.section(SectionKind::RoData).unwrap();
+        let mut bytes = rodata.bytes().to_vec();
+        let at = (a.value() - rodata.base().value()) as usize;
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut sections: Vec<Section> =
+            image.sections().iter().filter(|s| s.kind() != SectionKind::RoData).cloned().collect();
+        sections.push(Section::new(SectionKind::RoData, rodata.base(), bytes));
+        let loaded = LoadedBinary::load(BinaryImage::new(sections)).unwrap();
+        assert!(loaded.vtable_at(a).is_none());
+        let b = loaded.vtables()[0].addr();
+
+        let rock = Rock::new(RockConfig::paper());
+        let config = &rock.config().analysis;
+        let mut run = rock.begin(&loaded);
+        run.advance().unwrap();
+        run.structural = Some(analyze(&loaded, &recognize_ctors(&intact, config), config));
+        assert_eq!(run.structural.as_ref().unwrap().possible_parents().of(b), [a]);
+        while !run.is_done() {
+            run.advance().unwrap();
+        }
+        let recon = run.finish();
+        assert_eq!(recon.metrics.counter(names::DISTANCES_FOREIGN_CANDIDATES), 1);
+        assert_eq!(recon.metrics.counter(names::DISTANCES_PAIRS_SCORED), 0);
+        assert!(recon.distances.is_empty());
+        assert_eq!(recon.parent_of(b), None);
     }
 
     #[test]

@@ -88,7 +88,10 @@ impl UnionFind {
         self.components
     }
 
-    /// Groups all elements by representative, each group sorted.
+    /// Groups all elements by representative, each group sorted, the
+    /// groups in ascending order of their representatives (which union
+    /// by rank picks, so not in general the order of their smallest
+    /// elements).
     pub fn components(&mut self) -> Vec<Vec<usize>> {
         use std::collections::BTreeMap;
         let mut map: BTreeMap<usize, Vec<usize>> = BTreeMap::new();

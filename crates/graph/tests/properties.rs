@@ -1,7 +1,9 @@
 //! Property-based tests for the arborescence solver and forests.
 
 use proptest::prelude::*;
-use rock_graph::{min_arborescence, min_spanning_forest, DiGraph, Forest};
+use rock_graph::{
+    co_optimal_forests, min_arborescence, min_spanning_forest, ArborescenceResult, DiGraph, Forest,
+};
 
 /// Random small weighted digraphs (no self-loops, weights in 1..100).
 fn arb_graph() -> impl Strategy<Value = DiGraph> {
@@ -16,6 +18,58 @@ fn arb_graph() -> impl Strategy<Value = DiGraph> {
             g
         })
     })
+}
+
+/// Random digraphs whose weights repeat (1..4) and whose edges may
+/// repeat, so co-optimal ties are common.
+fn arb_tied_graph() -> impl Strategy<Value = DiGraph> {
+    (2usize..8).prop_flat_map(|n| {
+        prop::collection::vec((0..n, 0..n, 1u32..4), 0..24).prop_map(move |edges| {
+            let mut g = DiGraph::new(n);
+            for (f, t, w) in edges {
+                if f != t {
+                    g.add_edge(f, t, w as f64);
+                }
+            }
+            g
+        })
+    })
+}
+
+/// The tie search written against [`DiGraph::in_edges`], which scans
+/// every edge of the graph for each child, twice.
+fn co_optimal_forests_by_scan(graph: &DiGraph, eps: f64, limit: usize) -> Vec<ArborescenceResult> {
+    let base = min_spanning_forest(graph);
+    let mut out = vec![base.clone()];
+    if limit <= 1 {
+        return out;
+    }
+    for (child, parent) in base.parent.iter().enumerate() {
+        let Some(parent) = parent else { continue };
+        let chosen_weight = graph
+            .in_edges(child)
+            .filter(|e| e.from == *parent)
+            .map(|e| e.weight)
+            .fold(f64::INFINITY, f64::min);
+        let has_tie = graph
+            .in_edges(child)
+            .any(|e| e.from != *parent && (e.weight - chosen_weight).abs() <= eps);
+        if !has_tie {
+            continue;
+        }
+        let mut alt_graph = graph.clone();
+        alt_graph.retain_edges(|e| !(e.from == *parent && e.to == child));
+        let alt = min_spanning_forest(&alt_graph);
+        if (alt.total_weight - base.total_weight).abs() <= eps
+            && !out.iter().any(|r| r.parent == alt.parent)
+        {
+            out.push(alt);
+            if out.len() >= limit {
+                break;
+            }
+        }
+    }
+    out
 }
 
 /// Walks up the parent chain and confirms it terminates at a root.
@@ -33,6 +87,24 @@ fn reaches_root(parent: &[Option<usize>], v: usize) -> bool {
 }
 
 proptest! {
+    /// The tie search reads each child's in-edges from one grouping of
+    /// the graph's edges; it returns the same forests, in the same order
+    /// and with the same weight bits, as the per-child scan.
+    #[test]
+    fn tie_search_equals_the_in_edge_scan(g in prop_oneof![arb_graph(), arb_tied_graph()]) {
+        let bits = |rs: Vec<ArborescenceResult>| -> Vec<(Vec<Option<usize>>, u64)> {
+            rs.into_iter().map(|r| (r.parent, r.total_weight.to_bits())).collect()
+        };
+        for eps in [0.0, 1e-9] {
+            for limit in [1, 2, 8] {
+                prop_assert_eq!(
+                    bits(co_optimal_forests(&g, eps, limit)),
+                    bits(co_optimal_forests_by_scan(&g, eps, limit))
+                );
+            }
+        }
+    }
+
     /// The spanning forest is always acyclic and total.
     #[test]
     fn forest_is_acyclic(g in arb_graph()) {

@@ -3,7 +3,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use rock_binary::{decode_instr, Addr, BinaryImage, Instr, SectionKind, WORD_SIZE};
+use rock_binary::{
+    decode_instr, Addr, BinaryImage, DecodeError, Instr, Section, SectionKind, WORD_SIZE,
+};
 
 use crate::{Cfg, DecodedInstr, Function, LoadError, LoadIssue, Vtable};
 
@@ -34,27 +36,16 @@ impl LoadedBinary {
     /// bytes fail to disassemble.
     pub fn load(image: BinaryImage) -> Result<LoadedBinary, LoadError> {
         let text = image.section(SectionKind::Text).ok_or(LoadError::NoTextSection)?;
-
-        // Linear sweep.
-        let mut decoded: Vec<DecodedInstr> = Vec::new();
-        let mut pos = 0usize;
-        let bytes = text.bytes();
-        while pos < bytes.len() {
-            let addr = text.base() + pos as u64;
-            let (instr, len) = decode_instr(&bytes[pos..], addr)?;
-            decoded.push(DecodedInstr { addr, instr, len });
-            pos += len;
+        let sweep = Sweep::run(text);
+        if let Some(stop) = sweep.stop {
+            return Err(stop.reason.into());
         }
-
-        if let Some(first) = decoded.first() {
-            if !matches!(first.instr, Instr::Enter { .. }) {
-                return Err(LoadError::NoPrologueAtStart { at: first.addr });
-            }
+        if let Some((at, _)) = sweep.prefix {
+            return Err(LoadError::NoPrologueAtStart { at });
         }
-        let functions = split_functions(&decoded);
         let mut issues = Vec::new();
-        let vtables = discover_vtables(&image, &functions, &decoded, &mut issues);
-        Ok(LoadedBinary::assemble(image, functions, vtables, issues))
+        let vtables = discover_vtables(&image, &sweep.functions, &mut issues);
+        Ok(LoadedBinary::assemble(image, sweep.functions, vtables, issues))
     }
 
     /// Loads an image, degrading around defects instead of erroring.
@@ -74,48 +65,15 @@ impl LoadedBinary {
             issues.push(LoadIssue::NoTextSection);
             return LoadedBinary::assemble(image, Vec::new(), Vec::new(), issues);
         };
-
-        // Linear sweep; stop at the first undecodable byte.
-        let mut decoded: Vec<DecodedInstr> = Vec::new();
-        let mut pos = 0usize;
-        let bytes = text.bytes();
-        while pos < bytes.len() {
-            let addr = text.base() + pos as u64;
-            match decode_instr(&bytes[pos..], addr) {
-                Ok((instr, len)) => {
-                    decoded.push(DecodedInstr { addr, instr, len });
-                    pos += len;
-                }
-                Err(reason) => {
-                    issues.push(LoadIssue::TruncatedText {
-                        at: addr,
-                        reason,
-                        dropped_bytes: bytes.len() - pos,
-                    });
-                    break;
-                }
-            }
+        let sweep = Sweep::run(text);
+        if let Some(Stop { at, reason, dropped_bytes }) = sweep.stop {
+            issues.push(LoadIssue::TruncatedText { at, reason, dropped_bytes });
         }
-
-        // Discard anything before the first prologue.
-        let first_enter = decoded.iter().position(|d| matches!(d.instr, Instr::Enter { .. }));
-        let body = match first_enter {
-            Some(0) => decoded,
-            Some(k) => {
-                issues.push(LoadIssue::SkippedPrefix { at: decoded[0].addr, instrs: k });
-                decoded.split_off(k)
-            }
-            None => {
-                if let Some(first) = decoded.first() {
-                    issues.push(LoadIssue::SkippedPrefix { at: first.addr, instrs: decoded.len() });
-                }
-                Vec::new()
-            }
-        };
-
-        let functions = split_functions(&body);
-        let vtables = discover_vtables(&image, &functions, &body, &mut issues);
-        LoadedBinary::assemble(image, functions, vtables, issues)
+        if let Some((at, instrs)) = sweep.prefix {
+            issues.push(LoadIssue::SkippedPrefix { at, instrs });
+        }
+        let vtables = discover_vtables(&image, &sweep.functions, &mut issues);
+        LoadedBinary::assemble(image, sweep.functions, vtables, issues)
     }
 
     /// The loaded view, with the function → hosting-vtable index built
@@ -182,9 +140,18 @@ impl LoadedBinary {
         &self,
         function: Addr,
     ) -> impl ExactSizeIterator<Item = &Vtable> + Clone + '_ {
+        self.vtable_indices_containing(function).map(|i| &self.vtables[i])
+    }
+
+    /// The positions in [`LoadedBinary::vtables`] of the vtables
+    /// containing `function` in some slot, each once, ascending.
+    pub fn vtable_indices_containing(
+        &self,
+        function: Addr,
+    ) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
         let start = self.hosts.partition_point(|&(f, _)| f < function);
         let len = self.hosts[start..].partition_point(|&(f, _)| f == function);
-        self.hosts[start..start + len].iter().map(|&(_, i)| &self.vtables[i])
+        self.hosts[start..start + len].iter().map(|&(_, i)| i)
     }
 
     /// Builds the CFG of `function`.
@@ -204,23 +171,62 @@ impl fmt::Display for LoadedBinary {
     }
 }
 
-/// Splits a decoded instruction stream into functions at `enter`
-/// prologues. The stream must start with an `enter` (or be empty) —
-/// both loaders guarantee that.
-fn split_functions(decoded: &[DecodedInstr]) -> Vec<Function> {
-    let mut functions = Vec::new();
-    if !decoded.is_empty() {
-        let mut start = 0usize;
-        for i in 1..=decoded.len() {
-            let is_boundary = i == decoded.len() || matches!(decoded[i].instr, Instr::Enter { .. });
-            if is_boundary {
-                let body = decoded[start..i].to_vec();
-                functions.push(Function::new(body[0].addr, body));
-                start = i;
+/// The linear sweep over a text section: every decoded instruction goes
+/// straight into the function it belongs to, a new function starting at
+/// each `enter` prologue.
+struct Sweep {
+    /// The recovered functions, in address order.
+    functions: Vec<Function>,
+    /// Instructions decoded before the first prologue, which no function
+    /// holds: the first one's address and their count.
+    prefix: Option<(Addr, usize)>,
+    /// Where decoding stopped short of the section's end, if it did.
+    stop: Option<Stop>,
+}
+
+/// The first undecodable instruction of a sweep.
+struct Stop {
+    at: Addr,
+    reason: DecodeError,
+    dropped_bytes: usize,
+}
+
+impl Sweep {
+    /// Decodes `text` front to back, up to its end or its first
+    /// undecodable byte.
+    fn run(text: &Section) -> Sweep {
+        let mut sweep = Sweep { functions: Vec::new(), prefix: None, stop: None };
+        // The current function's instructions; its capacity is reused, so
+        // each function is allocated once, at its exact length.
+        let mut body: Vec<DecodedInstr> = Vec::new();
+        let bytes = text.bytes();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let addr = text.base() + pos as u64;
+            let (instr, len) = match decode_instr(&bytes[pos..], addr) {
+                Ok(decoded) => decoded,
+                Err(reason) => {
+                    sweep.stop = Some(Stop { at: addr, reason, dropped_bytes: bytes.len() - pos });
+                    break;
+                }
+            };
+            pos += len;
+            let is_prologue = matches!(instr, Instr::Enter { .. });
+            if is_prologue && !body.is_empty() {
+                sweep.functions.push(Function::new(body[0].addr, body.clone()));
+                body.clear();
+            }
+            if body.is_empty() && !is_prologue {
+                sweep.prefix.get_or_insert((addr, 0)).1 += 1;
+            } else {
+                body.push(DecodedInstr { addr, instr, len });
             }
         }
+        if !body.is_empty() {
+            sweep.functions.push(Function::new(body[0].addr, body));
+        }
+        sweep
     }
-    functions
 }
 
 /// Vtable discovery (§3.2): candidate rodata addresses referenced from
@@ -230,7 +236,6 @@ fn split_functions(decoded: &[DecodedInstr]) -> Vec<Function> {
 fn discover_vtables(
     image: &BinaryImage,
     functions: &[Function],
-    decoded: &[DecodedInstr],
     issues: &mut Vec<LoadIssue>,
 ) -> Vec<Vtable> {
     let Some(rodata) = image.section(SectionKind::RoData) else {
@@ -240,7 +245,7 @@ fn discover_vtables(
 
     // Candidate table starts: immediates in code that point into rodata.
     let mut candidates: BTreeSet<Addr> = BTreeSet::new();
-    for d in decoded {
+    for d in functions.iter().flat_map(Function::instrs) {
         if let Instr::MovImm { imm, .. } = d.instr {
             let a = Addr::new(imm);
             if rodata.contains(a) && a.value().is_multiple_of(WORD_SIZE) {

@@ -1,42 +1,31 @@
 //! The two-phase structural analysis.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use rock_analysis::{execute_function, AnalysisConfig, CtorMap, Event, ObjId};
 use rock_binary::Addr;
 use rock_graph::UnionFind;
-use rock_loader::LoadedBinary;
+use rock_loader::{LoadedBinary, Vtable};
 
 use crate::purecall_candidates;
 
 /// The `possibleParent` relation restricted to each child's family.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PossibleParents {
-    allowed: BTreeMap<Addr, BTreeSet<Addr>>,
+    /// Each child's candidate parents, sorted.
+    allowed: BTreeMap<Addr, Vec<Addr>>,
 }
 
 impl PossibleParents {
     /// The candidate parents of `child`, sorted.
-    pub fn of(&self, child: Addr) -> Vec<Addr> {
-        self.allowed.get(&child).map(|s| s.iter().copied().collect()).unwrap_or_default()
+    pub fn of(&self, child: Addr) -> &[Addr] {
+        self.allowed.get(&child).map_or(&[], Vec::as_slice)
     }
 
     /// Returns `true` if `parent` may be `child`'s parent.
     pub fn is_possible(&self, parent: Addr, child: Addr) -> bool {
-        self.allowed.get(&child).is_some_and(|s| s.contains(&parent))
-    }
-
-    fn remove(&mut self, parent: Addr, child: Addr) {
-        if let Some(s) = self.allowed.get_mut(&child) {
-            s.remove(&parent);
-        }
-    }
-
-    fn restrict_to(&mut self, child: Addr, only: Addr) {
-        if let Some(s) = self.allowed.get_mut(&child) {
-            s.retain(|p| *p == only);
-        }
+        self.of(child).binary_search(&parent).is_ok()
     }
 }
 
@@ -76,7 +65,14 @@ pub struct Structural {
 }
 
 impl Structural {
-    /// The type families (each sorted; families sorted by first member).
+    /// The type families, each sorted by address.
+    ///
+    /// Families come in the order [`UnionFind::components`] gives them,
+    /// by union-by-rank representative, which is not in general the
+    /// order of their first members: slot sharing `(0,5)`, `(2,3)`,
+    /// `(3,5)` over six vtables gives `[[1], [0,2,3,5], [4]]`. A family's
+    /// index names it in diagnostics, lifting spans and fault plans, so
+    /// this order is part of the output.
     pub fn families(&self) -> &[Vec<Addr>] {
         &self.families
     }
@@ -150,87 +146,86 @@ impl fmt::Display for Structural {
 pub fn analyze(loaded: &LoadedBinary, ctors: &CtorMap, config: &AnalysisConfig) -> Structural {
     let vtables = loaded.vtables();
     let n = vtables.len();
-    let index: BTreeMap<Addr, usize> =
-        vtables.iter().enumerate().map(|(i, v)| (v.addr(), i)).collect();
+    let index_of = |addr: Addr| vtables.binary_search_by_key(&addr, Vtable::addr).ok();
 
     // --- Rule 3 evidence: ctor of child calls ctor of parent on `this`.
     let pinned = find_pinned_parents(loaded, ctors, config);
 
     // --- Phase I: families = connected components of slot sharing,
-    //     joined further by ctor-call evidence.
+    //     joined further by ctor-call evidence. The slot index replays
+    //     exactly the unions of an all-pairs scan (each `i` with every
+    //     sharing `j > i`, ascending), so union by rank picks the same
+    //     representatives and the families come out in the same order.
     let mut uf = UnionFind::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if vtables[i].shares_function_with(&vtables[j]) {
-                uf.union(i, j);
-            }
+    let mut sharing = Vec::new();
+    for (i, vt) in vtables.iter().enumerate() {
+        sharing.clear();
+        for &slot in vt.slots() {
+            sharing.extend(loaded.vtable_indices_containing(slot).filter(|&j| j > i));
+        }
+        sharing.sort_unstable();
+        sharing.dedup();
+        for &j in &sharing {
+            uf.union(i, j);
         }
     }
     for (child, parent) in &pinned {
-        if let (Some(&ci), Some(&pi)) = (index.get(child), index.get(parent)) {
+        if let (Some(ci), Some(pi)) = (index_of(*child), index_of(*parent)) {
             uf.union(ci, pi);
         }
     }
-    let families: Vec<Vec<Addr>> = uf
-        .components()
-        .into_iter()
-        .map(|c| c.into_iter().map(|i| vtables[i].addr()).collect())
-        .collect();
+    let components = uf.components();
+    let families: Vec<Vec<Addr>> =
+        components.iter().map(|c| c.iter().map(|&i| vtables[i].addr()).collect()).collect();
 
-    // --- Phase II: initialize possibleParent within families, eliminate.
+    // --- Phase II: each child's candidates are its family minus the
+    //     members a rule eliminates, in family (= address) order.
     let pure = purecall_candidates(loaded);
-    let mut allowed: BTreeMap<Addr, BTreeSet<Addr>> = BTreeMap::new();
-    for fam in &families {
-        for &child in fam {
-            let entry = allowed.entry(child).or_default();
-            for &parent in fam {
-                if parent != child {
-                    entry.insert(parent);
-                }
-            }
-        }
-    }
-    let mut possible = PossibleParents { allowed };
-
+    let pure_slots: Vec<Vec<bool>> =
+        vtables.iter().map(|vt| vt.slots().iter().map(|s| pure.contains(s)).collect()).collect();
     let mut stats = EliminationStats::default();
-    for fam in &families {
-        for &child in fam {
-            let cvt = loaded.vtable_at(child).expect("family member exists");
-            for &parent in fam {
-                if parent == child {
-                    continue;
-                }
-                let pvt = loaded.vtable_at(parent).expect("family member exists");
-                // Rule 1: a parent cannot have more virtual functions.
-                if pvt.len() > cvt.len() {
-                    possible.remove(parent, child);
-                    stats.rule1_slot_count += 1;
-                    continue;
-                }
-                // Rule 2: pure slot in the child where the parent is
-                // concrete.
-                let contradiction = cvt
-                    .slots()
-                    .iter()
-                    .zip(pvt.slots())
-                    .any(|(cs, ps)| pure.contains(cs) && !pure.contains(ps));
-                if contradiction {
-                    possible.remove(parent, child);
-                    stats.rule2_pure_slot += 1;
-                }
-            }
+    let mut allowed: BTreeMap<Addr, Vec<Addr>> = BTreeMap::new();
+    for family in &components {
+        for &c in family {
+            let child = &pure_slots[c];
+            let child_has_pure = child.contains(&true);
+            let parents = family
+                .iter()
+                .filter(|&&p| {
+                    if p == c {
+                        return false;
+                    }
+                    let parent = &pure_slots[p];
+                    // Rule 1: a parent cannot have more virtual functions.
+                    if parent.len() > child.len() {
+                        stats.rule1_slot_count += 1;
+                        return false;
+                    }
+                    // Rule 2: pure slot in the child where the parent is
+                    // concrete.
+                    if child_has_pure && child.iter().zip(parent).any(|(&cp, &pp)| cp && !pp) {
+                        stats.rule2_pure_slot += 1;
+                        return false;
+                    }
+                    true
+                })
+                .map(|&p| vtables[p].addr())
+                .collect();
+            allowed.insert(vtables[c].addr(), parents);
         }
     }
-    // Rule 3: pinning overrides everything else.
+    // Rule 3: pinning overrides everything else. The pinned parent stays
+    // even where a rule eliminated it (ctor evidence is authoritative),
+    // and may lie outside the child's family when it is no discovered
+    // vtable.
     for (&child, &parent) in &pinned {
-        let before = possible.of(child).len();
-        possible.restrict_to(child, parent);
-        stats.rule3_pinning += before.saturating_sub(possible.of(child).len());
-        // Ensure the pinned parent survived (it may have been eliminated
-        // by an over-eager rule; ctor evidence is authoritative).
-        possible.allowed.entry(child).or_default().insert(parent);
+        let parents = allowed.entry(child).or_default();
+        let kept = usize::from(parents.binary_search(&parent).is_ok());
+        stats.rule3_pinning += parents.len() - kept;
+        *parents = vec![parent];
     }
-    stats.remaining = possible.allowed.values().map(BTreeSet::len).sum();
+    stats.remaining = allowed.values().map(Vec::len).sum();
+    let possible = PossibleParents { allowed };
 
     let vptr_store_counts = ctors
         .functions()
@@ -280,7 +275,11 @@ fn find_pinned_parents(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::reference;
     use rock_analysis::recognize_ctors;
+    use rock_binary::{
+        BinaryImage, FunctionHandle, ImageBuilder, Instr, Reg, Section, SectionKind, VtableHandle,
+    };
     use rock_minicpp::{compile, CompileOptions, Compiled, ProgramBuilder};
 
     fn setup(p: ProgramBuilder, opts: &CompileOptions) -> (LoadedBinary, Compiled, Structural) {
@@ -289,7 +288,191 @@ mod tests {
         let config = AnalysisConfig::default();
         let ctors = recognize_ctors(&loaded, &config);
         let s = analyze(&loaded, &ctors, &config);
+        assert_matches_reference(&loaded, &s);
         (loaded, compiled, s)
+    }
+
+    /// Asserts that `s` is what the all-pairs definition gives on
+    /// `loaded` under the same pins: the families in the same order,
+    /// every candidate list and every rule count.
+    fn assert_matches_reference(loaded: &LoadedBinary, s: &Structural) {
+        let r = reference(loaded, &purecall_candidates(loaded), s.pinned());
+        assert_eq!(s.families(), r.families);
+        for (child, parents) in &r.possible {
+            assert_eq!(s.possible_parents().of(*child), parents.as_slice(), "child {child}");
+        }
+        let st = s.stats();
+        let stats = [st.rule1_slot_count, st.rule2_pure_slot, st.rule3_pinning, st.remaining];
+        assert_eq!(stats, r.stats);
+    }
+
+    /// Adds a function of one `enter` and a `ret`, or of an `enter` and
+    /// a `halt` (the pure-virtual trap's shape).
+    fn leaf(b: &mut ImageBuilder, name: &str, trap: bool) -> FunctionHandle {
+        let f = b.begin_function(name);
+        b.push(Instr::Enter { frame: 0 });
+        b.push(if trap { Instr::Halt } else { Instr::Ret });
+        b.end_function();
+        f
+    }
+
+    /// Adds a ctor that stores `vt` through `this`, calling `parent`'s
+    /// ctor on `this` first if given (`this` is kept in `r6`, which
+    /// survives the call).
+    fn ctor(
+        b: &mut ImageBuilder,
+        vt: VtableHandle,
+        parent: Option<FunctionHandle>,
+    ) -> FunctionHandle {
+        let f = b.begin_function("ctor");
+        b.push(Instr::Enter { frame: 0 });
+        b.push(Instr::MovReg { dst: Reg::R6, src: Reg::R0 });
+        if let Some(parent) = parent {
+            b.push_call(parent);
+        }
+        b.push_mov_vtable_addr(Reg::R7, vt);
+        b.push(Instr::Store { base: Reg::R6, offset: 0, src: Reg::R7 });
+        b.push(Instr::Ret);
+        b.end_function();
+        f
+    }
+
+    /// Finishes a hand-built image whose vtables are `vts`, adding one
+    /// function that references every table so that the loader finds
+    /// them. Returns the stripped image and the tables' addresses.
+    fn finish(mut b: ImageBuilder, vts: &[VtableHandle]) -> (BinaryImage, Vec<Addr>) {
+        b.begin_function("anchor");
+        b.push(Instr::Enter { frame: 0 });
+        for &vt in vts {
+            b.push_mov_vtable_addr(Reg::R1, vt);
+        }
+        b.push(Instr::Ret);
+        b.end_function();
+        let (mut image, layout) = b.finish_with_layout();
+        image.strip();
+        (image, vts.iter().map(|&vt| layout.vtable(vt)).collect())
+    }
+
+    fn analyze_hand_built(loaded: &LoadedBinary) -> Structural {
+        let config = AnalysisConfig::default();
+        let s = analyze(loaded, &recognize_ctors(loaded, &config), &config);
+        assert_matches_reference(loaded, &s);
+        s
+    }
+
+    #[test]
+    fn families_come_in_union_find_order_not_first_member_order() {
+        // Six tables; 0 and 5 share f0, 2 and 3 share f1, 3 and 5 share
+        // f2. Union by rank makes 2 the representative of {0, 2, 3, 5},
+        // so that family comes after {1} although its first member is 0.
+        let mut b = ImageBuilder::new();
+        let f: Vec<FunctionHandle> =
+            (0..9).map(|i| leaf(&mut b, &format!("f{i}"), false)).collect();
+        let slots = [
+            vec![f[0], f[3]],
+            vec![f[4]],
+            vec![f[1], f[5]],
+            vec![f[1], f[2], f[6]],
+            vec![f[7]],
+            vec![f[0], f[2], f[8]],
+        ];
+        let vts: Vec<VtableHandle> = slots
+            .iter()
+            .enumerate()
+            .map(|(i, s)| b.add_vtable(format!("vt{i}"), s.clone()))
+            .collect();
+        let (image, addrs) = finish(b, &vts);
+        let loaded = LoadedBinary::load(image).unwrap();
+        let found: Vec<Addr> = loaded.vtables().iter().map(Vtable::addr).collect();
+        assert_eq!(found, addrs, "tables load in the order they were added");
+        let s = analyze_hand_built(&loaded);
+        let family = |members: &[usize]| members.iter().map(|&i| addrs[i]).collect::<Vec<_>>();
+        assert_eq!(s.families(), [family(&[1]), family(&[0, 2, 3, 5]), family(&[4])]);
+    }
+
+    #[test]
+    fn a_pure_slot_under_a_concrete_parent_slot_is_eliminated() {
+        // `concrete` is [m, n]; `pure` and `longer` hold the trap in slot
+        // 0. Rule 2 removes `concrete` as a parent of both; rule 1
+        // removes `longer` as a parent of the other two.
+        let mut b = ImageBuilder::new();
+        let trap = leaf(&mut b, "__purecall", true);
+        let m = leaf(&mut b, "m", false);
+        let n = leaf(&mut b, "n", false);
+        let k = leaf(&mut b, "k", false);
+        let vts = [
+            b.add_vtable("concrete", vec![m, n]),
+            b.add_vtable("pure", vec![trap, n]),
+            b.add_vtable("longer", vec![trap, n, k]),
+        ];
+        let (image, addrs) = finish(b, &vts);
+        let loaded = LoadedBinary::load(image).unwrap();
+        let s = analyze_hand_built(&loaded);
+        let [concrete, pure, longer] = [addrs[0], addrs[1], addrs[2]];
+        assert_eq!(s.possible_parents().of(concrete), [pure]);
+        assert_eq!(s.possible_parents().of(pure), [] as [Addr; 0]);
+        assert_eq!(s.possible_parents().of(longer), [pure]);
+        assert_eq!(s.stats().rule2_pure_slot, 2);
+        assert_eq!(s.stats().rule1_slot_count, 2);
+    }
+
+    /// `parent` is [m], `child` and `sibling` are [m, _]; `child`'s ctor
+    /// calls `parent`'s. Returns the image and the three tables'
+    /// addresses.
+    fn pinned_image() -> (BinaryImage, [Addr; 3]) {
+        let mut b = ImageBuilder::new();
+        let m = leaf(&mut b, "m", false);
+        let k = leaf(&mut b, "k", false);
+        let j = leaf(&mut b, "j", false);
+        let vts = [
+            b.add_vtable("parent", vec![m]),
+            b.add_vtable("child", vec![m, k]),
+            b.add_vtable("sibling", vec![m, j]),
+        ];
+        let parent_ctor = ctor(&mut b, vts[0], None);
+        ctor(&mut b, vts[1], Some(parent_ctor));
+        let (image, addrs) = finish(b, &vts);
+        (image, [addrs[0], addrs[1], addrs[2]])
+    }
+
+    #[test]
+    fn a_ctor_pin_inside_a_family_overrides_the_rules() {
+        let (image, [parent, child, sibling]) = pinned_image();
+        let loaded = LoadedBinary::load(image).unwrap();
+        let s = analyze_hand_built(&loaded);
+        assert_eq!(s.pinned(), &BTreeMap::from([(child, parent)]));
+        assert_eq!(s.families(), [vec![parent, child, sibling]]);
+        // Without the pin `child` could descend from either; the pin
+        // leaves only `parent`.
+        assert_eq!(s.possible_parents().of(child), [parent]);
+        assert_eq!(s.possible_parents().of(sibling), [parent, child]);
+        assert_eq!(s.stats().rule3_pinning, 1);
+    }
+
+    #[test]
+    fn a_pin_to_an_undiscovered_table_is_a_foreign_candidate() {
+        // Ctors recognized on the intact image, analysis run on a copy
+        // whose `parent` table is corrupted: the pin names an address
+        // that is no discovered vtable, so it joins no family, yet it
+        // stays `child`'s only candidate.
+        let (image, [parent, child, sibling]) = pinned_image();
+        let intact = LoadedBinary::load(image.clone()).unwrap();
+        let rodata = image.section(SectionKind::RoData).unwrap();
+        let mut bytes = rodata.bytes().to_vec();
+        let at = (parent.value() - rodata.base().value()) as usize;
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut sections: Vec<Section> =
+            image.sections().iter().filter(|s| s.kind() != SectionKind::RoData).cloned().collect();
+        sections.push(Section::new(SectionKind::RoData, rodata.base(), bytes));
+        let loaded = LoadedBinary::load(BinaryImage::new(sections)).unwrap();
+        assert!(loaded.vtable_at(parent).is_none());
+
+        let config = AnalysisConfig::default();
+        let s = analyze(&loaded, &recognize_ctors(&intact, &config), &config);
+        assert_matches_reference(&loaded, &s);
+        assert_eq!(s.families(), [vec![child, sibling]]);
+        assert_eq!(s.possible_parents().of(child), [parent]);
+        assert_eq!(s.possible_parents().of(sibling), [child]);
     }
 
     fn streams() -> ProgramBuilder {
@@ -348,7 +531,7 @@ mod tests {
         let stream = compiled.vtable_of("Stream").unwrap();
         let confirmable = compiled.vtable_of("ConfirmableStream").unwrap();
         assert_eq!(s.pinned().get(&confirmable), Some(&stream));
-        assert_eq!(s.possible_parents().of(confirmable), vec![stream]);
+        assert_eq!(s.possible_parents().of(confirmable), [stream]);
         assert!(s.is_structurally_resolved());
         assert_eq!(s.candidate_hierarchies(), 1);
     }

@@ -24,6 +24,8 @@
 #![warn(missing_docs)]
 
 mod analyzestruct;
+#[cfg(test)]
+mod oracle;
 mod purecall;
 
 pub use analyzestruct::{analyze, EliminationStats, PossibleParents, Structural};

@@ -110,7 +110,8 @@ pub fn structural_only_hierarchy(
                 let in_family: Vec<Addr> = structural
                     .possible_parents()
                     .of(vt)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .filter(|p| *p != vt && family.contains(p))
                     .collect();
                 match in_family.as_slice() {
