@@ -125,9 +125,10 @@ impl State {
 
 /// Symbolically executes one function and returns the per-path summaries.
 ///
-/// `loaded` supplies the set of known vtable addresses (vtable-pointer
-/// stores are recognized by value); `ctors` supplies constructor-like
-/// functions recognized by [`recognize_ctors`](crate::recognize_ctors).
+/// `loaded` supplies the known vtable addresses (vtable-pointer stores
+/// are recognized by value, through [`LoadedBinary::vtable_at`]); `ctors`
+/// supplies constructor-like functions recognized by
+/// [`recognize_ctors`](crate::recognize_ctors).
 pub fn execute_function(
     function: &Function,
     loaded: &LoadedBinary,
@@ -165,7 +166,7 @@ pub fn execute_function_metered(
     ctors: &CtorMap,
     config: &AnalysisConfig,
 ) -> (Vec<PathResult>, ExecStatus, u64) {
-    let vtable_addrs: BTreeSet<Addr> = loaded.vtables().iter().map(|v| v.addr()).collect();
+    counter::record(function.entry());
     let cfg = Cfg::build(function);
     let mut results = Vec::new();
     let mut fuel = config.fuel.meter();
@@ -198,7 +199,7 @@ pub fn execute_function_metered(
             if fuel.spend(1).is_err() {
                 return (results, ExecStatus::FuelExhausted, fuel.spent());
             }
-            step(&mut frame.state, &d.instr, &vtable_addrs, ctors, config);
+            step(&mut frame.state, &d.instr, loaded, ctors, config);
             if matches!(d.instr, Instr::Ret | Instr::Halt) {
                 terminated = true;
             }
@@ -228,10 +229,28 @@ pub fn execute_function_metered(
     (results, ExecStatus::Completed, fuel.spent())
 }
 
+/// Returns `false` only for a function whose execution against an empty
+/// [`CtorMap`] types no view, so that the ctor pre-pass need not run it.
+///
+/// With an empty map a view is typed only by a `Store` of a
+/// [`SymValue::Const`] that is a vtable address, and [`step`] produces a
+/// constant in exactly two places: a `MovImm` (its immediate) and a
+/// `BinOp` of two constants. Every other instruction copies a value or
+/// yields a non-constant one. So a function with no `MovImm` whose
+/// immediate is a vtable address and no `BinOp` stores no vtable pointer
+/// on any path. A new source of constants must be admitted here.
+pub(crate) fn may_store_vtable(function: &Function, loaded: &LoadedBinary) -> bool {
+    function.instrs().iter().any(|d| match d.instr {
+        Instr::MovImm { imm, .. } => loaded.vtable_at(Addr::new(imm)).is_some(),
+        Instr::BinOp { .. } => true,
+        _ => false,
+    })
+}
+
 fn step(
     state: &mut State,
     instr: &Instr,
-    vtable_addrs: &BTreeSet<Addr>,
+    loaded: &LoadedBinary,
     ctors: &CtorMap,
     config: &AnalysisConfig,
 ) {
@@ -270,7 +289,7 @@ fn step(
                 state.stack.insert(offset, value);
             } else if let SymValue::ObjPtr(view) = state.get(base) {
                 match value {
-                    SymValue::Const(a) if vtable_addrs.contains(&Addr::new(a)) => {
+                    SymValue::Const(a) if loaded.vtable_at(Addr::new(a)).is_some() => {
                         // Vtable-pointer store: types the subobject at
                         // base+offset (last store wins — constructed type).
                         state
@@ -346,10 +365,8 @@ fn emit_call_events(
                 state.emit(view, Event::This, cap);
                 state.emit(view, Event::Call(f), cap);
                 // Constructor-based typing (paper §3.2 / §5.2 rule 3).
-                if let Some(stores) = ctors.stores_of(f) {
-                    for (off, vt) in stores {
-                        state.typing.insert(SubObj::new(view.obj, view.base + off), vt);
-                    }
+                for &(off, vt) in ctors.stores_of(f).unwrap_or_default() {
+                    state.typing.insert(SubObj::new(view.obj, view.base + off), vt);
                 }
             }
         }
@@ -389,10 +406,42 @@ fn post_call(state: &mut State) {
     state.args_written.clear();
 }
 
+/// Outside this crate's tests, counting executions is a no-op.
+#[cfg(not(test))]
+mod counter {
+    pub(crate) fn record(_entry: rock_binary::Addr) {}
+}
+
+/// Test-only count of the symbolic executions run on this thread, by
+/// function entry.
+#[cfg(test)]
+pub(crate) mod counter {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+
+    use rock_binary::Addr;
+
+    thread_local! {
+        static EXECUTED: RefCell<BTreeMap<Addr, usize>> = const { RefCell::new(BTreeMap::new()) };
+    }
+
+    pub(crate) fn record(entry: Addr) {
+        EXECUTED.with(|e| *e.borrow_mut().entry(entry).or_insert(0) += 1);
+    }
+
+    /// Runs `f` and returns its result with how many times it executed
+    /// each function.
+    pub(crate) fn executions_during<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<Addr, usize>) {
+        EXECUTED.with(|e| e.borrow_mut().clear());
+        let out = f();
+        (out, EXECUTED.with(|e| std::mem::take(&mut *e.borrow_mut())))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rock_binary::{ImageBuilder, Instr};
+    use rock_binary::{BinOp, ImageBuilder, Instr};
 
     fn exec_single(build: impl FnOnce(&mut ImageBuilder)) -> (Vec<PathResult>, LoadedBinary) {
         let mut b = ImageBuilder::new();
@@ -664,6 +713,82 @@ mod tests {
         let a = execute_function_budgeted(f, &loaded, &CtorMap::default(), &cfg);
         let b = execute_function_budgeted(f, &loaded, &CtorMap::default(), &cfg);
         assert_eq!(a, b);
+    }
+
+    /// The premise of [`may_store_vtable`]: stepping any instruction but
+    /// a `MovImm` or a `BinOp` leaves only constants the state already
+    /// held. The match names every instruction without a wildcard, so a
+    /// new one does not compile until it is classified here.
+    #[test]
+    fn only_mov_imm_and_binop_make_new_constants() {
+        let loaded = loaded_single(|b| {
+            b.begin_function("f");
+            b.push(Instr::Enter { frame: 0 });
+            b.push(Instr::Ret);
+            b.end_function();
+        });
+        let at = loaded.functions()[0].entry();
+        let this = SubObj::primary(ObjId::ENTRY);
+        let mut start = State::entry();
+        start.regs[2] = SymValue::Const(7);
+        start.regs[3] = SymValue::Const(7);
+        start.regs[4] = SymValue::VptrOf(this);
+        start.regs[5] = SymValue::SlotOf(this, 8);
+        start.stack.insert(0, SymValue::Const(9));
+        start.stack.insert(8, SymValue::ObjPtr(this));
+        let constants = |state: &State| -> BTreeSet<u64> {
+            let mut found = BTreeSet::new();
+            for v in state.regs.iter().chain(state.stack.values()) {
+                if let SymValue::Const(c) = v {
+                    found.insert(*c);
+                }
+            }
+            found
+        };
+        let held = constants(&start);
+        let samples = [
+            Instr::Enter { frame: 16 },
+            Instr::Ret,
+            Instr::MovImm { dst: Reg::R1, imm: 11 },
+            Instr::MovReg { dst: Reg::R1, src: Reg::R2 },
+            Instr::Load { dst: Reg::R1, base: Reg::SP, offset: 0 },
+            Instr::Load { dst: Reg::R1, base: Reg::R0, offset: 0 },
+            Instr::Load { dst: Reg::R1, base: Reg::R0, offset: 8 },
+            Instr::Load { dst: Reg::R1, base: Reg::R4, offset: 8 },
+            Instr::Load { dst: Reg::R1, base: Reg::R2, offset: 8 },
+            Instr::Store { base: Reg::SP, offset: 16, src: Reg::R2 },
+            Instr::Store { base: Reg::R0, offset: 8, src: Reg::R2 },
+            Instr::Lea { dst: Reg::R1, base: Reg::SP, offset: 8 },
+            Instr::Lea { dst: Reg::R1, base: Reg::R0, offset: 8 },
+            Instr::Call { target: at },
+            Instr::CallReg { target: Reg::R5 },
+            Instr::Jmp { target: at },
+            Instr::Branch { cond: Reg::R2, target: at },
+            Instr::BinOp { op: BinOp::Add, dst: Reg::R1, lhs: Reg::R2, rhs: Reg::R3 },
+            Instr::Nop,
+            Instr::Halt,
+        ];
+        for instr in samples {
+            let makes_constants = match instr {
+                Instr::MovImm { .. } | Instr::BinOp { .. } => true,
+                Instr::Enter { .. }
+                | Instr::Ret
+                | Instr::MovReg { .. }
+                | Instr::Load { .. }
+                | Instr::Store { .. }
+                | Instr::Lea { .. }
+                | Instr::Call { .. }
+                | Instr::CallReg { .. }
+                | Instr::Jmp { .. }
+                | Instr::Branch { .. }
+                | Instr::Nop
+                | Instr::Halt => false,
+            };
+            let mut state = start.clone();
+            step(&mut state, &instr, &loaded, &CtorMap::default(), &AnalysisConfig::default());
+            let new: Vec<u64> = constants(&state).difference(&held).copied().collect();
+            assert_eq!(!new.is_empty(), makes_constants, "{instr:?} made {new:?}");
+        }
     }
 
     #[test]

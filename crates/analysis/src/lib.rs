@@ -53,17 +53,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Lets the oracle, which the root tests include too, name this crate.
+#[cfg(test)]
+extern crate self as rock_analysis;
+
 pub mod canon;
 mod config;
 mod ctors;
 mod event;
 mod exec;
+#[cfg(test)]
+mod oracle;
 mod tracelets;
 mod value;
 
 pub use canon::{CachedCtors, CachedExec, CachedSub, ContentLabels, ExecCache, Label, PoolSum};
 pub use config::AnalysisConfig;
-pub use ctors::{recognize_ctors, recognize_ctors_cached, CtorMap};
+pub use ctors::{ctor_pins, recognize_ctors, recognize_ctors_cached, CtorMap};
 pub use event::Event;
 pub use exec::{
     execute_function, execute_function_budgeted, execute_function_metered, ExecStatus, PathResult,

@@ -12,6 +12,7 @@ use rock_loader::{LoadedBinary, Vtable};
 use rock_trace::{names, panic_message, LocalSpans, MetricsRegistry};
 
 use crate::canon::{tracelet_fp, CachedExec, CachedSub, ContentLabels, ExecCache, PoolSum};
+use crate::ctors::{ctor_pins_reusing, parent_ctor_call};
 use crate::{
     execute_function_metered, recognize_ctors, recognize_ctors_cached, AnalysisConfig, CtorMap,
     Event, ExecStatus, ObjId,
@@ -295,6 +296,7 @@ impl AnalysisHooks for NoHooks {}
 pub struct Analysis {
     tracelets: TypeTracelets,
     ctors: CtorMap,
+    pinned: BTreeMap<Addr, Addr>,
     incidents: Vec<(Addr, IncidentKind)>,
 }
 
@@ -307,6 +309,13 @@ impl Analysis {
     /// The recognized ctor-like functions.
     pub fn ctors(&self) -> &CtorMap {
         &self.ctors
+    }
+
+    /// Parents pinned by constructor-call evidence (§5.2 rule 3), child
+    /// vtable → parent vtable: what [`ctor_pins`](crate::ctor_pins)
+    /// gives with [`Analysis::ctors`] under the analysis' configuration.
+    pub fn pinned(&self) -> &BTreeMap<Addr, Addr> {
+        &self.pinned
     }
 
     /// Functions that contributed nothing and why, in function order.
@@ -330,8 +339,8 @@ pub(crate) fn windows(events: &[Event], len: usize) -> Vec<Arc<[Event]>> {
 }
 
 /// Runs the full behavioral analysis over a loaded binary:
-/// ctor recognition, per-function symbolic execution, and tracelet
-/// attribution.
+/// ctor recognition, per-function symbolic execution, tracelet
+/// attribution, and the rule-3 pins read off the ctors' executions.
 ///
 /// Attribution rules (§3.2):
 ///
@@ -543,6 +552,7 @@ fn extract_inner(
     let mut tracelets = TypeTracelets::default();
     let mut incidents: Vec<(Addr, IncidentKind)> = Vec::new();
     let mut targets: Vec<Option<Addr>> = Vec::new();
+    let mut evidence: BTreeMap<Addr, Option<Addr>> = BTreeMap::new();
 
     for f in loaded.functions() {
         let entry = f.entry();
@@ -598,6 +608,14 @@ fn extract_inner(
             }
             execute_function_metered(f, loaded, &ctors, &cfg)
         }));
+        // A ctor's rule-3 evidence is read off this execution, before the
+        // canonical rewrite, when it is the one `ctor_pins` would run: the
+        // configured budget, partial paths of a fuel-starved run included.
+        if let (Ok((paths, status, _)), Some(own_vt)) = (&outcome, ctors.primary_vtable_of(entry)) {
+            if !fuel_overridden && *status != ExecStatus::DeadlineExceeded {
+                evidence.insert(entry, parent_ctor_call(paths, own_vt, &ctors));
+            }
+        }
         let (mut paths, fuel_spent) = match outcome {
             Err(payload) => {
                 spans.exit(token);
@@ -660,7 +678,10 @@ fn extract_inner(
         }
         spans.exit(token);
     }
-    Analysis { tracelets, ctors, incidents }
+    // Ctors answered from the cache, skipped, panicked, run under another
+    // fuel budget or cut by the deadline are executed for their evidence.
+    let pinned = ctor_pins_reusing(loaded, &ctors, config, &evidence);
+    Analysis { tracelets, ctors, pinned, incidents }
 }
 
 #[cfg(test)]

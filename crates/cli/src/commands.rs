@@ -229,7 +229,8 @@ fn cmd_families(args: &[String]) -> CliResult {
     let loaded = load_file(path)?;
     let config = RockConfig::paper();
     let ctors = rock_analysis::recognize_ctors(&loaded, &config.analysis);
-    let s = rock_structural::analyze(&loaded, &ctors, &config.analysis);
+    let pinned = rock_analysis::ctor_pins(&loaded, &ctors, &config.analysis);
+    let s = rock_structural::analyze(&loaded, &ctors, &pinned);
     print!("{s}");
     println!("phase II eliminations: {}", s.stats());
     println!("ctor-like functions: {}", ctors.len());

@@ -261,17 +261,17 @@ impl<'a> StagedRun<'a> {
     /// Re-derives the structural analysis if it is not present yet.
     ///
     /// Structural analysis is not a stage boundary: it is a cheap
-    /// deterministic function of the loaded binary and the recognized
-    /// ctors, computed on first use.
+    /// deterministic function of the loaded binary and the analysis'
+    /// recognized ctors and rule-3 pins, computed on first use.
     fn ensure_structural(&mut self) {
         if self.structural.is_some() {
             return;
         }
-        let analysis = self.analysis.as_ref().expect("structural analysis needs ctors");
+        let analysis = self.analysis.as_ref().expect("structural analysis needs ctors and pins");
         let stage = Instant::now();
         let rock = self.rock;
         let _span = rock.trace_ctx().span(names::STAGE_STRUCTURAL, 0);
-        let structural = analyze(self.loaded, analysis.ctors(), &rock.config().analysis);
+        let structural = analyze(self.loaded, analysis.ctors(), analysis.pinned());
         let stats = structural.stats();
         self.metrics.set(names::STRUCTURAL_RULE1_ELIMINATED, stats.rule1_slot_count as u64);
         self.metrics.set(names::STRUCTURAL_RULE2_ELIMINATED, stats.rule2_pure_slot as u64);
@@ -957,7 +957,7 @@ mod tests {
     /// looked up.
     #[test]
     fn foreign_candidates_are_counted_and_get_no_edge() {
-        use rock_analysis::recognize_ctors;
+        use rock_analysis::{ctor_pins, recognize_ctors};
         use rock_binary::{BinaryImage, Section, SectionKind};
         // B's ctor calls A's, pinning A as B's parent. On a copy of the
         // image whose A table is corrupted, the pin (from the intact
@@ -980,7 +980,8 @@ mod tests {
         let config = &rock.config().analysis;
         let mut run = rock.begin(&loaded);
         run.advance().unwrap();
-        run.structural = Some(analyze(&loaded, &recognize_ctors(&intact, config), config));
+        let ctors = recognize_ctors(&intact, config);
+        run.structural = Some(analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, config)));
         assert_eq!(run.structural.as_ref().unwrap().possible_parents().of(b), [a]);
         while !run.is_done() {
             run.advance().unwrap();

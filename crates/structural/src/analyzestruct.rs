@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use rock_analysis::{execute_function, AnalysisConfig, CtorMap, Event, ObjId};
+use rock_analysis::CtorMap;
 use rock_binary::Addr;
 use rock_graph::UnionFind;
 use rock_loader::{LoadedBinary, Vtable};
@@ -142,14 +142,18 @@ impl fmt::Display for Structural {
 /// Runs the structural analysis over a loaded binary.
 ///
 /// `ctors` must come from
-/// [`recognize_ctors`](rock_analysis::recognize_ctors) on the same binary.
-pub fn analyze(loaded: &LoadedBinary, ctors: &CtorMap, config: &AnalysisConfig) -> Structural {
+/// [`recognize_ctors`](rock_analysis::recognize_ctors) on the same binary,
+/// and `pinned` is the rule-3 evidence from those ctors, child vtable →
+/// parent vtable ([`Analysis::pinned`](rock_analysis::Analysis::pinned),
+/// or [`ctor_pins`](rock_analysis::ctor_pins)). Nothing is executed here.
+pub fn analyze(
+    loaded: &LoadedBinary,
+    ctors: &CtorMap,
+    pinned: &BTreeMap<Addr, Addr>,
+) -> Structural {
     let vtables = loaded.vtables();
     let n = vtables.len();
     let index_of = |addr: Addr| vtables.binary_search_by_key(&addr, Vtable::addr).ok();
-
-    // --- Rule 3 evidence: ctor of child calls ctor of parent on `this`.
-    let pinned = find_pinned_parents(loaded, ctors, config);
 
     // --- Phase I: families = connected components of slot sharing,
     //     joined further by ctor-call evidence. The slot index replays
@@ -169,7 +173,7 @@ pub fn analyze(loaded: &LoadedBinary, ctors: &CtorMap, config: &AnalysisConfig) 
             uf.union(i, j);
         }
     }
-    for (child, parent) in &pinned {
+    for (child, parent) in pinned {
         if let (Some(ci), Some(pi)) = (index_of(*child), index_of(*parent)) {
             uf.union(ci, pi);
         }
@@ -218,7 +222,7 @@ pub fn analyze(loaded: &LoadedBinary, ctors: &CtorMap, config: &AnalysisConfig) 
     // even where a rule eliminated it (ctor evidence is authoritative),
     // and may lie outside the child's family when it is no discovered
     // vtable.
-    for (&child, &parent) in &pinned {
+    for (&child, &parent) in pinned {
         let parents = allowed.entry(child).or_default();
         let kept = usize::from(parents.binary_search(&parent).is_ok());
         stats.rule3_pinning += parents.len() - kept;
@@ -236,47 +240,14 @@ pub fn analyze(loaded: &LoadedBinary, ctors: &CtorMap, config: &AnalysisConfig) 
         })
         .collect();
 
-    Structural { families, possible, pinned, vptr_store_counts, stats }
-}
-
-/// Scans ctor-like functions for direct calls to *other* ctor-like
-/// functions on their own `this` (offset 0) — parent-constructor calls.
-fn find_pinned_parents(
-    loaded: &LoadedBinary,
-    ctors: &CtorMap,
-    config: &AnalysisConfig,
-) -> BTreeMap<Addr, Addr> {
-    let mut pinned = BTreeMap::new();
-    for f in loaded.functions() {
-        let Some(own_vt) = ctors.primary_vtable_of(f.entry()) else {
-            continue;
-        };
-        for path in execute_function(f, loaded, ctors, config) {
-            for sub in &path.subobjects {
-                // Parent ctor runs on the primary view of `this`.
-                if sub.view.obj != ObjId::ENTRY || sub.view.base != 0 {
-                    continue;
-                }
-                for ev in &sub.events {
-                    if let Event::Call(g) = ev {
-                        if let Some(parent_vt) = ctors.primary_vtable_of(*g) {
-                            if parent_vt != own_vt {
-                                pinned.insert(own_vt, parent_vt);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    pinned
+    Structural { families, possible, pinned: pinned.clone(), vptr_store_counts, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::reference;
-    use rock_analysis::recognize_ctors;
+    use rock_analysis::{ctor_pins, recognize_ctors, AnalysisConfig};
     use rock_binary::{
         BinaryImage, FunctionHandle, ImageBuilder, Instr, Reg, Section, SectionKind, VtableHandle,
     };
@@ -287,7 +258,7 @@ mod tests {
         let loaded = LoadedBinary::load(compiled.stripped_image()).unwrap();
         let config = AnalysisConfig::default();
         let ctors = recognize_ctors(&loaded, &config);
-        let s = analyze(&loaded, &ctors, &config);
+        let s = analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, &config));
         assert_matches_reference(&loaded, &s);
         (loaded, compiled, s)
     }
@@ -355,7 +326,8 @@ mod tests {
 
     fn analyze_hand_built(loaded: &LoadedBinary) -> Structural {
         let config = AnalysisConfig::default();
-        let s = analyze(loaded, &recognize_ctors(loaded, &config), &config);
+        let ctors = recognize_ctors(loaded, &config);
+        let s = analyze(loaded, &ctors, &ctor_pins(loaded, &ctors, &config));
         assert_matches_reference(loaded, &s);
         s
     }
@@ -468,7 +440,8 @@ mod tests {
         assert!(loaded.vtable_at(parent).is_none());
 
         let config = AnalysisConfig::default();
-        let s = analyze(&loaded, &recognize_ctors(&intact, &config), &config);
+        let ctors = recognize_ctors(&intact, &config);
+        let s = analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, &config));
         assert_matches_reference(&loaded, &s);
         assert_eq!(s.families(), [vec![child, sibling]]);
         assert_eq!(s.possible_parents().of(child), [parent]);

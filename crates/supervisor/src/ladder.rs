@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use rock_analysis::{recognize_ctors, AnalysisConfig};
+use rock_analysis::{ctor_pins, recognize_ctors, AnalysisConfig};
 use rock_binary::Addr;
 use rock_core::RockConfig;
 use rock_graph::Forest;
@@ -96,7 +96,7 @@ pub fn structural_only_hierarchy(
     config: &AnalysisConfig,
 ) -> (Forest<Addr>, Structural) {
     let ctors = recognize_ctors(loaded, config);
-    let structural = analyze(loaded, &ctors, config);
+    let structural = analyze(loaded, &ctors, &ctor_pins(loaded, &ctors, config));
     let mut forest: Forest<Addr> = Forest::new();
     for family in structural.families() {
         for &vt in family {

@@ -5,7 +5,7 @@
 //! exposes those counts, and secondary vtables are treated as synthetic
 //! types that the evaluation projects away (§4.1).
 
-use rock::analysis::{recognize_ctors, AnalysisConfig};
+use rock::analysis::{ctor_pins, recognize_ctors, AnalysisConfig};
 use rock::core::{evaluate, Rock, RockConfig};
 use rock::loader::LoadedBinary;
 use rock::minicpp::{compile, CompileOptions, ProgramBuilder};
@@ -77,7 +77,7 @@ fn mi_ctor_stores_two_vptrs() {
     assert!(stores[1].0 > 0, "secondary store at the subobject offset");
 
     // The structural analysis surfaces the same counts.
-    let s = analyze(&loaded, &ctors, &config);
+    let s = analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, &config));
     assert_eq!(s.vptr_store_counts().get(&duplex_vt), Some(&2));
     let readable_vt = compiled.vtable_of("Readable").unwrap();
     assert_eq!(s.vptr_store_counts().get(&readable_vt), Some(&1));
@@ -89,7 +89,7 @@ fn mi_ctor_pins_primary_parent() {
     let loaded = LoadedBinary::load(compiled.stripped_image()).unwrap();
     let config = AnalysisConfig::default();
     let ctors = recognize_ctors(&loaded, &config);
-    let s = analyze(&loaded, &ctors, &config);
+    let s = analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, &config));
     let duplex = compiled.vtable_of("Duplex").unwrap();
     let readable = compiled.vtable_of("Readable").unwrap();
     assert_eq!(s.pinned().get(&duplex), Some(&readable));
@@ -144,7 +144,7 @@ fn three_way_mi() {
     let loaded = LoadedBinary::load(compiled.stripped_image()).unwrap();
     let config = AnalysisConfig::default();
     let ctors = recognize_ctors(&loaded, &config);
-    let s = analyze(&loaded, &ctors, &config);
+    let s = analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, &config));
     let omni = compiled.vtable_of("Omni").unwrap();
     assert_eq!(s.vptr_store_counts().get(&omni), Some(&3), "three stores, three parents");
     assert_eq!(compiled.ground_truth().parents_of("Omni"), vec!["A", "B", "C"]);

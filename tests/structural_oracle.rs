@@ -5,7 +5,7 @@
 #[path = "../crates/structural/src/oracle.rs"]
 mod oracle;
 
-use rock::analysis::recognize_ctors;
+use rock::analysis::{ctor_pins, recognize_ctors};
 use rock::core::{suite, RockConfig};
 use rock::loader::LoadedBinary;
 use rock::structural::{analyze, purecall_candidates};
@@ -20,7 +20,8 @@ fn structural_analysis_equals_the_all_pairs_definition() {
     for (i, bench) in benches.iter().enumerate() {
         let what = format!("image {i} ({})", bench.name);
         let loaded = LoadedBinary::load(bench.compile().unwrap().stripped_image()).unwrap();
-        let s = analyze(&loaded, &recognize_ctors(&loaded, &config), &config);
+        let ctors = recognize_ctors(&loaded, &config);
+        let s = analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, &config));
         let r = oracle::reference(&loaded, &purecall_candidates(&loaded), s.pinned());
         assert_eq!(s.families(), r.families, "{what}");
         for (child, parents) in &r.possible {
