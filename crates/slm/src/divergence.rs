@@ -11,7 +11,8 @@
 //! alphabet-size-dependent order-(-1) base case — and reused across all
 //! O(n²) pairs; the cross side reuses the *other* model's table whenever
 //! the word also appears in its training set, and falls back to one-pass
-//! cursor scoring for every other word.
+//! automaton scoring (one `ArenaTrie::step` per symbol) for every other
+//! word.
 //!
 //! These are the per-pair kernels: each call scores one pair from
 //! scratch. The distance stage scores a child's candidate parents as one
@@ -20,7 +21,7 @@
 //! its test oracle and serve every other caller (single-candidate
 //! children, the JS metrics, repartitioning, `k_most_likely_parents`).
 
-use crate::arena::Cursor;
+use crate::arena::ROOT;
 use crate::model::{EvalTable, Index};
 use crate::{Slm, Symbol};
 
@@ -203,7 +204,6 @@ struct CrossScorer<'m, S: Symbol> {
     table: &'m EvalTable,
     /// `a` id → `b` id.
     map: Vec<Option<u32>>,
-    cursor: Cursor<'m>,
     opt_buf: Vec<Option<u32>>,
     id_buf: Vec<u32>,
 }
@@ -215,7 +215,6 @@ impl<'m, S: Symbol> CrossScorer<'m, S> {
             ib,
             table: b.eval_table(),
             map: ia.table.translation_to(&ib.table),
-            cursor: Cursor::new(&ib.trie),
             opt_buf: Vec::new(),
             id_buf: Vec::new(),
         }
@@ -240,15 +239,7 @@ impl<'m, S: Symbol> CrossScorer<'m, S> {
     fn log_prob(&mut self, word: &[u32], n: usize) -> f64 {
         match self.translate(word) {
             Some(widx) => self.table.word_log_probs[widx],
-            None => {
-                self.cursor.reset();
-                let mut lp = 0.0;
-                for &id in &self.opt_buf {
-                    lp += self.cursor.prob(id, n).ln();
-                    self.cursor.advance(id);
-                }
-                lp
-            }
+            None => self.ib.trie.log_prob(self.opt_buf.iter().copied(), n),
         }
     }
 }
@@ -320,7 +311,8 @@ pub fn kl_divergence_over_set<S: Symbol>(a: &Slm<S>, b: &Slm<S>, words: &WordSet
 }
 
 /// `ln Pr_M(w)` — answered from `m`'s word-evaluation table when `w` is
-/// one of its training words, scored with one cursor pass otherwise.
+/// one of its training words, scored one automaton step per symbol
+/// otherwise.
 fn log_prob_cached<S: Symbol>(m: &Slm<S>, w: &[S], n: usize) -> f64 {
     let im = m.index();
     let ids = im.table.intern_seq(w);
@@ -349,7 +341,7 @@ pub fn js_divergence_with_alphabet<S: Symbol>(a: &Slm<S>, b: &Slm<S>, n: usize) 
 
 /// `D(A ‖ ½(A+B))` over `A`'s training data. The `P_A` side comes from
 /// `A`'s word-evaluation table; the `P_B` side reuses `B`'s table for
-/// shared words and cursor-scores the rest.
+/// shared words and scores the rest one automaton step per symbol.
 fn kl_to_mixture<S: Symbol>(a: &Slm<S>, b: &Slm<S>, n: usize) -> f64 {
     let ia = a.index();
     let ta = a.eval_table();
@@ -359,23 +351,23 @@ fn kl_to_mixture<S: Symbol>(a: &Slm<S>, b: &Slm<S>, n: usize) -> f64 {
     let mut cross = CrossScorer::new(ia, b);
     let mut total = 0.0;
     for (wi, (word, count)) in ia.words.iter().enumerate() {
-        let pas = &ta.pos_probs[wi];
+        let pas = ta.pos_probs(wi);
         let mut wsum = 0.0;
         match cross.translate(word) {
             Some(widx) => {
-                let pbs = &cross.table.pos_probs[widx];
+                let pbs = cross.table.pos_probs(widx);
                 for (pa, pb) in pas.iter().zip(pbs) {
                     let pm = 0.5 * (pa + pb);
                     wsum += (pa / pm).ln();
                 }
             }
             None => {
-                cross.cursor.reset();
+                let mut state = ROOT;
                 for (pos, &id) in cross.opt_buf.iter().enumerate() {
-                    let pb = cross.cursor.prob(id, n);
+                    let (pb, next) = cross.ib.trie.step(state, id, n);
                     let pm = 0.5 * (pas[pos] + pb);
                     wsum += (pas[pos] / pm).ln();
-                    cross.cursor.advance(id);
+                    state = next;
                 }
             }
         }

@@ -21,15 +21,28 @@
 //! `n = popcount(parent bits | child bits)`, which equals
 //! [`crate::union_alphabet_len`].
 //!
+//! A child's first walks of the family's words repeat the same steps:
+//! the words share prefixes and contexts. So each [`ChildTarget`] also
+//! memoizes the transitions it has taken, `(trie state, child-local
+//! symbol) → (ln p, next state)`, for symbols the child has seen. That is
+//! exact for the same reason: such a step ends at a count hit at the
+//! latest in the child's root, never at the `1/n` base case, so its
+//! probability and next state are the same for every word and every
+//! parent. A step on a symbol the child never saw depends on `n` and is
+//! computed every time. The memo grows with the transitions walked, not
+//! with the trie's nodes × alphabet, which real binaries do not bound.
+//!
 //! Each parent's sum keeps the per-pair kernel's word order and
 //! expression (`sum_b += count · ln Pr_child(w)`, then
 //! `(weighted_log_sum − sum_b) / weighted_positions`), so every result is
 //! bit-identical to [`crate::kl_divergence`] (pinned by the `properties.rs`
 //! oracle).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::arena::Cursor;
+use crate::arena::{ArenaTrie, ROOT};
 use crate::{Slm, Symbol, SymbolTable};
 
 /// One family member's view in family ids.
@@ -151,7 +164,8 @@ impl<'m, S: Symbol> FamilyScorer<'m, S> {
             child: member,
             local: self.table.translation_to(&index.table),
             memo,
-            cursor: Cursor::new(&index.trie),
+            trie: &index.trie,
+            steps: StepMemo::default(),
         }
     }
 }
@@ -176,7 +190,37 @@ pub struct ChildTarget<'f, 'm, S: Symbol> {
     local: Vec<Option<u32>>,
     /// Per family word.
     memo: Vec<Memo>,
-    cursor: Cursor<'m>,
+    trie: &'m ArenaTrie,
+    /// The child's transitions taken so far, on symbols it has seen.
+    steps: StepMemo,
+}
+
+/// `(state << 32 | child-local symbol)` → `(ln p, next state)`.
+type StepMemo = HashMap<u64, (f64, u32), BuildHasherDefault<StepHasher>>;
+
+/// One multiply per key for the transition memo. Its keys are dense
+/// indices the program assigns (trie nodes in creation order, symbol
+/// ranks), not values read from input, so SipHash's resistance to
+/// crafted collisions buys nothing; it cost about half of the memo's
+/// gain. The shift folds the product's high half, which every key bit
+/// reaches, into the low bits that pick the bucket.
+#[derive(Default)]
+struct StepHasher(u64);
+
+impl Hasher for StepHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 impl<S: Symbol> ChildTarget<'_, '_, S> {
@@ -216,16 +260,185 @@ impl<S: Symbol> ChildTarget<'_, '_, S> {
         }
     }
 
-    /// One cursor pass over family word `w` in the child's trie.
+    /// One pass over family word `w` in the child's trie, a memoized or
+    /// computed [`ArenaTrie::step`] per symbol. The sum adds `ln p` in word
+    /// order, as the per-pair kernel does.
     fn walk(&mut self, w: usize, n: usize) -> f64 {
         let family = self.family;
-        self.cursor.reset();
+        let trie = self.trie;
+        let mut state = ROOT;
         let mut lp = 0.0;
         for &s in family.word(w) {
-            let id = self.local[s as usize];
-            lp += self.cursor.prob(id, n).ln();
-            self.cursor.advance(id);
+            let (l, next) = match self.local[s as usize] {
+                Some(id) => match self.steps.entry(u64::from(state) << 32 | u64::from(id)) {
+                    Entry::Occupied(e) => {
+                        counter::record(state, id, false);
+                        *e.get()
+                    }
+                    Entry::Vacant(e) => {
+                        counter::record(state, id, true);
+                        let (p, next) = trie.step(state, Some(id), n);
+                        *e.insert((p.ln(), next))
+                    }
+                },
+                None => {
+                    let (p, next) = trie.step(state, None, n);
+                    (p.ln(), next)
+                }
+            };
+            lp += l;
+            state = next;
         }
         lp
+    }
+}
+
+/// Outside this crate's tests, counting steps is a no-op.
+#[cfg(not(test))]
+mod counter {
+    pub(crate) fn record(_state: u32, _sym: u32, _computed: bool) {}
+}
+
+/// Test-only log of the seen-symbol steps [`ChildTarget`]s took on this
+/// thread.
+#[cfg(test)]
+mod counter {
+    use std::cell::RefCell;
+
+    /// `(state, child-local symbol, computed)`: `false` for a step the
+    /// memo answered.
+    pub(crate) type Step = (u32, u32, bool);
+
+    thread_local! {
+        static STEPS: RefCell<Vec<Step>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(crate) fn record(state: u32, sym: u32, computed: bool) {
+        STEPS.with(|c| c.borrow_mut().push((state, sym, computed)));
+    }
+
+    /// Runs `f` and returns its result with the steps taken during it, in
+    /// order.
+    pub(crate) fn steps_during<T>(f: impl FnOnce() -> T) -> (T, Vec<Step>) {
+        STEPS.with(|c| c.borrow_mut().clear());
+        let out = f();
+        (out, STEPS.with(|c| std::mem::take(&mut *c.borrow_mut())))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::kl_divergence;
+
+    fn model(seqs: &[&[&'static str]]) -> Slm<&'static str> {
+        let mut m = Slm::new(2);
+        for s in seqs {
+            m.train(s);
+        }
+        m
+    }
+
+    #[test]
+    fn a_hand_built_family_computes_and_memoizes_the_expected_steps() {
+        let child = model(&[&["a", "b", "a", "b"]]);
+        let p1 = model(&[&["a", "b"], &["a", "b", "c"]]);
+        let p2 = model(&[&["a", "b", "a"]]);
+        let members = [Some(&child), Some(&p1), Some(&p2)];
+        let family = FamilyScorer::new(&members);
+        let (kls, steps) = counter::steps_during(|| {
+            let mut target = family.target(0);
+            [target.kl_from(1), target.kl_from(2), target.kl_from(1), target.kl_from(0)]
+        });
+        for (kl, parent) in kls.iter().zip([&p1, &p2, &p1, &child]) {
+            assert_eq!(kl.to_bits(), kl_divergence(parent, &child).to_bits());
+        }
+        let index = child.index();
+        let (a, b) = (index.table.id_of(&"a").unwrap(), index.table.id_of(&"b").unwrap());
+        let state = |ctx: &[u32]| {
+            let ctx: Vec<Option<u32>> = ctx.iter().copied().map(Some).collect();
+            index.trie.lookup(&ctx).unwrap()
+        };
+        let (s_a, s_ab) = (state(&[a]), state(&[a, b]));
+        assert_eq!(
+            steps,
+            [
+                // p1's "ab": both transitions computed.
+                (ROOT, a, true),
+                (s_a, b, true),
+                // p1's "abc": the prefix memoized; "c" is unseen and
+                // computed unrecorded.
+                (ROOT, a, false),
+                (s_a, b, false),
+                // p2's "aba": one new transition.
+                (ROOT, a, false),
+                (s_a, b, false),
+                (s_ab, a, true),
+                // p1 again: "ab" answers from the word memo, "abc" is
+                // walked again for its unseen symbol. The child's own
+                // word comes from its evaluation table.
+                (ROOT, a, false),
+                (s_a, b, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn unseen_steps_follow_each_parents_alphabet() {
+        // "q" is unseen by the child, and the two parents' union
+        // alphabets with it differ (3 and 5), so its step must not be
+        // reused across them.
+        let child = model(&[&["a", "b"]]);
+        let p1 = model(&[&["a", "q"]]);
+        let p2 = model(&[&["a", "q"], &["x", "y"]]);
+        let family = FamilyScorer::new(&[Some(&child), Some(&p1), Some(&p2)]);
+        let mut target = family.target(0);
+        for (p, parent) in [(1, &p1), (2, &p2), (1, &p1)] {
+            assert_eq!(target.kl_from(p).to_bits(), kl_divergence(parent, &child).to_bits());
+        }
+    }
+
+    proptest! {
+        /// Every child computes each `(state, seen symbol)` transition at
+        /// most once, however many parents and repeats it scores, and
+        /// every score keeps the per-pair kernel's bits.
+        #[test]
+        fn each_transition_is_computed_once_per_child(
+            depth in 0usize..4,
+            pools in prop::collection::vec(
+                (0u8..4, prop::collection::vec(prop::collection::vec(0u8..6, 1..12), 1..6)),
+                2..6,
+            ),
+        ) {
+            let models: Vec<Slm<u8>> = pools
+                .iter()
+                .map(|(shift, seqs)| {
+                    let mut m = Slm::new(depth);
+                    for s in seqs {
+                        m.train(&s.iter().map(|x| x + shift).collect::<Vec<u8>>());
+                    }
+                    m
+                })
+                .collect();
+            let members: Vec<Option<&Slm<u8>>> = models.iter().map(Some).collect();
+            let family = FamilyScorer::new(&members);
+            for c in 0..models.len() {
+                let (_, steps) = counter::steps_during(|| {
+                    let mut target = family.target(c);
+                    for p in (0..models.len()).chain((0..models.len()).rev()) {
+                        let want = kl_divergence(&models[p], &models[c]);
+                        assert_eq!(target.kl_from(p).to_bits(), want.to_bits(), "{p} -> {c}");
+                    }
+                });
+                let computed: Vec<(u32, u32)> =
+                    steps.iter().filter(|s| s.2).map(|&(st, sym, _)| (st, sym)).collect();
+                let distinct: BTreeSet<(u32, u32)> = computed.iter().copied().collect();
+                prop_assert_eq!(distinct.len(), computed.len(), "child {} recomputed a step", c);
+            }
+        }
     }
 }

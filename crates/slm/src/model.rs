@@ -11,10 +11,14 @@
 //! 2. **Interned symbols** — a [`SymbolTable`] maps symbols to dense
 //!    `u32` ids in `Ord` order (insertion-order independent), so the trie
 //!    stores integers instead of cloned symbols.
-//! 3. **Arena trie** — contexts live in one flat `Vec` of nodes with
-//!    sorted edge lists and incrementally-maintained totals
-//!    ([`crate::arena`]); sequence scoring slides a cursor instead of
-//!    re-walking from the root per symbol.
+//! 3. **Arena trie, scored as an automaton** — contexts live in one flat
+//!    node array over one sorted edge array, each node with its suffix
+//!    link, `T + d` and escape cached ([`crate::arena`]). A scoring
+//!    cursor's state is one node, the longest context suffix the trie
+//!    holds, and one `step` per symbol returns both the probability and
+//!    the next state; every caller (the evaluation table, the per-pair
+//!    and batched kernels, the JS metrics and the sequence APIs) scores
+//!    through it.
 //!
 //! The interned index is built lazily on first query (training only
 //! buffers sequences) and cached; further training invalidates it. All
@@ -24,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::arena::{ArenaTrie, Cursor};
+use crate::arena::{ArenaTrie, ROOT};
 use crate::intern::SymbolTable;
 
 /// Marker trait for symbols an [`Slm`] can model.
@@ -59,12 +63,22 @@ pub(crate) struct Index<S: Symbol> {
 pub(crate) struct EvalTable {
     /// Per unique word (aligned with [`Index::words`]): `ln Pr(word)`.
     pub(crate) word_log_probs: Vec<f64>,
-    /// Per unique word: the per-position conditional probabilities.
-    pub(crate) pos_probs: Vec<Vec<f64>>,
+    /// Every unique word's per-position conditional probabilities,
+    /// concatenated in word order (see [`EvalTable::pos_probs`]).
+    pos_probs: Vec<f64>,
+    /// Word `w`'s probabilities are `pos_probs[pos_start[w]..pos_start[w + 1]]`.
+    pos_start: Vec<usize>,
     /// `Σ_w count(w) · ln Pr(w)` in word order.
     pub(crate) weighted_log_sum: f64,
     /// `Σ_w count(w) · len(w)` — total symbol occurrences incl. clones.
     pub(crate) weighted_positions: u64,
+}
+
+impl EvalTable {
+    /// Unique word `w`'s per-position conditional probabilities.
+    pub(crate) fn pos_probs(&self, w: usize) -> &[f64] {
+        &self.pos_probs[self.pos_start[w]..self.pos_start[w + 1]]
+    }
 }
 
 /// A trained statistical language model over symbols of type `S`.
@@ -131,8 +145,15 @@ impl<S: Symbol> Slm<S> {
         if count == 0 {
             return;
         }
-        self.alphabet.extend(seq.iter().cloned());
-        *self.training.entry(seq.to_vec()).or_insert(0) += count;
+        // A repeat only adds its count: its symbols are in the alphabet
+        // already, and the map holds its key.
+        match self.training.get_mut(seq) {
+            Some(c) => *c += count,
+            None => {
+                self.alphabet.extend(seq.iter().cloned());
+                self.training.insert(seq.to_vec(), count);
+            }
+        }
         self.trained_total += count;
         self.index = OnceLock::new();
     }
@@ -170,29 +191,29 @@ impl<S: Symbol> Slm<S> {
         let idx = self.index();
         idx.eval.get_or_init(|| {
             let mut word_log_probs = Vec::with_capacity(idx.words.len());
-            let mut pos_probs = Vec::with_capacity(idx.words.len());
+            let mut pos_probs = Vec::with_capacity(idx.words.iter().map(|(w, _)| w.len()).sum());
+            let mut pos_start = Vec::with_capacity(idx.words.len() + 1);
+            pos_start.push(0);
             let mut weighted_log_sum = 0.0;
             let mut weighted_positions = 0u64;
-            let mut cursor = Cursor::new(&idx.trie);
             for (word, count) in &idx.words {
-                cursor.reset();
+                let mut state = ROOT;
                 let mut lp = 0.0;
-                let mut probs = Vec::with_capacity(word.len());
                 for &id in word {
                     // The alphabet size passed here is irrelevant: `id`
                     // is a trained symbol, so the order-(-1) base case is
                     // unreachable.
-                    let p = cursor.prob(Some(id), 1);
-                    probs.push(p);
+                    let (p, next) = idx.trie.step(state, Some(id), 1);
+                    pos_probs.push(p);
                     lp += p.ln();
-                    cursor.advance(Some(id));
+                    state = next;
                 }
                 word_log_probs.push(lp);
-                pos_probs.push(probs);
+                pos_start.push(pos_probs.len());
                 weighted_log_sum += *count as f64 * lp;
                 weighted_positions += count * word.len() as u64;
             }
-            EvalTable { word_log_probs, pos_probs, weighted_log_sum, weighted_positions }
+            EvalTable { word_log_probs, pos_probs, pos_start, weighted_log_sum, weighted_positions }
         })
     }
 
@@ -265,13 +286,8 @@ impl<S: Symbol> Slm<S> {
         } else {
             context
         };
-        let ids = idx.table.intern_seq(ctx);
-        // Suffix-node stack, shortest suffix first.
-        let mut stack = Vec::with_capacity(ids.len() + 1);
-        for k in 0..=ids.len() {
-            stack.push(idx.trie.lookup(&ids[ids.len() - k..]));
-        }
-        idx.trie.score_stack(&stack, idx.table.id_of(sym), n)
+        let state = idx.trie.state_of(&idx.table.intern_seq(ctx));
+        idx.trie.step(state, idx.table.id_of(sym), n).0
     }
 
     /// Probability of a whole sequence: `∏ Pr(x_i | x_{i-D}..x_{i-1})`.
@@ -291,32 +307,17 @@ impl<S: Symbol> Slm<S> {
     }
 
     /// [`Slm::sequence_log_prob`] with an explicit alphabet size. One
-    /// trie descent for the whole sequence: the context window slides via
-    /// a [`Cursor`] instead of re-walking from the root per symbol.
+    /// pass over the sequence: each symbol is one automaton step from the
+    /// previous context's state instead of a walk from the root.
     pub fn sequence_log_prob_with_alphabet(&self, seq: &[S], alphabet_size: usize) -> f64 {
         let idx = self.index();
-        let n = alphabet_size.max(1);
-        let mut cursor = Cursor::new(&idx.trie);
-        let mut lp = 0.0;
-        for sym in seq {
-            let id = idx.table.id_of(sym);
-            lp += cursor.prob(id, n).ln();
-            cursor.advance(id);
-        }
-        lp
+        idx.trie.log_prob(seq.iter().map(|sym| idx.table.id_of(sym)), alphabet_size.max(1))
     }
 
     /// Scores a word already translated into this model's id space
     /// (`None` marks symbols outside the alphabet).
     pub(crate) fn score_ids(&self, ids: &[Option<u32>], n: usize) -> f64 {
-        let idx = self.index();
-        let mut cursor = Cursor::new(&idx.trie);
-        let mut lp = 0.0;
-        for &id in ids {
-            lp += cursor.prob(id, n).ln();
-            cursor.advance(id);
-        }
-        lp
+        self.index().trie.log_prob(ids.iter().copied(), n)
     }
 
     /// The escape probability mass at a given context (PPM-C:

@@ -187,13 +187,17 @@ proptest! {
 
     /// Oracle equivalence for all three metrics: every divergence equals
     /// the canonical weighted accumulation composed from *reference*
-    /// model probabilities, to exact f64 bits.
+    /// model probabilities, to exact f64 bits, at every depth.
     #[test]
-    fn metrics_match_reference_composition_bits(seqs_a in arb_training(), seqs_b in arb_training()) {
-        let a = trained(2, &seqs_a);
-        let b = trained(2, &seqs_b);
-        let ra = ref_trained(2, &seqs_a);
-        let rb = ref_trained(2, &seqs_b);
+    fn metrics_match_reference_composition_bits(
+        seqs_a in arb_training(),
+        seqs_b in arb_training(),
+        depth in 0usize..4,
+    ) {
+        let a = trained(depth, &seqs_a);
+        let b = trained(depth, &seqs_b);
+        let ra = ref_trained(depth, &seqs_a);
+        let rb = ref_trained(depth, &seqs_b);
         let n = union_alphabet_len(&a, &b);
 
         let kl = ref_canonical_kl(&a, &ra, &rb, n);
@@ -211,37 +215,39 @@ proptest! {
     /// untrained one, one trained on an empty word and a member without
     /// a model, every ordered pair's `ChildTarget::kl_from` equals
     /// `kl_divergence` to exact f64 bits — in either parent order, so a
-    /// word memoized for one parent is reused for another.
+    /// word and a transition memoized for one parent are reused for
+    /// another — and the canonical accumulation over *reference* models,
+    /// so the batched kernel is pinned to the seed model and not only to
+    /// the per-pair kernel, whose trie and step it shares.
     #[test]
     fn batched_family_kl_matches_per_pair_bits(
         depth in 0usize..4,
         pools in prop::collection::vec((0u8..4, arb_training()), 1..6),
     ) {
-        let mut models: Vec<Slm<u8>> = pools
+        let mut pools: Vec<Vec<Vec<u8>>> = pools
             .iter()
-            .map(|(shift, seqs)| {
-                let shifted: Vec<Vec<u8>> =
-                    seqs.iter().map(|s| s.iter().map(|x| x + shift).collect()).collect();
-                trained(depth, &shifted)
-            })
+            .map(|(shift, seqs)| seqs.iter().map(|s| s.iter().map(|x| x + shift).collect()).collect())
             .collect();
-        models.push(models[0].clone());
-        models.push(Slm::new(depth));
-        let mut empty = Slm::new(depth);
-        empty.train(&[]);
-        models.push(empty);
-        let mut members: Vec<Option<&Slm<u8>>> = models.iter().map(Some).collect();
+        pools.push(pools[0].clone());
+        pools.push(Vec::new());
+        pools.push(vec![Vec::new()]);
+        let models: Vec<Slm<u8>> = pools.iter().map(|seqs| trained(depth, seqs)).collect();
+        let refs: Vec<ReferenceSlm<u8>> = pools.iter().map(|seqs| ref_trained(depth, seqs)).collect();
+        let mut members: Vec<Option<usize>> = (0..models.len()).map(Some).collect();
         members.insert(1, None);
-        let family = FamilyScorer::new(&members);
+        let family = FamilyScorer::new(&members.iter().map(|m| m.map(|i| &models[i])).collect::<Vec<_>>());
         for (c, child) in members.iter().enumerate() {
-            let Some(child) = child else { continue };
+            let Some(child) = *child else { continue };
             let mut target = family.target(c);
             let order: Vec<usize> = (0..members.len()).chain((0..members.len()).rev()).collect();
             for p in order {
                 let Some(parent) = members[p] else { continue };
-                let want = kl_divergence(parent, child);
+                let (a, b) = (&models[parent], &models[child]);
+                let want = kl_divergence(a, b);
                 let got = target.kl_from(p);
                 prop_assert_eq!(got.to_bits(), want.to_bits(), "{} -> {}: {} vs {}", p, c, got, want);
+                let seed = ref_canonical_kl(a, &refs[parent], &refs[child], union_alphabet_len(a, b));
+                prop_assert_eq!(got.to_bits(), seed.to_bits(), "{} -> {}: {} vs seed {}", p, c, got, seed);
             }
         }
     }
