@@ -24,12 +24,10 @@ pub struct AnalysisConfig {
     /// Per-function symbolic-execution fuel: one unit per instruction
     /// stepped across all explored paths. A function that exhausts its
     /// fuel is excluded (recorded, not propagated) — the same shared
-    /// [`Budget`] vocabulary the interpreter uses.
+    /// [`Budget`] vocabulary the interpreter uses. It is the one
+    /// per-function bound: the analysis reads no clock, so a function's
+    /// outcome is the same on every host and every rerun.
     pub fuel: Budget,
-    /// Optional wall-clock bound per function, in milliseconds. Wall
-    /// clocks are nondeterministic, so this defaults to off and stays off
-    /// in reproducible pipelines.
-    pub deadline_ms: Option<u64>,
 }
 
 impl Default for AnalysisConfig {
@@ -44,7 +42,6 @@ impl Default for AnalysisConfig {
             // any function the loader accepts, so behavior is unchanged
             // unless a caller tightens it.
             fuel: Budget::steps(1_000_000),
-            deadline_ms: None,
         }
     }
 }
@@ -60,7 +57,6 @@ impl AnalysisConfig {
             max_events_per_object: 128,
             slm_depth: 2,
             fuel: Budget::steps(200_000),
-            deadline_ms: None,
         }
     }
 }
@@ -84,11 +80,5 @@ mod tests {
         assert!(f.tracelet_len <= d.tracelet_len);
         assert!(f.max_paths <= d.max_paths);
         assert!(f.fuel <= d.fuel);
-    }
-
-    #[test]
-    fn deadlines_default_off() {
-        assert_eq!(AnalysisConfig::default().deadline_ms, None);
-        assert_eq!(AnalysisConfig::fast().deadline_ms, None);
     }
 }

@@ -63,19 +63,13 @@ impl CtorMap {
 /// pointer at all, and collects, per function, the typing of views
 /// rooted at the entry object.
 pub fn recognize_ctors(loaded: &LoadedBinary, config: &AnalysisConfig) -> CtorMap {
-    let mut stores: BTreeMap<Addr, Vec<(i32, Addr)>> = BTreeMap::new();
-    for f in loaded.functions() {
-        let found = ctor_stores_of(f, loaded, config);
-        if !found.is_empty() {
-            stores.insert(f.entry(), found);
-        }
-    }
-    CtorMap { stores }
+    recognize_ctors_with(loaded, config, None)
 }
 
-/// Like [`recognize_ctors`], but answers each function from the
-/// content-addressed `cache` when possible and executes only the
-/// misses, storing their results for the rest of the fleet.
+/// [`recognize_ctors`], answering each function from `cache`, keyed by
+/// its label in `labels`, when it can: every function with a label is
+/// looked up, and each miss is executed and stored for the rest of the
+/// fleet, whether it stores a vtable or not.
 ///
 /// A cached entry records vtables by content label; it is used only
 /// when every label resolves to a unique vtable in *this* binary
@@ -83,36 +77,36 @@ pub fn recognize_ctors(loaded: &LoadedBinary, config: &AnalysisConfig) -> CtorMa
 /// binary). The pass contributes nothing to metrics, so reuse is
 /// invisible in a job's outputs — the callers' bit-identity guarantees
 /// hold unchanged.
-pub fn recognize_ctors_cached(
+pub(crate) fn recognize_ctors_with(
     loaded: &LoadedBinary,
     config: &AnalysisConfig,
-    labels: &ContentLabels,
-    cache: &dyn ExecCache,
+    cache: Option<(&ContentLabels, &dyn ExecCache)>,
 ) -> CtorMap {
     let mut stores: BTreeMap<Addr, Vec<(i32, Addr)>> = BTreeMap::new();
     for f in loaded.functions() {
         let entry = f.entry();
-        let key = labels.function_label(entry);
-        let cached = key.and_then(|k| cache.load_ctors(k)).and_then(|c| {
-            c.stores
+        let keyed =
+            cache.and_then(|(labels, cache)| Some((labels, cache, labels.function_label(entry)?)));
+        let cached = keyed.and_then(|(labels, cache, key)| {
+            let hit = cache.load_ctors(key)?;
+            hit.stores
                 .iter()
                 .map(|&(off, label)| Some((off, labels.vtable_by_label(label)?)))
                 .collect::<Option<Vec<_>>>()
         });
-        let found = match cached {
-            Some(found) => found,
-            None => {
-                let found = ctor_stores_of(f, loaded, config);
+        let found = cached.unwrap_or_else(|| {
+            let found = ctor_stores_of(f, loaded, config);
+            if let Some((labels, cache, key)) = keyed {
                 let encoded = found
                     .iter()
                     .map(|&(off, vt)| Some((off, labels.vtable_label(vt)?)))
                     .collect::<Option<Vec<_>>>();
-                if let (Some(k), Some(stores)) = (key, encoded) {
-                    cache.store_ctors(k, &CachedCtors { stores });
+                if let Some(stores) = encoded {
+                    cache.store_ctors(key, &CachedCtors { stores });
                 }
-                found
             }
-        };
+            found
+        });
         if !found.is_empty() {
             stores.insert(entry, found);
         }
@@ -133,7 +127,7 @@ fn ctor_stores_of(
     }
     let empty = CtorMap::default();
     let mut found: Vec<(i32, Addr)> = Vec::new();
-    for path in execute_function(f, loaded, &empty, config) {
+    for path in execute_function(f, loaded, &empty, config).0 {
         for sub in &path.subobjects {
             if sub.view.obj != ObjId::ENTRY {
                 continue;
@@ -183,7 +177,7 @@ pub(crate) fn ctor_pins_reusing(
         };
         let parent = match evidence.get(&f.entry()) {
             Some(&parent) => parent,
-            None => parent_ctor_call(&execute_function(f, loaded, ctors, config), own_vt, ctors),
+            None => parent_ctor_call(&execute_function(f, loaded, ctors, config).0, own_vt, ctors),
         };
         if let Some(parent) = parent {
             pins.insert(own_vt, parent);
@@ -220,8 +214,7 @@ mod tests {
     use crate::exec::counter::executions_during;
     use crate::oracle::{assert_matches, reference};
     use crate::{
-        extract_tracelets, extract_tracelets_cached, extract_tracelets_canonical,
-        extract_tracelets_instrumented, extract_tracelets_with, Analysis, AnalysisHooks, Budget,
+        extract_tracelets, extract_tracelets_with, AnalysisHooks, Budget, CallEvents,
         FunctionDirective, IncidentKind, NoHooks,
     };
     use rock_binary::{BinOp, ImageBuilder, Instr, Reg};
@@ -459,29 +452,33 @@ mod tests {
         let labels = ContentLabels::compute(loaded);
         let raw = reference(loaded, config, hooks, None);
         let canonical = reference(loaded, config, hooks, Some(&labels));
-        let run = |f: &dyn Fn(&mut LocalSpans, &mut MetricsRegistry) -> Analysis| {
+        let run = |calls, cache: Option<&dyn ExecCache>| {
             let mut metrics = MetricsRegistry::new();
-            let analysis = f(&mut LocalSpans::disabled(), &mut metrics);
+            let mut spans = LocalSpans::disabled();
+            let analysis = extract_tracelets_with(
+                loaded,
+                config,
+                hooks,
+                &mut spans,
+                &mut metrics,
+                calls,
+                cache,
+            );
             (analysis, metrics.counter(names::ANALYSIS_FUEL_SPENT))
         };
-        let (a, fuel) = run(&|s, m| extract_tracelets_instrumented(loaded, config, hooks, s, m));
+        let (a, fuel) = run(CallEvents::Raw, None);
         assert_matches(&a, fuel, &raw, &format!("{what}: live"));
-        let (a, fuel) =
-            run(&|s, m| extract_tracelets_canonical(loaded, config, hooks, s, m, &labels, None));
+        let (a, fuel) = run(CallEvents::Canonical, None);
         assert_matches(&a, fuel, &canonical, &format!("{what}: canonical"));
         let cache = MemCache::default();
         for pass in 0..2 {
-            let (a, fuel) = run(&|s, m| {
-                extract_tracelets_canonical(loaded, config, hooks, s, m, &labels, Some(&cache))
-            });
+            let (a, fuel) = run(CallEvents::Canonical, Some(&cache));
             assert_matches(&a, fuel, &canonical, &format!("{what}: canonical, cached pass {pass}"));
         }
         let cache = MemCache::default();
         let mut runs = BTreeMap::new();
         for pass in 0..2 {
-            let ((a, fuel), executed) = executions_during(|| {
-                run(&|s, m| extract_tracelets_cached(loaded, config, hooks, s, m, &cache))
-            });
+            let ((a, fuel), executed) = executions_during(|| run(CallEvents::Raw, Some(&cache)));
             assert_matches(&a, fuel, &raw, &format!("{what}: image-bound, pass {pass}"));
             runs = executed;
         }
@@ -566,8 +563,19 @@ mod tests {
             let hooks = On(child_ctor, directive);
             let what = format!("{directive:?} on the child's ctor");
             assert_every_mode_matches(&loaded, &config, &hooks, &what);
-            let (analysis, runs) =
-                executions_during(|| extract_tracelets_with(&loaded, &config, &hooks));
+            let (analysis, runs) = executions_during(|| {
+                let (mut spans, mut metrics) = (LocalSpans::disabled(), MetricsRegistry::new());
+                let raw = CallEvents::Raw;
+                extract_tracelets_with(
+                    &loaded,
+                    &config,
+                    &hooks,
+                    &mut spans,
+                    &mut metrics,
+                    raw,
+                    None,
+                )
+            });
             assert_eq!(analysis.pinned(), plain.pinned(), "{what}");
             // Pre-pass, the tracelet pass unless it was kept from running,
             // and one more run for the pins unless it ran as `ctor_pins`

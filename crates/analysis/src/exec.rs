@@ -19,7 +19,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rock_binary::{Addr, Instr, Reg, WORD_SIZE};
-use rock_budget::Deadline;
 use rock_loader::{Cfg, Function, LoadedBinary};
 
 use crate::{AnalysisConfig, CtorMap, Event, ObjId, SubObj, SymValue};
@@ -42,16 +41,13 @@ pub struct PathResult {
     pub subobjects: Vec<SubObjectSummary>,
 }
 
-/// How a budgeted symbolic execution of one function ended.
+/// How the symbolic execution of one function ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecStatus {
     /// Path enumeration ran to its natural (bounded) end.
     Completed,
     /// The per-function fuel budget ([`AnalysisConfig::fuel`]) ran out.
     FuelExhausted,
-    /// The per-function wall-clock deadline
-    /// ([`AnalysisConfig::deadline_ms`]) passed.
-    DeadlineExceeded,
 }
 
 #[derive(Clone, Debug)]
@@ -123,44 +119,22 @@ impl State {
     }
 }
 
-/// Symbolically executes one function and returns the per-path summaries.
+/// Symbolically executes one function under its fuel budget and returns
+/// the per-path summaries, how enumeration ended, and the fuel spent.
 ///
 /// `loaded` supplies the known vtable addresses (vtable-pointer stores
 /// are recognized by value, through [`LoadedBinary::vtable_at`]); `ctors`
 /// supplies constructor-like functions recognized by
 /// [`recognize_ctors`](crate::recognize_ctors).
-pub fn execute_function(
-    function: &Function,
-    loaded: &LoadedBinary,
-    ctors: &CtorMap,
-    config: &AnalysisConfig,
-) -> Vec<PathResult> {
-    execute_function_budgeted(function, loaded, ctors, config).0
-}
-
-/// Like [`execute_function`], but enforces the per-function fuel and
-/// deadline budgets and reports how enumeration ended.
 ///
 /// Fuel is spent one unit per instruction stepped, across all explored
 /// paths, so exhaustion is deterministic. On [`ExecStatus::FuelExhausted`]
-/// or [`ExecStatus::DeadlineExceeded`] the paths completed so far are
-/// still returned; callers decide whether partial evidence counts (the
-/// tracelet extractor drops it so a function either finishes within
-/// budget or is excluded wholesale and recorded).
-pub fn execute_function_budgeted(
-    function: &Function,
-    loaded: &LoadedBinary,
-    ctors: &CtorMap,
-    config: &AnalysisConfig,
-) -> (Vec<PathResult>, ExecStatus) {
-    let (paths, status, _fuel_spent) = execute_function_metered(function, loaded, ctors, config);
-    (paths, status)
-}
-
-/// Like [`execute_function_budgeted`], and additionally reports the fuel
-/// actually spent (instruction steps summed over all explored paths) so
-/// the observability layer can attribute analysis cost per function.
-pub fn execute_function_metered(
+/// the paths completed so far are still returned; callers decide whether
+/// partial evidence counts (the tracelet extractor drops it so a function
+/// either finishes within budget or is excluded wholesale and recorded).
+/// The fuel spent lets the observability layer attribute analysis cost
+/// per function.
+pub fn execute_function(
     function: &Function,
     loaded: &LoadedBinary,
     ctors: &CtorMap,
@@ -170,7 +144,6 @@ pub fn execute_function_metered(
     let cfg = Cfg::build(function);
     let mut results = Vec::new();
     let mut fuel = config.fuel.meter();
-    let deadline = Deadline::from_config(config.deadline_ms);
 
     struct Frame {
         block: Addr,
@@ -184,9 +157,6 @@ pub fn execute_function_metered(
     while let Some(mut frame) = stack.pop() {
         if results.len() >= config.max_paths {
             break;
-        }
-        if deadline.expired() {
-            return (results, ExecStatus::DeadlineExceeded, fuel.spent());
         }
         *frame.visits.entry(frame.block).or_insert(0) += 1;
         let Some(block) = cfg.block_at(frame.block) else {
@@ -450,7 +420,8 @@ mod tests {
         image.strip();
         let loaded = LoadedBinary::load(image).unwrap();
         let f = &loaded.functions()[0];
-        let results = execute_function(f, &loaded, &CtorMap::default(), &AnalysisConfig::default());
+        let (results, _, _) =
+            execute_function(f, &loaded, &CtorMap::default(), &AnalysisConfig::default());
         (results, loaded.clone())
     }
 
@@ -492,7 +463,8 @@ mod tests {
         });
         // exec_single runs functions()[0] = A::m; run the ctor instead.
         let f = loaded.function_containing(loaded.functions()[1].entry()).unwrap();
-        let res = execute_function(f, &loaded, &CtorMap::default(), &AnalysisConfig::default());
+        let (res, _, _) =
+            execute_function(f, &loaded, &CtorMap::default(), &AnalysisConfig::default());
         let entry = res[0].subobjects.iter().find(|s| s.view.obj == ObjId::ENTRY).unwrap();
         assert_eq!(entry.vtable, Some(loaded.vtables()[0].addr()));
         // The vtable store is not a W event.
@@ -523,7 +495,7 @@ mod tests {
             (0, loaded)
         };
         let driver = &loaded.functions()[1];
-        let res =
+        let (res, _, _) =
             execute_function(driver, &loaded, &CtorMap::default(), &AnalysisConfig::default());
         let entry = res[0].subobjects.iter().find(|s| s.view.obj == ObjId::ENTRY).unwrap();
         assert_eq!(entry.events, vec![Event::C(1)]);
@@ -547,7 +519,7 @@ mod tests {
             (0, LoadedBinary::load(image).unwrap())
         };
         let driver = &loaded.functions()[1];
-        let res =
+        let (res, _, _) =
             execute_function(driver, &loaded, &CtorMap::default(), &AnalysisConfig::default());
         let callee_entry = loaded.functions()[0].entry();
         let entry = res[0].subobjects.iter().find(|s| s.view.obj == ObjId::ENTRY).unwrap();
@@ -665,8 +637,8 @@ mod tests {
         });
         let mut cfg = AnalysisConfig::default();
         cfg.fuel = rock_budget::Budget::steps(0);
-        let (paths, status) =
-            execute_function_budgeted(&loaded.functions()[0], &loaded, &CtorMap::default(), &cfg);
+        let (paths, status, _) =
+            execute_function(&loaded.functions()[0], &loaded, &CtorMap::default(), &cfg);
         assert_eq!(status, ExecStatus::FuelExhausted);
         assert!(paths.is_empty(), "no instruction could be stepped");
     }
@@ -685,12 +657,12 @@ mod tests {
         });
         let f = &loaded.functions()[0];
         let mut cfg = AnalysisConfig::default();
-        let (full, status) = execute_function_budgeted(f, &loaded, &CtorMap::default(), &cfg);
+        let (full, status, _) = execute_function(f, &loaded, &CtorMap::default(), &cfg);
         assert_eq!(status, ExecStatus::Completed);
         assert_eq!(full.len(), 2);
         // Enough fuel for the first path only.
         cfg.fuel = rock_budget::Budget::steps(3);
-        let (partial, status) = execute_function_budgeted(f, &loaded, &CtorMap::default(), &cfg);
+        let (partial, status, _) = execute_function(f, &loaded, &CtorMap::default(), &cfg);
         assert_eq!(status, ExecStatus::FuelExhausted);
         assert!(partial.len() < full.len());
     }
@@ -710,8 +682,8 @@ mod tests {
         let f = &loaded.functions()[0];
         let mut cfg = AnalysisConfig::default();
         cfg.fuel = rock_budget::Budget::steps(5);
-        let a = execute_function_budgeted(f, &loaded, &CtorMap::default(), &cfg);
-        let b = execute_function_budgeted(f, &loaded, &CtorMap::default(), &cfg);
+        let a = execute_function(f, &loaded, &CtorMap::default(), &cfg);
+        let b = execute_function(f, &loaded, &CtorMap::default(), &cfg);
         assert_eq!(a, b);
     }
 
@@ -789,22 +761,5 @@ mod tests {
             let new: Vec<u64> = constants(&state).difference(&held).copied().collect();
             assert_eq!(!new.is_empty(), makes_constants, "{instr:?} made {new:?}");
         }
-    }
-
-    #[test]
-    fn expired_deadline_stops_enumeration() {
-        let loaded = loaded_single(|b| {
-            b.begin_function("f");
-            b.push(Instr::Enter { frame: 0 });
-            b.push(Instr::Ret);
-            b.end_function();
-        });
-        let mut cfg = AnalysisConfig::default();
-        cfg.deadline_ms = Some(0);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let (paths, status) =
-            execute_function_budgeted(&loaded.functions()[0], &loaded, &CtorMap::default(), &cfg);
-        assert_eq!(status, ExecStatus::DeadlineExceeded);
-        assert!(paths.is_empty());
     }
 }

@@ -28,6 +28,26 @@
 //! length (7 in the paper), and pooled per binary type:
 //! `TT(t) = ⋃_{type(o)=t} OT(o)`.
 //!
+//! # One driver
+//!
+//! [`extract_tracelets_with`] runs the whole analysis: the ctor
+//! pre-pass, one [`execute_function`] per function, attribution, and
+//! the rule-3 pins. [`extract_tracelets`] is its plain form. The driver
+//! takes the two choices the pipeline makes, the form of call events
+//! ([`CallEvents`]) and an optional execution cache, and derives the
+//! labels each needs:
+//!
+//! | call events | cache | pipeline config |
+//! |---|---|---|
+//! | raw | none | the default config with no corpus (`rock reconstruct`) |
+//! | raw | image-bound keys | no canonical calls, corpus attached (`rock batch --resume`) |
+//! | canonical | none | `canonical_calls` with no corpus |
+//! | canonical | content keys | `canonical_calls` with a corpus (`--incremental`, `rock serve`) |
+//!
+//! Every per-function bound is deterministic: path, visit and event
+//! caps, and the fuel budget ([`AnalysisConfig::fuel`]). The analysis
+//! reads no clock, so its output is the same on every host and rerun.
+//!
 //! # Example
 //!
 //! ```
@@ -69,16 +89,12 @@ mod value;
 
 pub use canon::{CachedCtors, CachedExec, CachedSub, ContentLabels, ExecCache, Label, PoolSum};
 pub use config::AnalysisConfig;
-pub use ctors::{ctor_pins, recognize_ctors, recognize_ctors_cached, CtorMap};
+pub use ctors::{ctor_pins, recognize_ctors, CtorMap};
 pub use event::Event;
-pub use exec::{
-    execute_function, execute_function_budgeted, execute_function_metered, ExecStatus, PathResult,
-    SubObjectSummary,
-};
-pub use rock_budget::{Budget, Deadline, Exhausted};
+pub use exec::{execute_function, ExecStatus, PathResult, SubObjectSummary};
+pub use rock_budget::{Budget, Exhausted};
 pub use tracelets::{
-    extract_tracelets, extract_tracelets_cached, extract_tracelets_canonical,
-    extract_tracelets_instrumented, extract_tracelets_with, Analysis, AnalysisHooks,
+    extract_tracelets, extract_tracelets_with, Analysis, AnalysisHooks, CallEvents,
     FunctionDirective, IncidentKind, NoHooks, TraceletStats, TypeTracelets,
 };
 pub use value::{ObjId, SubObj, SymValue};

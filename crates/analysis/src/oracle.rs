@@ -1,5 +1,5 @@
 //! The behavioral analysis in its plainest flow, kept as a test oracle
-//! for `extract_tracelets_*`: the ctor pre-pass executes every function
+//! for `extract_tracelets_with`: the ctor pre-pass executes every function
 //! against an empty map, the tracelet pass executes every function again
 //! under its hook directive, and rule 3's pins come from a third
 //! execution of every ctor-like function. The analysis shares these
@@ -11,9 +11,8 @@
 use std::collections::BTreeMap;
 
 use rock_analysis::{
-    execute_function, execute_function_metered, recognize_ctors, Analysis, AnalysisConfig,
-    AnalysisHooks, ContentLabels, CtorMap, Event, ExecStatus, FunctionDirective, IncidentKind,
-    ObjId, TypeTracelets,
+    execute_function, recognize_ctors, Analysis, AnalysisConfig, AnalysisHooks, ContentLabels,
+    CtorMap, Event, ExecStatus, FunctionDirective, IncidentKind, ObjId, TypeTracelets,
 };
 use rock_binary::Addr;
 use rock_loader::LoadedBinary;
@@ -53,7 +52,7 @@ pub fn reference(
     let mut ctor_stores = BTreeMap::new();
     for f in loaded.functions() {
         let mut found: Vec<(i32, Addr)> = Vec::new();
-        for path in execute_function(f, loaded, &empty, config) {
+        for path in execute_function(f, loaded, &empty, config).0 {
             for sub in &path.subobjects {
                 if sub.view.obj == ObjId::ENTRY {
                     if let Some(vt) = sub.vtable {
@@ -91,15 +90,11 @@ pub fn reference(
             }
             FunctionDirective::Fuel(b) => cfg.fuel = b,
         }
-        let (paths, status, fuel) = execute_function_metered(f, loaded, &ctors, &cfg);
+        let (paths, status, fuel) = execute_function(f, loaded, &ctors, &cfg);
         match status {
             ExecStatus::Completed => fuel_spent += fuel,
             ExecStatus::FuelExhausted => {
                 incidents.push((entry, IncidentKind::FuelExhausted));
-                continue;
-            }
-            ExecStatus::DeadlineExceeded => {
-                incidents.push((entry, IncidentKind::DeadlineExceeded));
                 continue;
             }
         }
@@ -128,7 +123,7 @@ pub fn reference(
         let Some(own_vt) = ctors.primary_vtable_of(f.entry()) else {
             continue;
         };
-        for path in execute_function(f, loaded, &ctors, config) {
+        for path in execute_function(f, loaded, &ctors, config).0 {
             for sub in &path.subobjects {
                 if sub.view.obj != ObjId::ENTRY || sub.view.base != 0 {
                     continue;

@@ -12,11 +12,8 @@ use rock_loader::{LoadedBinary, Vtable};
 use rock_trace::{names, panic_message, LocalSpans, MetricsRegistry};
 
 use crate::canon::{tracelet_fp, CachedExec, CachedSub, ContentLabels, ExecCache, PoolSum};
-use crate::ctors::{ctor_pins_reusing, parent_ctor_call};
-use crate::{
-    execute_function_metered, recognize_ctors, recognize_ctors_cached, AnalysisConfig, CtorMap,
-    Event, ExecStatus, ObjId,
-};
+use crate::ctors::{ctor_pins_reusing, parent_ctor_call, recognize_ctors_with};
+use crate::{execute_function, AnalysisConfig, CtorMap, Event, ExecStatus, ObjId};
 
 /// Tracelets pooled per binary type (vtable address). Tracelets are
 /// shared slices (`Arc`): attribution to several hosting vtables, and
@@ -239,8 +236,6 @@ pub enum IncidentKind {
     Panicked(String),
     /// The per-function fuel budget ran out.
     FuelExhausted,
-    /// The per-function wall-clock deadline passed.
-    DeadlineExceeded,
     /// A hook directed the extractor to skip the function.
     Skipped,
 }
@@ -250,7 +245,6 @@ impl fmt::Display for IncidentKind {
         match self {
             IncidentKind::Panicked(msg) => write!(f, "panicked: {msg}"),
             IncidentKind::FuelExhausted => write!(f, "fuel exhausted"),
-            IncidentKind::DeadlineExceeded => write!(f, "deadline exceeded"),
             IncidentKind::Skipped => write!(f, "skipped by hook"),
         }
     }
@@ -338,9 +332,21 @@ pub(crate) fn windows(events: &[Event], len: usize) -> Vec<Arc<[Event]>> {
     events.chunks(len).map(Arc::from).collect()
 }
 
+/// How the analysis writes the `call(f)` event of a direct call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CallEvents {
+    /// The callee's entry address.
+    Raw,
+    /// The callee's position-independent content label
+    /// ([`ContentLabels::canonical_event`]).
+    Canonical,
+}
+
 /// Runs the full behavioral analysis over a loaded binary:
 /// ctor recognition, per-function symbolic execution, tracelet
 /// attribution, and the rule-3 pins read off the ctors' executions.
+/// Raw call events, no hooks, no instrumentation and no cache: the
+/// plain form of [`extract_tracelets_with`].
 ///
 /// Attribution rules (§3.2):
 ///
@@ -349,100 +355,17 @@ pub(crate) fn windows(events: &[Event], len: usize) -> Vec<Arc<[Event]>> {
 /// * the `this` view of a **virtual function** (a function appearing in
 ///   vtable slots) contributes to every vtable containing the function.
 pub fn extract_tracelets(loaded: &LoadedBinary, config: &AnalysisConfig) -> Analysis {
-    extract_tracelets_with(loaded, config, &NoHooks)
-}
-
-/// Like [`extract_tracelets`], but with per-function fault isolation
-/// driven by `hooks`.
-///
-/// Every function is analyzed inside `catch_unwind`, so a panicking
-/// symbolic execution (a bug, or an injected fault) is contained: the
-/// function simply contributes no tracelets and an incident is recorded.
-/// The same holds for fuel/deadline exhaustion — a function either
-/// completes within its budget or is excluded wholesale, which keeps the
-/// surviving pools identical to a clean run over the surviving functions.
-pub fn extract_tracelets_with(
-    loaded: &LoadedBinary,
-    config: &AnalysisConfig,
-    hooks: &dyn AnalysisHooks,
-) -> Analysis {
     let mut spans = LocalSpans::disabled();
     let mut metrics = MetricsRegistry::new();
-    extract_tracelets_instrumented(loaded, config, hooks, &mut spans, &mut metrics)
-}
-
-/// Like [`extract_tracelets_with`], but records one
-/// [`rock_trace::names::ANALYSIS_FUNCTION`] span per symbolic execution
-/// (subject = entry address) into `spans` and folds fuel accounting
-/// ([`rock_trace::names::ANALYSIS_FUEL_SPENT`], completed executions
-/// only) into `metrics`.
-///
-/// Instrumentation never changes the analysis: the returned [`Analysis`]
-/// is bit-identical to [`extract_tracelets_with`]'s, and a disabled
-/// `spans` buffer makes the whole span path a no-op. The buffer's trace
-/// level applies transparently — at `stage` or `sampled` the filtered
-/// `analysis.function` spans cost no clock read and no push, decided
-/// purely by `(name, entry address)`, so the recorded set is the same
-/// on every rerun.
-pub fn extract_tracelets_instrumented(
-    loaded: &LoadedBinary,
-    config: &AnalysisConfig,
-    hooks: &dyn AnalysisHooks,
-    spans: &mut LocalSpans,
-    metrics: &mut MetricsRegistry,
-) -> Analysis {
-    extract_inner(loaded, config, hooks, spans, metrics, Mode::Live)
-}
-
-/// Like [`extract_tracelets_instrumented`], but with **canonical call
-/// events** and an optional content-addressed execution cache.
-///
-/// Direct-call events are rewritten to the callee's position-independent
-/// content label ([`ContentLabels::canonical_event`]), so the extracted
-/// pools — and everything downstream of them — hash identically across
-/// binaries that lay the same code out at different addresses. When
-/// `cache` is given, each completed execution is stored under the
-/// function's content label and later extractions (in any binary) reuse
-/// the stored result instead of re-executing, crediting the original
-/// fuel cost so metrics stay byte-identical between cold and warm runs.
-///
-/// Cache entries are consulted only for plain [`FunctionDirective::Run`]
-/// functions under the configured fuel and no wall-clock deadline;
-/// fault-injected, fuel-overridden or deadline-bounded executions always
-/// run live (their outcome is not a pure function of content).
-pub fn extract_tracelets_canonical(
-    loaded: &LoadedBinary,
-    config: &AnalysisConfig,
-    hooks: &dyn AnalysisHooks,
-    spans: &mut LocalSpans,
-    metrics: &mut MetricsRegistry,
-    labels: &ContentLabels,
-    cache: Option<&dyn ExecCache>,
-) -> Analysis {
-    extract_inner(loaded, config, hooks, spans, metrics, Mode::Canonical { labels, cache })
-}
-
-/// Like [`extract_tracelets_instrumented`] — raw call events, the same
-/// analysis bit for bit — but answered from a content-addressed
-/// execution cache wherever it can be.
-///
-/// Raw call events carry callee addresses, so a cached execution is
-/// valid only for the function it was computed from. Every key (ctor
-/// recognition included) therefore binds the function's content label
-/// to its entry address, and `cache` must scope its keys to this image
-/// (the corpus cache's image-salted view does). The caching rules of
-/// [`extract_tracelets_canonical`] apply unchanged: fault-injected,
-/// fuel-overridden and deadline-bounded executions always run live.
-pub fn extract_tracelets_cached(
-    loaded: &LoadedBinary,
-    config: &AnalysisConfig,
-    hooks: &dyn AnalysisHooks,
-    spans: &mut LocalSpans,
-    metrics: &mut MetricsRegistry,
-    cache: &dyn ExecCache,
-) -> Analysis {
-    let labels = &ContentLabels::compute(loaded).bound_to_entries();
-    extract_inner(loaded, config, hooks, spans, metrics, Mode::ImageBound { labels, cache })
+    extract_tracelets_with(
+        loaded,
+        config,
+        &NoHooks,
+        &mut spans,
+        &mut metrics,
+        CallEvents::Raw,
+        None,
+    )
 }
 
 /// Resolves one cached execution's attributions for this binary into
@@ -507,48 +430,74 @@ fn label_subs(labels: &ContentLabels, targets: &[Option<Addr>], subs: &mut [Cach
     true
 }
 
-/// How [`extract_inner`] treats call events and the execution cache.
-#[derive(Clone, Copy)]
-enum Mode<'a> {
-    /// Raw call events, no cache.
-    Live,
-    /// Call events rewritten to content labels; the optional cache is
-    /// keyed by them.
-    Canonical { labels: &'a ContentLabels, cache: Option<&'a dyn ExecCache> },
-    /// Raw call events, answered from a cache under image-bound keys.
-    ImageBound { labels: &'a ContentLabels, cache: &'a dyn ExecCache },
-}
-
-impl<'a> Mode<'a> {
-    /// The execution cache and the labels that key it, if any.
-    fn cache(self) -> Option<(&'a ContentLabels, &'a dyn ExecCache)> {
-        match self {
-            Mode::Live | Mode::Canonical { cache: None, .. } => None,
-            Mode::Canonical { labels, cache: Some(cache) } | Mode::ImageBound { labels, cache } => {
-                Some((labels, cache))
-            }
-        }
-    }
-}
-
-fn extract_inner(
+/// The behavioral analysis driver: [`extract_tracelets`] with fault
+/// isolation, instrumentation, a call-event form and an optional
+/// content-addressed execution cache.
+///
+/// **Fault isolation.** `hooks` decides each function's fate before it
+/// runs. Every function is analyzed inside `catch_unwind`, so a
+/// panicking symbolic execution (a bug, or an injected fault) is
+/// contained: the function contributes no tracelets and an incident is
+/// recorded. Fuel exhaustion is handled the same way: a function either
+/// completes within its budget or is excluded wholesale, which keeps
+/// the surviving pools identical to a clean run over the surviving
+/// functions.
+///
+/// **Instrumentation.** One [`rock_trace::names::ANALYSIS_FUNCTION`]
+/// span per function (subject = entry address) goes into `spans`, and
+/// the fuel of completed executions into `metrics`
+/// ([`rock_trace::names::ANALYSIS_FUEL_SPENT`]). Instrumentation never
+/// changes the analysis, and a disabled `spans` buffer makes the span
+/// path a no-op. At `stage` or `sampled` trace levels the filtered
+/// spans cost no clock read and no push, decided by `(name, entry
+/// address)` alone, so the recorded set is the same on every rerun.
+///
+/// **Call events and the cache.** `calls` and `cache` are the two
+/// choices the pipeline makes; the driver derives the labels it needs:
+///
+/// | `calls` | `cache` | keys and labels | pipeline config |
+/// |---|---|---|---|
+/// | `Raw` | `None` | none | the default `RockConfig`, no corpus (`rock reconstruct`) |
+/// | `Raw` | `Some` | function labels bound to entry addresses | no canonical calls, corpus attached (`rock batch --resume`) |
+/// | `Canonical` | `None` | content labels | `canonical_calls`, no corpus |
+/// | `Canonical` | `Some` | content labels | `canonical_calls`, corpus attached (`--incremental`, `rock serve`) |
+///
+/// With canonical calls, direct-call events name the callee's
+/// position-independent content label, so the pools, and everything
+/// downstream of them, hash identically across binaries that lay the
+/// same code out at different addresses. Raw call events carry callee
+/// addresses, so a cached raw execution is valid only for the function
+/// it was computed from: every key, ctor recognition's included, binds
+/// the function's content label to its entry address, and `cache` must
+/// scope its keys to this image (the corpus cache's image-salted view
+/// does).
+///
+/// With a cache, each completed execution is stored under the
+/// function's key, and later extractions reuse it instead of executing
+/// again, crediting the stored fuel so metrics are byte-identical
+/// between cold and warm runs. Only plain [`FunctionDirective::Run`]
+/// functions under the configured fuel consult it: fault-injected and
+/// fuel-overridden executions always run live, since their outcome is
+/// not a pure function of content.
+pub fn extract_tracelets_with(
     loaded: &LoadedBinary,
     config: &AnalysisConfig,
     hooks: &dyn AnalysisHooks,
     spans: &mut LocalSpans,
     metrics: &mut MetricsRegistry,
-    mode: Mode<'_>,
+    calls: CallEvents,
+    cache: Option<&dyn ExecCache>,
 ) -> Analysis {
-    let cached_by = mode.cache();
-    // The ctor pre-pass is a pure function of content under the same
-    // conditions as the tracelet tier (no wall-clock deadline; hooks
-    // never reach it), so it shares the execution cache.
-    let ctors = match cached_by {
-        Some((labels, cache)) if config.deadline_ms.is_none() => {
-            recognize_ctors_cached(loaded, config, labels, cache)
-        }
-        _ => recognize_ctors(loaded, config),
+    let labels = match (calls, cache) {
+        (CallEvents::Canonical, _) => Some(ContentLabels::compute(loaded)),
+        (CallEvents::Raw, Some(_)) => Some(ContentLabels::compute(loaded).bound_to_entries()),
+        (CallEvents::Raw, None) => None,
     };
+    let canonical = labels.as_ref().filter(|_| calls == CallEvents::Canonical);
+    let cached_by = labels.as_ref().zip(cache);
+    // The ctor pre-pass is a pure function of content (hooks never reach
+    // it), so it shares the execution cache.
+    let ctors = recognize_ctors_with(loaded, config, cached_by);
     let mut tracelets = TypeTracelets::default();
     let mut incidents: Vec<(Addr, IncidentKind)> = Vec::new();
     let mut targets: Vec<Option<Addr>> = Vec::new();
@@ -574,9 +523,9 @@ fn extract_inner(
         let token = spans.enter(names::ANALYSIS_FUNCTION, entry.value());
 
         // A cached result stands in for live execution only when the
-        // outcome is a pure function of the body: no injected fault, no
-        // per-function fuel override, no wall-clock deadline.
-        let cacheable = !inject_panic && !fuel_overridden && config.deadline_ms.is_none();
+        // outcome is a pure function of the body: no injected fault and
+        // no per-function fuel override.
+        let cacheable = !inject_panic && !fuel_overridden;
         let cached_as = match cached_by {
             Some((labels, cache)) if cacheable => {
                 labels.function_label(entry).map(|key| (labels, cache, key))
@@ -606,13 +555,13 @@ fn extract_inner(
             if inject_panic {
                 panic!("injected fault: behavioral analysis of {entry}");
             }
-            execute_function_metered(f, loaded, &ctors, &cfg)
+            execute_function(f, loaded, &ctors, &cfg)
         }));
         // A ctor's rule-3 evidence is read off this execution, before the
         // canonical rewrite, when it is the one `ctor_pins` would run: the
         // configured budget, partial paths of a fuel-starved run included.
-        if let (Ok((paths, status, _)), Some(own_vt)) = (&outcome, ctors.primary_vtable_of(entry)) {
-            if !fuel_overridden && *status != ExecStatus::DeadlineExceeded {
+        if let (Ok((paths, ..)), Some(own_vt)) = (&outcome, ctors.primary_vtable_of(entry)) {
+            if !fuel_overridden {
                 evidence.insert(entry, parent_ctor_call(paths, own_vt, &ctors));
             }
         }
@@ -627,17 +576,12 @@ fn extract_inner(
                 incidents.push((entry, IncidentKind::FuelExhausted));
                 continue;
             }
-            Ok((_, ExecStatus::DeadlineExceeded, _)) => {
-                spans.exit(token);
-                incidents.push((entry, IncidentKind::DeadlineExceeded));
-                continue;
-            }
             Ok((paths, ExecStatus::Completed, fuel_spent)) => {
                 metrics.add(names::ANALYSIS_FUEL_SPENT, fuel_spent);
                 (paths, fuel_spent)
             }
         };
-        if let Mode::Canonical { labels, .. } = mode {
+        if let Some(labels) = canonical {
             for p in &mut paths {
                 for s in &mut p.subobjects {
                     for e in &mut s.events {
@@ -678,8 +622,8 @@ fn extract_inner(
         }
         spans.exit(token);
     }
-    // Ctors answered from the cache, skipped, panicked, run under another
-    // fuel budget or cut by the deadline are executed for their evidence.
+    // Ctors answered from the cache, skipped, panicked or run under
+    // another fuel budget are executed for their evidence.
     let pinned = ctor_pins_reusing(loaded, &ctors, config, &evidence);
     Analysis { tracelets, ctors, pinned, incidents }
 }
@@ -693,6 +637,25 @@ mod tests {
         let compiled = compile(&p.finish(), opts).unwrap();
         let loaded = LoadedBinary::load(compiled.stripped_image()).unwrap();
         (loaded, compiled)
+    }
+
+    /// The driver under `hooks`, with raw calls, no cache and no
+    /// instrumentation.
+    fn hooked(
+        loaded: &LoadedBinary,
+        config: &AnalysisConfig,
+        hooks: &dyn AnalysisHooks,
+    ) -> Analysis {
+        let (mut spans, mut metrics) = (LocalSpans::disabled(), MetricsRegistry::new());
+        extract_tracelets_with(
+            loaded,
+            config,
+            hooks,
+            &mut spans,
+            &mut metrics,
+            CallEvents::Raw,
+            None,
+        )
     }
 
     #[test]
@@ -880,8 +843,8 @@ mod tests {
     fn clean_hooks_change_nothing() {
         let (loaded, _) = load(hierarchy_program(), &CompileOptions::default());
         let plain = extract_tracelets(&loaded, &AnalysisConfig::default());
-        let hooked = extract_tracelets_with(&loaded, &AnalysisConfig::default(), &NoHooks);
-        assert_eq!(plain, hooked);
+        let with_hooks = hooked(&loaded, &AnalysisConfig::default(), &NoHooks);
+        assert_eq!(plain, with_hooks);
         assert!(plain.incidents().is_empty());
     }
 
@@ -900,15 +863,10 @@ mod tests {
         let (loaded, _) = load(hierarchy_program(), &CompileOptions::default());
         let victim = loaded.functions()[0].entry();
         let cfg = AnalysisConfig::default();
-        let panicked =
-            extract_tracelets_with(&loaded, &cfg, &FaultOne(victim, FunctionDirective::Panic));
-        let skipped =
-            extract_tracelets_with(&loaded, &cfg, &FaultOne(victim, FunctionDirective::Skip));
-        let starved = extract_tracelets_with(
-            &loaded,
-            &cfg,
-            &FaultOne(victim, FunctionDirective::Fuel(Budget::steps(0))),
-        );
+        let panicked = hooked(&loaded, &cfg, &FaultOne(victim, FunctionDirective::Panic));
+        let skipped = hooked(&loaded, &cfg, &FaultOne(victim, FunctionDirective::Skip));
+        let starved =
+            hooked(&loaded, &cfg, &FaultOne(victim, FunctionDirective::Fuel(Budget::steps(0))));
         // All three isolation paths exclude the function identically.
         assert_eq!(panicked.tracelets(), skipped.tracelets());
         assert_eq!(panicked.tracelets(), starved.tracelets());
@@ -931,7 +889,7 @@ mod tests {
             }
         }
         let (loaded, _) = load(hierarchy_program(), &CompileOptions::default());
-        let a = extract_tracelets_with(&loaded, &AnalysisConfig::default(), &SkipAll);
+        let a = hooked(&loaded, &AnalysisConfig::default(), &SkipAll);
         assert!(a.tracelets().is_empty());
         assert_eq!(a.incidents().len(), loaded.functions().len());
     }

@@ -5,6 +5,12 @@ use rock_slm::Metric;
 
 use crate::Parallelism;
 
+/// Two arborescence weights within this tolerance count as tied.
+pub const TIE_EPSILON: f64 = 1e-9;
+
+/// Cap on enumerated co-optimal arborescences per family.
+pub const MAX_TIE_VARIANTS: usize = 8;
+
 /// Configuration of the full Rock pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RockConfig {
@@ -14,12 +20,9 @@ pub struct RockConfig {
     /// alternatives exist for the §6.4 ablation).
     pub metric: Metric,
     /// Resolve co-optimal arborescences with the paper's majority-vote
-    /// heuristic (§4.2.2 "Handling Multiple Arborescences").
+    /// heuristic (§4.2.2 "Handling Multiple Arborescences"), within
+    /// [`TIE_EPSILON`] and up to [`MAX_TIE_VARIANTS`] variants.
     pub resolve_ties: bool,
-    /// Two weights within this tolerance count as tied.
-    pub tie_epsilon: f64,
-    /// Cap on enumerated co-optimal arborescences per family.
-    pub max_tie_variants: usize,
     /// Behavioral family repartitioning (OFF by default — the paper's
     /// §6.4 future-work extension): attach hierarchy roots to the most
     /// similar type of *another* family when the distance is within the
@@ -50,8 +53,6 @@ impl Default for RockConfig {
             analysis: AnalysisConfig::default(),
             metric: Metric::default(),
             resolve_ties: true,
-            tie_epsilon: 1e-9,
-            max_tie_variants: 8,
             repartition_families: false,
             parallelism: Parallelism::Auto,
             strict: false,

@@ -68,6 +68,7 @@ use rock_binary::{image_to_bytes, Addr, BinaryImage};
 use rock_slm::{Metric, Slm};
 use rock_trace::{fnv1a, names, MetricsRegistry};
 
+use crate::config::{MAX_TIE_VARIANTS, TIE_EPSILON};
 use crate::faultplan::FaultPlan;
 
 const SHARDS: usize = 16;
@@ -487,7 +488,7 @@ impl CorpusCache {
     }
 
     /// The execution-tier view for runs without canonical calls
-    /// ([`rock_analysis::extract_tracelets_cached`]). Their call events
+    /// ([`rock_analysis::CallEvents::Raw`]). Their call events
     /// carry raw callee addresses, so the salt also hashes the whole
     /// image; with the extractor's entry-bound function keys, an entry
     /// then answers only the function, in the image, it came from.
@@ -766,11 +767,9 @@ impl SubTier {
 
 /// The execution-tier adapter handed to the behavioral analysis: keys
 /// are `salt ⊕ function label`, where the salt fingerprints every
-/// analysis knob that can change an execution result (`max_paths`,
-/// `block_visit_limit`, `max_events_per_object`, the fuel limit —
-/// deliberately *not* `tracelet_len`, which is applied downstream of the
-/// cached event sequences, and not `deadline_ms`, under which the cache
-/// is bypassed entirely).
+/// analysis knob that can change a stored execution: `max_paths`,
+/// `block_visit_limit`, `max_events_per_object`, the fuel limit and
+/// `tracelet_len`.
 #[derive(Clone, Copy, Debug)]
 pub struct CorpusExecCache<'a> {
     cache: &'a CorpusCache,
@@ -868,18 +867,12 @@ fn pool_key_of_counts(depth: u64, total: u64, sum_a: u64, sum_b: u64) -> ModelKe
 /// triples in the caller's deterministic order. Any changed member
 /// model flips its `ModelKey`; any changed divergence flips its bits;
 /// either flips this key, so a stale lifting can never be reused.
-pub fn lift_key(
-    resolve_ties: bool,
-    tie_epsilon: f64,
-    max_tie_variants: usize,
-    members: &[ModelKey],
-    edges: &[(u32, u32, u64)],
-) -> u128 {
+pub fn lift_key(resolve_ties: bool, members: &[ModelKey], edges: &[(u32, u32, u64)]) -> u128 {
     let mut w = Writer::new();
     w.u8(CORPUS_FORMAT);
     w.u8(u8::from(resolve_ties));
-    w.u64(tie_epsilon.to_bits());
-    w.u64(max_tie_variants as u64);
+    w.u64(TIE_EPSILON.to_bits());
+    w.u64(MAX_TIE_VARIANTS as u64);
     w.u64(members.len() as u64);
     for &m in members {
         w.u128(m);

@@ -89,8 +89,6 @@ pub enum FaultKind {
     Panicked(String),
     /// A step budget ran out.
     FuelExhausted,
-    /// A wall-clock deadline passed.
-    DeadlineExceeded,
     /// A hook or plan directed the stage to skip the item.
     Skipped,
     /// The text section could not be decoded past some point.
@@ -110,7 +108,6 @@ impl fmt::Display for FaultKind {
         match self {
             FaultKind::Panicked(msg) => write!(f, "panicked: {msg}"),
             FaultKind::FuelExhausted => write!(f, "fuel exhausted"),
-            FaultKind::DeadlineExceeded => write!(f, "deadline exceeded"),
             FaultKind::Skipped => write!(f, "skipped"),
             FaultKind::TruncatedDecode => write!(f, "undecodable bytes truncated"),
             FaultKind::SkippedPrefix => write!(f, "pre-prologue bytes dropped"),
@@ -257,7 +254,7 @@ pub struct Coverage {
     pub functions_analyzed: usize,
     /// Functions excluded by a skip directive or a contained panic.
     pub functions_skipped: usize,
-    /// Functions excluded by fuel or deadline exhaustion.
+    /// Functions excluded by fuel exhaustion.
     pub functions_timed_out: usize,
     /// Vtables accepted by the loader.
     pub vtables_parsed: usize,

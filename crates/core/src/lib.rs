@@ -56,7 +56,7 @@ mod staged;
 pub mod suite;
 mod timings;
 
-pub use config::RockConfig;
+pub use config::{RockConfig, MAX_TIE_VARIANTS, TIE_EPSILON};
 pub use corpus::{distance_disk_key, lift_key, pool_key, CorpusCache, SubTier};
 pub use diagnostics::{Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject};
 pub use eval::{evaluate, evaluate_k_parents, project_hierarchy, AppDistance, Evaluation};

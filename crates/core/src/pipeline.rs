@@ -363,7 +363,6 @@ pub(crate) fn incident_error(entry: Addr, incident: &IncidentKind) -> StageError
     let (kind, severity) = match incident {
         IncidentKind::Panicked(msg) => (FaultKind::Panicked(msg.clone()), Severity::Error),
         IncidentKind::FuelExhausted => (FaultKind::FuelExhausted, Severity::Error),
-        IncidentKind::DeadlineExceeded => (FaultKind::DeadlineExceeded, Severity::Error),
         IncidentKind::Skipped => (FaultKind::Skipped, Severity::Warning),
     };
     StageError { stage: Stage::Analysis, subject: Subject::Function(entry), kind, severity }

@@ -16,8 +16,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rock_analysis::{
-    extract_tracelets_cached, extract_tracelets_canonical, extract_tracelets_instrumented,
-    Analysis, AnalysisHooks, ContentLabels, Event, ExecCache, NoHooks,
+    extract_tracelets_with, Analysis, AnalysisHooks, CallEvents, Event, ExecCache, NoHooks,
 };
 use rock_binary::Addr;
 use rock_graph::{min_spanning_forest, DiGraph, Forest};
@@ -26,6 +25,7 @@ use rock_slm::{ChildTarget, FamilyScorer, Metric, Slm};
 use rock_structural::{analyze, Structural};
 use rock_trace::{names, MetricsRegistry};
 
+use crate::config::{MAX_TIE_VARIANTS, TIE_EPSILON};
 use crate::corpus::{pool_key_of_sum, ModelKey};
 use crate::diagnostics::{
     Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject,
@@ -282,7 +282,7 @@ impl<'a> StagedRun<'a> {
     }
 
     /// Behavioral analysis (also recognizes ctor-like functions). Each
-    /// function runs inside `catch_unwind` with a fuel/deadline budget; a
+    /// function runs inside `catch_unwind` under its fuel budget; a
     /// faulted function is excluded wholesale and recorded.
     ///
     /// With [`crate::RockConfig::canonical_calls`] the extraction rewrites
@@ -302,37 +302,21 @@ impl<'a> StagedRun<'a> {
         let ctx = rock.trace_ctx();
         let mut spans = ctx.local();
         let config = &rock.config().analysis;
-        let analysis = if rock.config().canonical_calls {
-            let labels = ContentLabels::compute(self.loaded);
-            let exec_cache = rock.corpus_cache().map(|c| c.exec_cache(config));
-            extract_tracelets_canonical(
-                self.loaded,
-                config,
-                hooks,
-                &mut spans,
-                &mut self.metrics,
-                &labels,
-                exec_cache.as_ref().map(|c| c as &dyn ExecCache),
-            )
-        } else if let Some(corpus) = rock.corpus_cache() {
-            let exec_cache = corpus.image_exec_cache(config, self.loaded.image());
-            extract_tracelets_cached(
-                self.loaded,
-                config,
-                hooks,
-                &mut spans,
-                &mut self.metrics,
-                &exec_cache,
-            )
+        let corpus = rock.corpus_cache();
+        let (calls, exec_cache) = if rock.config().canonical_calls {
+            (CallEvents::Canonical, corpus.map(|c| c.exec_cache(config)))
         } else {
-            extract_tracelets_instrumented(
-                self.loaded,
-                config,
-                hooks,
-                &mut spans,
-                &mut self.metrics,
-            )
+            (CallEvents::Raw, corpus.map(|c| c.image_exec_cache(config, self.loaded.image())))
         };
+        let analysis = extract_tracelets_with(
+            self.loaded,
+            config,
+            hooks,
+            &mut spans,
+            &mut self.metrics,
+            calls,
+            exec_cache.as_ref().map(|c| c as &dyn ExecCache),
+        );
         ctx.merge(spans);
         self.record_analysis_incidents(&analysis);
         self.record_analysis_metrics(&analysis);
@@ -367,10 +351,7 @@ impl<'a> StagedRun<'a> {
         use rock_analysis::IncidentKind;
         for (entry, incident) in analysis.incidents() {
             match incident {
-                IncidentKind::FuelExhausted => {
-                    self.coverage.functions_timed_out += 1;
-                }
-                IncidentKind::DeadlineExceeded => self.coverage.functions_timed_out += 1,
+                IncidentKind::FuelExhausted => self.coverage.functions_timed_out += 1,
                 IncidentKind::Panicked(_) | IncidentKind::Skipped => {
                     self.coverage.functions_skipped += 1;
                 }
@@ -733,13 +714,7 @@ impl<'a> StagedRun<'a> {
                     .iter()
                     .map(|e| (e.from as u32, e.to as u32, e.weight.to_bits()))
                     .collect();
-                crate::corpus::lift_key(
-                    config.resolve_ties,
-                    config.tie_epsilon,
-                    config.max_tie_variants,
-                    &members,
-                    &edges,
-                )
+                crate::corpus::lift_key(config.resolve_ties, &members, &edges)
             });
             let cached = corpus.zip(key).and_then(|(c, k)| c.load_lifting(k));
             let (parent, tie_variants) = match cached {
@@ -748,11 +723,8 @@ impl<'a> StagedRun<'a> {
                     let (parent, tie_variants) = if config.resolve_ties {
                         // §4.2.2: several arborescences may share the minimal
                         // weight; resolve with the majority-vote heuristic.
-                        let variants = rock_graph::co_optimal_forests(
-                            graph,
-                            config.tie_epsilon,
-                            config.max_tie_variants,
-                        );
+                        let variants =
+                            rock_graph::co_optimal_forests(graph, TIE_EPSILON, MAX_TIE_VARIANTS);
                         (rock_graph::vote_select(&variants).parent.clone(), variants.len())
                     } else {
                         (min_spanning_forest(graph).parent, 1)

@@ -1049,12 +1049,12 @@ pub enum DeltaEdit {
     ReseedSalt,
 }
 
-/// Cheap, deterministic 64-bit seed mixer (splitmix64 finalizer).
+/// Cheap, deterministic 64-bit seed mixer: the SplitMix64 finalizer of
+/// `a ^ b·G`. [`rock_trace::splitmix64`] adds `G` before it finalizes,
+/// so the argument subtracts it first.
 fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    const G: u64 = 0x9E37_79B9_7F4A_7C15;
+    rock_trace::splitmix64((a ^ b.wrapping_mul(G)).wrapping_sub(G))
 }
 
 /// Builds the base delta workload: `families` binary trees of
@@ -1411,5 +1411,25 @@ mod tests {
             c.image().symbols().by_name(sym).map(|s| s.addr).unwrap()
         };
         assert_ne!(addr_of(&last, &sym), addr_of(&first, &sym), "salt-first must shift {sym}");
+    }
+
+    /// The delta generator's images, byte for byte: `serve_patch`'s base
+    /// (`delta_spec(12, 10, 1205)`), a one-method patch of it and a
+    /// re-seeded salt class, each as FNV-1a of its stripped `.rkb`
+    /// bytes. A change to the seed mixer or to the emitter moves them.
+    #[test]
+    fn delta_images_match_the_pins() {
+        let base = delta_spec(12, 10, 1205);
+        let digest = |spec: &DeltaSpec| {
+            let image = delta_program(spec).compile().unwrap().stripped_image();
+            rock_trace::fnv1a(&rock_binary::image_to_bytes(&image))
+        };
+        let mut body = base.clone();
+        apply_delta(&mut body, DeltaEdit::EditBody { family: 3, class: 7, method: 1 });
+        let mut salt = base.clone();
+        apply_delta(&mut salt, DeltaEdit::ReseedSalt);
+        let got = [digest(&base), digest(&body), digest(&salt)];
+        let want = [0xf099_b0b5_c292_c49f, 0x3e8b_595e_1c77_7534, 0x6e2f_1e4d_1554_0912];
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 }

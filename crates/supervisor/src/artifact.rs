@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rock_binary::codec::Writer;
 use rock_budget::RetryPolicy;
-use rock_core::RockConfig;
+use rock_core::{RockConfig, MAX_TIE_VARIANTS, TIE_EPSILON};
 use rock_trace::{fnv1a, json_escape, names, MetricsRegistry};
 
 use crate::vfs::{is_transient, StdVfs, Vfs};
@@ -69,17 +69,12 @@ pub fn config_fingerprint(config: &RockConfig) -> Vec<u8> {
     w.len(config.analysis.max_events_per_object);
     w.len(config.analysis.slm_depth);
     w.u64(config.analysis.fuel.limit());
-    match config.analysis.deadline_ms {
-        Some(ms) => {
-            w.u8(1);
-            w.u64(ms);
-        }
-        None => w.u8(0),
-    }
+    // The retired per-function deadline's `None` tag: keeps every key.
+    w.u8(0);
     w.u8(config.metric.tag());
     w.u8(config.resolve_ties as u8);
-    w.f64_bits(config.tie_epsilon);
-    w.len(config.max_tie_variants);
+    w.f64_bits(TIE_EPSILON);
+    w.len(MAX_TIE_VARIANTS);
     w.u8(config.repartition_families as u8);
     w.u8(config.strict as u8);
     w.u8(config.canonical_calls as u8);

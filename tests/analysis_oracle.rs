@@ -13,8 +13,7 @@
 mod oracle;
 
 use rock::analysis::{
-    extract_tracelets_cached, extract_tracelets_canonical, extract_tracelets_instrumented,
-    Analysis, AnalysisConfig, ContentLabels, NoHooks,
+    extract_tracelets_with, Analysis, AnalysisConfig, CallEvents, ContentLabels, NoHooks,
 };
 use rock::binary::{image_from_bytes, image_to_bytes, Addr, BinaryImage, Section, SectionKind};
 use rock::core::{pool_key, suite, CorpusCache, RockConfig};
@@ -57,19 +56,23 @@ fn check(loaded: &LoadedBinary, corpus: &CorpusCache, what: &str) {
     let raw = oracle::reference(loaded, &config, hooks, None);
     let canonical = oracle::reference(loaded, &config, hooks, Some(&labels));
 
-    let cold = run(|s, m| extract_tracelets_instrumented(loaded, &config, hooks, s, m));
+    let (raw_calls, canonical_calls) = (CallEvents::Raw, CallEvents::Canonical);
+    let cold = run(|s, m| extract_tracelets_with(loaded, &config, hooks, s, m, raw_calls, None));
     assert_equal(loaded, &config, cold, &raw, &format!("{what}: cold"));
-    let cold = run(|s, m| extract_tracelets_canonical(loaded, &config, hooks, s, m, &labels, None));
+    let cold =
+        run(|s, m| extract_tracelets_with(loaded, &config, hooks, s, m, canonical_calls, None));
     assert_equal(loaded, &config, cold, &canonical, &format!("{what}: cold canonical"));
     let by_content = corpus.exec_cache(&config);
     let by_image = corpus.image_exec_cache(&config, loaded.image());
     for pass in 0..2 {
         let cached = run(|s, m| {
-            extract_tracelets_canonical(loaded, &config, hooks, s, m, &labels, Some(&by_content))
+            extract_tracelets_with(loaded, &config, hooks, s, m, canonical_calls, Some(&by_content))
         });
         let how = format!("{what}: canonical corpus pass {pass}");
         assert_equal(loaded, &config, cached, &canonical, &how);
-        let cached = run(|s, m| extract_tracelets_cached(loaded, &config, hooks, s, m, &by_image));
+        let cached = run(|s, m| {
+            extract_tracelets_with(loaded, &config, hooks, s, m, raw_calls, Some(&by_image))
+        });
         let how = format!("{what}: image-bound corpus pass {pass}");
         assert_equal(loaded, &config, cached, &raw, &how);
     }
