@@ -213,6 +213,7 @@ mod tests {
     use crate::canon::{CachedExec, Label};
     use crate::exec::counter::executions_during;
     use crate::oracle::{assert_matches, reference};
+    use crate::tracelets::hooked;
     use crate::{
         extract_tracelets, extract_tracelets_with, AnalysisHooks, Budget, CallEvents,
         FunctionDirective, IncidentKind, NoHooks,
@@ -563,19 +564,7 @@ mod tests {
             let hooks = On(child_ctor, directive);
             let what = format!("{directive:?} on the child's ctor");
             assert_every_mode_matches(&loaded, &config, &hooks, &what);
-            let (analysis, runs) = executions_during(|| {
-                let (mut spans, mut metrics) = (LocalSpans::disabled(), MetricsRegistry::new());
-                let raw = CallEvents::Raw;
-                extract_tracelets_with(
-                    &loaded,
-                    &config,
-                    &hooks,
-                    &mut spans,
-                    &mut metrics,
-                    raw,
-                    None,
-                )
-            });
+            let (analysis, runs) = executions_during(|| hooked(&loaded, &config, &hooks));
             assert_eq!(analysis.pinned(), plain.pinned(), "{what}");
             // Pre-pass, the tracelet pass unless it was kept from running,
             // and one more run for the pins unless it ran as `ctor_pins`

@@ -628,6 +628,18 @@ pub fn extract_tracelets_with(
     Analysis { tracelets, ctors, pinned, incidents }
 }
 
+/// The driver under `hooks`, with raw calls, no cache and no
+/// instrumentation.
+#[cfg(test)]
+pub(crate) fn hooked(
+    loaded: &LoadedBinary,
+    config: &AnalysisConfig,
+    hooks: &dyn AnalysisHooks,
+) -> Analysis {
+    let (mut spans, mut metrics) = (LocalSpans::disabled(), MetricsRegistry::new());
+    extract_tracelets_with(loaded, config, hooks, &mut spans, &mut metrics, CallEvents::Raw, None)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,25 +649,6 @@ mod tests {
         let compiled = compile(&p.finish(), opts).unwrap();
         let loaded = LoadedBinary::load(compiled.stripped_image()).unwrap();
         (loaded, compiled)
-    }
-
-    /// The driver under `hooks`, with raw calls, no cache and no
-    /// instrumentation.
-    fn hooked(
-        loaded: &LoadedBinary,
-        config: &AnalysisConfig,
-        hooks: &dyn AnalysisHooks,
-    ) -> Analysis {
-        let (mut spans, mut metrics) = (LocalSpans::disabled(), MetricsRegistry::new());
-        extract_tracelets_with(
-            loaded,
-            config,
-            hooks,
-            &mut spans,
-            &mut metrics,
-            CallEvents::Raw,
-            None,
-        )
     }
 
     #[test]
