@@ -20,7 +20,9 @@
 //! 3. **Distances** — `(metric, from-model key, to-model key)` → the
 //!    divergence bits. This is the only distance cache: every pipeline
 //!    call site asks [`CorpusCache::distance_with`] when a corpus is
-//!    attached, and computes directly when none is.
+//!    attached, and computes directly when none is. A miss claims its
+//!    key until the value is stored, so concurrent askers of one key
+//!    compute it once and count one miss.
 //! 4. **Liftings** — family lifting key ([`lift_key`]: lifting config +
 //!    the family's member model keys in family order + its weighted
 //!    edge list) → the selected parent forest and tie-variant count.
@@ -57,7 +59,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rock_analysis::canon::{
     event_words, tracelet_fp, CachedCtors, CachedExec, ExecCache, Label, Mixer,
@@ -180,11 +182,22 @@ struct Shard<K, V> {
     /// walks the whole map). A claim visits only these, so it costs what
     /// was added, and a cache that never persists keeps no list.
     unpersisted: Option<Vec<K>>,
+    /// Keys whose lookup missed and whose asker is computing the value
+    /// ([`Tier::lookup_or_claim`]): at most one per worker.
+    claimed: Vec<K>,
+    /// Askers asleep until a claimed key is released.
+    waiting: usize,
 }
 
 impl<K: Ord, V> Default for Shard<K, V> {
     fn default() -> Shard<K, V> {
-        Shard { map: BTreeMap::new(), order: VecDeque::new(), unpersisted: None }
+        Shard {
+            map: BTreeMap::new(),
+            order: VecDeque::new(),
+            unpersisted: None,
+            claimed: Vec::new(),
+            waiting: 0,
+        }
     }
 }
 
@@ -257,6 +270,8 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
 #[derive(Debug)]
 struct Tier<K, V> {
     shards: [Mutex<Shard<K, V>>; SHARDS],
+    /// Per shard: notified when a claimed key is released.
+    released: [Condvar; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -265,6 +280,7 @@ impl<K: Ord, V> Default for Tier<K, V> {
     fn default() -> Tier<K, V> {
         Tier {
             shards: std::array::from_fn(|_| Mutex::default()),
+            released: std::array::from_fn(|_| Condvar::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -287,7 +303,17 @@ impl<K: Ord + Copy, V: Stored> Tier<K, V> {
         counters: &Counters,
         read: impl FnOnce(&V) -> Option<R>,
     ) -> Option<R> {
-        let mut s = self.lock(shard);
+        self.lookup_in(&mut self.lock(shard), key, counters, read)
+    }
+
+    /// [`Tier::lookup`] in a shard the caller holds.
+    fn lookup_in<R>(
+        &self,
+        s: &mut Shard<K, V>,
+        key: &K,
+        counters: &Counters,
+        read: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<R> {
         let found = match s.map.get(key) {
             None => None,
             Some(value) => {
@@ -304,6 +330,33 @@ impl<K: Ord + Copy, V: Stored> Tier<K, V> {
         let count = if found.is_some() { &self.hits } else { &self.misses };
         count.fetch_add(1, Ordering::Relaxed);
         found
+    }
+
+    /// [`Tier::lookup`], except that a miss claims `key` for the caller,
+    /// who computes the value and stores it with [`Claim::publish`]. An
+    /// asker that finds `key` claimed sleeps until the claim is released
+    /// and then looks it up, so concurrent askers of a key compute it
+    /// once and count one miss, however they interleave.
+    fn lookup_or_claim<R>(
+        &self,
+        shard: usize,
+        key: K,
+        counters: &Counters,
+        read: impl FnOnce(&V) -> Option<R>,
+    ) -> Result<R, Claim<'_, K, V>> {
+        let mut s = self.lock(shard);
+        while s.claimed.contains(&key) {
+            s.waiting += 1;
+            s = self.released[shard].wait(s).expect("corpus shard poisoned");
+            s.waiting -= 1;
+        }
+        match self.lookup_in(&mut s, &key, counters, read) {
+            Some(found) => Ok(found),
+            None => {
+                s.claimed.push(key);
+                Err(Claim { tier: self, shard, key })
+            }
+        }
     }
 
     /// Hands `visit` every entry [`Shard::select`] picks whose checksum
@@ -339,6 +392,37 @@ impl<K: Ord + Copy, V: Stored> Tier<K, V> {
             }
         }
         touched
+    }
+}
+
+/// A key claimed by [`Tier::lookup_or_claim`]. Dropping it releases the
+/// claim; dropped without [`Claim::publish`] (the computation panicked),
+/// it leaves the key to a waiter, which claims and computes it itself.
+struct Claim<'a, K: Ord + Copy, V: Stored> {
+    tier: &'a Tier<K, V>,
+    shard: usize,
+    key: K,
+}
+
+impl<K: Ord + Copy, V: Stored> Claim<'_, K, V> {
+    /// Stores `value` under the claimed key, then releases the claim.
+    fn publish(self, value: V, cap: usize, counters: &Counters) {
+        self.tier.lock(self.shard).insert_bounded(self.key, value, cap, counters);
+    }
+}
+
+impl<K: Ord + Copy, V: Stored> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        // The claim must go even if a panic poisoned the lock: every
+        // update of a shard leaves it valid.
+        let mut s = self.tier.shards[self.shard].lock().unwrap_or_else(PoisonError::into_inner);
+        s.claimed.retain(|k| *k != self.key);
+        // A release with nobody asleep makes no wake-up call.
+        let wake = s.waiting > 0;
+        drop(s);
+        if wake {
+            self.tier.released[self.shard].notify_all();
+        }
     }
 }
 
@@ -383,6 +467,16 @@ type DistanceKey = (Metric, ModelKey, ModelKey);
 /// The distance-tier shard of a key (the metric does not pick the shard).
 fn distance_shard((_, from, to): DistanceKey) -> usize {
     shard_of(from ^ to.rotate_left(64))
+}
+
+/// A distance entry: the divergence's bits.
+fn distance_entry(d: f64, persisted: bool) -> Entry {
+    Entry::new(d.to_le_bytes().to_vec(), persisted)
+}
+
+/// The divergence a verified distance entry holds.
+fn read_distance(entry: &Entry) -> Option<f64> {
+    Some(f64::from_le_bytes(entry.bytes.as_slice().try_into().ok()?))
 }
 
 /// The shared cross-job content cache. See the module docs.
@@ -560,11 +654,16 @@ impl CorpusCache {
     /// The distance from the model keyed `from` to the one keyed `to`
     /// under `metric`: answered from the distance tier when it holds a
     /// verified entry, otherwise computed by `compute` and published.
-    /// `compute` runs only on a miss (outside the shard lock) and must
+    /// `compute` runs only on a miss (outside every lock) and must
     /// return exactly what `metric` gives for the two keyed models — the
     /// distance stage passes its batched family kernel here. Every call
     /// counts one `distance_hits` or `distance_misses`; a corrupt entry
     /// is dropped, counted, and recomputed.
+    ///
+    /// A miss claims the key until its value is stored. An asker that
+    /// finds the key claimed waits for the claimant and then looks it up,
+    /// so each key is computed once and counts one miss however the
+    /// workers interleave. `compute` must not ask for a distance itself.
     pub fn distance_with(
         &self,
         metric: Metric,
@@ -573,24 +672,25 @@ impl CorpusCache {
         compute: impl FnOnce() -> f64,
     ) -> f64 {
         let key = (metric, from, to);
-        if let Some(d) = self.distance_load(key) {
-            return d;
+        let shard = distance_shard(key);
+        match self.distances.lookup_or_claim(shard, key, &self.counters, read_distance) {
+            Ok(d) => d,
+            Err(claim) => {
+                let d = compute();
+                claim.publish(distance_entry(d, false), self.shard_cap, &self.counters);
+                d
+            }
         }
-        let d = compute();
-        self.distance_store(key, d, false);
-        d
     }
 
+    #[cfg(test)]
     fn distance_load(&self, key: DistanceKey) -> Option<f64> {
-        self.distances.lookup(distance_shard(key), &key, &self.counters, |entry| {
-            Some(f64::from_le_bytes(entry.bytes.as_slice().try_into().ok()?))
-        })
+        self.distances.lookup(distance_shard(key), &key, &self.counters, read_distance)
     }
 
     fn distance_store(&self, key: DistanceKey, d: f64, persisted: bool) {
-        let entry = Entry::new(d.to_le_bytes().to_vec(), persisted);
         let mut shard = self.distances.lock(distance_shard(key));
-        shard.insert_bounded(key, entry, self.shard_cap, &self.counters);
+        shard.insert_bounded(key, distance_entry(d, persisted), self.shard_cap, &self.counters);
     }
 
     /// Deterministically corrupts every stored byte image (all tiers)
@@ -1697,12 +1797,74 @@ mod tests {
         assert_eq!(cache.lens().2, 5 * 7);
         let s = cache.stats();
         assert_eq!(
-            s.counter(names::CORPUS_DISTANCE_HIT) + s.counter(names::CORPUS_DISTANCE_MISS),
-            200
+            (s.counter(names::CORPUS_DISTANCE_HIT), s.counter(names::CORPUS_DISTANCE_MISS)),
+            (200 - 35, 35),
+            "every distinct key missed exactly once"
         );
-        assert!(
-            s.counter(names::CORPUS_DISTANCE_MISS) >= 35,
-            "every distinct key missed at least once"
+    }
+
+    /// Runs `first` as the first asker of distance key `(Kl, 1, 2)` and
+    /// `second` as an asker that arrives while `first` computes: `first`'s
+    /// compute returns (or panics) only once `second` sleeps on the claim,
+    /// or once `second` computes. Returns both answers and the number of
+    /// computes.
+    fn ask_twice(
+        cache: &CorpusCache,
+        first: impl FnOnce() -> f64 + Send,
+        second: f64,
+    ) -> (std::thread::Result<f64>, f64, usize) {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+        let key = (Metric::KlDivergence, 1, 2);
+        let shard = distance_shard(key);
+        let computes = AtomicUsize::new(0);
+        let (computing, started) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                cache.distance_with(key.0, key.1, key.2, || {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    computing.send(()).expect("the test waits for this");
+                    while cache.distances.lock(shard).waiting == 0
+                        && computes.load(Ordering::SeqCst) == 1
+                    {
+                        std::thread::yield_now();
+                    }
+                    first()
+                })
+            });
+            started.recv().expect("the first asker computes");
+            let second = cache.distance_with(key.0, key.1, key.2, || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                second
+            });
+            (first.join(), second, computes.load(Ordering::SeqCst))
+        })
+    }
+
+    #[test]
+    fn an_asker_that_arrives_during_the_compute_waits_and_hits() {
+        let cache = CorpusCache::new();
+        let (first, second, computes) = ask_twice(&cache, || 0.5, 0.75);
+        assert_eq!((first.expect("no panic"), second, computes), (0.5, 0.5, 1));
+        let s = cache.stats();
+        assert_eq!(
+            (s.counter(names::CORPUS_DISTANCE_HIT), s.counter(names::CORPUS_DISTANCE_MISS)),
+            (1, 1)
         );
+    }
+
+    #[test]
+    fn a_panicking_compute_hands_its_claim_to_the_waiter() {
+        let cache = CorpusCache::new();
+        let (first, second, computes) = ask_twice(&cache, || panic!("compute failed"), 0.75);
+        assert!(first.is_err());
+        assert_eq!((second, computes), (0.75, 2));
+        let s = cache.stats();
+        assert_eq!(
+            (s.counter(names::CORPUS_DISTANCE_HIT), s.counter(names::CORPUS_DISTANCE_MISS)),
+            (0, 2)
+        );
+        let key = (Metric::KlDivergence, 1, 2);
+        assert!(cache.distances.lock(distance_shard(key)).claimed.is_empty());
     }
 }

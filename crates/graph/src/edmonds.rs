@@ -9,15 +9,43 @@
 //! with *any* feasible parent receives one, and only genuinely
 //! unreachable nodes become roots (Remark 4.2).
 
-use crate::DiGraph;
+use crate::{DiGraph, Edge};
 
 #[derive(Clone, Copy, Debug)]
 struct WorkEdge {
-    from: usize,
-    to: usize,
+    /// Endpoints on the current level.
+    from: u32,
+    to: u32,
+    /// The input edge this one stands for ([`VIRTUAL`] for a super-root
+    /// edge).
+    orig: u32,
+    /// The input edge's target node, the same on every level.
+    head: u32,
     weight: f64,
-    /// Index into the original edge list (usize::MAX for virtual edges).
-    orig: usize,
+}
+
+/// The `orig` of the super-root's edges in [`min_spanning_forest`].
+const VIRTUAL: u32 = u32::MAX;
+
+/// The cycle id of a node on no cycle.
+const NO_CYCLE: u32 = u32::MAX;
+
+/// A node's selected in-edge: its input edge and that edge's target.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    orig: u32,
+    head: u32,
+}
+
+/// What expanding a contracted level needs.
+struct Level {
+    /// Each node's id on the next level: the nodes on no cycle densely,
+    /// in order, then one id per cycle.
+    relabel: Vec<u32>,
+    /// The first cycle's id on the next level.
+    first_cycle: u32,
+    /// Each node's best in-edge (`None` for the root).
+    best: Vec<Option<Pick>>,
 }
 
 /// The outcome of an arborescence computation.
@@ -25,7 +53,8 @@ struct WorkEdge {
 pub struct ArborescenceResult {
     /// `parent[v]` is `v`'s parent node, or `None` for the root(s).
     pub parent: Vec<Option<usize>>,
-    /// Total weight of the selected real edges.
+    /// Total weight of the selected real edges, summed from `0.0` in
+    /// node order: node 0's in-edge first, roots skipped.
     pub total_weight: f64,
 }
 
@@ -57,21 +86,9 @@ impl ArborescenceResult {
 /// ```
 pub fn min_arborescence(graph: &DiGraph, root: usize) -> Option<ArborescenceResult> {
     assert!(root < graph.node_count(), "root out of range");
-    let edges: Vec<WorkEdge> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| WorkEdge { from: e.from, to: e.to, weight: e.weight, orig: i })
-        .collect();
+    let edges = graph.edges().iter().enumerate().map(|(i, e)| work_edge(i, e)).collect();
     let chosen = solve(graph.node_count(), edges, root)?;
-    let mut parent = vec![None; graph.node_count()];
-    let mut total = 0.0;
-    for orig in chosen {
-        let e = graph.edges()[orig];
-        parent[e.to] = Some(e.from);
-        total += e.weight;
-    }
-    Some(ArborescenceResult { parent, total_weight: total })
+    Some(read_forest(graph, &chosen))
 }
 
 /// Finds a minimum-weight **maximal forest**: every node that has at least
@@ -93,185 +110,218 @@ pub fn min_arborescence(graph: &DiGraph, root: usize) -> Option<ArborescenceResu
 /// assert_eq!(r.parent, vec![None, Some(0), Some(0), None]);
 /// ```
 pub fn min_spanning_forest(graph: &DiGraph) -> ArborescenceResult {
+    spanning_forest_without(graph, None)
+}
+
+/// [`min_spanning_forest`] of `graph` with every edge from `excluded.0`
+/// to `excluded.1` removed, without copying the graph: the tie search's
+/// re-solve. The result is the one the filtered graph gives.
+pub(crate) fn spanning_forest_without(
+    graph: &DiGraph,
+    excluded: Option<(usize, usize)>,
+) -> ArborescenceResult {
     let n = graph.node_count();
     if n == 0 {
         return ArborescenceResult { parent: vec![], total_weight: 0.0 };
     }
+    let kept =
+        || graph.edges().iter().enumerate().filter(move |(_, e)| Some((e.from, e.to)) != excluded);
     // Virtual super-root n, connected to every node with a weight so large
     // that minimizing weight first minimizes the number of virtual edges.
-    let big: f64 = graph.edges().iter().map(|e| e.weight.abs()).sum::<f64>() + 1.0;
-    let mut edges: Vec<WorkEdge> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| WorkEdge { from: e.from, to: e.to, weight: e.weight, orig: i })
-        .collect();
-    for v in 0..n {
-        edges.push(WorkEdge { from: n, to: v, weight: big, orig: usize::MAX });
-    }
+    let big: f64 = kept().map(|(_, e)| e.weight.abs()).sum::<f64>() + 1.0;
+    let mut edges: Vec<WorkEdge> = Vec::with_capacity(graph.edge_count() + n);
+    edges.extend(kept().map(|(i, e)| work_edge(i, e)));
+    let root = to_u32(n);
+    edges.extend((0..n).map(|v| WorkEdge {
+        from: root,
+        to: to_u32(v),
+        orig: VIRTUAL,
+        head: to_u32(v),
+        weight: big,
+    }));
     let chosen = solve(n + 1, edges, n).expect("virtual root reaches every node");
-    let mut parent = vec![None; n];
+    read_forest(graph, &chosen)
+}
+
+/// `graph`'s edge `i` as a level-0 work edge.
+fn work_edge(i: usize, e: &Edge) -> WorkEdge {
+    WorkEdge {
+        from: to_u32(e.from),
+        to: to_u32(e.to),
+        orig: to_u32(i),
+        head: to_u32(e.to),
+        weight: e.weight,
+    }
+}
+
+/// A node or edge index of the input as a work-edge field.
+fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("graph indices fit in u32")
+}
+
+/// Reads parents and the total off the solver's selected in-edges, one
+/// per node of `graph` (a trailing super-root's entry is ignored);
+/// virtual edges leave their node a root.
+fn read_forest(graph: &DiGraph, chosen: &[Option<u32>]) -> ArborescenceResult {
+    let mut parent = vec![None; graph.node_count()];
     let mut total = 0.0;
-    for orig in chosen {
-        if orig == usize::MAX {
-            continue; // virtual edge: the child stays a root
-        }
-        let e = graph.edges()[orig];
-        parent[e.to] = Some(e.from);
+    for (slot, orig) in parent.iter_mut().zip(chosen) {
+        let Some(orig) = orig.filter(|&o| o != VIRTUAL) else { continue };
+        let e = graph.edges()[orig as usize];
+        *slot = Some(e.from);
         total += e.weight;
     }
     ArborescenceResult { parent, total_weight: total }
 }
 
-/// Core recursive Chu-Liu/Edmonds. Returns the original indices of the
-/// selected edges (virtual edges keep `usize::MAX`), or `None` if some
-/// node has no incoming edge.
-fn solve(n: usize, edges: Vec<WorkEdge>, root: usize) -> Option<Vec<usize>> {
-    // 1. Cheapest incoming edge per node (deterministic tie-break: first
-    //    minimal edge in insertion order — the paper's multiple-minima
-    //    case resolves to a stable choice; see DESIGN.md).
-    let mut best: Vec<Option<usize>> = vec![None; n]; // index into `edges`
-    for (i, e) in edges.iter().enumerate() {
-        if e.to == root || e.from == e.to {
-            continue;
+/// Chu-Liu/Edmonds, one level per pass. A level picks each node's best
+/// in-edge: the first minimal one in edge order, skipping edges into
+/// `root` and self-loops. If those edges form no cycle they are the
+/// answer. Otherwise every cycle they form is contracted at once into one
+/// node of the next level: an edge inside a cycle is dropped, an edge
+/// entering cycle node `v` is reduced to `w - best[v].w`, and the edges
+/// keep their relative order. Contracting disjoint cycles commutes, so
+/// this selects what contracting one cycle per level would.
+///
+/// Returns each node's selected in-edge as its `orig` (`None` for the
+/// root), or `None` if some node has no in-edge on some level.
+fn solve(mut n: usize, mut edges: Vec<WorkEdge>, mut root: usize) -> Option<Vec<Option<u32>>> {
+    let mut levels: Vec<Level> = Vec::new();
+    let mut next: Vec<WorkEdge> = Vec::new();
+    loop {
+        let best = best_in_edges(n, root, &edges)?;
+        let picks: Vec<Option<Pick>> = best
+            .iter()
+            .map(|b| b.map(|i| Pick { orig: edges[i].orig, head: edges[i].head }))
+            .collect();
+        let (cycle, cycles) = mark_cycles(root, &best, &edges);
+        if cycles == 0 {
+            return Some(expand(&levels, picks));
         }
-        match best[e.to] {
-            None => best[e.to] = Some(i),
-            Some(j) => {
-                if e.weight < edges[j].weight {
-                    best[e.to] = Some(i);
-                }
+        let mut relabel = vec![0u32; n];
+        let mut dense = 0u32;
+        for (slot, &c) in relabel.iter_mut().zip(&cycle) {
+            if c == NO_CYCLE {
+                *slot = dense;
+                dense += 1;
             }
         }
-    }
-    for (v, b) in best.iter().enumerate() {
-        if v != root && b.is_none() {
-            return None; // unreachable node
+        for (slot, &c) in relabel.iter_mut().zip(&cycle) {
+            if c != NO_CYCLE {
+                *slot = dense + c;
+            }
         }
-    }
-
-    // 2. Detect a cycle among the chosen edges.
-    let cycle = find_cycle(n, root, &best, &edges);
-    let Some(cycle_nodes) = cycle else {
-        // No cycle: the chosen edges form the arborescence.
-        return Some(
-            best.iter()
-                .enumerate()
-                .filter(|(v, _)| *v != root)
-                .map(|(_, b)| edges[b.expect("checked")].orig)
-                .collect(),
-        );
-    };
-
-    // 3. Contract the cycle into a fresh node: relabel every non-cycle
-    // node densely, map all cycle members to one id `c`.
-    let in_cycle = |v: usize| cycle_nodes.contains(&v);
-    let mut relabel = vec![usize::MAX; n];
-    let mut next = 0usize;
-    for (v, slot) in relabel.iter_mut().enumerate() {
-        if !in_cycle(v) {
-            *slot = next;
-            next += 1;
+        next.clear();
+        next.reserve(edges.len());
+        for e in &edges {
+            let (cf, ct) = (cycle[e.from as usize], cycle[e.to as usize]);
+            if ct != NO_CYCLE && cf == ct {
+                continue;
+            }
+            let weight = if ct == NO_CYCLE {
+                e.weight
+            } else {
+                e.weight - edges[best[e.to as usize].expect("cycle node has best")].weight
+            };
+            next.push(WorkEdge {
+                from: relabel[e.from as usize],
+                to: relabel[e.to as usize],
+                weight,
+                ..*e
+            });
         }
+        root = relabel[root] as usize;
+        n = (dense + cycles) as usize;
+        levels.push(Level { relabel, first_cycle: dense, best: picks });
+        std::mem::swap(&mut edges, &mut next);
     }
-    let c = next;
-    for &v in &cycle_nodes {
-        relabel[v] = c;
-    }
-    let new_root = relabel[root];
-
-    // Contracted edge list; `orig` now indexes into *this* level's `edges`
-    // so the expansion below can recover original identities.
-    let mut contracted: Vec<WorkEdge> = Vec::new();
-    for (i, e) in edges.iter().enumerate() {
-        let (fu, fv) = (in_cycle(e.from), in_cycle(e.to));
-        if fu && fv {
-            continue;
-        }
-        let weight = if !fu && fv {
-            // Entering the cycle: reduce by the cycle edge it displaces.
-            e.weight - edges[best[e.to].expect("cycle node has best")].weight
-        } else {
-            e.weight
-        };
-        contracted.push(WorkEdge { from: relabel[e.from], to: relabel[e.to], weight, orig: i });
-    }
-
-    let sub = solve(c + 1, contracted, new_root)?;
-
-    // 4. Expand: `sub` holds indices into this level's `edges`. Exactly
-    // one selected edge enters the contracted node.
-    let mut selected: Vec<usize> = Vec::new(); // indices into `edges`
-    let mut entering_cycle: Option<usize> = None;
-    for idx in sub {
-        if in_cycle(edges[idx].to) {
-            entering_cycle = Some(idx);
-        }
-        selected.push(idx);
-    }
-    let entering = entering_cycle.expect("an arborescence must enter the contracted node");
-    // Add all cycle edges except the one displaced by `entering`.
-    let displaced_target = edges[entering].to;
-    for &v in &cycle_nodes {
-        if v == displaced_target {
-            continue;
-        }
-        selected.push(best[v].expect("cycle node has best"));
-    }
-    Some(selected.into_iter().map(|i| edges[i].orig).collect())
 }
 
-/// Finds one cycle formed by the chosen best-incoming edges, if any.
-fn find_cycle(
-    n: usize,
-    root: usize,
-    best: &[Option<usize>],
-    edges: &[WorkEdge],
-) -> Option<Vec<usize>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Unseen,
-        InProgress(u32),
-        Done,
-    }
-    let mut marks = vec![Mark::Unseen; n];
-    for start in 0..n {
-        if start == root || marks[start] != Mark::Unseen {
+/// Each node's cheapest in-edge (deterministic tie-break: first minimal
+/// edge in edge order — the paper's multiple-minima case resolves to a
+/// stable choice; see DESIGN.md), or `None` if a node other than `root`
+/// has no in-edge.
+fn best_in_edges(n: usize, root: usize, edges: &[WorkEdge]) -> Option<Vec<Option<usize>>> {
+    let mut best: Vec<Option<usize>> = vec![None; n];
+    for (i, e) in edges.iter().enumerate() {
+        let to = e.to as usize;
+        if to == root || e.from == e.to {
             continue;
         }
-        let stamp = start as u32;
-        let mut v = start;
-        loop {
-            if v == root {
-                break;
-            }
-            match marks[v] {
-                Mark::Done => break,
-                Mark::InProgress(s) if s == stamp => {
-                    // Found a cycle: walk it again to collect members.
-                    let mut cycle = vec![v];
-                    let mut u = edges[best[v].expect("has best")].from;
-                    while u != v {
-                        cycle.push(u);
-                        u = edges[best[u].expect("has best")].from;
-                    }
-                    return Some(cycle);
-                }
-                Mark::InProgress(_) => break,
-                Mark::Unseen => {
-                    marks[v] = Mark::InProgress(stamp);
-                    v = edges[best[v].expect("has best")].from;
+        match best[to] {
+            None => best[to] = Some(i),
+            Some(j) => {
+                if e.weight < edges[j].weight {
+                    best[to] = Some(i);
                 }
             }
-        }
-        // Mark the walked path done.
-        let mut v = start;
-        while v != root && marks[v] == Mark::InProgress(stamp) {
-            marks[v] = Mark::Done;
-            v = edges[best[v].expect("has best")].from;
         }
     }
-    None
+    let reachable = best.iter().enumerate().all(|(v, b)| v == root || b.is_some());
+    reachable.then_some(best)
+}
+
+/// Gives each node on a cycle of the best in-edges its cycle's id
+/// ([`NO_CYCLE`] for the rest), numbering cycles in the order the walks
+/// close them; returns the ids and the number of cycles. Each walk
+/// follows best in-edges backwards from the next unvisited node until it
+/// reaches the root or a visited node; it closed a cycle if that node is
+/// its own.
+fn mark_cycles(root: usize, best: &[Option<usize>], edges: &[WorkEdge]) -> (Vec<u32>, u32) {
+    let n = best.len();
+    let parent = |v: usize| edges[best[v].expect("has best")].from as usize;
+    let mut walk = vec![usize::MAX; n]; // the walk that first visited each node
+    let mut cycle = vec![NO_CYCLE; n];
+    let mut cycles = 0;
+    for start in 0..n {
+        let mut v = start;
+        while v != root && walk[v] == usize::MAX {
+            walk[v] = start;
+            v = parent(v);
+        }
+        if v != root && walk[v] == start {
+            let mut u = v;
+            loop {
+                cycle[u] = cycles;
+                u = parent(u);
+                if u == v {
+                    break;
+                }
+            }
+            cycles += 1;
+        }
+    }
+    (cycle, cycles)
+}
+
+/// Expands the deepest level's best in-edges back through every
+/// contracted level: a node on no cycle takes its next-level node's edge;
+/// on a cycle, the member the contracted node's edge enters takes that
+/// edge, and every other member its own best in-edge.
+fn expand(levels: &[Level], deepest: Vec<Option<Pick>>) -> Vec<Option<u32>> {
+    let mut chosen = deepest;
+    for (depth, level) in levels.iter().enumerate().rev() {
+        chosen = level
+            .relabel
+            .iter()
+            .enumerate()
+            .map(|(v, &c)| {
+                let below = chosen[c as usize];
+                if c < level.first_cycle {
+                    return below;
+                }
+                let entering = below.expect("an arborescence enters every contracted cycle");
+                let entered =
+                    levels[..depth].iter().fold(entering.head, |u, l| l.relabel[u as usize]);
+                if entered as usize == v {
+                    below
+                } else {
+                    level.best[v]
+                }
+            })
+            .collect();
+    }
+    chosen.into_iter().map(|p| p.map(|p| p.orig)).collect()
 }
 
 #[cfg(test)]
@@ -339,6 +389,59 @@ mod tests {
         assert_eq!(r.parent[1], Some(0));
         assert_eq!(r.parent[2], Some(1));
         assert_eq!(r.parent[3], Some(2));
+    }
+
+    #[test]
+    fn disjoint_two_cycles_are_each_entered_once() {
+        // Root 0 and k pairs (a, b) that prefer each other; each pair is
+        // cheapest to enter at a.
+        for k in 1..=8 {
+            let mut g = DiGraph::new(2 * k + 1);
+            for i in 0..k {
+                let (a, b) = (2 * i + 1, 2 * i + 2);
+                g.add_edge(0, b, 12.0);
+                g.add_edge(a, b, 1.0);
+                g.add_edge(b, a, 1.0);
+                g.add_edge(0, a, 10.0);
+            }
+            let r = min_arborescence(&g, 0).unwrap();
+            for i in 0..k {
+                assert_eq!(r.parent[2 * i + 1], Some(0));
+                assert_eq!(r.parent[2 * i + 2], Some(2 * i + 1));
+            }
+            assert_eq!(r.total_weight, 11.0 * k as f64);
+        }
+    }
+
+    #[test]
+    fn a_cycle_can_close_through_a_contracted_node() {
+        // Level 0 contracts 1 <-> 2 into A. A's cheapest entry is 3 -> 1
+        // (2 - 1), and 3's best in-edge leaves A (1 -> 3), so A and 3 form
+        // the next level's cycle, entered from the root at 1.
+        let mut g = DiGraph::new(4);
+        g.add_edge(0, 1, 10.0);
+        g.add_edge(0, 2, 10.0);
+        g.add_edge(0, 3, 10.0);
+        g.add_edge(1, 2, 1.0);
+        g.add_edge(2, 1, 1.0);
+        g.add_edge(1, 3, 1.0);
+        g.add_edge(3, 1, 2.0);
+        let r = min_arborescence(&g, 0).unwrap();
+        assert_eq!(r.parent, vec![None, Some(0), Some(1), Some(1)]);
+        assert_eq!(r.total_weight, 12.0);
+    }
+
+    #[test]
+    fn a_cycle_with_no_entering_edge_has_no_rooted_arborescence() {
+        let mut g = DiGraph::new(4);
+        g.add_edge(0, 3, 1.0);
+        g.add_edge(1, 2, 1.0);
+        g.add_edge(2, 1, 1.0);
+        assert!(min_arborescence(&g, 0).is_none());
+        // The forest breaks the cycle at its first node instead.
+        let r = min_spanning_forest(&g);
+        assert_eq!(r.parent, vec![None, None, Some(1), Some(0)]);
+        assert_eq!(r.total_weight, 2.0);
     }
 
     #[test]

@@ -36,10 +36,182 @@ fn arb_tied_graph() -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// The weight sets of [`arb_dense_graph`]: whole numbers, and two sets
+/// with sums that round (`0.1 + 0.2` is one ulp above `0.3`).
+const DENSE_WEIGHTS: [[f64; 3]; 3] =
+    [[1.0, 2.0, 3.0], [0.1, 0.2, 0.1 + 0.2], [0.1 + 0.2, 0.3, 0.5]];
+
+/// Complete digraphs of 2-48 nodes whose weights come from one of
+/// [`DENSE_WEIGHTS`]: many cycles per level, and ties everywhere.
+fn arb_dense_graph() -> impl Strategy<Value = DiGraph> {
+    (2usize..49, 0usize..DENSE_WEIGHTS.len()).prop_flat_map(|(n, set)| {
+        prop::collection::vec(0usize..3, n * (n - 1)).prop_map(move |picks| {
+            let mut g = DiGraph::new(n);
+            let mut picks = picks.into_iter();
+            for f in 0..n {
+                for t in (0..n).filter(|&t| t != f) {
+                    g.add_edge(f, t, DENSE_WEIGHTS[set][picks.next().expect("one per edge")]);
+                }
+            }
+            g
+        })
+    })
+}
+
+/// Chu-Liu/Edmonds contracting one cycle per recursion level: the
+/// textbook form, which the solver must match forest for forest.
+mod one_cycle {
+    use rock_graph::{ArborescenceResult, DiGraph};
+
+    #[derive(Clone, Copy)]
+    struct WorkEdge {
+        from: usize,
+        to: usize,
+        weight: f64,
+        /// Index into the level above (`usize::MAX` for virtual edges).
+        orig: usize,
+    }
+
+    pub fn min_arborescence(graph: &DiGraph, root: usize) -> Option<ArborescenceResult> {
+        let edges = graph
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| WorkEdge { from: e.from, to: e.to, weight: e.weight, orig: i })
+            .collect();
+        let chosen = solve(graph.node_count(), edges, root)?;
+        Some(result(graph, chosen))
+    }
+
+    pub fn min_spanning_forest(graph: &DiGraph) -> ArborescenceResult {
+        let n = graph.node_count();
+        if n == 0 {
+            return ArborescenceResult { parent: vec![], total_weight: 0.0 };
+        }
+        let big: f64 = graph.edges().iter().map(|e| e.weight.abs()).sum::<f64>() + 1.0;
+        let mut edges: Vec<WorkEdge> = graph
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| WorkEdge { from: e.from, to: e.to, weight: e.weight, orig: i })
+            .collect();
+        for v in 0..n {
+            edges.push(WorkEdge { from: n, to: v, weight: big, orig: usize::MAX });
+        }
+        result(graph, solve(n + 1, edges, n).expect("virtual root reaches every node"))
+    }
+
+    /// Parents and total in the order `solve` returns the edges.
+    fn result(graph: &DiGraph, chosen: Vec<usize>) -> ArborescenceResult {
+        let mut parent = vec![None; graph.node_count()];
+        let mut total = 0.0;
+        for orig in chosen.into_iter().filter(|&o| o != usize::MAX) {
+            let e = graph.edges()[orig];
+            parent[e.to] = Some(e.from);
+            total += e.weight;
+        }
+        ArborescenceResult { parent, total_weight: total }
+    }
+
+    fn solve(n: usize, edges: Vec<WorkEdge>, root: usize) -> Option<Vec<usize>> {
+        let mut best: Vec<Option<usize>> = vec![None; n];
+        for (i, e) in edges.iter().enumerate() {
+            if e.to == root || e.from == e.to {
+                continue;
+            }
+            match best[e.to] {
+                None => best[e.to] = Some(i),
+                Some(j) => {
+                    if e.weight < edges[j].weight {
+                        best[e.to] = Some(i);
+                    }
+                }
+            }
+        }
+        if (0..n).any(|v| v != root && best[v].is_none()) {
+            return None;
+        }
+        let Some(cycle_nodes) = find_cycle(n, root, &best, &edges) else {
+            return Some(
+                best.iter()
+                    .enumerate()
+                    .filter(|(v, _)| *v != root)
+                    .map(|(_, b)| edges[b.expect("checked")].orig)
+                    .collect(),
+            );
+        };
+        let in_cycle = |v: usize| cycle_nodes.contains(&v);
+        let mut relabel = vec![usize::MAX; n];
+        let mut next = 0usize;
+        for (v, slot) in relabel.iter_mut().enumerate() {
+            if !in_cycle(v) {
+                *slot = next;
+                next += 1;
+            }
+        }
+        let c = next;
+        for &v in &cycle_nodes {
+            relabel[v] = c;
+        }
+        let mut contracted: Vec<WorkEdge> = Vec::new();
+        for (i, e) in edges.iter().enumerate() {
+            let (fu, fv) = (in_cycle(e.from), in_cycle(e.to));
+            if fu && fv {
+                continue;
+            }
+            let weight = if !fu && fv {
+                e.weight - edges[best[e.to].expect("cycle node has best")].weight
+            } else {
+                e.weight
+            };
+            contracted.push(WorkEdge { from: relabel[e.from], to: relabel[e.to], weight, orig: i });
+        }
+        let sub = solve(c + 1, contracted, relabel[root])?;
+        let entering = *sub.iter().find(|&&i| in_cycle(edges[i].to)).expect("enters the cycle");
+        let displaced = edges[entering].to;
+        let kept = cycle_nodes.iter().filter(|&&v| v != displaced).map(|&v| best[v].expect("best"));
+        Some(sub.iter().copied().chain(kept).map(|i| edges[i].orig).collect())
+    }
+
+    /// The first cycle of best in-edges a walk from node 0, 1, ... closes.
+    fn find_cycle(
+        n: usize,
+        root: usize,
+        best: &[Option<usize>],
+        edges: &[WorkEdge],
+    ) -> Option<Vec<usize>> {
+        let parent = |v: usize| edges[best[v].expect("has best")].from;
+        let mut walk = vec![usize::MAX; n];
+        for start in 0..n {
+            let mut v = start;
+            while v != root && walk[v] == usize::MAX {
+                walk[v] = start;
+                v = parent(v);
+            }
+            if v != root && walk[v] == start {
+                let mut cycle = vec![v];
+                let mut u = parent(v);
+                while u != v {
+                    cycle.push(u);
+                    u = parent(u);
+                }
+                return Some(cycle);
+            }
+        }
+        None
+    }
+}
+
 /// The tie search written against [`DiGraph::in_edges`], which scans
-/// every edge of the graph for each child, twice.
-fn co_optimal_forests_by_scan(graph: &DiGraph, eps: f64, limit: usize) -> Vec<ArborescenceResult> {
-    let base = min_spanning_forest(graph);
+/// every edge of the graph for each child, twice, and re-solves a copy of
+/// the graph with `solve`.
+fn co_optimal_forests_by_scan(
+    graph: &DiGraph,
+    eps: f64,
+    limit: usize,
+    solve: fn(&DiGraph) -> ArborescenceResult,
+) -> Vec<ArborescenceResult> {
+    let base = solve(graph);
     let mut out = vec![base.clone()];
     if limit <= 1 {
         return out;
@@ -59,7 +231,7 @@ fn co_optimal_forests_by_scan(graph: &DiGraph, eps: f64, limit: usize) -> Vec<Ar
         }
         let mut alt_graph = graph.clone();
         alt_graph.retain_edges(|e| !(e.from == *parent && e.to == child));
-        let alt = min_spanning_forest(&alt_graph);
+        let alt = solve(&alt_graph);
         if (alt.total_weight - base.total_weight).abs() <= eps
             && !out.iter().any(|r| r.parent == alt.parent)
         {
@@ -70,6 +242,30 @@ fn co_optimal_forests_by_scan(graph: &DiGraph, eps: f64, limit: usize) -> Vec<Ar
         }
     }
     out
+}
+
+/// Whether every weight of `g` is a whole number, so that every total is
+/// exact whatever order its terms are added in.
+fn whole_weights(g: &DiGraph) -> bool {
+    g.edges().iter().all(|e| e.weight.fract() == 0.0)
+}
+
+/// Asserts that `got` is `want`'s forest, with the same total: the same
+/// bits if `whole`, else within 1e-12 relative (the two sum in different
+/// orders).
+fn assert_same_forest(got: &ArborescenceResult, want: &ArborescenceResult, whole: bool) {
+    assert_eq!(got.parent, want.parent);
+    if whole {
+        assert_eq!(got.total_weight.to_bits(), want.total_weight.to_bits());
+    } else {
+        let scale = got.total_weight.abs().max(want.total_weight.abs());
+        assert!(
+            (got.total_weight - want.total_weight).abs() <= 1e-12 * scale,
+            "totals {} and {}",
+            got.total_weight,
+            want.total_weight
+        );
+    }
 }
 
 /// Walks up the parent chain and confirms it terminates at a root.
@@ -88,10 +284,13 @@ fn reaches_root(parent: &[Option<usize>], v: usize) -> bool {
 
 proptest! {
     /// The tie search reads each child's in-edges from one grouping of
-    /// the graph's edges; it returns the same forests, in the same order
-    /// and with the same weight bits, as the per-child scan.
+    /// the graph's edges and re-solves without copying the graph; it
+    /// returns the same forests, in the same order and with the same
+    /// weight bits, as the per-child scan re-solving filtered copies.
     #[test]
-    fn tie_search_equals_the_in_edge_scan(g in prop_oneof![arb_graph(), arb_tied_graph()]) {
+    fn tie_search_equals_the_in_edge_scan(
+        g in prop_oneof![arb_graph(), arb_tied_graph(), arb_dense_graph()]
+    ) {
         let bits = |rs: Vec<ArborescenceResult>| -> Vec<(Vec<Option<usize>>, u64)> {
             rs.into_iter().map(|r| (r.parent, r.total_weight.to_bits())).collect()
         };
@@ -99,8 +298,48 @@ proptest! {
             for limit in [1, 2, 8] {
                 prop_assert_eq!(
                     bits(co_optimal_forests(&g, eps, limit)),
-                    bits(co_optimal_forests_by_scan(&g, eps, limit))
+                    bits(co_optimal_forests_by_scan(&g, eps, limit, min_spanning_forest))
                 );
+            }
+        }
+    }
+
+    /// Contracting every cycle of a level at once selects the forests
+    /// (and finds the infeasible roots) that contracting one cycle per
+    /// level does.
+    #[test]
+    fn solver_equals_the_one_cycle_reference(
+        g in prop_oneof![arb_graph(), arb_tied_graph(), arb_dense_graph()]
+    ) {
+        let whole = whole_weights(&g);
+        assert_same_forest(&min_spanning_forest(&g), &one_cycle::min_spanning_forest(&g), whole);
+        for root in [0, g.node_count() - 1] {
+            match (min_arborescence(&g, root), one_cycle::min_arborescence(&g, root)) {
+                (Some(got), Some(want)) => assert_same_forest(&got, &want, whole),
+                (got, want) => prop_assert_eq!(got, want),
+            }
+        }
+    }
+
+    /// The tie search, which re-solves without copying the graph, finds
+    /// the forests that the per-child scan re-solving filtered copies with
+    /// the one-cycle solver finds. A tie at `eps` 0 compares the totals'
+    /// last bits, which depend on the order of summation, so fractional
+    /// weights are searched at 1e-9 only.
+    #[test]
+    fn tie_search_equals_the_scan_over_the_reference(
+        g in prop_oneof![arb_graph(), arb_tied_graph(), arb_dense_graph()]
+    ) {
+        let whole = whole_weights(&g);
+        let epsilons: &[f64] = if whole { &[0.0, 1e-9] } else { &[1e-9] };
+        for &eps in epsilons {
+            for limit in [1, 2, 8] {
+                let got = co_optimal_forests(&g, eps, limit);
+                let want = co_optimal_forests_by_scan(&g, eps, limit, one_cycle::min_spanning_forest);
+                prop_assert_eq!(got.len(), want.len());
+                for (got, want) in got.iter().zip(&want) {
+                    assert_same_forest(got, want, whole);
+                }
             }
         }
     }
