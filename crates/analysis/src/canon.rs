@@ -69,8 +69,8 @@ impl Label {
 ///
 /// Its outputs are persisted. An execution key is a config salt XOR a
 /// function's label, a pool key is this mixer over a pool's tracelet
-/// fingerprints, and both name `.sub` files and snapshot-pack entries
-/// that later processes preload. Changing a seed, the prime, the byte
+/// fingerprints, and both name the sub-artifact frames in segment
+/// files that later processes preload. Changing a seed, the prime, the byte
 /// step's `0xa5`, or the word step's shift or rotation therefore
 /// orphans every store on disk: such a change must bump the corpus
 /// format byte (`CORPUS_FORMAT` in `rock_core::corpus`) with it.

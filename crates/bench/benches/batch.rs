@@ -57,7 +57,7 @@ impl Scratch {
         )
     }
 
-    /// Total bytes of the store: every sub-artifact plus the pack.
+    /// Total bytes of the store: every segment file.
     fn store_bytes(&self) -> u64 {
         fn walk(dir: &PathBuf, acc: &mut u64) {
             let Ok(entries) = fs::read_dir(dir) else { return };
@@ -128,7 +128,7 @@ fn median(xs: &[f64]) -> f64 {
 }
 
 /// A/B of the `Vfs` seam on the warm-resume read path: the store's
-/// largest file (the snapshot pack) read through `Arc<dyn Vfs>` (one
+/// largest file (a segment file) read through `Arc<dyn Vfs>` (one
 /// virtual dispatch per
 /// call, the production shape since the store was ported onto the
 /// trait) and via `fs::read` directly. Samples are interleaved so

@@ -1162,9 +1162,10 @@ fn hammer_trickle(addr: &str, image: &[u8]) -> Result<rock_serve::wire::Response
 }
 
 /// `rock store scrub`: offline self-healing pass over an artifact
-/// store. Verifies every sub-artifact frame and payload, sweeps orphaned
-/// `.sub.tmp` files, and quarantines corrupt or unknown entries under
-/// `<store>/.quarantine/`. Exit code 0 unless the scrub itself hit
+/// store. Verifies every segment file frame by frame (checksum and
+/// payload), sweeps orphaned segment tmp files, and quarantines damaged
+/// files (writing the frames that verified back) and unknown entries
+/// under `<store>/.quarantine/`. Exit code 0 unless the scrub itself hit
 /// i/o errors it could not work around.
 fn cmd_store(args: &[String]) -> Result<u8, Box<dyn Error>> {
     const STORE_USAGE: &str = "usage: rock store scrub [--store <dir>] [--dry-run] [--json]";

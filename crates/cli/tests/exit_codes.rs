@@ -14,6 +14,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use rock_core::SubTier;
+use rock_supervisor::decode_snapshot;
 use rock_trace::{parse_json, Json};
 
 fn rock(args: &[&str]) -> Output {
@@ -131,18 +133,23 @@ fn corrupt_resume_artifacts_exit_five_and_recompute() {
     // First run populates the store.
     let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
-    // Damage one lifting sub-artifact and the snapshot pack, so preload
-    // meets both and neither copy of the entry survives.
-    let sub = PathBuf::from(&s.store).join("sub");
-    let lifting = fs::read_dir(sub.join("lifting")).unwrap().next().unwrap().unwrap().path();
+    // Damage the segment file the lifting boundary wrote, the one copy
+    // of the lifting entry.
+    let lifting = fs::read_dir(PathBuf::from(&s.store).join("sub"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|f| {
+            let entries = decode_snapshot(&fs::read(f).unwrap()).expect("an intact segment");
+            entries.iter().any(|(tier, ..)| *tier == SubTier::Lifting)
+        })
+        .expect("a segment holds the lifting entry");
     fs::write(&lifting, b"garbage").unwrap();
-    fs::write(sub.join("snapshot.pack"), b"garbage").unwrap();
     let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
     assert_eq!(code(&out), 5, "stdout: {}", stdout(&out));
     let text = stdout(&out);
     assert!(
-        summary_line(&text, "incr:").contains("2 corrupt skipped"),
-        "the preload counts both damaged files: {text}"
+        summary_line(&text, "incr:").contains("1 corrupt skipped"),
+        "the preload counts the damaged file once: {text}"
     );
     // The job itself still recomputed the lost entry successfully.
     assert!(text.contains("\"outcome\":\"ok\""), "got: {text}");
@@ -160,7 +167,7 @@ fn an_alien_file_in_a_tier_loses_nothing_and_exits_zero() {
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
     // A file no flush wrote holds no entry: scrub owns it, and no
     // rerun removes it, so it must not raise the exit code.
-    let alien = PathBuf::from(&s.store).join("sub").join("model").join(".DS_Store");
+    let alien = PathBuf::from(&s.store).join("sub").join(".DS_Store");
     fs::write(&alien, b"not an artifact").unwrap();
     for _ in 0..2 {
         let out = rock(&["batch", &s.image, "--store", &s.store, "--resume"]);
@@ -248,9 +255,9 @@ fn incremental_counts_reach_the_batch_summary_and_job_timings_hold_only_wall_clo
 fn scrub_json_escapes_control_characters_in_entry_names() {
     let s = Scratch::new("scrub-json");
     let store = PathBuf::from(&s.store);
-    fs::create_dir_all(store.join("sub").join("exec")).unwrap();
+    fs::create_dir_all(store.join("sub")).unwrap();
     fs::write(store.join("odd\ttab"), b"stray").unwrap();
-    fs::write(store.join("sub").join("exec").join("bad\nname"), b"stray").unwrap();
+    fs::write(store.join("sub").join("bad\nname"), b"stray").unwrap();
     let out = rock(&["store", "scrub", "--store", &s.store, "--dry-run", "--json"]);
     assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = stdout(&out);
@@ -266,7 +273,7 @@ fn scrub_json_escapes_control_characters_in_entry_names() {
         .filter_map(Json::as_str)
         .collect();
     assert!(details.contains(&"unknown entry: odd\ttab"), "{details:?}");
-    assert!(details.contains(&"sub/exec: unknown file bad\nname"), "{details:?}");
+    assert!(details.contains(&"sub: unknown entry bad\nname"), "{details:?}");
 }
 
 #[test]

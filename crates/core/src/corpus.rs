@@ -704,9 +704,8 @@ impl CorpusCache {
     }
 
     /// Serializes every verified, persisted entry in full (not just its
-    /// verification image): what the incremental store holds, for
-    /// rebuilding a lost snapshot pack. Order and encoding are those of
-    /// [`CorpusCache::claim_unpersisted`].
+    /// verification image): what the incremental store holds. Order and
+    /// encoding are those of [`CorpusCache::claim_unpersisted`].
     pub fn export_entries(&self) -> Vec<(SubTier, u128, Vec<u8>)> {
         self.encode_entries(false).0
     }

@@ -82,7 +82,7 @@ pub enum ChaosFlavor {
     /// read would after a torn write on the far side of a crash.
     PartialRead,
     /// Crash shape: the rename fails AND the tmp file becomes
-    /// unremovable for one attempt, stranding a stale `.sub.tmp`
+    /// unremovable for one attempt, stranding a stale segment tmp
     /// exactly like a process that died between write and rename.
     CrashTmp,
     /// The operation fails with a generic persistent EIO.

@@ -367,11 +367,11 @@ impl Inner {
             sup = sup.with_tracer(Arc::clone(tracer)).with_trace_level(self.cfg.trace_level);
         }
         // With `incremental` on the job flushes the shared corpus at
-        // every stage boundary (loose files; the pack once, at its end):
-        // each flush claims only entries no earlier flush persisted, so a
-        // crashed daemon loses at most the in-flight stage, and a
-        // restarted one preloads everything every earlier tenant
-        // computed. The registry sums the job's counts.
+        // every stage boundary, one segment file per flush that added
+        // entries: each flush claims only entries no earlier flush
+        // persisted, so a crashed daemon loses at most the in-flight
+        // stage, and a restarted one preloads everything every earlier
+        // tenant computed. The registry sums the job's counts.
         let result = sup.run_job(&job.name, &job.image);
         if self.cfg.options.incremental {
             let mut metrics = self.metrics.lock().expect("serve metrics poisoned");
@@ -587,8 +587,9 @@ impl Server {
             inner.count(names::SERVE_CANCELLED, 1);
         }
         // Final flush after the workers are gone: stage-boundary flushes
-        // make this mostly `unchanged`, but it persists what a job's
-        // failed flush handed back to the cache.
+        // make this mostly `unchanged` (and then it makes no storage
+        // call), but it persists what a job's failed flush handed back
+        // to the cache.
         if inner.cfg.options.incremental {
             let flushed = rock_supervisor::flush_subartifacts(&inner.store, &inner.corpus);
             inner.metrics.lock().expect("serve metrics poisoned").merge_from(&flushed);

@@ -3,9 +3,8 @@
 //! ([`crate::incr`]) persists through, plus the offline scrub.
 //!
 //! ```text
-//! <root>/sub/<tier>/<key:032x>.sub   one sub-artifact (source of truth)
-//! <root>/sub/snapshot.pack           every frame, for one-read preload
-//! <root>/.quarantine/                what scrub could not trust
+//! <root>/sub/<fnv1a:016x>.pack   one segment file per flush
+//! <root>/.quarantine/            what scrub could not trust
 //! ```
 //!
 //! All filesystem traffic goes through a [`Vfs`] handle ([`StdVfs`] in
@@ -18,22 +17,26 @@
 //! In `durable` mode every file is fsynced before its commit rename and
 //! its directory after it, so a committed sub-artifact survives power
 //! loss; the default skips both fsyncs (honest benchmarks, and a lost
-//! entry merely recomputes). Opening a store sweeps orphaned `.sub.tmp`
-//! files left by crashes, and [`ArtifactStore::scrub`] deep-verifies
-//! every sub-artifact, quarantining what cannot be trusted.
+//! entry merely recomputes). Opening a store sweeps the orphaned
+//! `.<name>.pack.tmp` files crashes leave, and [`ArtifactStore::scrub`]
+//! deep-verifies every segment file frame by frame, quarantining what
+//! cannot be trusted.
 
-use std::fmt;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use rock_binary::codec::Writer;
 use rock_budget::RetryPolicy;
 use rock_core::{RockConfig, MAX_TIE_VARIANTS, TIE_EPSILON};
 use rock_trace::{fnv1a, json_escape, names, MetricsRegistry};
 
+use crate::incr::{
+    decode_segment, encode_snapshot, encode_sub, is_segment_tmp, write_segment, SEGMENT_SUFFIX,
+};
 use crate::vfs::{is_transient, StdVfs, Vfs};
 
 /// The version byte leading every [`config_fingerprint`].
@@ -94,28 +97,6 @@ struct StatsCell {
     retry_backoff_ms: AtomicU64,
 }
 
-/// What a store's pack lock guards, shared by every clone of the store.
-/// Holding the lock serialises flushes across the daemon's workers (see
-/// [`crate::incr`]).
-#[derive(Default)]
-pub(crate) struct PackState {
-    /// The snapshot-pack bytes the store last verified at preload or
-    /// last wrote (`None`: no verified pack).
-    pub(crate) bytes: Option<Vec<u8>>,
-    /// Frames committed to loose files since the pack was last written,
-    /// for the next pack write to append (kept only beside `bytes`).
-    pub(crate) pending: Vec<Vec<u8>>,
-}
-
-#[derive(Default)]
-struct PackCell(Mutex<PackState>);
-
-impl fmt::Debug for PackCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("PackCell")
-    }
-}
-
 /// Which counter lane a retried operation charges.
 #[derive(Clone, Copy)]
 pub(crate) enum OpClass {
@@ -126,8 +107,8 @@ pub(crate) enum OpClass {
 /// The subdirectory scrub moves untrusted files into.
 pub const QUARANTINE_DIR: &str = ".quarantine";
 
-/// The subdirectory holding incremental sub-artifacts (one tier
-/// directory per [`rock_core::SubTier`]; see [`crate::incr`]).
+/// The subdirectory holding incremental sub-artifacts: one segment file
+/// per flush (see [`crate::incr`]).
 pub const SUB_DIR: &str = "sub";
 
 /// A directory of persisted corpus sub-artifacts.
@@ -142,14 +123,13 @@ pub struct ArtifactStore {
     sleep_backoff: bool,
     retry: RetryPolicy,
     stats: Arc<StatsCell>,
-    pack: Arc<PackCell>,
 }
 
 impl ArtifactStore {
-    /// Opens (creating if needed) a store rooted at `root`, on the real
-    /// filesystem, without durability fsyncs. Orphaned `.sub.tmp` files
-    /// from earlier crashes are swept (best-effort) before use; nothing
-    /// outside `sub/` is touched.
+    /// Opens (creating if needed) a store rooted at `root`, with its
+    /// `sub/` directory, on the real filesystem, without durability
+    /// fsyncs. Orphaned segment tmp files from earlier crashes are swept
+    /// (best-effort) before use; nothing outside `sub/` is touched.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_with(root, StdVfs::arc(), false)
     }
@@ -158,7 +138,7 @@ impl ArtifactStore {
     /// mode. `durable` makes every write fsync the file before its
     /// commit rename and the directory after it — a committed
     /// sub-artifact then survives power loss, at real fsync cost per
-    /// flush; without it a torn commit merely recomputes one entry.
+    /// flush; without it a torn commit merely recomputes that flush.
     pub fn open_with(
         root: impl Into<PathBuf>,
         vfs: Arc<dyn Vfs>,
@@ -173,9 +153,8 @@ impl ArtifactStore {
             // short (recorded, not slept) backoff curve.
             retry: RetryPolicy::new(3).with_backoff(10, 160),
             stats: Arc::new(StatsCell::default()),
-            pack: Arc::default(),
         };
-        store.with_retry_op(OpClass::Write, || store.vfs.create_dir_all(&store.root))?;
+        store.with_retry_op(OpClass::Write, || store.vfs.create_dir_all(&store.sub_dir()))?;
         // Safe here: nothing can be mid-commit while the store is still
         // being opened (batch and serve both open before running jobs).
         store.sweep_tmp();
@@ -195,7 +174,6 @@ impl ArtifactStore {
             sleep_backoff: false,
             retry: RetryPolicy::new(3).with_backoff(10, 160),
             stats: Arc::new(StatsCell::default()),
-            pack: Arc::default(),
         };
         if !store.vfs.is_dir(&store.root) {
             return Err(io::Error::new(
@@ -249,13 +227,8 @@ impl ArtifactStore {
         stats
     }
 
-    /// The directory holding one tier's incremental sub-artifacts.
-    pub fn sub_tier_dir(&self, tier: rock_core::SubTier) -> PathBuf {
-        self.root.join(SUB_DIR).join(tier.name())
-    }
-
-    /// The root of the incremental sub-artifact area (tier directories
-    /// plus the read-optimized [`crate::incr::SNAPSHOT_NAME`] pack).
+    /// The directory holding the incremental sub-artifacts' segment
+    /// files.
     pub fn sub_dir(&self) -> PathBuf {
         self.root.join(SUB_DIR)
     }
@@ -263,12 +236,6 @@ impl ArtifactStore {
     /// The store's filesystem seam, for the [`crate::incr`] layer.
     pub(crate) fn vfs(&self) -> &Arc<dyn Vfs> {
         &self.vfs
-    }
-
-    /// The snapshot-pack state, locked for the caller's whole preload or
-    /// flush.
-    pub(crate) fn pack(&self) -> MutexGuard<'_, PackState> {
-        self.pack.0.lock().expect("snapshot pack lock poisoned")
     }
 
     /// Runs `op`, retrying transient faults on the store's bounded
@@ -311,44 +278,40 @@ impl ArtifactStore {
         }
     }
 
-    /// Removes orphaned `.sub.tmp` files (crash debris) from every
-    /// sub-artifact tier directory, and the snapshot pack's tmp,
-    /// best-effort. Returns how many were removed. Only call while no
-    /// writer can be mid-commit — store open time, or scrub.
+    /// Removes the orphaned `.<name>.pack.tmp` files (crash debris)
+    /// under `sub/`, best-effort. Returns how many were removed. Only
+    /// call while no writer can be mid-commit — store open time, or
+    /// scrub.
     pub fn sweep_tmp(&self) -> u64 {
-        let mut swept = 0u64;
-        let Ok(tiers) = self.vfs.list(&self.sub_dir()) else { return 0 };
-        for tier_dir in tiers {
-            if is_tmp_snapshot(&tier_dir) && self.vfs.remove_file(&tier_dir).is_ok() {
-                swept += 1;
-                continue;
-            }
-            let Ok(files) = self.vfs.list(&tier_dir) else { continue };
-            for file in files {
-                if is_tmp_sub(&file) && self.vfs.remove_file(&file).is_ok() {
-                    swept += 1;
-                }
-            }
-        }
+        let Ok(files) = self.vfs.list(&self.sub_dir()) else { return 0 };
+        let swept = files
+            .iter()
+            .filter(|f| is_segment_tmp(&entry_name(f)) && self.vfs.remove_file(f).is_ok())
+            .count() as u64;
         self.stats.tmp_swept.fetch_add(swept, Ordering::Relaxed);
         swept
     }
 
     /// Deep-verifies the whole store:
     ///
-    /// - every sub-artifact under [`SUB_DIR`] is frame- and
-    ///   payload-verified; a corrupt one is quarantined (moved under
-    ///   [`QUARANTINE_DIR`]) alone, leaving its tier siblings trusted;
-    /// - the read-optimized snapshot pack is verified whole (every
-    ///   embedded frame and payload) and quarantined whole if damaged
-    ///   — it is an accelerator, so the next flush rebuilds it;
-    /// - orphaned `.sub.tmp` files and the pack's tmp are swept;
-    /// - every other entry (a stray file, an unknown tier, a job
-    ///   directory of the retired per-stage checkpoint format) counts as
-    ///   one unknown entry and is quarantined: moved, never deleted;
+    /// - every segment file under [`SUB_DIR`] is verified frame by
+    ///   frame: each frame's checksum, then its payload through the
+    ///   corpus importer. A damaged file is quarantined (moved under
+    ///   [`QUARANTINE_DIR`]) whole, and the frames that still verified
+    ///   are written back as a new segment, so one corrupt entry costs
+    ///   exactly one recompute, never its file's siblings;
+    /// - orphaned segment tmp files are swept;
+    /// - every other entry (a stray file, a tier directory of the
+    ///   retired one-file-per-entry layout, a job directory of the
+    ///   retired per-stage checkpoint format) counts as one unknown
+    ///   entry and is quarantined: moved, never deleted;
+    /// - a quarantined entry takes the first free name among `<name>`,
+    ///   `<name>.1`, `<name>.2`, …, so no scrub overwrites an earlier
+    ///   one's; a move that fails leaves the entry in place;
     /// - i/o errors are counted and scrubbing continues.
     ///
-    /// With `dry_run` everything is counted but nothing is moved.
+    /// With `dry_run` everything is counted but nothing is moved or
+    /// written.
     pub fn scrub(&self, dry_run: bool) -> ScrubReport {
         let mut report = ScrubReport { dry_run, ..ScrubReport::default() };
         let entries = match self.vfs.list(&self.root) {
@@ -359,19 +322,20 @@ impl ArtifactStore {
                 return report;
             }
         };
+        let mut quarantine = Quarantine::list(self);
         for entry in entries {
             let name = entry_name(&entry);
             if name == QUARANTINE_DIR {
                 continue;
             }
             if name == SUB_DIR && self.vfs.is_dir(&entry) {
-                self.scrub_sub_dirs(&entry, &mut report);
+                self.scrub_sub(&entry, &mut quarantine, &mut report);
                 continue;
             }
             report.unknown_quarantined += 1;
             report.details.push(format!("unknown entry: {name}"));
             if !dry_run {
-                self.quarantine(&entry, &name, &mut report);
+                quarantine.admit(&entry, &name, &mut report);
             }
         }
         if report.tmp_swept > 0 && !dry_run {
@@ -380,18 +344,12 @@ impl ArtifactStore {
         report
     }
 
-    /// Verifies every incremental sub-artifact under `<root>/sub/`.
-    ///
-    /// Each file is read, frame-decoded ([`crate::incr`]: checksum, the
-    /// tier tag and the key its filename claims must all agree), and
-    /// its payload replayed through the corpus importer's full
-    /// validation. A damaged file is quarantined as
-    /// `sub.<tier>.<name>` *individually* — its tier siblings keep
-    /// their artifacts, so one corrupt function-level entry costs
-    /// exactly one recompute, never the whole cache.
-    fn scrub_sub_dirs(&self, dir: &Path, report: &mut ScrubReport) {
-        let tiers = match self.vfs.list(dir) {
-            Ok(t) => t,
+    /// Sorts what lies directly under `<root>/sub/` into segment files
+    /// (verified), their tmp debris (swept) and unknown entries
+    /// (quarantined whole as `sub.<name>`).
+    fn scrub_sub(&self, dir: &Path, quarantine: &mut Quarantine<'_>, report: &mut ScrubReport) {
+        let files = match self.vfs.list(dir) {
+            Ok(f) => f,
             Err(e) => {
                 report.io_errors += 1;
                 report.details.push(format!("list {}: {e}", dir.display()));
@@ -400,158 +358,135 @@ impl ArtifactStore {
         };
         // Validation sink only; hit/miss counters are never consulted.
         let scratch = rock_core::CorpusCache::new();
-        for tier_dir in tiers {
-            let tname = entry_name(&tier_dir);
-            if !self.vfs.is_dir(&tier_dir) {
-                if tname == crate::incr::SNAPSHOT_NAME {
-                    self.scrub_snapshot(&tier_dir, &scratch, report);
-                    continue;
-                }
-                if is_tmp_snapshot(&tier_dir) {
-                    report.tmp_swept += 1;
-                    report.details.push(format!("sub: swept tmp {tname}"));
-                    if !report.dry_run && self.vfs.remove_file(&tier_dir).is_err() {
-                        report.io_errors += 1;
-                    }
-                    continue;
-                }
-            }
-            let tier = rock_core::SubTier::ALL
-                .into_iter()
-                .find(|t| t.name() == tname)
-                .filter(|_| self.vfs.is_dir(&tier_dir));
-            let Some(tier) = tier else {
-                report.unknown_quarantined += 1;
-                report.details.push(format!("sub: unknown entry {tname}"));
-                if !report.dry_run {
-                    self.quarantine(&tier_dir, &format!("sub.{tname}"), report);
-                }
-                continue;
-            };
-            let files = match self.vfs.list(&tier_dir) {
-                Ok(f) => f,
-                Err(e) => {
+        for file in files {
+            let name = entry_name(&file);
+            let is_file = !self.vfs.is_dir(&file);
+            if is_file && is_segment_tmp(&name) {
+                report.tmp_swept += 1;
+                report.details.push(format!("sub: swept tmp {name}"));
+                if !report.dry_run && self.vfs.remove_file(&file).is_err() {
                     report.io_errors += 1;
-                    report.details.push(format!("list {}: {e}", tier_dir.display()));
-                    continue;
                 }
-            };
-            for file in files {
-                let name = entry_name(&file);
-                if is_tmp_sub(&file) {
-                    report.tmp_swept += 1;
-                    report.details.push(format!("sub/{tname}: swept tmp {name}"));
-                    if !report.dry_run && self.vfs.remove_file(&file).is_err() {
-                        report.io_errors += 1;
-                    }
-                    continue;
-                }
-                let Some(key) = crate::incr::key_of_sub_name(&name) else {
-                    report.unknown_quarantined += 1;
-                    report.details.push(format!("sub/{tname}: unknown file {name}"));
-                    if !report.dry_run {
-                        self.quarantine(&file, &format!("sub.{tname}.{name}"), report);
-                    }
-                    continue;
-                };
-                match self.with_retry_op(OpClass::Read, || self.vfs.read(&file)) {
-                    Ok(bytes) => match crate::incr::verify_sub_bytes(tier, key, &bytes, &scratch) {
-                        Ok(()) => report.artifacts_ok += 1,
-                        Err(why) => {
-                            self.stats.corrupt_detected.fetch_add(1, Ordering::Relaxed);
-                            report.corrupt_quarantined += 1;
-                            report.details.push(format!("sub/{tname}: corrupt {name}: {why}"));
-                            if !report.dry_run {
-                                self.quarantine(&file, &format!("sub.{tname}.{name}"), report);
-                            }
-                        }
-                    },
-                    Err(e) => {
-                        report.io_errors += 1;
-                        report.details.push(format!("sub/{tname}: read {name}: {e}"));
-                    }
+            } else if is_file && name.ends_with(SEGMENT_SUFFIX) {
+                self.scrub_segment(&file, &name, &scratch, quarantine, report);
+            } else {
+                report.unknown_quarantined += 1;
+                report.details.push(format!("sub: unknown entry {name}"));
+                if !report.dry_run {
+                    quarantine.admit(&file, &format!("sub.{name}"), report);
                 }
             }
         }
     }
 
-    /// Verifies the read-optimized snapshot pack: whole-file checksum,
-    /// every embedded frame, and every payload through the corpus
-    /// importer. The pack is an accelerator, not an artifact — a valid
-    /// pack is left in place but *not* counted in `artifacts_ok`
-    /// (its entries are already counted via their loose files), and a
-    /// damaged one is quarantined whole (`sub.snapshot.pack`); the
-    /// next flush rebuilds it.
-    fn scrub_snapshot(
+    /// Verifies one segment file frame by frame, replaying each payload
+    /// into `scratch`. A damaged file is quarantined whole as
+    /// `sub.<name>`; once it has moved, the frames that verified are
+    /// written back as a new segment.
+    fn scrub_segment(
         &self,
         file: &Path,
+        name: &str,
         scratch: &rock_core::CorpusCache,
+        quarantine: &mut Quarantine<'_>,
         report: &mut ScrubReport,
     ) {
-        let verdict = match self.with_retry_op(OpClass::Read, || self.vfs.read(file)) {
-            Ok(bytes) => match crate::incr::decode_snapshot(&bytes) {
-                Ok(entries) => {
-                    entries.iter().find(|(t, k, p)| !scratch.import_entry(*t, *k, p)).map(
-                        |(t, k, _)| format!("entry {}/{k:032x} failed corpus validation", t.name()),
-                    )
-                }
-                Err(why) => Some(why),
-            },
+        let segment = match self.with_retry_op(OpClass::Read, || self.vfs.read(file)) {
+            Ok(bytes) => decode_segment(&bytes),
             Err(e) => {
                 report.io_errors += 1;
-                report.details.push(format!("sub: read {}: {e}", crate::incr::SNAPSHOT_NAME));
+                report.details.push(format!("sub: read {name}: {e}"));
                 return;
             }
         };
-        if let Some(why) = verdict {
-            self.stats.corrupt_detected.fetch_add(1, Ordering::Relaxed);
-            report.corrupt_quarantined += 1;
-            report.details.push(format!("sub: corrupt {}: {why}", crate::incr::SNAPSHOT_NAME));
-            if !report.dry_run {
-                self.quarantine(file, &format!("sub.{}", crate::incr::SNAPSHOT_NAME), report);
+        let mut damage = segment.damage;
+        let mut kept = Vec::with_capacity(segment.entries.len());
+        for (tier, key, payload) in &segment.entries {
+            if scratch.import_entry(*tier, *key, payload) {
+                kept.push(encode_sub(*tier, *key, payload));
+            } else {
+                damage.get_or_insert_with(|| {
+                    format!("entry {}/{key:032x} failed corpus validation", tier.name())
+                });
             }
         }
+        report.artifacts_ok += kept.len() as u64;
+        let Some(why) = damage else { return };
+        self.stats.corrupt_detected.fetch_add(1, Ordering::Relaxed);
+        report.corrupt_quarantined += 1;
+        report.details.push(format!("sub: corrupt {name}: {why} ({} frames verified)", kept.len()));
+        if report.dry_run || !quarantine.admit(file, &format!("sub.{name}"), report) {
+            return;
+        }
+        if !kept.is_empty() && write_segment(self, &encode_snapshot(&kept)).is_err() {
+            report.io_errors += 1;
+            report.details.push(format!("sub: rewriting the verified frames of {name} failed"));
+        }
+    }
+}
+
+/// Where one scrub moves what it cannot trust: `<root>/.quarantine/`,
+/// listed once so that no move lands on a name already taken.
+struct Quarantine<'a> {
+    store: &'a ArtifactStore,
+    dir: PathBuf,
+    /// The names in use (`None`: the listing failed, so nothing moves).
+    taken: Option<HashSet<String>>,
+}
+
+impl<'a> Quarantine<'a> {
+    fn list(store: &'a ArtifactStore) -> Self {
+        let dir = store.root.join(QUARANTINE_DIR);
+        let taken = match store.vfs.list(&dir) {
+            Ok(entries) => Some(entries.iter().map(|e| entry_name(e)).collect()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Some(HashSet::new()),
+            Err(_) => None,
+        };
+        Quarantine { store, dir, taken }
     }
 
-    /// Moves `path` under the quarantine directory as `name`. A file
-    /// whose rename cannot land is removed instead; a directory is never
-    /// removed (it may hold data from another format).
-    fn quarantine(&self, path: &Path, name: &str, report: &mut ScrubReport) {
-        let qdir = self.root.join(QUARANTINE_DIR);
-        let ok = self.vfs.create_dir_all(&qdir).is_ok()
-            && self.vfs.rename(path, &qdir.join(name)).is_ok();
-        if !ok && (self.vfs.is_dir(path) || self.vfs.remove_file(path).is_err()) {
+    /// Moves `path` in under the first free name among `name`,
+    /// `name.1`, `name.2`, …. A move that cannot land leaves `path` in
+    /// place and counts an i/o error. Returns whether it moved.
+    fn admit(&mut self, path: &Path, name: &str, report: &mut ScrubReport) -> bool {
+        let vfs = &self.store.vfs;
+        let moved = self.taken.as_mut().is_some_and(|taken| {
+            let free = (0..)
+                .map(|n| if n == 0 { name.to_string() } else { format!("{name}.{n}") })
+                .find(|candidate| !taken.contains(candidate))
+                .unwrap_or_default();
+            let moved = vfs.create_dir_all(&self.dir).is_ok()
+                && vfs.rename(path, &self.dir.join(&free)).is_ok();
+            if moved {
+                taken.insert(free);
+            }
+            moved
+        });
+        if !moved {
             report.io_errors += 1;
             report.details.push(format!("quarantine failed: {}", path.display()));
         }
+        moved
     }
 }
 
-/// `true` for `.{key}.sub.tmp` sub-artifact commit debris.
-fn is_tmp_sub(path: &Path) -> bool {
-    entry_name(path).ends_with(".sub.tmp")
-}
-
-/// `true` for `.snapshot.pack.tmp` pack commit debris.
-fn is_tmp_snapshot(path: &Path) -> bool {
-    entry_name(path) == format!(".{}.tmp", crate::incr::SNAPSHOT_NAME)
-}
-
-fn entry_name(path: &Path) -> String {
+/// The last component of `path`, lossily as text (empty for none).
+pub(crate) fn entry_name(path: &Path) -> String {
     path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
 }
 
 /// What [`ArtifactStore::scrub`] found (and, unless `dry_run`, fixed).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Sub-artifacts that read and verified clean.
+    /// Sub-artifact frames that read and verified clean (a damaged
+    /// file's included: they are written back).
     pub artifacts_ok: u64,
-    /// Corrupt sub-artifacts (or a corrupt pack) moved to quarantine.
+    /// Damaged segment files moved to quarantine.
     pub corrupt_quarantined: u64,
-    /// Orphaned `.sub.tmp` files (and the pack's tmp) removed.
+    /// Orphaned segment tmp files removed.
     pub tmp_swept: u64,
-    /// Unknown entries (stray files, unknown tiers, retired per-stage
-    /// checkpoint directories) moved to quarantine.
+    /// Unknown entries (stray files, retired tier directories, retired
+    /// per-stage checkpoint directories) moved to quarantine.
     pub unknown_quarantined: u64,
     /// Operations that failed with i/o errors (scrub continued).
     pub io_errors: u64,
@@ -618,9 +553,7 @@ mod tests {
             "scrubbing a mistyped path must not mkdir it"
         );
         let store = ArtifactStore::open(&root).unwrap();
-        let dir = store.sub_tier_dir(rock_core::SubTier::Exec);
-        fs::create_dir_all(&dir).unwrap();
-        let tmp = dir.join(".0000000000000000000000000000002a.sub.tmp");
+        let tmp = store.sub_dir().join(".000000000000002a.pack.tmp");
         fs::write(&tmp, b"half a commit").unwrap();
         drop(store);
         // The scrub entry point must leave the stale tmp in place so
@@ -634,6 +567,28 @@ mod tests {
         assert_eq!(real.tmp_swept, 1);
         assert!(!tmp.exists());
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn quarantine_never_overwrites_and_scrub_converges() {
+        let root = tmpdir("quarantine");
+        let store = ArtifactStore::open(&root).unwrap();
+        let (alien, old_tier) = (store.sub_dir().join("alien.bin"), store.sub_dir().join("exec"));
+        for round in ["first", "second"] {
+            fs::write(&alien, round).unwrap();
+            fs::create_dir_all(&old_tier).unwrap();
+            fs::write(old_tier.join(format!("{round}.sub")), round).unwrap();
+            let report = store.scrub(false);
+            assert_eq!((report.unknown_quarantined, report.io_errors), (2, 0), "{report:?}");
+            assert!(!alien.exists() && !old_tier.exists(), "{round}: moved, never left behind");
+        }
+        assert!(store.scrub(false).is_clean(), "scrub converges");
+        let q = root.join(QUARANTINE_DIR);
+        assert_eq!(fs::read(q.join("sub.alien.bin")).unwrap(), b"first");
+        assert_eq!(fs::read(q.join("sub.alien.bin.1")).unwrap(), b"second");
+        assert_eq!(fs::read(q.join("sub.exec").join("first.sub")).unwrap(), b"first");
+        assert_eq!(fs::read(q.join("sub.exec.1").join("second.sub")).unwrap(), b"second");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

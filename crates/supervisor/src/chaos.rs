@@ -206,9 +206,9 @@ mod tests {
             StdVfs::arc(),
             Arc::new(FaultPlan::new().fail_storage(ChaosOp::Rename, 0, ChaosFlavor::CrashTmp)),
         );
-        let tmp = dir.join(".x.sub.tmp");
+        let tmp = dir.join(".x.pack.tmp");
         vfs.write(&tmp, b"half-finished").unwrap();
-        assert!(vfs.rename(&tmp, &dir.join("x.sub")).is_err());
+        assert!(vfs.rename(&tmp, &dir.join("x.pack")).is_err());
         // Cleanup fails once — exactly the crash window.
         assert!(vfs.remove_file(&tmp).is_err());
         assert!(tmp.exists());

@@ -25,22 +25,15 @@
 //! calls the exec key is independent of the function's *address*, so
 //! byte-identical functions at shifted offsets still hit.
 //!
-//! On-disk layout, under the artifact store root:
+//! On-disk layout, under the artifact store root: one *segment file*
+//! per flush, named by the FNV-1a hash of its bytes.
 //!
 //! ```text
-//! <root>/sub/<tier>/<key:032x>.sub   (loose: source of truth)
-//! <root>/sub/snapshot.pack           (read-optimized accelerator)
+//! <root>/sub/<fnv1a:016x>.pack   the frames one flush claimed
 //! ```
 //!
-//! The loose files give scrub its per-artifact quarantine granularity;
-//! the snapshot pack bundles the same frames into one file so a warm
-//! preload is one large read instead of thousands of tiny opens.
-//! Preload imports a pack entry only when the matching loose file is
-//! present in the tier listing (the listing is authoritative — a
-//! quarantined artifact cannot be resurrected from a stale pack), and
-//! falls back to loose reads for anything the pack cannot serve.
-//!
-//! Each file is framed as:
+//! A segment file is a snapshot pack ([`encode_snapshot`]): a magic,
+//! then segments of framed sub-artifacts, each frame framed as
 //!
 //! ```text
 //! magic "ROCKSUB\x01" | tier tag u8 | key lo u64 | key hi u64
@@ -48,45 +41,35 @@
 //! before it)
 //! ```
 //!
-//! Staleness defenses are layered: the frame checksum catches torn or
-//! bit-rotted files; the frame's tier/key must agree with the path the
-//! file was found under (a misfiled artifact is rejected, not
-//! re-homed); and [`rock_core::CorpusCache::import_entry`] re-derives
-//! each payload's own key from its decoded content (a model must
-//! reproduce its pool key, a distance its disk key), so a payload can
-//! never be loaded under a key it does not hash to. A rejected file is
-//! counted (`incr.corrupt_skipped`) and simply recomputes —
-//! degradation, never stale reuse. `rock store scrub` quarantines such
-//! files individually without touching their tier siblings.
+//! Staleness defenses are layered: each frame's checksum catches torn
+//! or bit-rotted bytes frame by frame, so a damaged file costs only the
+//! frames that fail it (and those after a broken length field); and
+//! [`rock_core::CorpusCache::import_entry`] re-derives each payload's
+//! own key from its decoded content (a model must reproduce its pool
+//! key, a distance its disk key), so a payload can never be loaded
+//! under a key it does not hash to. A rejected frame is counted
+//! (`incr.corrupt_skipped`) and simply recomputes — degradation, never
+//! stale reuse. `rock store scrub` quarantines a damaged file whole and
+//! writes the frames that still verify back as a new segment, so a
+//! quarantined entry costs exactly its own recompute.
 //!
 //! A flush costs what was added since the last one, not what the store
 //! holds. Every corpus entry carries a persisted mark (preloaded
 //! entries arrive marked); [`flush_subartifacts`] claims the unmarked
 //! ones ([`rock_core::CorpusCache::claim_unpersisted`], which visits
-//! only keys stored since the last claim), writes one loose file per
-//! claim through a temp file + atomic rename, hands a failed write
-//! back, and appends the frames it committed to the pack as one
-//! segment. A stage-boundary flush writes the loose files only and
-//! leaves its frames pending in the store, so a job writes the pack
-//! once, after its last stage, and a batch once, in its final flush.
-//! A flush lists no directory and reads nothing. Within a
-//! process first-write-wins therefore holds by construction: a claimed
-//! entry goes to exactly one flush, and a writer that does reach an
-//! existing file (a second process, or a corpus that never preloaded
-//! the store) writes the same content-addressed frame through tmp +
-//! rename. In `durable` mode files are fsynced before rename and each
-//! tier directory after its batch. All traffic goes through the store's
-//! [`crate::vfs::Vfs`] seam, retry policy, and fault accounting, so
-//! chaos tests exercise this layer under injected storage faults.
-//!
-//! The pack bytes a store last verified at preload, or last wrote, stay
-//! in the store's shared state with the pending frames; a pack write
-//! appends those to them and rewrites the file whole (tmp + rename), and
-//! the same lock serialises flushes across the daemon's workers. A pack
-//! that lags the loose files costs a resume only loose-file reads, since
-//! preload falls back to them. A store that holds no verified pack —
-//! none on disk, a damaged one, an older format, or one that does not
-//! mirror the loose files — rebuilds it whole at its next flush.
+//! only keys stored since the last claim) and writes their frames as one
+//! segment file through a temp file + atomic rename; a failed write
+//! hands every claim back. A flush that claims nothing makes no storage
+//! call, and no flush lists a directory or reads anything. Concurrent
+//! flushes claim disjoint entries and so write distinct files, which
+//! needs no lock: a claimed entry goes to exactly one flush within a
+//! process, and a writer that does repeat an entry (a second process,
+//! or a corpus that never preloaded the store) repeats the same
+//! content-addressed frame, which preload imports once more. In
+//! `durable` mode the file is fsynced before its rename and `sub/`
+//! after it. All traffic goes through the store's [`crate::vfs::Vfs`]
+//! seam, retry policy, and fault accounting, so chaos tests exercise
+//! this layer under injected storage faults.
 //!
 //! The warm ≡ cold invariant holds end to end: preloaded entries only
 //! ever short-circuit work whose outputs are bit-identical to
@@ -95,50 +78,33 @@
 //! daemon registries only, never in the pipeline's own registry or
 //! diagnostics.
 
-use std::collections::HashSet;
 use std::io;
-use std::path::{Path, PathBuf};
 
 use rock_binary::codec::{Reader, WireError, Writer};
-use rock_core::{par_map, CorpusCache, Parallelism, SubTier};
+use rock_core::{CorpusCache, SubTier};
 use rock_trace::{fnv1a, names, MetricsRegistry};
 
-use crate::artifact::{ArtifactStore, OpClass, PackState};
+use crate::artifact::{entry_name, ArtifactStore, OpClass};
 
-/// The 8-byte sub-artifact file magic; the trailing byte is the format
+/// The 8-byte sub-artifact frame magic; the trailing byte is the format
 /// version. Bumps invalidate every existing sub-artifact.
 pub const SUB_MAGIC: &[u8; 8] = b"ROCKSUB\x01";
 
-/// The 8-byte snapshot-pack magic; the trailing byte is the format
-/// version. Bumps make existing packs unreadable, which merely drops
-/// preload back to loose files until the next flush rebuilds the pack
-/// whole. v2: the body is a sequence of self-checksummed segments, so a
-/// flush appends one instead of re-encoding every entry.
+/// The 8-byte magic of a segment file; the trailing byte is the format
+/// version. A bump makes every existing segment file unreadable:
+/// preload counts each once in `incr.corrupt_skipped`, its entries
+/// recompute, and scrub quarantines it. v2: the body is a sequence of
+/// self-checksummed segments.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ROCKSPK\x02";
 
-/// Filename of the read-optimized snapshot pack, directly under
-/// `<root>/sub/`. The pack bundles every framed sub-artifact into one
-/// file so a warm preload costs one read instead of one per artifact —
-/// on the patch-and-rerun critical path, thousands of tiny loose-file
-/// opens are the dominant cost. The loose files stay the source of
-/// truth (scrub granularity); the pack is purely an accelerator, and
-/// every flush that commits something appends a segment to it.
-pub const SNAPSHOT_NAME: &str = "snapshot.pack";
+/// The suffix of a segment file directly under `<root>/sub/`. Preload
+/// reads every file that carries it, so a store written before segment
+/// files (whose `snapshot.pack` has the same encoding) stays warm.
+pub(crate) const SEGMENT_SUFFIX: &str = ".pack";
 
-/// The filename of one sub-artifact: 32 lowercase hex digits + `.sub`.
-pub fn sub_file_name(key: u128) -> String {
-    format!("{key:032x}.sub")
-}
-
-/// Parses a `<key:032x>.sub` filename back to its key. Returns `None`
-/// unless the name round-trips exactly (length, case, suffix).
-pub fn key_of_sub_name(name: &str) -> Option<u128> {
-    let hex = name.strip_suffix(".sub")?;
-    if hex.len() != 32 {
-        return None;
-    }
-    let key = u128::from_str_radix(hex, 16).ok()?;
-    (name == sub_file_name(key)).then_some(key)
+/// `true` for the commit debris of a segment write, `.<name>.pack.tmp`.
+pub(crate) fn is_segment_tmp(name: &str) -> bool {
+    name.starts_with('.') && name.ends_with(".pack.tmp")
 }
 
 /// Frames one sub-artifact payload for disk:
@@ -190,7 +156,7 @@ pub fn decode_sub(bytes: &[u8]) -> Result<(SubTier, u128, Vec<u8>), String> {
 }
 
 /// Bundles already-framed sub-artifacts into a one-segment snapshot
-/// pack:
+/// pack, the bytes of one segment file:
 ///
 /// ```text
 /// magic "ROCKSPK\x02" | segment | segment | ...   (at least one)
@@ -198,9 +164,8 @@ pub fn decode_sub(bytes: &[u8]) -> Result<(SubTier, u128, Vec<u8>), String> {
 ///           | FNV-1a checksum u64 (over the segment's bytes before it)
 /// ```
 ///
-/// A flush appends its frames as one more segment. Each embedded frame
-/// keeps its own checksum, so a pack entry is exactly as trustworthy as
-/// the loose file it mirrors.
+/// Each embedded frame keeps its own checksum, so every frame verifies
+/// on its own.
 pub fn encode_snapshot(frames: &[Vec<u8>]) -> Vec<u8> {
     let mut pack = SNAPSHOT_MAGIC.to_vec();
     append_segment(&mut pack, frames);
@@ -221,169 +186,144 @@ fn append_segment(pack: &mut Vec<u8>, frames: &[Vec<u8>]) {
 
 /// Decodes a snapshot pack into its (tier, key, payload) entries, in
 /// pack order. Magic, every segment's checksum and framing, and each
-/// embedded sub-artifact frame are all verified; any damage — in any
-/// segment — rejects the whole pack (callers fall back to loose files;
-/// the pack is never the only copy).
+/// embedded sub-artifact frame are all verified; any damage, in any
+/// segment, rejects the whole pack. Preload and scrub read segment
+/// files frame by frame instead ([`decode_segment`]).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<(SubTier, u128, Vec<u8>)>, String> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 8 + 8 {
         return Err("pack shorter than the fixed frame".into());
     }
-    let (magic, body) = bytes.split_at(SNAPSHOT_MAGIC.len());
-    if magic != SNAPSHOT_MAGIC {
-        return Err("bad pack magic or unsupported format version".into());
+    match walk_frames(bytes) {
+        (_, Some(why)) => Err(why),
+        (frames, None) => frames.into_iter().map(decode_sub).collect(),
     }
-    let truncated = |_: WireError| "pack truncated inside a segment".to_string();
-    // Each segment's frames are located in place and decoded only after
-    // the segment's checksum holds.
-    let mut entries = Vec::new();
+}
+
+/// Locates the frames of a pack, in order, and reports the first damage
+/// to its framing: a bad magic, a segment checksum that does not match,
+/// or a length or count that runs past the end. The walk goes on past a
+/// checksum mismatch, since every frame still carries its own checksum,
+/// but stops at the end of the bytes: frames after a broken length
+/// field are lost.
+fn walk_frames(bytes: &[u8]) -> (Vec<&[u8]>, Option<String>) {
+    let Some(body) = bytes.strip_prefix(SNAPSHOT_MAGIC.as_slice()) else {
+        return (Vec::new(), Some("bad pack magic or unsupported format version".into()));
+    };
+    let mut frames = Vec::new();
+    let mut damage = None;
     let mut r = Reader::new(body);
     while !r.is_at_end() {
         let start = r.offset();
-        let count = r.u64("frame count").map_err(truncated)?;
-        let mut frames = Vec::new();
-        for _ in 0..count {
-            let len = r.len("frame length").map_err(truncated)?;
-            frames.push(r.bytes(len, "frame").map_err(truncated)?);
-        }
-        let segment = &body[start..r.offset()];
-        if fnv1a(segment) != r.u64("segment checksum").map_err(truncated)? {
-            return Err("pack segment checksum mismatch".into());
-        }
-        for frame in frames {
-            entries.push(decode_sub(frame)?);
+        let segment = r.u64("frame count").and_then(|count| {
+            for _ in 0..count {
+                let len = r.len("frame length")?;
+                frames.push(r.bytes(len, "frame")?);
+            }
+            let end = r.offset();
+            Ok((end, r.u64("segment checksum")?))
+        });
+        let Ok((end, checksum)) = segment else {
+            return (frames, damage.or_else(|| Some("pack truncated inside a segment".into())));
+        };
+        if fnv1a(&body[start..end]) != checksum && damage.is_none() {
+            damage = Some("pack segment checksum mismatch".into());
         }
     }
-    Ok(entries)
+    (frames, damage)
 }
 
-/// Deep verification for scrub: the frame must decode, its tier and
-/// key must match where the file was found, and the payload must pass
-/// the corpus importer's full content validation (replayed into
-/// `scratch`, a throwaway cache).
-pub fn verify_sub_bytes(
-    tier: SubTier,
-    key: u128,
-    bytes: &[u8],
-    scratch: &CorpusCache,
-) -> Result<(), String> {
-    let (t, k, payload) = decode_sub(bytes)?;
-    if t != tier {
-        return Err(format!("tier {} does not match directory {}", t.name(), tier.name()));
+/// What one segment file yields, frame by frame.
+pub(crate) struct Segment {
+    /// Every frame that passed [`decode_sub`], in file order.
+    pub(crate) entries: Vec<(SubTier, u128, Vec<u8>)>,
+    /// Frames that failed [`decode_sub`].
+    pub(crate) bad_frames: u64,
+    /// The first damage found, in the framing or in a frame (`None`:
+    /// the file is intact).
+    pub(crate) damage: Option<String>,
+}
+
+/// Decodes a segment file frame by frame: a damaged file costs only the
+/// frames that fail their own checksum, and those lost with a broken
+/// length field.
+pub(crate) fn decode_segment(bytes: &[u8]) -> Segment {
+    let (frames, mut damage) = walk_frames(bytes);
+    let (mut entries, mut bad_frames) = (Vec::with_capacity(frames.len()), 0);
+    for frame in frames {
+        match decode_sub(frame) {
+            Ok(entry) => entries.push(entry),
+            Err(why) => {
+                bad_frames += 1;
+                damage.get_or_insert(why);
+            }
+        }
     }
-    if k != key {
-        return Err(format!("key {k:032x} does not match filename {key:032x}"));
+    Segment { entries, bad_frames, damage }
+}
+
+/// Writes `bytes` as one segment file directly under `<root>/sub/`,
+/// named `<fnv1a:016x>.pack` after its bytes: temp file + atomic
+/// rename, with the file fsynced before the rename in `durable` mode.
+/// A failed write removes its temp file.
+pub(crate) fn write_segment(store: &ArtifactStore, bytes: &[u8]) -> io::Result<()> {
+    let dir = store.sub_dir();
+    let name = format!("{:016x}{SEGMENT_SUFFIX}", fnv1a(bytes));
+    let tmp = dir.join(format!(".{name}.tmp"));
+    let result = store.with_retry_op(OpClass::Write, || {
+        store.vfs().write(&tmp, bytes)?;
+        if store.durable() {
+            store.vfs().sync_file(&tmp)?;
+        }
+        store.vfs().rename(&tmp, &dir.join(&name))
+    });
+    if result.is_err() {
+        let _ = store.vfs().remove_file(&tmp);
     }
-    if !scratch.import_entry(t, k, &payload) {
-        return Err("payload failed corpus validation".into());
-    }
-    Ok(())
+    result
 }
 
 /// Restores every trusted sub-artifact on disk into `corpus`, marked
-/// persisted so no later flush rewrites it.
+/// persisted so no later flush rewrites it: one listing of `sub/` and
+/// one read per segment file.
 ///
-/// Untrusted files (bad frame, tier/key mismatch, payload that fails
-/// the importer's content validation) are skipped and counted — they
-/// recompute, and the next flush or scrub deals with them. Call before
-/// running jobs; preloading is cheap relative to one reconstruction
-/// and makes every unchanged function/type/pair/family a cache hit.
-///
-/// The store keeps the pack's bytes for later flushes to append to
-/// only when the pack mirrors the tier listing exactly (each listed
-/// entry once, nothing else); otherwise it holds no verified pack, and
-/// the next flush rebuilds one whole.
+/// Untrusted frames (a failed checksum, a payload that fails the
+/// importer's content validation) are skipped and counted — they
+/// recompute, and scrub deals with the file. A damaged file counts each
+/// frame it could not deliver, and at least once: a file whose framing
+/// broke (a torn tail, a bad magic, an older format) counts once for
+/// what it lost. Call before running jobs; preloading is cheap relative
+/// to one reconstruction and makes every unchanged
+/// function/type/pair/family a cache hit.
 ///
 /// Returns the `incr.preloaded`, `incr.corrupt_skipped` and
 /// `incr.io_errors` counts.
 pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
-    let mut held = store.pack();
-    *held = PackState::default();
     let (mut preloaded, mut corrupt_skipped, mut io_errors) = (0, 0, 0);
-    // Gather the per-tier listings up front (one readdir per tier):
-    // the listings are the index of what the store currently trusts.
-    // Everything the snapshot pack can serve is imported from it in
-    // one read; only stragglers (entries newer than the pack, or a
-    // corrupt/missing pack) fall back to loose-file reads, fanned
-    // across threads. Preload sits on the patch-and-rerun critical
-    // path, where a serial loop over thousands of small files would
-    // eat the very latency the incremental store exists to save.
-    let mut work: Vec<(SubTier, PathBuf, u128)> = Vec::new();
-    for tier in SubTier::ALL {
-        let dir = store.sub_tier_dir(tier);
-        let files = match store.with_retry_op(OpClass::Read, || store.vfs().list(&dir)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(_) => {
-                io_errors += 1;
-                continue;
-            }
-        };
-        for file in files {
-            let name = file_name(&file);
-            if name.ends_with(".sub.tmp") {
-                continue; // crash debris; the open-time sweep owns it
-            }
-            // A file under an unknown name (an editor backup, an alien
-            // file) holds no entry, so nothing is lost: scrub owns it.
-            let Some(key) = key_of_sub_name(&name) else { continue };
-            work.push((tier, file, key));
+    let files = match store.with_retry_op(OpClass::Read, || store.vfs().list(&store.sub_dir())) {
+        Ok(files) => files,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(_) => {
+            io_errors += 1;
+            Vec::new()
         }
-    }
-    // Serve what we can from the snapshot pack first. An entry is only
-    // imported if its loose file appears in the tier listing gathered
-    // above — the listing is authoritative, so a quarantined or
-    // deleted artifact can never be resurrected from a stale pack.
-    // Any pack damage (or a pack entry whose payload fails the
-    // importer) simply leaves that entry to the loose-file path below.
-    let listed: HashSet<(u8, u128)> = work.iter().map(|(t, _, k)| (t.tag(), *k)).collect();
-    let mut served: HashSet<(u8, u128)> = HashSet::new();
-    let snap_path = store.sub_dir().join(SNAPSHOT_NAME);
-    match store.with_retry_op(OpClass::Read, || store.vfs().read(&snap_path)) {
-        Ok(bytes) => match decode_snapshot(&bytes) {
-            Ok(entries) => {
-                let exact = entries.len() == listed.len();
-                for (tier, key, payload) in entries {
-                    let id = (tier.tag(), key);
-                    if listed.contains(&id)
-                        && !served.contains(&id)
-                        && corpus.import_entry(tier, key, &payload)
-                    {
+    };
+    for file in files.iter().filter(|f| entry_name(f).ends_with(SEGMENT_SUFFIX)) {
+        match store.with_retry_op(OpClass::Read, || store.vfs().read(file)) {
+            Ok(bytes) => {
+                let segment = decode_segment(&bytes);
+                let mut lost = segment.bad_frames;
+                for (tier, key, payload) in &segment.entries {
+                    if corpus.import_entry(*tier, *key, payload) {
                         preloaded += 1;
-                        served.insert(id);
+                    } else {
+                        lost += 1;
                     }
                 }
-                // Later flushes append to this pack only if it holds
-                // every listed entry once and nothing else.
-                if exact && served.len() == listed.len() {
-                    held.bytes = Some(bytes);
-                }
+                corrupt_skipped += lost.max(u64::from(segment.damage.is_some()));
             }
-            Err(_) => corrupt_skipped += 1, // scrub quarantines it
-        },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(_) => io_errors += 1,
-    }
-    work.retain(|(t, _, k)| !served.contains(&(t.tag(), *k)));
-    let preload_one = |(tier, file, key): &(SubTier, PathBuf, u128)| match store
-        .with_retry_op(OpClass::Read, || store.vfs().read(file))
-    {
-        Ok(bytes) => match decode_sub(&bytes) {
-            Ok((t, k, payload)) if t == *tier && k == *key => {
-                if corpus.import_entry(t, k, &payload) {
-                    Loaded::Imported
-                } else {
-                    Loaded::Rejected
-                }
-            }
-            _ => Loaded::Rejected,
-        },
-        Err(_) => Loaded::Unreadable,
-    };
-    for loaded in par_map(io_parallelism(work.len()), &work, preload_one) {
-        match loaded {
-            Loaded::Imported => preloaded += 1,
-            Loaded::Rejected => corrupt_skipped += 1,
-            Loaded::Unreadable => io_errors += 1,
+            // Moved away since the listing (a concurrent scrub).
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(_) => io_errors += 1,
         }
     }
     let mut stats = MetricsRegistry::new();
@@ -393,175 +333,40 @@ pub fn preload_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> Metr
     stats
 }
 
-/// What preloading one loose sub-artifact file did.
-enum Loaded {
-    /// Verified and imported into the corpus.
-    Imported,
-    /// Bad frame, misfiled, or rejected by the importer.
-    Rejected,
-    /// The read failed after retries.
-    Unreadable,
-}
-
-/// The thread policy of the store's file fan-outs: the calling thread
-/// for small batches, where spawn overhead would dominate, and at most
-/// eight workers otherwise.
-fn io_parallelism(items: usize) -> Parallelism {
-    if items < 64 {
-        Parallelism::Serial
-    } else {
-        Parallelism::Threads(Parallelism::Auto.thread_count().min(8))
-    }
-}
-
-/// Persists what `corpus` added since its last flush (or preload): one
-/// framed file per claimed sub-artifact (temp file + atomic rename;
-/// fsyncs in `durable` mode), then one pack segment holding the frames
-/// it committed and those earlier loose-only flushes left pending.
+/// Persists what `corpus` added since its last flush (or preload) as
+/// one segment file ([`write_segment`]; in `durable` mode `sub/` is
+/// fsynced after the rename).
 ///
 /// Entries already persisted are counted as `unchanged` and never
-/// touched, so once the store holds a verified pack, a flush after a
-/// run that computed nothing new makes no storage call at all. A failed
-/// write hands its entry back to the corpus for the next flush. A store
-/// holding no verified pack rebuilds it whole from every persisted
-/// entry. Flushes of one store run one at a time.
+/// touched, so a flush after a run that computed nothing new makes no
+/// storage call at all. A failed write hands every claimed entry back
+/// to the corpus for the next flush and counts one i/o error.
 ///
 /// Returns the `incr.flushed`, `incr.unchanged` and `incr.io_errors`
 /// counts.
 pub fn flush_subartifacts(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
-    flush(store, corpus, true)
-}
-
-/// Like [`flush_subartifacts`], but leaves the pack file alone: the
-/// frames it commits wait in the store for the next pack write. A
-/// stage-boundary flush writes only loose files, which is all a resume
-/// needs (preload reads the loose files a pack lacks), so a batch
-/// rewrites its pack once instead of at every boundary.
-pub(crate) fn flush_loose(store: &ArtifactStore, corpus: &CorpusCache) -> MetricsRegistry {
-    flush(store, corpus, false)
-}
-
-fn flush(store: &ArtifactStore, corpus: &CorpusCache, pack: bool) -> MetricsRegistry {
-    let mut state = store.pack();
     let (claimed, unchanged) = corpus.claim_unpersisted();
-    if state.bytes.is_none() && unchanged == 0 && state.pending.is_empty() {
-        // Nothing was persisted before this flush, so a pack holding
-        // exactly what flushes commit from here on mirrors the store.
-        state.bytes = Some(SNAPSHOT_MAGIC.to_vec());
-    }
-    let mut io_errors = 0;
-    let committed = write_claimed(store, corpus, &claimed, &mut io_errors);
-    let flushed = committed.len() as u64;
-    if state.bytes.is_some() {
-        state.pending.extend(committed);
-    }
-    if pack {
-        io_errors += write_pack(store, corpus, &mut state);
+    let (mut flushed, mut io_errors) = (claimed.len() as u64, 0);
+    if !claimed.is_empty() {
+        let frames: Vec<Vec<u8>> =
+            claimed.iter().map(|(tier, key, payload)| encode_sub(*tier, *key, payload)).collect();
+        if write_segment(store, &encode_snapshot(&frames)).is_ok() {
+            if store.durable() && store.vfs().sync_dir(&store.sub_dir()).is_err() {
+                io_errors += 1;
+            }
+        } else {
+            for (tier, key, payload) in &claimed {
+                corpus.unclaim(*tier, *key, payload);
+            }
+            flushed = 0;
+            io_errors += 1;
+        }
     }
     let mut stats = MetricsRegistry::new();
     stats.set(names::INCR_FLUSHED, flushed);
     stats.set(names::INCR_UNCHANGED, unchanged);
     stats.set(names::INCR_IO_ERRORS, io_errors);
     stats
-}
-
-/// Appends the pending frames to the held pack as one segment, or
-/// rebuilds the pack whole when the store holds no verified one, and
-/// writes it. Returns the i/o errors it met (0 or 1).
-fn write_pack(store: &ArtifactStore, corpus: &CorpusCache, state: &mut PackState) -> u64 {
-    let frames = std::mem::take(&mut state.pending);
-    let bytes = match state.bytes.as_mut() {
-        Some(_) if frames.is_empty() => return 0,
-        Some(bytes) => {
-            append_segment(bytes, &frames);
-            bytes
-        }
-        None => {
-            // No verified pack to append to: rebuild it whole from
-            // everything persisted.
-            let frames: Vec<Vec<u8>> =
-                corpus.export_entries().iter().map(|(t, k, p)| encode_sub(*t, *k, p)).collect();
-            if frames.is_empty() {
-                return 0;
-            }
-            state.bytes.insert(encode_snapshot(&frames))
-        }
-    };
-    // A failed pack write keeps the bytes: the next flush that commits
-    // something rewrites the file with them.
-    let sub_root = store.sub_dir();
-    let tmp = sub_root.join(format!(".{SNAPSHOT_NAME}.tmp"));
-    let dst = sub_root.join(SNAPSHOT_NAME);
-    let result = store.with_retry_op(OpClass::Write, || {
-        store.vfs().write(&tmp, bytes)?;
-        if store.durable() {
-            store.vfs().sync_file(&tmp)?;
-        }
-        store.vfs().rename(&tmp, &dst)
-    });
-    match result {
-        Ok(()) if store.durable() && store.vfs().sync_dir(&sub_root).is_err() => 1,
-        Ok(()) => 0,
-        Err(_) => {
-            let _ = store.vfs().remove_file(&tmp);
-            1
-        }
-    }
-}
-
-/// Writes each claimed entry to its loose file, fanned across threads
-/// (distinct keys mean distinct tmp and destination paths, so the
-/// writes commute). Hands every failed entry back to `corpus`, counts
-/// it in `io_errors`, and returns the committed frames in claim order.
-fn write_claimed(
-    store: &ArtifactStore,
-    corpus: &CorpusCache,
-    claimed: &[(SubTier, u128, Vec<u8>)],
-    io_errors: &mut u64,
-) -> Vec<Vec<u8>> {
-    let tiers: Vec<SubTier> =
-        SubTier::ALL.into_iter().filter(|&t| claimed.iter().any(|(c, ..)| *c == t)).collect();
-    for &tier in &tiers {
-        let dir = store.sub_tier_dir(tier);
-        if store.with_retry_op(OpClass::Write, || store.vfs().create_dir_all(&dir)).is_err() {
-            *io_errors += 1;
-        }
-    }
-    let write_one = |(tier, key, payload): &(SubTier, u128, Vec<u8>)| {
-        let frame = encode_sub(*tier, *key, payload);
-        let name = sub_file_name(*key);
-        let dir = store.sub_tier_dir(*tier);
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let result = store.with_retry_op(OpClass::Write, || {
-            store.vfs().write(&tmp, &frame)?;
-            if store.durable() {
-                store.vfs().sync_file(&tmp)?;
-            }
-            store.vfs().rename(&tmp, &dir.join(&name))
-        });
-        if result.is_ok() {
-            return Some(frame);
-        }
-        let _ = store.vfs().remove_file(&tmp);
-        corpus.unclaim(*tier, *key, payload);
-        None
-    };
-    let results = par_map(io_parallelism(claimed.len()), claimed, write_one);
-    if store.durable() {
-        for &tier in &tiers {
-            let wrote = claimed.iter().zip(&results).any(|((t, ..), r)| *t == tier && r.is_some());
-            if wrote && store.vfs().sync_dir(&store.sub_tier_dir(tier)).is_err() {
-                *io_errors += 1;
-            }
-        }
-    }
-    let committed: Vec<Vec<u8>> = results.into_iter().flatten().collect();
-    *io_errors += (claimed.len() - committed.len()) as u64;
-    committed
-}
-
-fn file_name(path: &Path) -> String {
-    path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -604,18 +409,6 @@ mod tests {
         bad.extend_from_slice(&checksum.to_le_bytes());
         let err = decode_sub(&bad).expect_err("bad tag");
         assert!(err.contains("tier tag"), "{err}");
-    }
-
-    #[test]
-    fn sub_names_round_trip_and_reject_lookalikes() {
-        let key = 0x0000_0000_0000_0000_0000_0000_0000_002au128;
-        let name = sub_file_name(key);
-        assert_eq!(name, "0000000000000000000000000000002a.sub");
-        assert_eq!(key_of_sub_name(&name), Some(key));
-        assert_eq!(key_of_sub_name("0000000000000000000000000000002A.sub"), None);
-        assert_eq!(key_of_sub_name("2a.sub"), None);
-        assert_eq!(key_of_sub_name("0000000000000000000000000000002a.art"), None);
-        assert_eq!(key_of_sub_name(".0000000000000000000000000000002a.sub.tmp"), None);
     }
 
     #[test]
@@ -683,12 +476,38 @@ mod tests {
     }
 
     #[test]
-    fn verify_rejects_misfiled_frames() {
-        let scratch = CorpusCache::new();
-        let bytes = encode_sub(SubTier::Lifting, 5, &[]);
-        let err = verify_sub_bytes(SubTier::Model, 5, &bytes, &scratch).expect_err("tier");
-        assert!(err.contains("does not match directory"), "{err}");
-        let err = verify_sub_bytes(SubTier::Lifting, 6, &bytes, &scratch).expect_err("key");
-        assert!(err.contains("does not match filename"), "{err}");
+    fn a_damaged_segment_costs_only_the_frames_it_loses() {
+        let frames: Vec<Vec<u8>> =
+            (0..4u8).map(|i| encode_sub(SubTier::Exec, i.into(), &[i])).collect();
+        let pack = encode_snapshot(&frames);
+        let intact = decode_segment(&pack);
+        assert_eq!((intact.entries.len(), intact.bad_frames, intact.damage), (4, 0, None));
+
+        // A flipped byte inside frame 1 costs that frame alone.
+        let frame1 = 8 + 8 + (8 + frames[0].len()) + 8;
+        let mut bad = pack.clone();
+        bad[frame1 + 20] ^= 0xFF;
+        let rotted = decode_segment(&bad);
+        let keys: Vec<u128> = rotted.entries.iter().map(|(_, k, _)| *k).collect();
+        assert_eq!((keys, rotted.bad_frames), (vec![0, 2, 3], 1));
+        assert!(rotted.damage.is_some());
+
+        // A flipped segment checksum loses nothing but is still damage.
+        let mut bad = pack.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        let checksum = decode_segment(&bad);
+        assert_eq!((checksum.entries.len(), checksum.bad_frames), (4, 0));
+        assert_eq!(checksum.damage.as_deref(), Some("pack segment checksum mismatch"));
+
+        // A torn tail keeps the frames before the tear.
+        let torn = decode_segment(&pack[..frame1 + 20]);
+        assert_eq!((torn.entries.len(), torn.bad_frames), (1, 0));
+        assert_eq!(torn.damage.as_deref(), Some("pack truncated inside a segment"));
+
+        // A file in another format yields nothing.
+        let alien = decode_segment(b"ROCKSPK\x01 and more");
+        assert_eq!((alien.entries.len(), alien.bad_frames), (0, 0));
+        assert!(alien.damage.is_some());
     }
 }

@@ -41,7 +41,7 @@ use rock_trace::{
 };
 
 use crate::artifact::{content_key, ArtifactStore};
-use crate::incr::{flush_loose, flush_subartifacts, preload_subartifacts};
+use crate::incr::{flush_subartifacts, preload_subartifacts};
 use crate::ladder::{structural_only_hierarchy, Rung};
 
 /// Typed process exit codes for supervised runs (documented in the
@@ -88,9 +88,9 @@ pub struct SupervisorOptions {
     pub collect_metrics: bool,
     /// Persist the corpus cache's sub-artifacts across processes (see
     /// [`crate::incr`]): every job flushes what it added at each stage
-    /// boundary (loose files; the snapshot pack once per job, or once
-    /// per batch), and [`Supervisor::run_batch`] preloads the store
-    /// before its first job. An interrupted job then resumes as a
+    /// boundary, as one segment file per flush that added something,
+    /// and [`Supervisor::run_batch`] preloads the store before its
+    /// first job. An interrupted job then resumes as a
     /// preload plus a rerun the tiers answer, and a patched image
     /// recomputes only what its edit touched. [`Supervisor::new`]
     /// attaches a private unbounded [`CorpusCache`] when none is
@@ -515,15 +515,9 @@ impl Supervisor {
     /// Runs one job to a report + output. Never panics; never returns
     /// an empty output for a loadable image unless the run is strict,
     /// failed, or interrupted. With [`SupervisorOptions::incremental`]
-    /// a completed job also writes the snapshot pack, once, after its
-    /// last stage.
+    /// its last flush is the one at its last stage boundary (or, with
+    /// `repartition_families`, after `finish`).
     pub fn run_job(&self, name: &str, image_bytes: &[u8]) -> JobResult {
-        self.run_one(name, image_bytes, true)
-    }
-
-    /// [`Supervisor::run_job`]; `pack` says whether a completed job
-    /// writes the snapshot pack (a batch writes it in its final flush).
-    fn run_one(&self, name: &str, image_bytes: &[u8], pack: bool) -> JobResult {
         let start = Instant::now();
         let key = self.job_key(image_bytes);
         let ctx = self.trace_ctx();
@@ -569,7 +563,7 @@ impl Supervisor {
                 fall_through_to_fallback = true;
                 break;
             }
-            match self.attempt(attempt, rung, &loaded, &deadline, &mut checkpoints, pack) {
+            match self.attempt(attempt, rung, &loaded, &deadline, &mut checkpoints) {
                 AttemptOutcome::Completed(recon) => {
                     report.attempts.push(AttemptRecord { rung, backoff_ms, result: "ok".into() });
                     report.errors = count_severity(&recon, Severity::Error);
@@ -696,11 +690,11 @@ impl Supervisor {
     }
 
     /// Writes the sub-artifacts the attached corpus cache added since
-    /// its last preload or flush to the store, and appends them to the
-    /// snapshot pack as one segment (no-op without a cache). It costs
-    /// what was added, not what the store holds: entries already
-    /// persisted count as `unchanged` and are not touched. Traced as
-    /// `supervisor.flush`; returns its `incr.*` counts.
+    /// its last preload or flush to the store, as one segment file
+    /// (no-op without a cache). It costs what was added, not what the
+    /// store holds: entries already persisted count as `unchanged` and
+    /// are not touched, and a flush that adds nothing makes no storage
+    /// call. Traced as `supervisor.flush`; returns its `incr.*` counts.
     pub fn flush_incremental(&self) -> MetricsRegistry {
         let ctx = self.trace_ctx();
         let _span = ctx.span(names::SUPERVISOR_FLUSH, 0);
@@ -712,11 +706,11 @@ impl Supervisor {
 
     /// Runs a batch of `(name, image bytes)` jobs sequentially. With
     /// [`SupervisorOptions::incremental`] set, sub-artifacts are
-    /// preloaded before the first job, every job writes loose files at
-    /// its stage boundaries, and a final flush after the last job
-    /// persists what a failed job flush handed back and writes the
-    /// snapshot pack once (even when the batch aborts early — completed
-    /// work stays persisted). A preload that skipped a corrupt
+    /// preloaded before the first job, every job flushes at its stage
+    /// boundaries, and a final flush after the last job persists what a
+    /// failed job flush handed back (even when the batch aborts early —
+    /// completed work stays persisted; with nothing handed back it
+    /// makes no storage call). A preload that skipped a corrupt
     /// sub-artifact raises the batch's exit code to
     /// [`exit::RESUME_CORRUPT`].
     pub fn run_batch(&self, jobs: &[(String, Vec<u8>)]) -> BatchResult {
@@ -725,7 +719,7 @@ impl Supervisor {
         let mut failures = 0usize;
         let mut aborted_after = None;
         for (i, (name, bytes)) in jobs.iter().enumerate() {
-            let r = self.run_one(name, bytes, false);
+            let r = self.run_job(name, bytes);
             if r.report.exit_code() >= exit::FAILED {
                 failures += 1;
             }
@@ -753,11 +747,11 @@ impl Supervisor {
         BatchResult { jobs: results, exit_code, aborted_after, incr }
     }
 
-    /// One pipeline attempt on `rung`: advance every stage, flush loose
-    /// files at each stage boundary, honor interrupt directives and the
-    /// watchdog. After `finish` it flushes once more when repartition
-    /// may have added distance entries, or when `pack` asks for the
-    /// pack write. Panics are contained and reported, never propagated.
+    /// One pipeline attempt on `rung`: advance every stage, flush at
+    /// each stage boundary, honor interrupt directives and the
+    /// watchdog. After `finish` it flushes once more only when
+    /// repartition may have added distance entries. Panics are
+    /// contained and reported, never propagated.
     fn attempt(
         &self,
         attempt: u32,
@@ -765,7 +759,6 @@ impl Supervisor {
         loaded: &LoadedBinary,
         deadline: &Deadline,
         checkpoints: &mut Checkpoints,
-        pack: bool,
     ) -> AttemptOutcome {
         let ctx = self.trace_ctx();
         let _attempt_span = ctx.span(names::SUPERVISOR_ATTEMPT, attempt as u64);
@@ -792,7 +785,7 @@ impl Supervisor {
                     Err(e) => return AttemptOutcome::Strict(e.to_string()),
                     Ok(None) => break,
                     Ok(Some(stage)) => {
-                        self.checkpoint(stage, checkpoints, false);
+                        self.checkpoint(stage, checkpoints);
                         if self.fault.as_ref().is_some_and(|p| p.should_interrupt_after(stage)) {
                             return AttemptOutcome::Interrupted(stage);
                         }
@@ -800,8 +793,8 @@ impl Supervisor {
                 }
             }
             let recon = run.finish();
-            if pack || rock.config().repartition_families {
-                self.checkpoint(StageId::Lifting, checkpoints, pack);
+            if rock.config().repartition_families {
+                self.checkpoint(StageId::Lifting, checkpoints);
             }
             AttemptOutcome::Completed(Box::new(recon))
         }));
@@ -813,13 +806,12 @@ impl Supervisor {
 
     /// Flushes what the corpus cache added since the last flush, at the
     /// boundary after `stage` (with [`SupervisorOptions::incremental`]
-    /// only), as loose files, and with `pack` the snapshot pack too. A
-    /// failed flush must not fail the job: the stage already ran, only
-    /// persistence is lost. The store retried transient faults, so an
-    /// i/o error here is persistent — the job degrades to
+    /// only). A failed flush must not fail the job: the stage already
+    /// ran, only persistence is lost. The store retried transient
+    /// faults, so an i/o error here is persistent — the job degrades to
     /// recompute-without-checkpointing instead of hammering a broken
     /// disk at every boundary.
-    fn checkpoint(&self, stage: StageId, checkpoints: &mut Checkpoints, pack: bool) {
+    fn checkpoint(&self, stage: StageId, checkpoints: &mut Checkpoints) {
         let Some(corpus) = self.corpus.as_ref().filter(|_| self.options.incremental) else {
             return;
         };
@@ -828,11 +820,7 @@ impl Supervisor {
             return;
         }
         let _span = self.trace_ctx().span(names::SUPERVISOR_CHECKPOINT, stage as u64);
-        let flushed = if pack {
-            flush_subartifacts(&self.store, corpus)
-        } else {
-            flush_loose(&self.store, corpus)
-        };
+        let flushed = flush_subartifacts(&self.store, corpus);
         let io_errors = flushed.counter(names::INCR_IO_ERRORS);
         checkpoints.flushed += flushed.counter(names::INCR_FLUSHED);
         checkpoints.io_errors += io_errors;

@@ -6,8 +6,9 @@
 //!
 //! * [`incr`] — persistence of the corpus cache's function-, type-,
 //!   pair- and family-level sub-artifacts (tracelets, SLMs, distances,
-//!   liftings) under `<root>/sub/<tier>/`, keyed by content, so a
-//!   patched image reuses everything its edit did not touch. It is also
+//!   liftings) as one segment file per flush under `<root>/sub/`, keyed
+//!   by content, so a patched image reuses everything its edit did not
+//!   touch. It is also
 //!   the one resume format: a supervised job flushes at every stage
 //!   boundary, and an interrupted job resumes as a preload plus a rerun
 //!   whose tier lookups answer every stage that already ran,
@@ -54,9 +55,7 @@ pub use artifact::{
     config_fingerprint, content_key, ArtifactStore, ScrubReport, QUARANTINE_DIR, SUB_DIR,
 };
 pub use chaos::FaultyVfs;
-pub use incr::{
-    decode_snapshot, encode_snapshot, flush_subartifacts, preload_subartifacts, SNAPSHOT_NAME,
-};
+pub use incr::{decode_snapshot, encode_snapshot, flush_subartifacts, preload_subartifacts};
 pub use job::{
     exit, AttemptRecord, BatchResult, JobOutcome, JobOutput, JobReport, JobResult, StoreIncident,
     Supervisor, SupervisorOptions,

@@ -178,16 +178,16 @@ pub const INCR_CORRUPT_SKIPPED: &str = "incr.corrupt_skipped";
 /// Sub-artifact reads/writes abandoned on an i/o error.
 pub const INCR_IO_ERRORS: &str = "incr.io_errors";
 
-/// Orphaned tmp files the artifact store swept: `.sub.tmp`
-/// sub-artifacts and the snapshot pack's tmp.
+/// Orphaned tmp files the artifact store swept: the
+/// `.<name>.pack.tmp` debris of segment writes.
 pub const STORE_TMP_SWEPT: &str = "store.tmp_swept";
-/// Store writes (sub-artifacts, the pack, tier directories)
-/// re-attempted after a transient i/o fault.
+/// Store writes (segment files, the `sub/` directory) re-attempted
+/// after a transient i/o fault.
 pub const STORE_WRITE_RETRIES: &str = "store.write_retries";
 /// Store writes that failed persistently, after retries: the entry goes
 /// back to the cache for a later flush, the job lives.
 pub const STORE_WRITE_FAILURES: &str = "store.write_failures";
-/// Store reads (listings, loose files, the pack) re-attempted after a
+/// Store reads (the `sub/` listing, segment files) re-attempted after a
 /// transient i/o fault.
 pub const STORE_READ_RETRIES: &str = "store.read_retries";
 /// Store reads that failed persistently, after retries (the entry is

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # CI smoke for the self-healing artifact store, end to end through the
 # CLI. A durable `--resume` batch persists sub-artifacts at every stage
-# boundary (fsync at every commit point); we then damage the store three
-# ways — truncate one sub-artifact, strand a crash-style .sub.tmp, plant
-# a foreign file in a tier directory — and `rock store scrub` must
-# classify all three: the dry run reports exact per-class counts while
-# touching nothing, the real scrub quarantines/sweeps and converges to
-# clean, a `--resume` rerun reuses every healthy entry and recomputes
-# only the quarantined one (the `corpus:` and `incr:` lines show it),
-# and the rerun after that is fully warm, exiting 0 throughout.
+# boundary as one segment file per flush (fsync at every commit point);
+# we then damage the store three ways — truncate the segment the lifting
+# boundary wrote, strand a crash-style segment tmp, plant a foreign file
+# under sub/ — and `rock store scrub` must classify all three: the dry
+# run reports exact per-class counts while touching nothing, the real
+# scrub quarantines/sweeps and converges to clean, a `--resume` rerun
+# reuses every healthy entry and recomputes only the quarantined one
+# (the `corpus:` and `incr:` lines show it), and the rerun after that is
+# fully warm, exiting 0 throughout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,11 +33,18 @@ echo "== warm rerun: every tier answers, nothing new to flush =="
 grep -Eq "$ALL_HIT" "$WORK/warm.log"
 grep -q "^incr: $FLUSHED preloaded, 0 flushed" "$WORK/warm.log"
 
-echo "== damage: truncate a lifting sub-artifact, strand a tmp, plant an alien file =="
-SUB=$(find "$STORE/sub/lifting" -name '*.sub' | head -1)
-[ -n "$SUB" ] || { echo "no lifting sub-artifact in $STORE"; exit 1; }
-TMP="$STORE/sub/exec/.0000000000000000000000000000002a.sub.tmp"
-ALIEN="$STORE/sub/exec/alien.bin"
+echo "== damage: truncate the lifting segment, strand a tmp, plant an alien file =="
+# Each stage boundary writes one segment holding its stage's tier. A
+# segment's first frame's tier tag sits at byte 32 (pack magic, frame
+# count, frame length, frame magic: 8 bytes each); the lifting tier's
+# tag is 3. Timestamps are too coarse to find it as the newest file.
+SUB=""
+for f in "$STORE"/sub/*.pack; do
+  [ "$(od -An -tu1 -j32 -N1 "$f" | tr -d ' ')" = 3 ] && SUB=$f
+done
+[ -n "$SUB" ] || { echo "no lifting segment in $STORE"; exit 1; }
+TMP="$STORE/sub/.000000000000002a.pack.tmp"
+ALIEN="$STORE/sub/alien.bin"
 truncate -s 21 "$SUB"
 printf 'half a commit' > "$TMP"
 printf 'not ours' > "$ALIEN"
@@ -50,7 +58,7 @@ grep -q '1 corrupt quarantined, 1 tmp swept, 1 unknown quarantined, 0 io errors'
 echo "== real scrub quarantines and sweeps, then converges clean =="
 "$ROCK" store scrub --store "$STORE" | tee "$WORK/scrub.log"
 grep -q '1 corrupt quarantined, 1 tmp swept, 1 unknown quarantined, 0 io errors' "$WORK/scrub.log"
-[ ! -f "$SUB" ] || { echo "corrupt sub-artifact still in place"; exit 1; }
+[ ! -f "$SUB" ] || { echo "corrupt segment still in place"; exit 1; }
 [ ! -f "$TMP" ] || { echo "stale tmp survived scrub"; exit 1; }
 [ ! -f "$ALIEN" ] || { echo "alien file survived scrub"; exit 1; }
 [ -d "$STORE/.quarantine" ] || { echo "no quarantine directory"; exit 1; }

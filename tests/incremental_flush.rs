@@ -1,16 +1,17 @@
 //! What an incremental flush costs and what it leaves on disk.
 //!
 //! A flush persists only the corpus entries added since the last
-//! preload or flush, then appends their frames to the snapshot pack as
-//! one segment. The cost is pinned as storage-call counts through a
-//! counting `Vfs`: a flush after a run that added nothing makes no call
-//! at all, and a one-method patch costs one write and one rename per
-//! added entry plus one of each for the pack, with no listing and no
-//! read. Two flushes racing over one corpus write each entry once, and
-//! a store holding the previous pack format (`ROCKSPK\x01`) is upgraded
-//! whole by the next flush that writes anything. A supervised batch
-//! writes each entry once and its pack once; a supervised job writes
-//! its pack once, after its last stage.
+//! preload or flush, as one segment file under `sub/`. The cost is
+//! pinned as storage-call counts through a counting `Vfs`: a flush
+//! after a run that added nothing makes no call at all, a one-method
+//! patch costs one write and one rename with no listing and no read,
+//! and preloading a store one flush wrote costs one listing and one
+//! read. Two flushes racing over one corpus put each entry in exactly
+//! one segment. A supervised job writes one segment per stage boundary
+//! that added entries and nothing after its last stage, and a batch
+//! nothing at its end. A file in the previous pack format
+//! (`ROCKSPK\x01`) counts once as corrupt, the segments beside it still
+//! preload, and nothing rewrites it.
 
 use std::collections::HashSet;
 use std::fs;
@@ -22,11 +23,15 @@ use std::sync::{Arc, Barrier};
 use rock::binary::image_to_bytes;
 use rock::core::{suite, CorpusCache, Parallelism, Rock, RockConfig, SubTier};
 use rock::loader::LoadedBinary;
+use rock::supervisor::incr::encode_sub;
 use rock::supervisor::{
     decode_snapshot, flush_subartifacts, preload_subartifacts, ArtifactStore, StdVfs, Supervisor,
-    SupervisorOptions, Vfs, SNAPSHOT_NAME,
+    SupervisorOptions, Vfs,
 };
 use rock::trace::{fnv1a, names};
+
+/// One decoded sub-artifact: tier, key, payload.
+type Entry = (SubTier, u128, Vec<u8>);
 
 /// A scratch artifact-store root, removed on drop.
 struct Scratch(PathBuf);
@@ -51,8 +56,36 @@ impl Scratch {
         (store, vfs)
     }
 
-    fn pack(&self) -> Vec<u8> {
-        fs::read(self.0.join("sub").join(SNAPSHOT_NAME)).expect("the flush wrote a pack")
+    /// The segment files under `sub/`, by name, with their entries.
+    fn segments(&self) -> Vec<(String, Vec<Entry>)> {
+        let mut names: Vec<String> = fs::read_dir(self.0.join("sub"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".pack") && name != "snapshot.pack")
+            .collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|name| {
+                let bytes = fs::read(self.0.join("sub").join(&name)).unwrap();
+                assert_eq!(name, format!("{:016x}.pack", fnv1a(&bytes)), "named by its bytes");
+                let entries = decode_snapshot(&bytes).expect("a segment decodes");
+                (name, entries)
+            })
+            .collect()
+    }
+
+    /// Every `(tier tag, key)` the segments hold, asserting none is in
+    /// two segments or twice in one.
+    fn stored_ids(&self) -> HashSet<(u8, u128)> {
+        let entries: Vec<(u8, u128)> = self
+            .segments()
+            .iter()
+            .flat_map(|(_, entries)| entries.iter().map(|(t, k, _)| (t.tag(), *k)))
+            .collect();
+        let ids: HashSet<(u8, u128)> = entries.iter().copied().collect();
+        assert_eq!(ids.len(), entries.len(), "every entry is in exactly one segment");
+        ids
     }
 }
 
@@ -156,12 +189,12 @@ fn live_entries(cache: &CorpusCache) -> u64 {
     (execs + models + distances + cache.lifting_len()) as u64
 }
 
-/// Every `(tier tag, key)` a pack holds, asserting none repeats.
-fn pack_ids(pack: &[u8]) -> HashSet<(u8, u128)> {
-    let entries = decode_snapshot(pack).expect("the pack decodes");
-    let ids: HashSet<(u8, u128)> = entries.iter().map(|(t, k, _)| (t.tag(), *k)).collect();
-    assert_eq!(ids.len(), entries.len(), "every entry appears in the pack once");
-    ids
+/// The calls a counted store made, with only `read` and `list` allowed.
+fn reads_and_lists(calls: [u64; OPS]) -> (u64, u64) {
+    let others: u64 =
+        calls.iter().sum::<u64>() - calls[Op::Read as usize] - calls[Op::List as usize];
+    assert_eq!(others, 0, "only reads and listings: {calls:?}");
+    (calls[Op::Read as usize], calls[Op::List as usize])
 }
 
 /// Flushes the base image's sub-artifacts into the scratch store, then
@@ -178,7 +211,7 @@ fn preloaded(
     let cache = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&store, &cache);
     assert_eq!(preloaded.counter(names::INCR_PRELOADED), flushed.counter(names::INCR_FLUSHED));
-    assert_eq!(vfs.take()[Op::Read as usize], 1, "preload reads the pack alone");
+    assert_eq!(reads_and_lists(vfs.take()), (1, 1), "one listing, then the one segment");
     (store, vfs, cache)
 }
 
@@ -201,7 +234,7 @@ fn a_flush_after_a_run_that_added_nothing_makes_no_storage_call() {
 }
 
 #[test]
-fn a_one_method_patch_flush_writes_what_the_patch_added_plus_the_pack() {
+fn a_one_method_patch_flush_writes_one_segment() {
     let (base, edited) = delta_images();
     let scratch = Scratch::new("one-patch");
     let (store, vfs, cache) = preloaded(&scratch, &base);
@@ -220,15 +253,18 @@ fn a_one_method_patch_flush_writes_what_the_patch_added_plus_the_pack() {
         ),
         (k, before, 0)
     );
-    assert_eq!(calls[Op::Write as usize], k + 1, "one write per added entry, one for the pack");
-    assert_eq!(calls[Op::Rename as usize], k + 1, "one rename per added entry, one for the pack");
-    assert_eq!(calls[Op::List as usize], 0, "a flush lists no directory");
-    assert_eq!(calls[Op::Read as usize], 0, "a flush reads nothing back");
-    assert_eq!(pack_ids(&scratch.pack()).len() as u64, before + k);
+    let mut expected = [0; OPS];
+    expected[Op::Write as usize] = 1;
+    expected[Op::Rename as usize] = 1;
+    assert_eq!(calls, expected, "one write and one rename, whatever the patch added");
+    let segments = scratch.segments();
+    assert_eq!(segments.len(), 2, "the base's segment and the patch's");
+    assert!(segments.iter().any(|(_, entries)| entries.len() as u64 == k));
+    assert_eq!(scratch.stored_ids().len() as u64, before + k);
 }
 
 #[test]
-fn a_batch_writes_each_entry_once_and_its_pack_once() {
+fn a_job_and_a_batch_write_one_segment_per_stage_boundary_that_added_entries() {
     let jobs: Vec<(String, Vec<u8>)> = (0..3)
         .map(|i| {
             let compiled = suite::corpus_member(i, 40).compile().expect("compiles");
@@ -238,37 +274,56 @@ fn a_batch_writes_each_entry_once_and_its_pack_once() {
     let config = RockConfig::paper().with_parallelism(Parallelism::Serial);
     let options = SupervisorOptions { incremental: true, ..SupervisorOptions::default() };
 
-    // A batch: loose files at every stage boundary, the pack once, in
-    // its final flush.
-    let scratch = Scratch::new("batch");
-    let (store, vfs) = scratch.counted_store();
-    let batch = Supervisor::new(config, store, options.clone()).run_batch(&jobs);
-    assert_eq!(batch.exit_code, 0);
-    let incr = batch.incr.expect("an incremental batch reports its incr counts");
-    let flushed = incr.counter(names::INCR_FLUSHED);
-    assert!(flushed > 0);
-    assert_eq!(incr.counter(names::INCR_IO_ERRORS), 0);
-    let calls = vfs.take();
-    assert_eq!(calls[Op::Write as usize], flushed + 1, "one write per entry, one for the pack");
-    assert_eq!(calls[Op::Rename as usize], flushed + 1, "one rename per entry, one for the pack");
-    assert_eq!(pack_ids(&scratch.pack()).len() as u64, flushed, "the pack holds every entry");
-
-    // Jobs run one by one: each writes the pack once, after its last
-    // stage, if it added anything.
+    // Jobs run one by one: each boundary that added entries writes one
+    // segment holding that stage's tier, and nothing follows `finish`.
     let scratch = Scratch::new("jobs");
     let (store, vfs) = scratch.counted_store();
-    let supervisor = Supervisor::new(config, store, options);
-    let mut total = 0;
-    for (name, bytes) in &jobs {
+    let supervisor = Supervisor::new(config, store, options.clone());
+    let mut seen = HashSet::new();
+    for (i, (name, bytes)) in jobs.iter().enumerate() {
         let report = supervisor.run_job(name, bytes).report;
-        let flushed = report.counters.counter(names::INCR_FLUSHED);
+        assert_eq!(report.counters.counter(names::SUPERVISOR_CHECKPOINTS_SAVED), 4, "{name}");
         let calls = vfs.take();
-        let pack_writes = u64::from(flushed > 0);
-        assert_eq!(calls[Op::Write as usize], flushed + pack_writes, "{name}");
-        assert_eq!(calls[Op::Rename as usize], flushed + pack_writes, "{name}");
-        total += flushed;
+        let new: Vec<_> =
+            scratch.segments().into_iter().filter(|(seg, _)| seen.insert(seg.clone())).collect();
+        let mut expected = [0; OPS];
+        expected[Op::Write as usize] = new.len() as u64;
+        expected[Op::Rename as usize] = new.len() as u64;
+        assert_eq!(calls, expected, "{name}: one write and one rename per new segment");
+        let mut tiers: Vec<u8> = new
+            .iter()
+            .map(|(seg, entries)| {
+                let tier = entries[0].0.tag();
+                assert!(entries.iter().all(|(t, ..)| t.tag() == tier), "{name}: {seg} mixes tiers");
+                tier
+            })
+            .collect();
+        tiers.sort_unstable();
+        tiers.dedup();
+        assert_eq!(tiers.len(), new.len(), "{name}: one segment per stage boundary");
+        if i == 0 {
+            assert_eq!(new.len(), 4, "a cold job adds entries at every boundary");
+        }
+        let flushed: usize = new.iter().map(|(_, entries)| entries.len()).sum();
+        assert_eq!(report.counters.counter(names::INCR_FLUSHED), flushed as u64, "{name}");
     }
-    assert_eq!(pack_ids(&scratch.pack()).len() as u64, total);
+    let total = scratch.stored_ids().len();
+
+    // A batch: the same segments, and nothing at its end.
+    let scratch = Scratch::new("batch");
+    let (store, vfs) = scratch.counted_store();
+    let batch = Supervisor::new(config, store, options).run_batch(&jobs);
+    assert_eq!(batch.exit_code, 0);
+    let incr = batch.incr.expect("an incremental batch reports its incr counts");
+    assert_eq!(incr.counter(names::INCR_FLUSHED), total as u64);
+    assert_eq!(incr.counter(names::INCR_IO_ERRORS), 0);
+    let calls = vfs.take();
+    let segments = scratch.segments().len() as u64;
+    assert_eq!(segments, seen.len() as u64, "the jobs' segments, no final one");
+    assert_eq!(calls[Op::Write as usize], segments, "one write per segment");
+    assert_eq!(calls[Op::Rename as usize], segments, "one rename per segment");
+    assert_eq!(calls[Op::Read as usize], 0, "the preload of an empty store reads nothing");
+    assert_eq!(scratch.stored_ids().len(), total);
 }
 
 #[test]
@@ -303,12 +358,12 @@ fn concurrent_flushes_of_one_corpus_write_each_entry_once() {
             0,
             "trial {trial}: {stats:?}"
         );
-        assert_eq!(pack_ids(&scratch.pack()).len() as u64, live, "trial {trial}");
+        assert_eq!(scratch.stored_ids().len() as u64, live, "trial {trial}");
     }
 }
 
 #[test]
-fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
+fn a_v1_pack_counts_once_and_nothing_rewrites_it() {
     let (base, edited) = delta_images();
     let scratch = Scratch::new("pack-v1");
     let populate = Arc::new(CorpusCache::new());
@@ -316,16 +371,13 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
     let flushed = flush_subartifacts(&scratch.store(), &populate);
     assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
 
-    // Replace the pack with the previous format over the same loose
-    // files: magic "ROCKSPK\x01" | count | (len | frame)* | checksum.
-    let mut frames = Vec::new();
-    for tier in SubTier::ALL {
-        let dir = scratch.0.join("sub").join(tier.name());
-        let mut files: Vec<PathBuf> =
-            fs::read_dir(&dir).map(|d| d.map(|e| e.unwrap().path()).collect()).unwrap_or_default();
-        files.sort();
-        frames.extend(files.iter().map(|f| fs::read(f).unwrap()));
-    }
+    // Beside the segment, a pack in the previous format holding the
+    // same frames: magic "ROCKSPK\x01" | count | (len | frame)* | checksum.
+    let frames: Vec<Vec<u8>> = scratch
+        .segments()
+        .iter()
+        .flat_map(|(_, entries)| entries.iter().map(|(t, k, p)| encode_sub(*t, *k, p)))
+        .collect();
     assert_eq!(frames.len() as u64, flushed.counter(names::INCR_FLUSHED));
     let mut v1 = b"ROCKSPK\x01".to_vec();
     v1.extend_from_slice(&(frames.len() as u64).to_le_bytes());
@@ -335,10 +387,11 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
     }
     let checksum = fnv1a(&v1);
     v1.extend_from_slice(&checksum.to_le_bytes());
-    fs::write(scratch.0.join("sub").join(SNAPSHOT_NAME), &v1).unwrap();
+    let old_pack = scratch.0.join("sub").join("snapshot.pack");
+    fs::write(&old_pack, &v1).unwrap();
 
-    // Preload serves every entry from the loose files and counts the
-    // old pack once.
+    // Preload serves every entry from the segment and counts the old
+    // pack once.
     let store = scratch.store();
     let cache = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&store, &cache);
@@ -347,28 +400,28 @@ fn a_v1_pack_is_rebuilt_whole_by_the_next_flush_that_writes() {
         (flushed.counter(names::INCR_FLUSHED), 1)
     );
 
-    // The next flush that writes anything replaces it with a v2 pack
-    // holding every live entry.
+    // The next flush that writes anything adds a segment and leaves the
+    // old pack alone.
     run(&edited, &cache);
     let stats = flush_subartifacts(&store, &cache);
     assert!(
         stats.counter(names::INCR_FLUSHED) > 0 && stats.counter(names::INCR_IO_ERRORS) == 0,
         "{stats:?}"
     );
-    let pack = scratch.pack();
-    assert_eq!(&pack[..8], b"ROCKSPK\x02");
+    assert_eq!(fs::read(&old_pack).unwrap(), v1, "nothing rewrites the old pack");
     let live: HashSet<(u8, u128)> =
         cache.export_entries().iter().map(|(t, k, _)| (t.tag(), *k)).collect();
     assert_eq!(live.len() as u64, live_entries(&cache));
-    assert_eq!(pack_ids(&pack), live);
+    assert_eq!(scratch.stored_ids(), live);
 
-    // A fresh preload from that store reads exactly one file.
+    // A fresh preload lists once and reads the two segments and the old
+    // pack, which it counts once again.
     let (store, vfs) = scratch.counted_store();
     let fresh = Arc::new(CorpusCache::new());
     let preloaded = preload_subartifacts(&store, &fresh);
-    assert_eq!(vfs.take()[Op::Read as usize], 1);
+    assert_eq!(reads_and_lists(vfs.take()), (3, 1));
     assert_eq!(
         (preloaded.counter(names::INCR_PRELOADED), preloaded.counter(names::INCR_CORRUPT_SKIPPED)),
-        (live.len() as u64, 0)
+        (live.len() as u64, 1)
     );
 }

@@ -28,7 +28,7 @@ use rock::binary::image_to_bytes;
 use rock::core::{suite, FaultPlan, StageId};
 use rock::serve::wire::{JobState, RejectReason, Request, Response};
 use rock::serve::{result_fp, DrainSummary, ServeClient, ServeConfig, Server, ServerHandle};
-use rock::supervisor::{ArtifactStore, Supervisor};
+use rock::supervisor::{decode_snapshot, ArtifactStore, Supervisor};
 use rock::trace::{names, parse_json, Json};
 
 /// A scratch artifact-store root, removed on drop.
@@ -271,14 +271,14 @@ fn per_job_flush_counts_and_the_drain_flush_sum_to_the_daemon_totals() {
     join.join().expect("server thread").expect("clean drain");
     // The drain flush found every entry persisted and wrote nothing, so
     // the totals are the jobs' sums plus its counts — and they match the
-    // files on disk, each written exactly once.
-    let on_disk: u64 = ["exec", "model", "distance", "lifting"]
-        .iter()
-        .filter_map(|tier| fs::read_dir(scratch.0.join("sub").join(tier)).ok())
-        .map(|dir| dir.count() as u64)
+    // entries in the segment files on disk, each written exactly once.
+    let on_disk: u64 = fs::read_dir(scratch.0.join("sub"))
+        .unwrap()
+        .map(|e| fs::read(e.unwrap().path()).unwrap())
+        .map(|bytes| decode_snapshot(&bytes).expect("an intact segment").len() as u64)
         .sum();
     assert_eq!(handle.counter(names::INCR_FLUSHED), flushed, "the drain flush had nothing left");
-    assert_eq!(handle.counter(names::INCR_FLUSHED), on_disk, "one flush count per file");
+    assert_eq!(handle.counter(names::INCR_FLUSHED), on_disk, "one flush count per entry");
     assert_eq!(handle.counter(names::INCR_UNCHANGED), on_disk, "the drain flush saw every entry");
     assert_eq!(handle.counter(names::INCR_IO_ERRORS), io_errors);
 }

@@ -29,8 +29,8 @@ use rock::binary::image_to_bytes;
 use rock::core::{suite, CorpusCache, FaultPlan, Parallelism, Reconstruction, Rock, RockConfig};
 use rock::serve::{result_fp, ServeClient, ServeConfig, Server};
 use rock::supervisor::{
-    exit, flush_subartifacts, preload_subartifacts, ArtifactStore, FaultyVfs, JobOutcome,
-    JobOutput, JobResult, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
+    decode_snapshot, exit, flush_subartifacts, preload_subartifacts, ArtifactStore, FaultyVfs,
+    JobOutcome, JobOutput, JobResult, StdVfs, Supervisor, SupervisorOptions, Vfs, QUARANTINE_DIR,
 };
 use rock::trace::{names, MetricsRegistry};
 
@@ -489,47 +489,84 @@ fn serve_chaos_drain_restart_then_scrubbed_rerun_matches_fault_free_fp() {
 // Scrub classification: one of each damage class, counted exactly
 // ---------------------------------------------------------------------
 
-/// The loose sub-artifact files of one tier, sorted.
-fn tier_files(root: &std::path::Path, tier: &str) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = fs::read_dir(root.join("sub").join(tier))
+/// The segment files under `<root>/sub/`, sorted.
+fn segment_files(root: &std::path::Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(root.join("sub"))
         .map(|d| d.map(|e| e.unwrap().path()).collect())
         .unwrap_or_default();
+    files.retain(|f| f.extension().is_some_and(|x| x == "pack"));
     files.sort();
     files
+}
+
+/// Where each frame of a segment file lies, as `(offset, len)`, in
+/// order; the walk stops where the framing breaks (a torn tail).
+fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let word = |at: usize| {
+        let b = bytes.get(at..at + 8)?;
+        Some(u64::from_le_bytes(b.try_into().unwrap()) as usize)
+    };
+    let (mut spans, mut at) = (Vec::new(), 8);
+    while let Some(count) = word(at) {
+        at += 8;
+        for _ in 0..count {
+            let Some(len) = word(at).filter(|len| at + 8 + len <= bytes.len()) else {
+                return spans;
+            };
+            spans.push((at + 8, len));
+            at += 8 + len;
+        }
+        at += 8; // the segment checksum
+    }
+    spans
+}
+
+/// Flips the middle byte of frame `index` of a segment file, so that
+/// frame fails its checksum and no other does.
+fn rot_frame(file: &std::path::Path, index: usize) {
+    let mut bytes = fs::read(file).unwrap();
+    let (at, len) = frame_spans(&bytes)[index];
+    bytes[at + len / 2] ^= 0xFF;
+    fs::write(file, &bytes).unwrap();
+}
+
+/// The segment file and frame index holding the first entry of `tier`.
+fn frame_of_tier(root: &std::path::Path, tier: rock::core::SubTier) -> (PathBuf, usize) {
+    segment_files(root)
+        .into_iter()
+        .find_map(|file| {
+            let entries = decode_snapshot(&fs::read(&file).unwrap()).expect("intact segment");
+            let index = entries.iter().position(|(t, ..)| *t == tier)?;
+            Some((file, index))
+        })
+        .expect("a segment holds the tier")
 }
 
 #[test]
 fn scrub_classifies_damage_and_resume_recomputes_only_the_quarantined_stage() {
     let bytes = image_bytes();
     let scratch = Scratch::new("classify");
-    let reference = {
+    let (reference, persisted) = {
         let sup = Supervisor::new(config(Parallelism::Serial), scratch.store(), options());
         let result = sup.run_job("job", &bytes);
         assert_eq!(result.report.outcome, JobOutcome::Ok);
-        full(result.output)
+        (full(result.output), result.report.counters.counter(names::INCR_FLUSHED) as usize)
     };
     // One handle for the whole drill: re-opening would itself sweep
     // tmp files (that behavior gets its own test below), stealing the
     // scrub's count.
     let store = scratch.store();
-    let persisted: usize = ["exec", "model", "distance", "lifting"]
-        .iter()
-        .map(|t| tier_files(&scratch.0, t).len())
-        .sum();
 
-    // Damage class 1: flip one byte of one lifting-tier sub-artifact —
-    // its checksum breaks, scrub must quarantine it.
-    let corrupt_path = tier_files(&scratch.0, "lifting")[0].clone();
-    let mut sub = fs::read(&corrupt_path).unwrap();
-    let mid = sub.len() / 2;
-    sub[mid] ^= 0xFF;
-    fs::write(&corrupt_path, &sub).unwrap();
+    // Damage class 1: flip one byte of the lifting-tier frame — its
+    // checksum breaks, scrub must quarantine its segment file.
+    let (corrupt_path, index) = frame_of_tier(&scratch.0, rock::core::SubTier::Lifting);
+    rot_frame(&corrupt_path, index);
     // Damage class 2: an orphaned tmp file from a phantom crash.
-    let exec_dir = scratch.0.join("sub").join("exec");
-    let tmp = exec_dir.join(".0000000000000000000000000000002a.sub.tmp");
-    fs::write(&tmp, b"half a frame").unwrap();
-    // Damage class 3: an unknown entry no sub-artifact is named as.
-    let alien = exec_dir.join("bogus.bin");
+    let sub_dir = scratch.0.join("sub");
+    let tmp = sub_dir.join(".000000000000002a.pack.tmp");
+    fs::write(&tmp, b"half a segment").unwrap();
+    // Damage class 3: an unknown entry no segment is named as.
+    let alien = sub_dir.join("bogus.bin");
     fs::write(&alien, b"who wrote this").unwrap();
 
     // Dry run counts without touching anything.
@@ -557,7 +594,7 @@ fn scrub_classifies_damage_and_resume_recomputes_only_the_quarantined_stage() {
         report.details
     );
     assert!(!report.is_clean());
-    assert!(!corrupt_path.exists(), "the corrupt sub-artifact must be moved out of its tier");
+    assert!(!corrupt_path.exists(), "the corrupt segment must be moved out of sub/");
     assert!(!tmp.exists() && !alien.exists());
     assert!(
         scratch.0.join(QUARANTINE_DIR).is_dir(),
@@ -651,46 +688,37 @@ fn chaos_faulted_subartifacts_degrade_to_recompute_never_stale_reuse() {
             "seed {seed}: the flush must have attempted work"
         );
 
-        // Bit-rot whatever landed: flip a byte in every third file.
-        let mut rotted = 0u64;
-        for tier in ["exec", "model", "distance", "lifting"] {
-            let dir = scratch.0.join("sub").join(tier);
-            let Ok(entries) = fs::read_dir(&dir) else { continue };
-            let mut files: Vec<_> = entries.map(|e| e.unwrap().path()).collect();
-            files.sort();
-            for file in files.iter().step_by(3) {
-                let mut bytes = fs::read(file).unwrap();
-                if !bytes.is_empty() {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0xFF;
-                    fs::write(file, &bytes).unwrap();
-                    rotted += 1;
-                }
+        // Bit-rot whatever landed: flip a byte in every third frame.
+        let (mut landed, mut rotted) = (0u64, 0u64);
+        for file in segment_files(&scratch.0) {
+            let frames = frame_spans(&fs::read(&file).unwrap()).len();
+            landed += frames as u64;
+            for index in (0..frames).step_by(3) {
+                rot_frame(&file, index);
+                rotted += 1;
             }
-        }
-
-        // The snapshot pack mirrors the loose files — rot it too, or
-        // the preload would simply self-heal every rotted loose file
-        // from its healthy pack copy (that healing path gets its own
-        // test below; this one pins the degrade-to-recompute path).
-        let pack = scratch.0.join("sub").join("snapshot.pack");
-        if rotted > 0 && pack.exists() {
-            let mut bytes = fs::read(&pack).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            fs::write(&pack, &bytes).unwrap();
         }
 
         // Preload through a *different* chaos plan (partial reads,
         // transient EIO): damaged or unreadable artifacts are skipped
         // and counted; whatever survives is trusted because it proved
-        // its own key.
+        // its own key. The flush wrote one file, so a persistent fault
+        // on the listing or on that one read leaves the whole file
+        // unread: counted as an i/o error, and nothing imported.
         let warm_cache = Arc::new(CorpusCache::new());
         let preloaded = preload_subartifacts(&scratch.chaos_store(seed ^ 0xF00D, 200), &warm_cache);
         if rotted > 0 {
+            let (corrupt, unread) = (
+                preloaded.counter(names::INCR_CORRUPT_SKIPPED),
+                preloaded.counter(names::INCR_IO_ERRORS),
+            );
             assert!(
-                preloaded.counter(names::INCR_CORRUPT_SKIPPED) > 0,
-                "seed {seed}: {rotted} rotted files must be detected, not imported"
+                corrupt > 0 || unread > 0,
+                "seed {seed}: {rotted} rotted frames must be detected, not imported"
+            );
+            assert!(
+                preloaded.counter(names::INCR_PRELOADED) + rotted <= landed,
+                "seed {seed}: a rotted frame was imported: {preloaded:?}"
             );
         }
 
@@ -716,20 +744,19 @@ fn scrub_quarantines_corrupt_subartifact_without_invalidating_siblings() {
     assert!(flushed.counter(names::INCR_FLUSHED) > 2, "need siblings to prove isolation");
     assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
 
-    // Corrupt exactly one function-level (exec tier) artifact.
-    let exec_dir = scratch.0.join("sub").join("exec");
-    let mut exec_files: Vec<_> =
-        fs::read_dir(&exec_dir).unwrap().map(|e| e.unwrap().path()).collect();
-    exec_files.sort();
-    assert!(exec_files.len() > 1, "the exec tier needs siblings");
-    let victim = exec_files[exec_files.len() / 2].clone();
-    let mut bytes = fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    fs::write(&victim, &bytes).unwrap();
+    // Corrupt exactly one function-level (exec tier) artifact: a frame
+    // in the middle of the one segment the flush wrote.
+    let [victim] = &segment_files(&scratch.0)[..] else { panic!("one flush, one segment") };
+    let victim = victim.clone();
+    let entries = decode_snapshot(&fs::read(&victim).unwrap()).unwrap();
+    let execs: Vec<usize> =
+        (0..entries.len()).filter(|&i| entries[i].0 == rock::core::SubTier::Exec).collect();
+    assert!(execs.len() > 1, "the exec tier needs siblings");
+    let rotted = execs[execs.len() / 2];
+    rot_frame(&victim, rotted);
 
     // Dry run classifies without touching; the real scrub quarantines
-    // the one victim and leaves every sibling in place.
+    // the victim's file and writes every sibling back.
     let dry = scratch.store().scrub(true);
     assert_eq!(dry.corrupt_quarantined, 1, "dry-run misclassified: {:?}", dry.details);
     assert!(victim.exists(), "dry run must not move files");
@@ -740,18 +767,18 @@ fn scrub_quarantines_corrupt_subartifact_without_invalidating_siblings() {
         flushed.counter(names::INCR_FLUSHED) - 1,
         "every sibling must verify"
     );
-    assert!(!victim.exists(), "the corrupt sub-artifact must be quarantined");
+    assert!(!victim.exists(), "the corrupt segment must be quarantined");
     let quarantined: Vec<_> = fs::read_dir(scratch.0.join(QUARANTINE_DIR))
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    assert!(
-        quarantined.iter().any(|n| n.starts_with("sub.exec.")),
-        "quarantine must name the tier: {quarantined:?}"
-    );
-    for sibling in exec_files.iter().filter(|p| **p != victim) {
-        assert!(sibling.exists(), "sibling {} must survive the scrub", sibling.display());
-    }
+    let victim_name = victim.file_name().unwrap().to_string_lossy();
+    assert_eq!(quarantined, [format!("sub.{victim_name}")], "moved whole, under its name");
+    let [healed] = &segment_files(&scratch.0)[..] else { panic!("one segment written back") };
+    let kept = decode_snapshot(&fs::read(healed).unwrap()).unwrap();
+    let mut siblings = entries.clone();
+    siblings.remove(rotted);
+    assert_eq!(kept, siblings, "every sibling survives the scrub, in order");
     assert!(scratch.store().scrub(false).is_clean(), "scrub converges");
 
     // The healed store preloads everything but the victim, and the
@@ -772,45 +799,6 @@ fn scrub_quarantines_corrupt_subartifact_without_invalidating_siblings() {
 }
 
 #[test]
-fn snapshot_pack_self_heals_rotted_loose_artifacts() {
-    // The pack and the loose files carry the same frames. When a loose
-    // file rots but the pack survives, preload serves the healthy pack
-    // copy (content-validated like any other import) — the rot costs
-    // nothing. The listing gate still holds: only *listed* artifacts
-    // may load from the pack, so this is healing, not resurrection
-    // (the quarantine test above pins the resurrection side).
-    let (base, edited) = delta_images();
-    let scratch = Scratch::new("incr-pack-heal");
-    let populate = Arc::new(CorpusCache::new());
-    reconstruct(&base, Some(&populate));
-    let flushed = flush_subartifacts(&scratch.store(), &populate);
-    assert!(flushed.counter(names::INCR_FLUSHED) > 2);
-    assert_eq!(flushed.counter(names::INCR_IO_ERRORS), 0);
-
-    let exec_dir = scratch.0.join("sub").join("exec");
-    let mut exec_files: Vec<_> =
-        fs::read_dir(&exec_dir).unwrap().map(|e| e.unwrap().path()).collect();
-    exec_files.sort();
-    let victim = exec_files[exec_files.len() / 2].clone();
-    let mut bytes = fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    fs::write(&victim, &bytes).unwrap();
-
-    let warm_cache = Arc::new(CorpusCache::new());
-    let preloaded = preload_subartifacts(&scratch.store(), &warm_cache);
-    assert_eq!(
-        preloaded.counter(names::INCR_PRELOADED),
-        flushed.counter(names::INCR_FLUSHED),
-        "the pack must serve the rotted loose file's healthy copy"
-    );
-    assert_eq!(preloaded.counter(names::INCR_CORRUPT_SKIPPED), 0, "nothing read the rotted bytes");
-    let cold = reconstruct(&edited, None);
-    let warm = reconstruct(&edited, Some(&warm_cache));
-    assert_run_identical(&cold, &warm, "pack-healed incremental run");
-}
-
-#[test]
 fn open_sweeps_stale_tmp_files_and_counts_them() {
     let bytes = image_bytes();
     let scratch = Scratch::new("tmp-sweep");
@@ -819,10 +807,7 @@ fn open_sweeps_stale_tmp_files_and_counts_them() {
         assert_eq!(sup.run_job("job", &bytes).report.outcome, JobOutcome::Ok);
     }
     let sub = scratch.0.join("sub");
-    let stranded = [
-        sub.join("model").join(".0000000000000000000000000000002a.sub.tmp"),
-        sub.join("distance").join(".0000000000000000000000000000002b.sub.tmp"),
-    ];
+    let stranded = [sub.join(".000000000000002a.pack.tmp"), sub.join(".000000000000002b.pack.tmp")];
     for tmp in &stranded {
         fs::write(tmp, b"stranded").unwrap();
     }
@@ -830,7 +815,7 @@ fn open_sweeps_stale_tmp_files_and_counts_them() {
     let store = scratch.store(); // open() sweeps
     assert_eq!(store.stats().counter(names::STORE_TMP_SWEPT), 2, "open must sweep stale tmp files");
     assert!(stranded.iter().all(|tmp| !tmp.exists()));
-    // The real sub-artifacts are untouched and answer a rerun in full.
+    // The segments are untouched and answer a rerun in full.
     let (_, result) = resume(Parallelism::Serial, store, &bytes);
     assert_all_hits(&result, "rerun after the sweep");
 }
