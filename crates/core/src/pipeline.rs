@@ -341,6 +341,35 @@ pub(crate) fn distance_through(
     }
 }
 
+/// A run's distinct model keys in order: a key's index is its dense
+/// rank, so a distance ask is one `u64` ([`KeyRanks::ask`]) instead of a
+/// pair of 16-byte keys. Ranks are a bijection on the keys, so the
+/// distinct asks are exactly the distinct `(from key, to key)` pairs.
+#[derive(Default)]
+pub(crate) struct KeyRanks(Vec<ModelKey>);
+
+impl KeyRanks {
+    /// Ranks every key of `model_keys`.
+    pub(crate) fn new(model_keys: &BTreeMap<Addr, ModelKey>) -> Self {
+        let mut keys: Vec<ModelKey> = model_keys.values().copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        KeyRanks(keys)
+    }
+
+    /// The rank of one of the run's model keys.
+    pub(crate) fn rank(&self, key: ModelKey) -> u32 {
+        let rank = self.0.binary_search(&key).expect("a model key of this run");
+        u32::try_from(rank).expect("fewer than 2^32 model keys")
+    }
+
+    /// The ask of the distance from the model ranked `from` to the one
+    /// ranked `to`.
+    pub(crate) fn ask(from: u32, to: u32) -> u64 {
+        (u64::from(from) << 32) | u64::from(to)
+    }
+}
+
 /// Maps a loader degradation onto the diagnostic taxonomy.
 pub(crate) fn load_issue_error(issue: &LoadIssue) -> StageError {
     let (subject, kind, severity) = match issue {
@@ -381,8 +410,8 @@ pub(crate) fn incident_error(entry: Addr, incident: &IncidentKind) -> StageError
 /// independent of scan order: first every root's best candidate is scored
 /// against a **snapshot** of the hierarchy, then the proposals are applied
 /// serially by [`apply_adoptions`], which re-checks ancestry against the
-/// *current* hierarchy before each insert. Every `(from, to)` key pair
-/// the scan asked a distance for is appended to `asked`, in root order.
+/// *current* hierarchy before each insert. Every distance the scan asked
+/// for is appended to `asked` as a [`KeyRanks::ask`], in root order.
 /// Returns the number of adoptions applied.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn repartition(
@@ -391,10 +420,11 @@ pub(crate) fn repartition(
     structural: &Structural,
     models: &BTreeMap<Addr, Arc<Slm<Event>>>,
     model_keys: &BTreeMap<Addr, ModelKey>,
+    ranks: &KeyRanks,
     loaded: &LoadedBinary,
     metric: Metric,
     corpus: Option<&CorpusCache>,
-    asked: &mut Vec<(ModelKey, ModelKey)>,
+    asked: &mut Vec<u64>,
     par: Parallelism,
     ctx: TraceCtx<'_>,
 ) -> usize {
@@ -429,10 +459,12 @@ pub(crate) fn repartition(
         let proposal = scan_root(
             root, hierarchy, &family_of, models, model_keys, loaded, metric, corpus, &mut keys,
         );
+        let asks: Vec<u64> =
+            keys.iter().map(|&(f, t)| KeyRanks::ask(ranks.rank(f), ranks.rank(t))).collect();
         spans.exit(token);
         // Cross-family edges had no structural support, so require only
         // that they stay within 2x the worst accepted edge.
-        (proposal.filter(|&(d, _)| d <= 2.0 * threshold), keys, spans)
+        (proposal.filter(|&(d, _)| d <= 2.0 * threshold), asks, spans)
     });
 
     // Phase 2: collect worker spans in input order (merged under one
@@ -440,11 +472,11 @@ pub(crate) fn repartition(
     // per-root one), then apply serially with the ancestry re-check.
     let mut proposals = Vec::new();
     let mut buffers = Vec::new();
-    for (&root, (proposal, keys, spans)) in roots.iter().zip(scanned) {
+    for (&root, (proposal, asks, spans)) in roots.iter().zip(scanned) {
         if !spans.is_empty() {
             buffers.push(spans);
         }
-        asked.extend(keys);
+        asked.extend(asks);
         if let Some((d, parent)) = proposal {
             proposals.push((root, parent, d));
         }
@@ -457,7 +489,7 @@ pub(crate) fn repartition(
 /// returning the best `(distance, parent)` if any survives the filters.
 /// Appends every `(from, to)` key pair it asks a distance for to `asked`.
 #[allow(clippy::too_many_arguments)]
-fn scan_root(
+pub(crate) fn scan_root(
     root: Addr,
     hierarchy: &Forest<Addr>,
     family_of: &BTreeMap<Addr, usize>,

@@ -31,7 +31,7 @@ use crate::diagnostics::{
     Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject,
 };
 use crate::pipeline::{
-    assemble_reconstruction, distance_through, incident_error, load_issue_error, Rock,
+    assemble_reconstruction, distance_through, incident_error, load_issue_error, KeyRanks, Rock,
 };
 use crate::{Reconstruction, StageTimings};
 
@@ -106,14 +106,15 @@ pub struct StagedRun<'a> {
     metrics: MetricsRegistry,
     sink: DiagnosticSink,
     coverage: Coverage,
-    /// Every `(from, to)` model key pair a stage asked a distance for,
-    /// one entry per ask: the distance stage's scored pairs, then
-    /// repartition's.
-    asked: Vec<(ModelKey, ModelKey)>,
+    /// Every distance a stage asked for, as a [`KeyRanks::ask`], one
+    /// entry per ask: the distance stage's accepted edges, then
+    /// repartition's scored pairs.
+    asked: Vec<u64>,
     analysis: Option<Analysis>,
     structural: Option<Structural>,
     models: Option<BTreeMap<Addr, Arc<Slm<Event>>>>,
     model_keys: BTreeMap<Addr, ModelKey>,
+    ranks: KeyRanks,
     distances: Option<BTreeMap<(Addr, Addr), f64>>,
     graphs: Option<Vec<DiGraph>>,
     hierarchy: Option<Forest<Addr>>,
@@ -130,9 +131,7 @@ struct ChildScores {
     /// trained model (its training faulted upstream).
     unmodeled: Vec<usize>,
     /// Candidates outside the family's member list.
-    foreign: usize,
-    /// The `(from, to)` model key pairs asked for, one per scored pair.
-    asked: Vec<(ModelKey, ModelKey)>,
+    foreign: Vec<Addr>,
 }
 
 impl Rock {
@@ -169,6 +168,7 @@ impl Rock {
             structural: None,
             models: None,
             model_keys: BTreeMap::new(),
+            ranks: KeyRanks::default(),
             distances: None,
             graphs: None,
             hierarchy: None,
@@ -549,7 +549,13 @@ impl<'a> StagedRun<'a> {
     /// so scoring and merging a pair index vectors instead of probing
     /// maps. A **foreign** candidate — a parent the structural phase
     /// proposed that is no member of the child's family — has no
-    /// position in the family's digraph: it is counted and dropped.
+    /// position in the family's digraph: it is counted, logged by the
+    /// merge and dropped.
+    ///
+    /// Every accepted edge is exactly one distance ask, which the merge
+    /// records as the pair of its endpoints' dense key ranks, laid out per
+    /// family next to the keys. The output map is built once, in key
+    /// order, from the assembled graphs ([`edge_map`]).
     ///
     /// Under KL, a child with at least two in-family candidates scores
     /// its corpus misses (every pair, with no corpus attached) as one
@@ -560,6 +566,7 @@ impl<'a> StagedRun<'a> {
     fn run_distances(&mut self) {
         self.ensure_structural();
         let stage = Instant::now();
+        self.ranks = KeyRanks::new(&self.model_keys);
         let rock = self.rock;
         let structural = self.structural.as_ref().expect("distances follow structural");
         let models = self.models.as_ref().expect("distances follow training");
@@ -573,6 +580,8 @@ impl<'a> StagedRun<'a> {
             .collect();
         let keys: Vec<Vec<ModelKey>> =
             families.iter().map(|f| f.iter().map(|a| self.model_keys[a]).collect()).collect();
+        let ranks: Vec<Vec<u32>> =
+            keys.iter().map(|f| f.iter().map(|&k| self.ranks.rank(k)).collect()).collect();
         let children: Vec<(usize, usize)> = families
             .iter()
             .enumerate()
@@ -598,18 +607,13 @@ impl<'a> StagedRun<'a> {
             let mut scores = ChildScores::default();
             for (parent, pi) in candidates {
                 let Some(pi) = pi else {
-                    eprintln!(
-                        "rock: skipping foreign parent candidate {parent} for {child} \
-                         (outside its family)"
-                    );
-                    scores.foreign += 1;
+                    scores.foreign.push(parent);
                     continue;
                 };
                 let pair = spans.enter(names::DISTANCES_PAIR, parent.value());
                 match (members[fi][pi], members[fi][ci]) {
                     (Some(pm), Some(cm)) => {
                         let (from, to) = (keys[fi][pi], keys[fi][ci]);
-                        scores.asked.push((from, to));
                         let d = distance_through(corpus, config.metric, from, to, || {
                             if !batched {
                                 return config.metric.distance(pm, cm);
@@ -627,7 +631,6 @@ impl<'a> StagedRun<'a> {
             spans.exit(token);
             (scores, spans)
         });
-        let mut distances = BTreeMap::new();
         let mut graphs: Vec<DiGraph> = families.iter().map(|f| DiGraph::new(f.len())).collect();
         let mut buffers = Vec::new();
         for (&(fi, ci), outcome) in children.iter().zip(scored) {
@@ -652,14 +655,20 @@ impl<'a> StagedRun<'a> {
                     continue;
                 }
             };
-            self.asked.extend(scores.asked);
             let (accepted, unmodeled) = (scores.accepted.len(), scores.unmodeled.len());
-            let candidates = accepted + unmodeled + scores.foreign;
-            self.metrics.observe(names::HIST_CANDIDATES_PER_CHILD, candidates as u64);
+            let foreign = scores.foreign.len();
+            self.metrics
+                .observe(names::HIST_CANDIDATES_PER_CHILD, (accepted + unmodeled + foreign) as u64);
             self.metrics.add(names::DISTANCES_PAIRS_SCORED, (accepted + unmodeled) as u64);
             self.metrics.add(names::DISTANCES_EDGES, accepted as u64);
-            self.metrics.add(names::DISTANCES_FOREIGN_CANDIDATES, scores.foreign as u64);
+            self.metrics.add(names::DISTANCES_FOREIGN_CANDIDATES, foreign as u64);
             self.metrics.add(names::DISTANCES_UNMODELED, unmodeled as u64);
+            for parent in &scores.foreign {
+                eprintln!(
+                    "rock: skipping foreign parent candidate {parent} for {child} \
+                     (outside its family)"
+                );
+            }
             for &pi in &scores.unmodeled {
                 self.sink.record(StageError {
                     stage: Stage::Distances,
@@ -670,11 +679,11 @@ impl<'a> StagedRun<'a> {
             }
             for &(pi, d) in &scores.accepted {
                 graphs[fi].add_edge(pi, ci, d);
-                distances.insert((family[pi], child), d);
+                self.asked.push(KeyRanks::ask(ranks[fi][pi], ranks[fi][ci]));
             }
         }
         ctx.merge_many(buffers);
-        self.distances = Some(distances);
+        self.distances = Some(edge_map(families, &graphs));
         self.graphs = Some(graphs);
         self.timings.distances = stage.elapsed();
     }
@@ -799,6 +808,7 @@ impl<'a> StagedRun<'a> {
                 &structural,
                 &models,
                 &self.model_keys,
+                &self.ranks,
                 self.loaded,
                 config.metric,
                 rock.corpus_cache().map(|c| &**c),
@@ -812,7 +822,7 @@ impl<'a> StagedRun<'a> {
 
         // Finalize registry counters that only settle at the run
         // boundary; all of them derive from deterministic state (coverage,
-        // diagnostics, the asked key pairs).
+        // diagnostics, the asks).
         let cov = self.coverage;
         self.metrics.set(names::ANALYSIS_FUNCTIONS_TOTAL, cov.functions_total as u64);
         self.metrics.set(names::ANALYSIS_FUNCTIONS_ANALYZED, cov.functions_analyzed as u64);
@@ -827,6 +837,7 @@ impl<'a> StagedRun<'a> {
         self.metrics.set(names::LIFTING_FAMILIES_DEGRADED, cov.families_degraded as u64);
         // A pair asked for again repeats a computation the run already
         // did: a hit. The first ask of each distinct pair is the miss.
+        // Asks are packed key ranks, so distinct asks are distinct pairs.
         let asks = self.asked.len() as u64;
         self.asked.sort_unstable();
         self.asked.dedup();
@@ -864,9 +875,51 @@ impl<'a> StagedRun<'a> {
     }
 }
 
+/// The distance map of the stage's family graphs, built in key order.
+///
+/// Families partition the vtables, so all of a parent's children are in
+/// its family, and a family's graph holds its edges in child order. A
+/// stable counting sort of every edge by its parent's rank among all
+/// members by address therefore yields the edges in `(parent, child)`
+/// order, and `collect` bulk-builds the map from them: its own stable
+/// sort finds one sorted run, so no edge is compared out of place or
+/// inserted on its own, and the map never depends on that order.
+fn edge_map(families: &[Vec<Addr>], graphs: &[DiGraph]) -> BTreeMap<(Addr, Addr), f64> {
+    let mut members: Vec<(Addr, usize, usize)> = families
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, f)| f.iter().enumerate().map(move |(pi, &a)| (a, fi, pi)))
+        .collect();
+    members.sort_unstable();
+    let mut rank: Vec<Vec<usize>> = families.iter().map(|f| vec![0; f.len()]).collect();
+    for (r, &(_, fi, pi)) in members.iter().enumerate() {
+        rank[fi][pi] = r;
+    }
+    // `next[r]`: the slot of the next edge out of the member ranked `r`.
+    let mut next = vec![0; members.len() + 1];
+    for (graph, rank) in graphs.iter().zip(&rank) {
+        for e in graph.edges() {
+            next[rank[e.from] + 1] += 1;
+        }
+    }
+    for r in 1..next.len() {
+        next[r] += next[r - 1];
+    }
+    let mut sorted = vec![((Addr::new(0), Addr::new(0)), 0.0); next[members.len()]];
+    for ((graph, rank), family) in graphs.iter().zip(&rank).zip(families) {
+        for e in graph.edges() {
+            let slot = &mut next[rank[e.from]];
+            sorted[*slot] = ((family[e.from], family[e.to]), e.weight);
+            *slot += 1;
+        }
+    }
+    sorted.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::Parallelism;
     use crate::RockConfig;
     use rock_minicpp::{compile, CompileOptions, ProgramBuilder};
 
@@ -948,21 +1001,186 @@ mod tests {
         assert!(loaded.vtable_at(a).is_none());
         let b = loaded.vtables()[0].addr();
 
-        let rock = Rock::new(RockConfig::paper());
-        let config = &rock.config().analysis;
-        let mut run = rock.begin(&loaded);
-        run.advance().unwrap();
-        let ctors = recognize_ctors(&intact, config);
-        run.structural = Some(analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, config)));
-        assert_eq!(run.structural.as_ref().unwrap().possible_parents().of(b), [a]);
+        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let rock = Rock::new(RockConfig::paper().with_parallelism(par));
+            let config = &rock.config().analysis;
+            let mut run = rock.begin(&loaded);
+            run.advance().unwrap();
+            let ctors = recognize_ctors(&intact, config);
+            run.structural = Some(analyze(&loaded, &ctors, &ctor_pins(&loaded, &ctors, config)));
+            assert_eq!(run.structural.as_ref().unwrap().possible_parents().of(b), [a]);
+            while !run.is_done() {
+                run.advance().unwrap();
+            }
+            let recon = run.finish();
+            assert_eq!(recon.metrics.counter(names::DISTANCES_FOREIGN_CANDIDATES), 1, "{par:?}");
+            assert_eq!(recon.metrics.counter(names::DISTANCES_PAIRS_SCORED), 0, "{par:?}");
+            assert!(recon.distances.is_empty(), "{par:?}");
+            assert_eq!(recon.parent_of(b), None, "{par:?}");
+        }
+    }
+
+    /// The merge the distance stage replaced: one `BTreeMap::insert` per
+    /// edge of the run's graphs, in merge order.
+    fn per_edge_map(families: &[Vec<Addr>], graphs: &[DiGraph]) -> BTreeMap<(Addr, Addr), f64> {
+        let mut map = BTreeMap::new();
+        for (family, graph) in families.iter().zip(graphs) {
+            for e in graph.edges() {
+                map.insert((family[e.from], family[e.to]), e.weight);
+            }
+        }
+        map
+    }
+
+    /// The count `finish` replaced, as `(cache_hit, cache_miss)`: a sort
+    /// and dedup of the run's `(from key, to key)` pairs, one per graph
+    /// edge, then repartition's, asked again of `scan_root` per root.
+    fn per_pair_counts(run: &StagedRun<'_>) -> (u64, u64) {
+        let families = run.structural.as_ref().unwrap().families();
+        let keys = &run.model_keys;
+        let mut pairs: Vec<(ModelKey, ModelKey)> = families
+            .iter()
+            .zip(run.graphs.as_ref().unwrap())
+            .flat_map(|(f, g)| g.edges().iter().map(move |e| (keys[&f[e.from]], keys[&f[e.to]])))
+            .collect();
+        let hierarchy = run.hierarchy.as_ref().unwrap();
+        let distances = run.distances.as_ref().unwrap();
+        let config = run.rock.config();
+        // Repartition scans only once some chosen edge calibrates it.
+        let calibrated = hierarchy
+            .nodes()
+            .any(|n| hierarchy.parent_of(n).is_some_and(|p| distances.contains_key(&(*p, *n))));
+        if config.repartition_families && calibrated {
+            let family_of: BTreeMap<Addr, usize> = families
+                .iter()
+                .enumerate()
+                .flat_map(|(i, f)| f.iter().map(move |a| (*a, i)))
+                .collect();
+            for &root in hierarchy.roots() {
+                crate::pipeline::scan_root(
+                    root,
+                    hierarchy,
+                    &family_of,
+                    run.models.as_ref().unwrap(),
+                    keys,
+                    run.loaded,
+                    config.metric,
+                    None,
+                    &mut pairs,
+                );
+            }
+        }
+        let asks = pairs.len() as u64;
+        pairs.sort_unstable();
+        pairs.dedup();
+        (asks - pairs.len() as u64, pairs.len() as u64)
+    }
+
+    /// Runs every stage of `loaded` on `rock` and checks the stage's map
+    /// and `finish`'s counters against the code they replaced.
+    fn check_against_replaced_merge(
+        what: &str,
+        rock: &Rock,
+        loaded: &LoadedBinary,
+    ) -> Reconstruction {
+        let mut run = rock.begin(loaded);
         while !run.is_done() {
             run.advance().unwrap();
         }
+        let bits = |m: &BTreeMap<(Addr, Addr), f64>| -> Vec<((Addr, Addr), u64)> {
+            m.iter().map(|(&k, d)| (k, d.to_bits())).collect()
+        };
+        let families = run.structural.as_ref().unwrap().families();
+        let want = per_edge_map(families, run.graphs.as_ref().unwrap());
+        assert_eq!(bits(run.distances().unwrap()), bits(&want), "{what}: distance map");
+        let counts = per_pair_counts(&run);
         let recon = run.finish();
-        assert_eq!(recon.metrics.counter(names::DISTANCES_FOREIGN_CANDIDATES), 1);
-        assert_eq!(recon.metrics.counter(names::DISTANCES_PAIRS_SCORED), 0);
-        assert!(recon.distances.is_empty());
-        assert_eq!(recon.parent_of(b), None);
+        let m = &recon.metrics;
+        let (hits, misses) =
+            (m.counter(names::DISTANCES_CACHE_HIT), m.counter(names::DISTANCES_CACHE_MISS));
+        assert_eq!((hits, misses), counts, "{what}: (cache_hit, cache_miss)");
+        if !rock.config().repartition_families {
+            assert_eq!(
+                hits + misses,
+                m.counter(names::DISTANCES_EDGES),
+                "{what}: one ask per edge"
+            );
+        }
+        recon
+    }
+
+    #[test]
+    fn edge_map_and_ask_counts_match_the_replaced_merge() {
+        use crate::suite;
+        let mut benches = suite::all_benchmarks();
+        benches.extend(
+            [(2, 5, 3), (4, 4, 3), (3, 4, 4)].map(|(f, d, o)| suite::stress_program(f, d, o)),
+        );
+        benches.extend((0..4).map(|i| suite::corpus_member(i, 40)));
+        for bench in benches {
+            let loaded = LoadedBinary::load(bench.compile().unwrap().stripped_image()).unwrap();
+            for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+                for repartition in [false, true] {
+                    let mut config = RockConfig::paper().with_parallelism(par);
+                    config.repartition_families = repartition;
+                    let what = format!("{} {par:?} repartition {repartition}", bench.name);
+                    check_against_replaced_merge(&what, &Rock::new(config), &loaded);
+                }
+            }
+            // Faulted analyses leave types with equal (empty) pools, whose
+            // shared keys repeat asks inside the distance stage.
+            let faulted = Rock::new(RockConfig::paper())
+                .with_fault_plan(Arc::new(crate::FaultPlan::seeded(42, 150)));
+            check_against_replaced_merge(&format!("{} faulted", bench.name), &faulted, &loaded);
+        }
+    }
+
+    /// Two sibling types used identically share a pool key under
+    /// canonical calls (their ctors differ only in the vtable they store,
+    /// and the two vtables' slots have equal content), so their parent's
+    /// edges to them ask one `(from key, to key)` pair twice: the
+    /// distance stage's own asks read a hit, with no repartitioning.
+    #[test]
+    fn siblings_sharing_a_pool_key_read_a_cache_hit() {
+        use crate::corpus::pool_key;
+        let mut p = ProgramBuilder::new();
+        p.class("A").method("m0", |b| {
+            b.ret();
+        });
+        p.class("B").base("A").inline_ctor().method("m1", |b| {
+            b.ret();
+        });
+        p.class("C").base("A").inline_ctor().method("m2", |b| {
+            b.ret();
+        });
+        p.func("useA", |f| {
+            f.new_obj("a", "A");
+            f.vcall("a", "m0", vec![]);
+            f.ret();
+        });
+        for (class, own) in [("B", "m1"), ("C", "m2")] {
+            p.func(format!("use{class}"), |f| {
+                f.new_obj("o", class);
+                f.vcall("o", "m0", vec![]);
+                f.vcall("o", own, vec![]);
+                f.ret();
+            });
+        }
+        let compiled = compile(&p.finish(), &CompileOptions::default()).unwrap();
+        let loaded = LoadedBinary::load(compiled.stripped_image()).unwrap();
+        let (b, c) = (compiled.vtable_of("B").unwrap(), compiled.vtable_of("C").unwrap());
+        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let config = RockConfig::paper().with_canonical_calls().with_parallelism(par);
+            let recon = check_against_replaced_merge(
+                &format!("siblings {par:?}"),
+                &Rock::new(config),
+                &loaded,
+            );
+            let pools = recon.analysis.tracelets();
+            let depth = config.analysis.slm_depth;
+            assert_eq!(pool_key(depth, pools.of_type(b)), pool_key(depth, pools.of_type(c)));
+            assert!(recon.metrics.counter(names::DISTANCES_CACHE_HIT) > 0, "{par:?}");
+        }
     }
 
     #[test]

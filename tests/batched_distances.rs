@@ -4,12 +4,15 @@
 //! distance map equals `Metric::KlDivergence.distance(parent, child)` on
 //! the run's own models, to the bit — cold, at every thread count, with
 //! part of the pairs answered by a warm corpus, and with some family
-//! members left without a model by injected faults.
+//! members left without a model by injected faults. The map also holds
+//! no edge more or less than the structural candidates allow.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use rock::binary::Addr;
 use rock::core::suite::{self, Benchmark};
-use rock::core::{CorpusCache, FaultPlan, Parallelism, Rock, RockConfig};
+use rock::core::{CorpusCache, FaultPlan, Parallelism, Rock, RockConfig, Stage, Subject};
 use rock::loader::LoadedBinary;
 use rock::slm::Metric;
 use rock::trace::names;
@@ -32,8 +35,9 @@ fn images() -> Vec<(&'static str, LoadedBinary)> {
 }
 
 /// Runs every stage on `rock` (whose distance cache must be fresh), checks
-/// each distance against the per-pair kernel on the run's models, and
-/// returns how many types got a model.
+/// each distance against the per-pair kernel on the run's models and the
+/// map's key set against the structural candidates, and returns how many
+/// types got a model.
 fn check_against_per_pair(what: &str, rock: &Rock, loaded: &LoadedBinary) -> usize {
     let mut run = rock.begin(loaded);
     while !run.is_done() {
@@ -46,13 +50,39 @@ fn check_against_per_pair(what: &str, rock: &Rock, loaded: &LoadedBinary) -> usi
         let want = Metric::KlDivergence.distance(&models[&parent], &models[&child]);
         assert_eq!(d.to_bits(), want.to_bits(), "{what}: {parent} -> {child}: {d} vs {want}");
     }
-    let modeled = models.len();
+    let modeled: BTreeSet<Addr> = models.keys().copied().collect();
+    let edges: Vec<(Addr, Addr)> = distances.keys().copied().collect();
     let recon = run.finish();
     assert!(
         recon.hierarchy.nodes().any(|&c| recon.structural.possible_parents().of(c).len() >= 2),
         "{what}: no child has two candidates, so no batch ran"
     );
-    modeled
+    // No edge lost or added: the keys are exactly the in-family candidate
+    // pairs whose endpoints both have a model, save those of a child
+    // whose scoring faulted, and there is one per counted edge.
+    let faulted: BTreeSet<Addr> = recon
+        .diagnostics
+        .iter()
+        .filter(|e| e.stage == Stage::Distances)
+        .filter_map(|e| match e.subject {
+            Subject::Vtable(child) => Some(child),
+            _ => None,
+        })
+        .collect();
+    let mut want = Vec::new();
+    for family in recon.structural.families() {
+        for &child in family.iter().filter(|c| modeled.contains(c) && !faulted.contains(c)) {
+            for &parent in recon.structural.possible_parents().of(child) {
+                if family.binary_search(&parent).is_ok() && modeled.contains(&parent) {
+                    want.push((parent, child));
+                }
+            }
+        }
+    }
+    want.sort_unstable();
+    assert_eq!(edges, want, "{what}: the map's keys");
+    assert_eq!(edges.len() as u64, recon.metrics.counter(names::DISTANCES_EDGES), "{what}: edges");
+    modeled.len()
 }
 
 #[test]
