@@ -16,8 +16,6 @@
 //! caller-saved argument registers, `r6`–`r13` are callee-saved, `r0`
 //! carries the return value.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use rock_binary::{Addr, Instr, Reg, WORD_SIZE};
 use rock_loader::{Cfg, Function, LoadedBinary};
 
@@ -50,17 +48,53 @@ pub enum ExecStatus {
     FuelExhausted,
 }
 
+/// A map kept as one vector sorted by key. A path's maps hold a few
+/// stack slots, objects and views, so a branch copies each with one
+/// allocation, where a `BTreeMap` clones node by node.
+#[derive(Clone, Debug)]
+struct SortedMap<K, V>(Vec<(K, V)>);
+
+impl<K: Ord + Copy, V> SortedMap<K, V> {
+    fn new() -> Self {
+        SortedMap(Vec::new())
+    }
+
+    fn find(&self, key: K) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |e| e.0)
+    }
+
+    fn get(&self, key: K) -> Option<&V> {
+        self.find(key).ok().map(|i| &self.0[i].1)
+    }
+
+    fn insert(&mut self, key: K, value: V) {
+        match self.find(key) {
+            Ok(i) => self.0[i].1 = value,
+            Err(i) => self.0.insert(i, (key, value)),
+        }
+    }
+
+    fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
+        let i = self.find(key).unwrap_or_else(|i| {
+            self.0.insert(i, (key, make()));
+            i
+        });
+        &mut self.0[i].1
+    }
+}
+
 #[derive(Clone, Debug)]
 struct State {
     regs: [SymValue; Reg::COUNT],
-    stack: BTreeMap<i32, SymValue>,
-    stack_objs: BTreeMap<i32, ObjId>,
+    stack: SortedMap<i32, SymValue>,
+    stack_objs: SortedMap<i32, ObjId>,
     next_obj: u32,
-    events: BTreeMap<SubObj, Vec<Event>>,
-    typing: BTreeMap<SubObj, Addr>,
-    /// Argument registers written since the last call (used to decide
-    /// which registers really carry arguments at a call site).
-    args_written: BTreeSet<usize>,
+    events: SortedMap<SubObj, Vec<Event>>,
+    typing: SortedMap<SubObj, Addr>,
+    /// Bit `k` is set when argument register `k` was written since the
+    /// last call (used to decide which registers really carry arguments
+    /// at a call site).
+    args_written: u32,
 }
 
 impl State {
@@ -70,12 +104,12 @@ impl State {
         regs[0] = SymValue::ObjPtr(SubObj::primary(ObjId::ENTRY));
         State {
             regs,
-            stack: BTreeMap::new(),
-            stack_objs: BTreeMap::new(),
+            stack: SortedMap::new(),
+            stack_objs: SortedMap::new(),
             next_obj: 1,
-            events: BTreeMap::new(),
-            typing: BTreeMap::new(),
-            args_written: BTreeSet::new(),
+            events: SortedMap::new(),
+            typing: SortedMap::new(),
+            args_written: 0,
         }
     }
 
@@ -86,7 +120,7 @@ impl State {
     }
 
     fn emit(&mut self, view: SubObj, event: Event, cap: usize) {
-        let seq = self.events.entry(view).or_default();
+        let seq = self.events.get_or_insert_with(view, Vec::new);
         if seq.len() < cap {
             seq.push(event);
         }
@@ -95,7 +129,7 @@ impl State {
     fn set(&mut self, reg: Reg, value: SymValue) {
         self.regs[reg.index() as usize] = value;
         if reg.is_arg() {
-            self.args_written.insert(reg.index() as usize);
+            self.args_written |= 1 << reg.index();
         }
     }
 
@@ -103,19 +137,26 @@ impl State {
         self.regs[reg.index() as usize]
     }
 
+    /// One summary per view that has events or a vtable: the two sorted
+    /// key lists merged, each event list moved out.
     fn finalize(self) -> PathResult {
-        let mut views: BTreeSet<SubObj> = self.events.keys().copied().collect();
-        views.extend(self.typing.keys().copied());
-        PathResult {
-            subobjects: views
-                .into_iter()
-                .map(|view| SubObjectSummary {
-                    view,
-                    events: self.events.get(&view).cloned().unwrap_or_default(),
-                    vtable: self.typing.get(&view).copied(),
-                })
-                .collect(),
+        let mut events = self.events.0.into_iter().peekable();
+        let mut typing = self.typing.0.into_iter().peekable();
+        let mut subobjects = Vec::with_capacity(events.len().max(typing.len()));
+        loop {
+            let view = match (events.peek(), typing.peek()) {
+                (Some(e), Some(t)) => e.0.min(t.0),
+                (Some(e), None) => e.0,
+                (None, Some(t)) => t.0,
+                (None, None) => break,
+            };
+            subobjects.push(SubObjectSummary {
+                view,
+                events: events.next_if(|e| e.0 == view).map(|e| e.1).unwrap_or_default(),
+                vtable: typing.next_if(|t| t.0 == view).map(|t| t.1),
+            });
         }
+        PathResult { subobjects }
     }
 }
 
@@ -134,6 +175,11 @@ impl State {
 /// either finishes within budget or is excluded wholesale and recorded).
 /// The fuel spent lets the observability layer attribute analysis cost
 /// per function.
+///
+/// Paths are enumerated depth first: a block's open successors are
+/// pushed in `succs` order and popped last first. Each successor but the
+/// last gets a copy of the frame (the registers, a few small sorted
+/// vectors and the visit counters); the last takes the frame itself.
 pub fn execute_function(
     function: &Function,
     loaded: &LoadedBinary,
@@ -142,24 +188,36 @@ pub fn execute_function(
 ) -> (Vec<PathResult>, ExecStatus, u64) {
     counter::record(function.entry());
     let cfg = Cfg::build(function);
+    let blocks = cfg.blocks();
+    // A block by its position in `blocks`; `blocks.len()` stands for an
+    // address that starts no block, where a path ends at once, so its
+    // counter is read only while it is still 0.
+    let slot = |addr: Addr| blocks.binary_search_by_key(&addr, |b| b.start).unwrap_or(blocks.len());
     let mut results = Vec::new();
     let mut fuel = config.fuel.meter();
 
     struct Frame {
-        block: Addr,
+        block: usize,
         state: State,
-        visits: BTreeMap<Addr, usize>,
+        /// How often the path has entered each block, by slot. A count
+        /// stays at most the visit limit, and each visit spends fuel, so
+        /// it saturates only past `u32::MAX` steps on one path.
+        visits: Vec<u32>,
     }
 
-    let mut stack =
-        vec![Frame { block: cfg.entry(), state: State::entry(), visits: BTreeMap::new() }];
+    let mut stack = vec![Frame {
+        block: slot(cfg.entry()),
+        state: State::entry(),
+        visits: vec![0; blocks.len() + 1],
+    }];
 
     while let Some(mut frame) = stack.pop() {
         if results.len() >= config.max_paths {
             break;
         }
-        *frame.visits.entry(frame.block).or_insert(0) += 1;
-        let Some(block) = cfg.block_at(frame.block) else {
+        let visits = &mut frame.visits[frame.block];
+        *visits = visits.saturating_add(1);
+        let Some(block) = blocks.get(frame.block) else {
             results.push(frame.state.finalize());
             continue;
         };
@@ -178,23 +236,20 @@ pub fn execute_function(
             results.push(frame.state.finalize());
             continue;
         }
-        let succs: Vec<Addr> = block
-            .succs
-            .iter()
-            .copied()
-            .filter(|s| frame.visits.get(s).copied().unwrap_or(0) < config.block_visit_limit)
-            .collect();
-        if succs.is_empty() {
+        let open = |s: &Addr| (frame.visits[slot(*s)] as usize) < config.block_visit_limit;
+        let Some(last) = block.succs.iter().rposition(open) else {
             results.push(frame.state.finalize());
             continue;
-        }
-        for s in succs {
+        };
+        for &s in block.succs[..last].iter().filter(|s| open(s)) {
             stack.push(Frame {
-                block: s,
+                block: slot(s),
                 state: frame.state.clone(),
                 visits: frame.visits.clone(),
             });
         }
+        frame.block = slot(block.succs[last]);
+        stack.push(frame);
     }
     (results, ExecStatus::Completed, fuel.spent())
 }
@@ -234,7 +289,7 @@ fn step(
         }
         Instr::Load { dst, base, offset } => {
             let value = if base == Reg::SP {
-                state.stack.get(&offset).copied().unwrap_or(SymValue::Unknown)
+                state.stack.get(offset).copied().unwrap_or(SymValue::Unknown)
             } else {
                 match state.get(base) {
                     SymValue::ObjPtr(view) => {
@@ -272,7 +327,7 @@ fn step(
         }
         Instr::Lea { dst, base, offset } => {
             let value = if base == Reg::SP {
-                let obj = match state.stack_objs.get(&offset) {
+                let obj = match state.stack_objs.get(offset) {
                     Some(o) => *o,
                     None => {
                         let o = state.fresh_obj();
@@ -355,7 +410,7 @@ fn emit_call_events(
     // Object arguments in r1..r5 (only registers actually written since
     // the last call count as arguments).
     for k in 1..Reg::ARG_COUNT {
-        if !state.args_written.contains(&k) {
+        if state.args_written & (1 << k) == 0 {
             continue;
         }
         if let SymValue::ObjPtr(view) = state.regs[k] {
@@ -373,7 +428,7 @@ fn post_call(state: &mut State) {
         state.regs[k] = SymValue::Unknown;
     }
     state.regs[14] = SymValue::Unknown;
-    state.args_written.clear();
+    state.args_written = 0;
 }
 
 /// Outside this crate's tests, counting executions is a no-op.
@@ -411,6 +466,8 @@ pub(crate) mod counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use rock_binary::{BinOp, ImageBuilder, Instr};
 
     fn exec_single(build: impl FnOnce(&mut ImageBuilder)) -> (Vec<PathResult>, LoadedBinary) {
@@ -710,7 +767,7 @@ mod tests {
         start.stack.insert(8, SymValue::ObjPtr(this));
         let constants = |state: &State| -> BTreeSet<u64> {
             let mut found = BTreeSet::new();
-            for v in state.regs.iter().chain(state.stack.values()) {
+            for v in state.regs.iter().chain(state.stack.0.iter().map(|(_, v)| v)) {
                 if let SymValue::Const(c) = v {
                     found.insert(*c);
                 }

@@ -505,6 +505,9 @@ pub(crate) fn scan_root(
     let root_model = models.get(&root)?;
     let root_key = *model_keys.get(&root)?;
     let root_family = family_of.get(&root);
+    // Cheap prefilter against the snapshot; the authoritative cycle
+    // check happens at apply time.
+    let below_root = hierarchy.successors(&root);
     let mut best: Option<(f64, Addr)> = None;
     for cand in loaded.vtables() {
         if family_of.get(&cand.addr()) == root_family {
@@ -514,9 +517,7 @@ pub(crate) fn scan_root(
         if cand.len() > root_vt.len() {
             continue;
         }
-        // Cheap prefilter against the snapshot; the authoritative
-        // cycle check happens at apply time.
-        if hierarchy.successors(&root).contains(&cand.addr()) {
+        if below_root.contains(&cand.addr()) {
             continue;
         }
         let Some(cand_model) = models.get(&cand.addr()) else {
@@ -552,7 +553,9 @@ pub(crate) fn scan_root(
 /// an *earlier* adoption in the same pass may have re-rooted `parent`'s
 /// tree underneath `root`, so inserting the edge would create a cycle.
 /// The ancestry check therefore runs against the **current** hierarchy
-/// immediately before each insert — not against the snapshot.
+/// immediately before each insert — not against the snapshot. It walks
+/// up from `parent` looking for `root`, which costs `parent`'s depth, not
+/// `root`'s subtree.
 fn apply_adoptions(
     hierarchy: &mut Forest<Addr>,
     distances: &mut BTreeMap<(Addr, Addr), f64>,
@@ -560,7 +563,7 @@ fn apply_adoptions(
 ) -> usize {
     let mut applied = 0;
     for (root, parent, d) in proposals {
-        if root == parent || hierarchy.successors(&root).contains(&parent) {
+        if root == parent || hierarchy.ancestors(&parent).contains(&&root) {
             continue;
         }
         hierarchy.insert(root, Some(parent));

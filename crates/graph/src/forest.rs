@@ -77,13 +77,20 @@ impl<N: Ord + Clone> Forest<N> {
     }
 
     /// All transitive descendants of `node` — `successors_h(t)` in the
-    /// paper's application distance (§6.3).
+    /// paper's application distance (§6.3). One scan of the parent map
+    /// builds every node's child list, and the walk reads those.
     pub fn successors(&self, node: &N) -> BTreeSet<N> {
+        let mut children: BTreeMap<&N, Vec<&N>> = BTreeMap::new();
+        for (child, parent) in &self.parent {
+            if let Some(parent) = parent {
+                children.entry(parent).or_default().push(child);
+            }
+        }
         let mut out = BTreeSet::new();
-        let mut stack: Vec<&N> = self.children_of(node);
+        let mut stack: Vec<&N> = children.get(node).cloned().unwrap_or_default();
         while let Some(n) = stack.pop() {
             if out.insert(n.clone()) {
-                stack.extend(self.children_of(n));
+                stack.extend(children.get(n).into_iter().flatten());
             }
         }
         out

@@ -1,5 +1,7 @@
 //! Property-based tests for the arborescence solver and forests.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use rock_graph::{
     co_optimal_forests, min_arborescence, min_spanning_forest, ArborescenceResult, DiGraph, Forest,
@@ -282,6 +284,19 @@ fn reaches_root(parent: &[Option<usize>], v: usize) -> bool {
     true
 }
 
+/// `Forest::successors` as it was: a walk that rescans the whole parent
+/// map for each node's children.
+fn successors_by_rescan(forest: &Forest<usize>, node: &usize) -> BTreeSet<usize> {
+    let mut out = BTreeSet::new();
+    let mut stack: Vec<&usize> = forest.children_of(node);
+    while let Some(n) = stack.pop() {
+        if out.insert(*n) {
+            stack.extend(forest.children_of(n));
+        }
+    }
+    out
+}
+
 proptest! {
     /// The tie search reads each child's in-edges from one grouping of
     /// the graph's edges and re-solves without copying the graph; it
@@ -440,6 +455,20 @@ proptest! {
             for s in forest.successors(&v) {
                 prop_assert!(forest.ancestors(&s).contains(&&v));
             }
+        }
+    }
+
+    /// `successors` equals the per-node rescan for every node of random
+    /// parent maps: forests, and malformed maps with cycles.
+    #[test]
+    fn successors_equal_the_per_node_rescan(
+        parents in prop::collection::vec((0usize..12, 0usize..16), 0..24),
+    ) {
+        // A draw of 12 or more is a root.
+        let forest: Forest<usize> =
+            parents.iter().map(|&(node, p)| (node, (p < 12).then_some(p))).collect();
+        for v in 0..12 {
+            prop_assert_eq!(forest.successors(&v), successors_by_rescan(&forest, &v));
         }
     }
 }

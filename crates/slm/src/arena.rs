@@ -35,9 +35,42 @@
 //! the recursion's does, so every result matches the seed to the `f64` bit
 //! (asserted by the oracle property tests).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// The root node: the empty context. It is nobody's child, so an edge's
 /// `child` field uses it to mean "no child".
 pub(crate) const ROOT: u32 = 0;
+
+/// A hash map keyed by `u64`s that pack dense indices the program
+/// assigns (trie nodes in creation order, symbol ids), hashed by
+/// [`DenseKeyHasher`]. The trie build finds its edges through one; each
+/// child's transition memo in [`crate::family`] is another.
+pub(crate) type DenseMap<V> = HashMap<u64, V, BuildHasherDefault<DenseKeyHasher>>;
+
+/// One multiply per key. The keys are dense indices the program assigns,
+/// not values read from input, so SipHash's resistance to crafted
+/// collisions buys nothing; it cost about half of the transition memo's
+/// gain. The shift folds the product's high half, which every key bit
+/// reaches, into the low bits that pick the bucket.
+#[derive(Default)]
+pub(crate) struct DenseKeyHasher(u64);
+
+impl Hasher for DenseKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// One count edge: `count` occurrences of `sym` after the node's context,
 /// and the child context extended by `sym` (`ROOT` at depth `D`).
@@ -84,11 +117,24 @@ impl ArenaTrie {
     /// counts the reference implementation accumulates one clone at a
     /// time — and extends the suffixes shorter than `depth` by it. The
     /// suffix-node stack slides along the word, so the build is
-    /// `O(len · depth)` node visits per word. Nodes grow per-node edge
-    /// lists, which are moved into the flat layout once at the end.
+    /// `O(len · depth)` node visits per word.
+    ///
+    /// One pass appends each new `(node, symbol)` edge to one edge array,
+    /// found again through a [`DenseMap`], and numbers nodes in the order
+    /// it creates them. A counting sort by node then lays each node's
+    /// edges out as one range, sorted by symbol. The map and the arrays
+    /// are sized up front for one new edge per node visit, so none of
+    /// them grows during the pass: on the suite's pools, growing them
+    /// took about as long as the rest of the build. That is `depth + 1`
+    /// entries per symbol of the distinct words, freed when the build
+    /// returns.
     pub fn build(depth: usize, words: &[(Vec<u32>, u64)]) -> Self {
-        let mut lists: Vec<Vec<Edge>> = vec![Vec::new()];
-        let mut links: Vec<u32> = vec![ROOT];
+        let visits = words.iter().map(|(word, _)| word.len()).sum::<usize>() * (depth + 1);
+        let mut slot_of: DenseMap<u32> =
+            DenseMap::with_capacity_and_hasher(visits, Default::default());
+        let mut pass: Vec<(u32, Edge)> = Vec::with_capacity(visits);
+        let mut links: Vec<u32> = Vec::with_capacity(visits + 1);
+        links.push(ROOT);
         let mut stack: Vec<u32> = Vec::with_capacity(depth + 1);
         let mut next: Vec<u32> = Vec::with_capacity(depth + 1);
         for (word, count) in words {
@@ -101,47 +147,60 @@ impl ArenaTrie {
                 next.clear();
                 next.push(ROOT);
                 for (k, &node) in stack.iter().enumerate() {
-                    let list = &mut lists[node as usize];
-                    let i = match list.binary_search_by_key(&sym, |e| e.sym) {
-                        Ok(i) => {
-                            list[i].count += count;
-                            i
-                        }
-                        Err(i) => {
-                            list.insert(i, Edge { sym, child: ROOT, count: *count });
-                            i
-                        }
-                    };
+                    let key = u64::from(node) << 32 | u64::from(sym);
+                    let slot = *slot_of.entry(key).or_insert_with(|| {
+                        pass.push((node, Edge { sym, child: ROOT, count: 0 }));
+                        u32::try_from(pass.len() - 1).expect("trie edge count overflow")
+                    });
+                    let edge = &mut pass[slot as usize].1;
+                    edge.count += count;
                     if k == depth {
                         continue;
                     }
-                    let mut child = list[i].child;
-                    if child == ROOT {
-                        child = u32::try_from(lists.len()).expect("trie node count overflow");
-                        lists[node as usize][i].child = child;
-                        lists.push(Vec::new());
+                    if edge.child == ROOT {
+                        edge.child = u32::try_from(links.len()).expect("trie node count overflow");
                         links.push(*next.last().expect("next starts with the root"));
                     }
-                    next.push(child);
+                    next.push(edge.child);
                 }
                 std::mem::swap(&mut stack, &mut next);
             }
         }
-        let mut nodes = Vec::with_capacity(lists.len());
-        let mut edges = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        for (list, suffix) in lists.into_iter().zip(links) {
-            let start = u32::try_from(edges.len()).expect("trie edge count overflow");
-            let total: u64 = list.iter().map(|e| e.count).sum();
-            let distinct = list.len() as u64;
-            edges.extend(list);
-            let end = u32::try_from(edges.len()).expect("trie edge count overflow");
-            let (denom, escape) = if distinct == 0 {
-                (0.0, 0.0)
-            } else {
-                ((total + distinct) as f64, distinct as f64 / (total + distinct) as f64)
-            };
-            nodes.push(Node { start, end, suffix, denom, escape });
+        // `ends[v + 1]` counts node `v`'s edges, and the prefix sums turn
+        // `ends[v]` into the start of `v`'s range. Placing each edge at
+        // `ends[node]` and bumping it leaves `ends[v]` at the range's end.
+        let mut ends = vec![0u32; links.len() + 1];
+        for (node, _) in &pass {
+            ends[*node as usize + 1] += 1;
         }
+        for v in 1..ends.len() {
+            ends[v] += ends[v - 1];
+        }
+        let mut edges = vec![Edge { sym: 0, child: ROOT, count: 0 }; pass.len()];
+        for (node, edge) in pass {
+            let at = &mut ends[node as usize];
+            edges[*at as usize] = edge;
+            *at += 1;
+        }
+        let mut start = 0;
+        let nodes = links
+            .into_iter()
+            .zip(&ends)
+            .map(|(suffix, &end)| {
+                let list = &mut edges[start as usize..end as usize];
+                list.sort_unstable_by_key(|e| e.sym);
+                let total: u64 = list.iter().map(|e| e.count).sum();
+                let distinct = list.len() as u64;
+                let (denom, escape) = if distinct == 0 {
+                    (0.0, 0.0)
+                } else {
+                    ((total + distinct) as f64, distinct as f64 / (total + distinct) as f64)
+                };
+                let node = Node { start, end, suffix, denom, escape };
+                start = end;
+                node
+            })
+            .collect();
         ArenaTrie { nodes, edges }
     }
 
@@ -392,7 +451,83 @@ mod tests {
         assert_eq!(trie.approx_bytes(), 56);
     }
 
+    /// The build the one-pass build replaced, kept as its reference: one
+    /// edge list per node, grown by sorted insert and moved into the flat
+    /// layout at the end.
+    fn build_with_node_lists(depth: usize, words: &[(Vec<u32>, u64)]) -> ArenaTrie {
+        let mut lists: Vec<Vec<Edge>> = vec![Vec::new()];
+        let mut links: Vec<u32> = vec![ROOT];
+        let mut stack: Vec<u32> = Vec::with_capacity(depth + 1);
+        let mut next: Vec<u32> = Vec::with_capacity(depth + 1);
+        for (word, count) in words {
+            stack.clear();
+            stack.push(ROOT);
+            for &sym in word {
+                next.clear();
+                next.push(ROOT);
+                for (k, &node) in stack.iter().enumerate() {
+                    let list = &mut lists[node as usize];
+                    let i = match list.binary_search_by_key(&sym, |e| e.sym) {
+                        Ok(i) => {
+                            list[i].count += count;
+                            i
+                        }
+                        Err(i) => {
+                            list.insert(i, Edge { sym, child: ROOT, count: *count });
+                            i
+                        }
+                    };
+                    if k == depth {
+                        continue;
+                    }
+                    let mut child = list[i].child;
+                    if child == ROOT {
+                        child = lists.len() as u32;
+                        lists[node as usize][i].child = child;
+                        lists.push(Vec::new());
+                        links.push(*next.last().unwrap());
+                    }
+                    next.push(child);
+                }
+                std::mem::swap(&mut stack, &mut next);
+            }
+        }
+        let mut nodes = Vec::with_capacity(lists.len());
+        let mut edges = Vec::new();
+        for (list, suffix) in lists.into_iter().zip(links) {
+            let start = edges.len() as u32;
+            let total: u64 = list.iter().map(|e| e.count).sum();
+            let distinct = list.len() as u64;
+            edges.extend(list);
+            let end = edges.len() as u32;
+            let (denom, escape) = if distinct == 0 {
+                (0.0, 0.0)
+            } else {
+                ((total + distinct) as f64, distinct as f64 / (total + distinct) as f64)
+            };
+            nodes.push(Node { start, end, suffix, denom, escape });
+        }
+        ArenaTrie { nodes, edges }
+    }
+
     proptest! {
+        /// The one-pass build equals the per-node-list build, node
+        /// numbering, edge order, counts, links, `denom` and `escape`
+        /// included, at depth 0 to 4: on words drawn from a small pool
+        /// and a small alphabet, in any order, so that symbols repeat
+        /// within and across words, words repeat with counts above 1 and
+        /// empty words occur.
+        #[test]
+        fn one_pass_build_equals_the_per_node_lists(
+            pool in prop::collection::vec(prop::collection::vec(0u32..5, 0..10), 1..6),
+            picks in prop::collection::vec((0usize..6, 1u64..5), 0..12),
+            depth in 0usize..5,
+        ) {
+            let words: Vec<(Vec<u32>, u64)> =
+                picks.iter().map(|&(i, count)| (pool[i % pool.len()].clone(), count)).collect();
+            prop_assert_eq!(ArenaTrie::build(depth, &words), build_with_node_lists(depth, &words));
+        }
+
         /// The state after each prefix of a query, known and unknown
         /// symbols mixed, is the node of the prefix's longest suffix that
         /// the trie holds — found by root walks of every suffix — at any

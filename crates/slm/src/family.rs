@@ -40,9 +40,8 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::arena::{ArenaTrie, ROOT};
+use crate::arena::{ArenaTrie, DenseMap, ROOT};
 use crate::{Slm, Symbol, SymbolTable};
 
 /// One family member's view in family ids.
@@ -196,32 +195,7 @@ pub struct ChildTarget<'f, 'm, S: Symbol> {
 }
 
 /// `(state << 32 | child-local symbol)` → `(ln p, next state)`.
-type StepMemo = HashMap<u64, (f64, u32), BuildHasherDefault<StepHasher>>;
-
-/// One multiply per key for the transition memo. Its keys are dense
-/// indices the program assigns (trie nodes in creation order, symbol
-/// ranks), not values read from input, so SipHash's resistance to
-/// crafted collisions buys nothing; it cost about half of the memo's
-/// gain. The shift folds the product's high half, which every key bit
-/// reaches, into the low bits that pick the bucket.
-#[derive(Default)]
-struct StepHasher(u64);
-
-impl Hasher for StepHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
+type StepMemo = DenseMap<(f64, u32)>;
 
 impl<S: Symbol> ChildTarget<'_, '_, S> {
     /// `D_KL(parent ‖ child)` for family member `parent`, bit-identical to
